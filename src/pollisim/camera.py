@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .so3 import Pose, aligning_rotation, require_rotation
+from .so3 import Pose, aligning_rotation, fields_to_json, require_rotation
 
 # A camera pose is a rigid pose of the camera in the world frame: columns of
 # rotation are the camera axes (x right, y down, z forward / viewing).
@@ -45,14 +45,7 @@ class Intrinsics:
         return cls(fx=640.0, fy=640.0, cx=640.0, cy=360.0, width=1280, height=720)
 
     def to_json(self) -> dict:
-        return {
-            "fx": self.fx,
-            "fy": self.fy,
-            "cx": self.cx,
-            "cy": self.cy,
-            "width": self.width,
-            "height": self.height,
-        }
+        return fields_to_json(self)
 
     @classmethod
     def from_json(cls, d: dict) -> "Intrinsics":

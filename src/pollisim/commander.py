@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .camera import CameraPose
-from .so3 import EZ, Pose, aligning_rotation, from_axis_angle, random_unit_vector
+from .so3 import EZ, Pose, aligning_rotation, fields_to_json, from_axis_angle, random_unit_vector
 from .tracker import (
     GlobalState,
     Track,
@@ -124,24 +124,14 @@ class CommanderConfig:
     workspace_radius: float = 0.5
     tracker: TrackerParams = field(default_factory=TrackerParams)
 
+    def __post_init__(self) -> None:
+        if not (0.0 < self.gain <= 1.0):
+            raise ValueError("gain must be in (0, 1]")
+        if not (0.0 < self.max_step < math.inf):
+            raise ValueError("max_step must be finite and > 0")
+
     def to_json(self) -> dict:
-        return {
-            "gain": self.gain,
-            "max_step": self.max_step,
-            "max_rot_step_deg": self.max_rot_step_deg,
-            "standoff": self.standoff,
-            "eps_pos": self.eps_pos,
-            "eps_ang": self.eps_ang,
-            "trigger_pos": self.trigger_pos,
-            "trigger_ang": self.trigger_ang,
-            "trigger_fresh": self.trigger_fresh,
-            "arrival_pos": self.arrival_pos,
-            "arrival_ang": self.arrival_ang,
-            "servo_patience": self.servo_patience,
-            "search_patience": self.search_patience,
-            "workspace_center": list(self.workspace_center),
-            "workspace_radius": self.workspace_radius,
-        }
+        return fields_to_json(self, exclude=("arm_id", "tracker"))
 
 
 def standoff_pose(flower_pose: Pose, standoff: float) -> Pose:

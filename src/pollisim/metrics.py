@@ -10,8 +10,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .simworld import FlowerGT
-from .so3 import Pose, zaxis_angle
-from .tracker import Track
+from .so3 import Pose, fields_to_json, zaxis_angle
+from .tracker import Track, greedy_pairs
 
 # Default success thresholds; overridable per call for sweeps.
 TRANS_SUCCESS_M = 0.08
@@ -165,27 +165,7 @@ class RunReport:
     pollination_success_rate: float
 
     def to_json(self) -> dict:
-        return {
-            "seed": self.seed,
-            "config_digest": self.config_digest,
-            "n_flowers": self.n_flowers,
-            "n_reachable": self.n_reachable,
-            "n_views": self.n_views,
-            "n_tracks": self.n_tracks,
-            "n_matched": self.n_matched,
-            "n_detections": self.n_detections,
-            "n_attempted": self.n_attempted,
-            "n_succeeded": self.n_succeeded,
-            "mean_trans_err_m": self.mean_trans_err_m,
-            "median_trans_err_m": self.median_trans_err_m,
-            "mean_rot_err_deg": self.mean_rot_err_deg,
-            "median_rot_err_deg": self.median_rot_err_deg,
-            "detection_err_px": self.detection_err_px,
-            "detection_success_rate": self.detection_success_rate,
-            "pose_success_rate": self.pose_success_rate,
-            "attempt_rate": self.attempt_rate,
-            "pollination_success_rate": self.pollination_success_rate,
-        }
+        return fields_to_json(self)
 
 
 def match_tracks_to_flowers(
@@ -195,26 +175,13 @@ def match_tracks_to_flowers(
 ) -> dict[int, int]:
     """Greedy nearest matching flower_id -> track_id within threshold meters.
 
-    Same greedy-closest-pair discipline as the online association, applied
-    between filtered tracks and ground truth for scoring.
+    Same greedy pass as the online association, applied between filtered
+    tracks and ground truth for scoring; ties break on lower flower id, then
+    lower track id.
     """
-    cand: list[tuple[float, int, int]] = []
-    for f in flowers:
-        for t in tracks:
-            d = float(np.linalg.norm(t.pos_mean - f.pose.position))
-            if d <= threshold:
-                cand.append((d, f.id, t.id))
-    cand.sort()
-    used_f: set[int] = set()
-    used_t: set[int] = set()
-    out: dict[int, int] = {}
-    for _, fid, tid in cand:
-        if fid in used_f or tid in used_t:
-            continue
-        used_f.add(fid)
-        used_t.add(tid)
-        out[fid] = tid
-    return out
+    return dict(greedy_pairs(
+        [(f.id, f.pose.position) for f in flowers], [(t.id, t.pos_mean) for t in tracks], threshold
+    ))
 
 
 def aggregate(

@@ -52,6 +52,8 @@ from .simworld import (
 from .so3 import (
     Pose,
     axis_angle_of,
+    fields_from_json,
+    fields_to_json,
     from_axis_angle,
     is_rotation,
     random_rotation,
@@ -90,13 +92,7 @@ class SceneGenParams:
     max_tilt_deg: float = 45.0
 
     def to_json(self) -> dict:
-        return {
-            "count": self.count,
-            "center": list(self.center),
-            "spread": self.spread,
-            "min_sep": self.min_sep,
-            "max_tilt_deg": self.max_tilt_deg,
-        }
+        return fields_to_json(self)
 
 
 @dataclass(eq=False)
@@ -186,13 +182,7 @@ def parse_config(data: dict, config_dir: str = ".") -> ExperimentConfig:
     tracker = _section(data, "tracker", TrackerParams.from_json, None)
     camera = _section(data, "camera", Intrinsics.from_json, Intrinsics.default)
 
-    def build_commander(d: dict) -> CommanderConfig:
-        kwargs = dict(d)
-        if "workspace_center" in kwargs:
-            kwargs["workspace_center"] = tuple(float(x) for x in kwargs["workspace_center"])
-        return CommanderConfig(**kwargs)
-
-    cmdr = _section(data, "commander", build_commander, CommanderConfig)
+    cmdr = _section(data, "commander", lambda d: fields_from_json(CommanderConfig, d), CommanderConfig)
 
     arm_count = data.get("arm_count", 1)
     step_budget = data.get("step_budget", 1500)

@@ -11,13 +11,15 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from .camera import CameraPose, Intrinsics, PixelObs, look_at, project, to_world, uplift
 from .so3 import (
     Pose,
+    fields_from_json,
+    fields_to_json,
     from_axis_angle,
     random_rotation,
     random_unit_vector,
@@ -34,10 +36,6 @@ class ParseError(ValueError):
 
 class InvariantViolation(ValueError):
     """Scene data violates a declared invariant (names the offending flower)."""
-
-
-class SingularCovariance(ValueError):
-    """Covariance is not invertible (or not positive definite) within tolerance."""
 
 
 @dataclass(eq=False)
@@ -72,6 +70,9 @@ class NoiseModel:
     flip_prob: float = 0.0
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            if not np.isfinite(getattr(self, f.name)).all():
+                raise ValueError(f"{f.name} must be finite")
         if not (0.0 <= self.detect_prob <= 1.0):
             raise ValueError("detect_prob must be in [0, 1]")
         for name in ("pixel_sigma", "depth_sigma_near", "depth_sigma_far", "rot_sigma", "clutter_rate"):
@@ -96,40 +97,11 @@ class NoiseModel:
         )
 
     def to_json(self) -> dict:
-        return {
-            "detect_prob": self.detect_prob,
-            "pixel_sigma": self.pixel_sigma,
-            "depth_sigma_near": self.depth_sigma_near,
-            "depth_sigma_far": self.depth_sigma_far,
-            "reliable_range": list(self.reliable_range),
-            "rot_sigma": self.rot_sigma,
-            "clutter_rate": self.clutter_rate,
-            "flip_prob": self.flip_prob,
-        }
+        return fields_to_json(self)
 
     @classmethod
     def from_json(cls, d: dict) -> "NoiseModel":
-        kwargs = dict(d)
-        if "reliable_range" in kwargs:
-            rr = kwargs["reliable_range"]
-            kwargs["reliable_range"] = (float(rr[0]), float(rr[1]))
-        return cls(**kwargs)
-
-
-@dataclass(eq=False)
-class GaussianBlob:
-    """Anisotropic 3D Gaussian with a sigmoid-activated amplitude.
-
-    The activation is fixed to the logistic sigmoid.
-    """
-
-    x_i: np.ndarray
-    sigma_i: np.ndarray
-    alpha_i: float
-
-    def __post_init__(self) -> None:
-        self.x_i = np.asarray(self.x_i, dtype=float).reshape(3)
-        self.sigma_i = np.asarray(self.sigma_i, dtype=float).reshape(3, 3)
+        return fields_from_json(cls, d)
 
 
 @dataclass(eq=False)
@@ -260,37 +232,6 @@ def observe_with_truth(
             ShotRecord(-1, True, float("nan"), float("nan"), float("nan"), measurement=m)
         )
     return measurements, records
-
-
-def observe(
-    scene: list[FlowerGT],
-    cam: CameraPose,
-    k: Intrinsics,
-    noise: NoiseModel,
-    rng: np.random.Generator,
-    camera_id: int = 0,
-    tick: int = 0,
-) -> list[Measurement]:
-    """Noisy single-shot measurements of all visible flowers (plus clutter)."""
-    return observe_with_truth(scene, cam, k, noise, rng, camera_id, tick)[0]
-
-
-def evaluate_gaussian(blob: GaussianBlob, xi: np.ndarray) -> float:
-    """Sigmoid-amplitude Gaussian density sigma(alpha) * exp(-0.5 d^T S^-1 d)."""
-    xi = np.asarray(xi, dtype=float).reshape(3)
-    sigma = blob.sigma_i
-    if np.abs(sigma - sigma.T).max() > 1e-9:
-        raise SingularCovariance("covariance must be symmetric")
-    try:
-        chol = np.linalg.cholesky(sigma)
-    except np.linalg.LinAlgError as exc:
-        raise SingularCovariance("covariance is not positive definite") from exc
-    if np.diag(chol).min() <= 1e-12:
-        raise SingularCovariance("covariance is singular within tolerance")
-    d = xi - blob.x_i
-    y = np.linalg.solve(chol, d)
-    amp = 1.0 / (1.0 + math.exp(-blob.alpha_i))
-    return float(amp * math.exp(-0.5 * float(y @ y)))
 
 
 def _flower_from_json(entry: dict, index: int) -> FlowerGT:

@@ -1,6 +1,6 @@
-"""Rotation-manifold geometry: continuous rotation representations, nearest-rotation
-projections, distances, weighted means, and yaw canonicalization for radially
-symmetric targets.
+"""Rotation-manifold geometry: nearest-rotation projection, shortest-arc and
+axis-angle rotations, facing-axis distance for radially symmetric targets, and
+the JSON forms of rotations and of flat config dataclasses.
 
 Rotations are plain 3x3 float64 numpy arrays (row-major direction cosines),
 orthonormal with det = +1 within ORTHO_TOL. Angles are radians internally;
@@ -9,7 +9,7 @@ functions that report angles to callers return degrees.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -17,7 +17,6 @@ import numpy as np
 ORTHO_TOL = 1e-9
 
 EX = np.array([1.0, 0.0, 0.0])
-EY = np.array([0.0, 1.0, 0.0])
 EZ = np.array([0.0, 0.0, 1.0])
 
 
@@ -68,27 +67,6 @@ def svd_project(x: np.ndarray) -> np.ndarray:
     return u @ np.diag([1.0, 1.0, d]) @ vt
 
 
-def gram_schmidt_project(x: np.ndarray) -> np.ndarray:
-    """Rotation from a 6-vector (two stacked 3-vectors) via Gram-Schmidt.
-
-    Column 1 is normalize(a), column 2 the normalized rejection of b from a,
-    column 3 their cross product.
-    """
-    v = np.asarray(x, dtype=float).reshape(6)
-    a, b = v[:3], v[3:]
-    na = np.linalg.norm(a)
-    if na <= ORTHO_TOL:
-        raise DegenerateInput("first 3-vector is ~0")
-    c1 = a / na
-    rej = b - (b @ c1) * c1
-    nr = np.linalg.norm(rej)
-    if np.linalg.norm(b) <= ORTHO_TOL or nr <= ORTHO_TOL:
-        raise DegenerateInput("second 3-vector is ~0 or parallel to the first")
-    c2 = rej / nr
-    c3 = np.cross(c1, c2)
-    return np.column_stack([c1, c2, c3])
-
-
 def zaxis_angle(a: np.ndarray, b: np.ndarray) -> float:
     """Angle in degrees between the z-columns of two rotations, in [0, 180].
 
@@ -118,43 +96,6 @@ def aligning_rotation(a: np.ndarray, b: np.ndarray, fallback_axis: np.ndarray | 
     return np.eye(3) + k + (k @ k) / (1.0 + c)
 
 
-def nullify_yaw(r: np.ndarray) -> np.ndarray:
-    """Remove the rotation component about the facing (z) axis.
-
-    Returns the shortest-arc rotation taking e_z to r @ e_z; the result has
-    the same third column as r and no residual twist about it. Raises
-    Antipodal when the facing direction is exactly -e_z.
-    """
-    d = np.asarray(r, dtype=float)[:, 2]
-    return aligning_rotation(EZ, d)
-
-
-def chordal_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Frobenius-norm distance between two rotations."""
-    return float(np.linalg.norm(np.asarray(a, dtype=float) - np.asarray(b, dtype=float)))
-
-
-def chordal_mean(rs: list[np.ndarray], ws: list[float] | None = None) -> np.ndarray:
-    """Weighted rotation mean minimizing the sum of squared chordal distances.
-
-    Computed as svd_project(sum_i w_i R_i). Weights must be nonnegative with
-    at least one strictly positive; omitted weights mean equal weighting.
-    """
-    if not rs:
-        raise DegenerateInput("empty rotation list")
-    if ws is None:
-        ws = [1.0] * len(rs)
-    if len(ws) != len(rs):
-        raise ValueError("weights length does not match rotations")
-    w = np.asarray(ws, dtype=float)
-    if (w < 0).any() or not (w > 0).any():
-        raise ValueError("weights must be nonnegative with at least one positive")
-    acc = np.zeros((3, 3))
-    for wi, ri in zip(w, rs):
-        acc += wi * np.asarray(ri, dtype=float)
-    return svd_project(acc)
-
-
 def _hat(v: np.ndarray) -> np.ndarray:
     x, y, z = v
     return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
@@ -172,10 +113,6 @@ def from_axis_angle(axis: np.ndarray, angle: float) -> np.ndarray:
 
 def rot_x(angle: float) -> np.ndarray:
     return from_axis_angle(EX, angle)
-
-
-def rot_y(angle: float) -> np.ndarray:
-    return from_axis_angle(EY, angle)
 
 
 def rot_z(angle: float) -> np.ndarray:
@@ -260,6 +197,26 @@ def rotation_from_list(values: list[float]) -> np.ndarray:
     if arr.shape != (9,):
         raise ValueError(f"rotation JSON must have 9 elements, got {arr.shape}")
     return require_rotation(arr.reshape(3, 3))
+
+
+def fields_to_json(obj, exclude: tuple[str, ...] = ()) -> dict:
+    """JSON form of a flat dataclass: its fields in declaration order, tuples as lists."""
+    out = {}
+    for f in fields(obj):
+        if f.name not in exclude:
+            value = getattr(obj, f.name)
+            out[f.name] = list(value) if isinstance(value, tuple) else value
+    return out
+
+
+def fields_from_json(cls, d: dict):
+    """Build dataclass `cls` from its JSON form; fields whose default is a
+    tuple get a tuple of floats. Unknown keys raise TypeError."""
+    kwargs = dict(d)
+    for f in fields(cls):
+        if f.name in kwargs and isinstance(f.default, tuple):
+            kwargs[f.name] = tuple(float(x) for x in kwargs[f.name])
+    return cls(**kwargs)
 
 
 @dataclass(eq=False)

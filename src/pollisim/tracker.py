@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .simworld import Measurement, NoiseModel
-from .so3 import flatten, rotation_from_list, rotation_to_list, svd_project
+from .so3 import fields_from_json, fields_to_json, flatten, svd_project
 
 
 @dataclass(frozen=True)
@@ -67,31 +67,16 @@ class TrackerParams:
             reliable_range=noise.reliable_range,
         )
 
+    def __post_init__(self) -> None:
+        if not (0.0 < self.assoc_threshold < np.inf):
+            raise ValueError("assoc_threshold must be finite and > 0")
+
     def to_json(self) -> dict:
-        d = {
-            "assoc_threshold": self.assoc_threshold,
-            "init_pos_cov": self.init_pos_cov,
-            "init_rot_cov": self.init_rot_cov,
-            "q_pos": self.q_pos,
-            "q_rot": self.q_rot,
-            "r_pos_near": self.r_pos_near,
-            "r_pos_far": self.r_pos_far,
-            "r_rot": self.r_rot,
-            "reliable_range": list(self.reliable_range),
-            "stale_ticks": self.stale_ticks,
-            "stale_min_hits": self.stale_min_hits,
-            "confident_trace": self.confident_trace,
-            "confident_hits": self.confident_hits,
-        }
-        return d
+        return fields_to_json(self)
 
     @classmethod
     def from_json(cls, d: dict) -> "TrackerParams":
-        kwargs = dict(d)
-        if "reliable_range" in kwargs:
-            rr = kwargs["reliable_range"]
-            kwargs["reliable_range"] = (float(rr[0]), float(rr[1]))
-        return cls(**kwargs)
+        return fields_from_json(cls, d)
 
 
 @dataclass(eq=False)
@@ -138,6 +123,34 @@ class Assignment:
     spawns: list[int]
 
 
+def greedy_pairs(
+    a: list[tuple[int, np.ndarray]], b: list[tuple[int, np.ndarray]], threshold: float
+) -> list[tuple[int, int]]:
+    """Greedy closest-pair matching of keyed points, in commit order.
+
+    Repeatedly commits the smallest Euclidean distance within `threshold`
+    (inclusive) among pairs whose keys are both still free. Ties break on
+    the lower key of `a`, then the lower key of `b`. Returns (key_a, key_b).
+    """
+    candidates: list[tuple[float, int, int]] = []
+    for kb, pb in b:
+        for ka, pa in a:
+            d = float(np.linalg.norm(pb - pa))
+            if d <= threshold:
+                candidates.append((d, ka, kb))
+    candidates.sort()
+    used_a: set[int] = set()
+    used_b: set[int] = set()
+    pairs: list[tuple[int, int]] = []
+    for _, ka, kb in candidates:
+        if ka in used_a or kb in used_b:
+            continue
+        used_a.add(ka)
+        used_b.add(kb)
+        pairs.append((ka, kb))
+    return pairs
+
+
 def associate(ms: list[Measurement], gs: GlobalState, threshold: float) -> Assignment:
     """Greedy global-nearest-neighbor association.
 
@@ -148,24 +161,11 @@ def associate(ms: list[Measurement], gs: GlobalState, threshold: float) -> Assig
     """
     if threshold <= 0:
         raise ValueError("threshold must be > 0")
-    candidates: list[tuple[float, int, int]] = []
-    for mi, m in enumerate(ms):
-        for t in gs.tracks:
-            d = float(np.linalg.norm(m.position_world - t.pos_mean))
-            if d <= threshold:
-                candidates.append((d, t.id, mi))
-    candidates.sort()
-    used_m: set[int] = set()
-    used_t: set[int] = set()
-    pairs: list[tuple[int, int]] = []
-    for d, tid, mi in candidates:
-        if mi in used_m or tid in used_t:
-            continue
-        used_m.add(mi)
-        used_t.add(tid)
-        pairs.append((mi, tid))
+    tracks = [(t.id, t.pos_mean) for t in gs.tracks]
+    pairs = greedy_pairs(tracks, list(enumerate(m.position_world for m in ms)), threshold)
+    used_m = {mi for _, mi in pairs}
     spawns = [mi for mi in range(len(ms)) if mi not in used_m]
-    return Assignment(pairs=pairs, spawns=spawns)
+    return Assignment(pairs=[(mi, tid) for tid, mi in pairs], spawns=spawns)
 
 
 def predict(t: Track, ticks: int, q_pos: float, q_rot: float) -> Track:
@@ -250,58 +250,6 @@ def remove_track(gs: GlobalState, track_id: int) -> None:
     """
     gs.tracks = [t for t in gs.tracks if t.id != track_id]
     gs.claims.pop(track_id, None)
-
-
-def state_to_json(gs: GlobalState) -> dict:
-    """JSON-serializable snapshot of the global state (debugging / replay).
-
-    Raw measurements are not part of the snapshot; a restored state resumes
-    filtering but cannot drive visual servoing until fresh measurements land.
-    """
-    return {
-        "next_id": gs.next_id,
-        "tick": gs.tick,
-        "claims": {str(k): v for k, v in sorted(gs.claims.items())},
-        "tracks": [
-            {
-                "id": t.id,
-                "pos_mean": [float(x) for x in t.pos_mean],
-                "pos_cov": [float(x) for x in t.pos_cov.reshape(9)],
-                "rot_mean": rotation_to_list(t.rot_mean),
-                "rot_cov": float(t.rot_cov),
-                "hits": t.hits,
-                "last_tick": t.last_tick,
-                "pollinated": t.pollinated,
-            }
-            for t in gs.tracks
-        ],
-    }
-
-
-def state_from_json(d: dict) -> GlobalState:
-    """Rebuild a GlobalState snapshot, re-validating rotation invariants."""
-    tracks = [
-        Track(
-            id=int(e["id"]),
-            pos_mean=np.asarray(e["pos_mean"], dtype=float).reshape(3),
-            pos_cov=np.asarray(e["pos_cov"], dtype=float).reshape(3, 3),
-            rot_mean=rotation_from_list(e["rot_mean"]),
-            rot_cov=float(e["rot_cov"]),
-            hits=int(e["hits"]),
-            last_tick=int(e["last_tick"]),
-            pollinated=bool(e["pollinated"]),
-        )
-        for e in d["tracks"]
-    ]
-    ids = [t.id for t in tracks]
-    if len(ids) != len(set(ids)):
-        raise ValueError("snapshot has duplicate track ids")
-    return GlobalState(
-        tracks=tracks,
-        next_id=int(d["next_id"]),
-        tick=int(d["tick"]),
-        claims={int(k): int(v) for k, v in d.get("claims", {}).items()},
-    )
 
 
 def _spawn(gs: GlobalState, m: Measurement, params: TrackerParams) -> Track:

@@ -142,6 +142,11 @@ def test_config_error_names_field(tmp_path, capsys):
     assert main(["simulate", "--config", str(cfg_path), "--out", str(out_dir), "--quiet"]) == 2
     assert "seed" in capsys.readouterr().err
     assert not out_dir.exists()  # no partial outputs
+    # an out-of-range value is refused before the run starts, not mid-run
+    _write_config(cfg_path, commander={"max_step": -1.0})
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(out_dir), "--quiet"]) == 2
+    assert "max_step" in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 def test_config_error_variants(tmp_path):
@@ -158,6 +163,16 @@ def test_config_error_variants(tmp_path):
     with pytest.raises(ConfigError, match="arm_count"):
         parse_config({"schema_version": 1, "seed": 1, "scene": {"generate": {"count": 2}},
                       "arm_count": 0})
+    for section, key, value in [
+        ("noise", "depth_sigma_near", float("nan")),
+        ("noise", "rot_sigma", float("inf")),
+        ("commander", "gain", 0.0),
+        ("commander", "max_step", -1.0),
+        ("tracker", "assoc_threshold", float("nan")),
+    ]:
+        with pytest.raises(ConfigError, match=f"'{section}': {key}"):
+            parse_config({"schema_version": 1, "seed": 1, "scene": {"generate": {"count": 2}},
+                          section: {key: value}})
     with pytest.raises(ConfigError, match="<file>"):
         load_config(str(tmp_path / "missing.json"))
 

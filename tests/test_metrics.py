@@ -140,6 +140,20 @@ def test_match_tracks_to_flowers_greedy():
     tracks = [_track_at(10, [0.01, 0, 0]), _track_at(11, [0.21, 0, 0]), _track_at(12, [5, 5, 5])]
     m = match_tracks_to_flowers(tracks, flowers)
     assert m == {0: 10, 1: 11}
+    # Equal distances commit the lower flower id first, then the lower track id.
+    one_track = match_tracks_to_flowers(
+        [_track_at(5, [0, 0, 0])], [_flower_at(1, [0.02, 0, 0]), _flower_at(0, [-0.02, 0, 0])]
+    )
+    assert one_track == {0: 5}
+    one_flower = match_tracks_to_flowers(
+        [_track_at(7, [0.02, 0, 0]), _track_at(3, [-0.02, 0, 0])], [_flower_at(0, [0, 0, 0])]
+    )
+    assert one_flower == {0: 3}
+    all_tied = match_tracks_to_flowers(
+        [_track_at(7, [0, 0, 0]), _track_at(3, [0, 0, 0])],
+        [_flower_at(1, [0.02, 0, 0]), _flower_at(0, [-0.02, 0, 0])],
+    )
+    assert list(all_tied.items()) == [(0, 3), (1, 7)]
 
 
 def test_aggregate_simple_run():

@@ -8,15 +8,11 @@ from helpers import ks_uniform_pvalue
 from pollisim.camera import Intrinsics, project, to_world, uplift
 from pollisim.simworld import (
     FlowerGT,
-    GaussianBlob,
     InvariantViolation,
     NoiseModel,
     ParseError,
-    SingularCovariance,
-    evaluate_gaussian,
     generate_scene,
     load_scene,
-    observe,
     observe_with_truth,
     sample_viewpoint,
     save_scene,
@@ -89,7 +85,7 @@ def test_observe_behind_camera_never_measured():
     rng = np.random.default_rng(5)
     cam = sample_viewpoint(rng, np.zeros(3), (0.3, 0.3), (0, 0))
     behind = _flower(position=cam.position + cam.rotation[:, 2] * -0.5)
-    ms = observe([behind], cam, K, NoiseModel.noiseless(), rng)
+    ms = observe_with_truth([behind], cam, K, NoiseModel.noiseless(), rng)[0]
     assert ms == []
 
 
@@ -97,14 +93,14 @@ def test_observe_detect_prob_zero_only_clutter():
     rng = np.random.default_rng(6)
     noise = NoiseModel(detect_prob=0.0, clutter_rate=0.0)
     cam = sample_viewpoint(rng, np.zeros(3), (0.3, 0.3), (10, 10))
-    assert observe([_flower()], cam, K, noise, rng) == []
+    assert observe_with_truth([_flower()], cam, K, noise, rng)[0] == []
 
 
 def test_observe_deterministic_stream():
     scene = generate_scene(np.random.default_rng(8), 5)
     cam = sample_viewpoint(np.random.default_rng(9), np.zeros(3), (0.3, 0.5), (10, 60))
-    a = observe(scene, cam, K, NoiseModel(), np.random.default_rng(123), camera_id=1, tick=5)
-    b = observe(scene, cam, K, NoiseModel(), np.random.default_rng(123), camera_id=1, tick=5)
+    a = observe_with_truth(scene, cam, K, NoiseModel(), np.random.default_rng(123), camera_id=1, tick=5)[0]
+    b = observe_with_truth(scene, cam, K, NoiseModel(), np.random.default_rng(123), camera_id=1, tick=5)[0]
     assert len(a) == len(b)
     for ma, mb in zip(a, b):
         assert_allclose(ma.position_world, mb.position_world, atol=0)
@@ -116,7 +112,7 @@ def test_observe_clutter_rate():
     rng = np.random.default_rng(10)
     noise = NoiseModel(detect_prob=0.0, clutter_rate=0.5)
     cam = sample_viewpoint(rng, np.zeros(3), (0.3, 0.3), (10, 10))
-    total = sum(len(observe([], cam, K, noise, rng)) for _ in range(2000))
+    total = sum(len(observe_with_truth([], cam, K, noise, rng)[0]) for _ in range(2000))
     assert 800 < total < 1200  # Poisson(0.5) * 2000
 
 
@@ -124,7 +120,7 @@ def test_observe_measured_rotations_valid():
     rng = np.random.default_rng(11)
     scene = generate_scene(np.random.default_rng(12), 4)
     cam = sample_viewpoint(rng, np.zeros(3), (0.3, 0.5), (10, 60))
-    for m in observe(scene, cam, K, NoiseModel(), rng):
+    for m in observe_with_truth(scene, cam, K, NoiseModel(), rng)[0]:
         assert is_rotation(m.rotation, tol=1e-9)
 
 
@@ -136,42 +132,6 @@ def test_observe_bimodal_flip():
     _, recs = observe_with_truth([_flower()], cam, K, noise, rng)
     assert recs[0].detected
     assert recs[0].rot_err_deg > 179.9  # facing direction flipped
-
-
-def test_evaluate_gaussian_center():
-    blob = GaussianBlob(x_i=[1, 2, 3], sigma_i=np.eye(3), alpha_i=0.7)
-    sigmoid = 1.0 / (1.0 + np.exp(-0.7))
-    assert_allclose(evaluate_gaussian(blob, [1, 2, 3]), sigmoid, atol=1e-12)
-
-
-def test_evaluate_gaussian_unit_distance():
-    blob = GaussianBlob(x_i=np.zeros(3), sigma_i=np.eye(3), alpha_i=0.0)
-    assert_allclose(evaluate_gaussian(blob, [1, 0, 0]), 0.5 * np.exp(-0.5), atol=1e-12)
-
-
-def test_evaluate_gaussian_hand_mahalanobis():
-    # Sigma = diag(4,1,1), offset (2,0,0): d^T S^-1 d = 1
-    blob = GaussianBlob(x_i=np.zeros(3), sigma_i=np.diag([4.0, 1.0, 1.0]), alpha_i=2.0)
-    sigmoid = 1.0 / (1.0 + np.exp(-2.0))
-    assert_allclose(evaluate_gaussian(blob, [2, 0, 0]), sigmoid * np.exp(-0.5), atol=1e-12)
-
-
-def test_evaluate_gaussian_monotone_along_ray():
-    blob = GaussianBlob(x_i=np.zeros(3), sigma_i=np.diag([2.0, 1.0, 0.5]), alpha_i=1.0)
-    direction = np.array([0.3, -0.5, 0.8])
-    values = [evaluate_gaussian(blob, t * direction) for t in np.linspace(0, 3, 20)]
-    assert all(a > b for a, b in zip(values, values[1:]))
-
-
-def test_evaluate_gaussian_singular():
-    with pytest.raises(SingularCovariance):
-        evaluate_gaussian(GaussianBlob(np.zeros(3), np.zeros((3, 3)), 0.0), np.zeros(3))
-    with pytest.raises(SingularCovariance):
-        evaluate_gaussian(GaussianBlob(np.zeros(3), np.diag([1.0, 1.0, -1.0]), 0.0), np.zeros(3))
-    asym = np.eye(3)
-    asym[0, 1] = 0.5
-    with pytest.raises(SingularCovariance):
-        evaluate_gaussian(GaussianBlob(np.zeros(3), asym, 0.0), np.zeros(3))
 
 
 def test_scene_roundtrip(tmp_path):

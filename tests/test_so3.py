@@ -2,19 +2,15 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from helpers import geodesic_midpoint
 from pollisim.so3 import (
     Antipodal,
     DegenerateInput,
     EZ,
+    aligning_rotation,
     axis_angle_of,
-    chordal_distance,
-    chordal_mean,
     flatten,
     from_axis_angle,
-    gram_schmidt_project,
     is_rotation,
-    nullify_yaw,
     random_rotation,
     random_rotations,
     rot_x,
@@ -70,30 +66,6 @@ def test_svd_project_degenerate():
     assert is_rotation(r, tol=1e-9)
 
 
-def test_gram_schmidt_identity_and_scale():
-    assert_allclose(gram_schmidt_project([1, 0, 0, 0, 1, 0]), np.eye(3), atol=1e-12)
-    assert_allclose(gram_schmidt_project([2, 0, 0, 0, 3, 0]), np.eye(3), atol=1e-12)
-
-
-def test_gram_schmidt_random_inputs():
-    rng = np.random.default_rng(1)
-    for _ in range(200):
-        v = rng.normal(size=6)
-        r = gram_schmidt_project(v)
-        assert is_rotation(r, tol=1e-9)
-        a = v[:3] / np.linalg.norm(v[:3])
-        assert_allclose(r[:, 0], a, atol=1e-12)
-
-
-def test_gram_schmidt_degenerate():
-    with pytest.raises(DegenerateInput):
-        gram_schmidt_project([0, 0, 0, 0, 1, 0])
-    with pytest.raises(DegenerateInput):
-        gram_schmidt_project([1, 0, 0, 0, 0, 0])
-    with pytest.raises(DegenerateInput):
-        gram_schmidt_project([1, 0, 0, 2, 0, 0])  # parallel
-
-
 def test_zaxis_angle_basics():
     assert zaxis_angle(np.eye(3), np.eye(3)) == 0.0
     assert_allclose(zaxis_angle(np.eye(3), rot_x(np.pi / 2)), 90.0, atol=1e-9)
@@ -110,15 +82,19 @@ def test_zaxis_angle_yaw_invariance():
         assert zaxis_angle(r, r @ rot_z(theta)) < 1e-5
 
 
+# Yaw nullification of a rotation r is aligning_rotation(EZ, r[:, 2]): the
+# shortest arc taking e_z onto the facing axis, with no twist about it.
+
+
 def test_nullify_yaw_basics():
-    assert_allclose(nullify_yaw(rot_z(np.radians(45))), np.eye(3), atol=1e-12)
-    assert_allclose(nullify_yaw(np.eye(3)), np.eye(3), atol=1e-12)
+    assert_allclose(aligning_rotation(EZ, rot_z(np.radians(45))[:, 2]), np.eye(3), atol=1e-12)
+    assert_allclose(aligning_rotation(EZ, EZ), np.eye(3), atol=1e-12)
 
 
 def test_nullify_yaw_hand_derived():
     # Yaw about the facing axis is removed; the tilt survives untouched.
     r = rot_x(np.radians(30)) @ rot_z(np.radians(50))
-    out = nullify_yaw(r)
+    out = aligning_rotation(EZ, r[:, 2])
     assert_allclose(out, rot_x(np.radians(30)), atol=1e-12)
     axis, angle = axis_angle_of(out)
     assert_allclose(axis, [1, 0, 0], atol=1e-12)
@@ -131,59 +107,19 @@ def test_nullify_yaw_properties():
         r = random_rotation(rng)
         if r[2, 2] < -1 + 1e-6:
             continue
-        out = nullify_yaw(r)
+        out = aligning_rotation(EZ, r[:, 2])
         assert is_rotation(out, tol=1e-9)
-        assert_allclose(out[:, 2], r[:, 2], atol=1e-9)  # facing preserved
-        assert_allclose(nullify_yaw(out), out, atol=1e-9)  # idempotent
+        assert_allclose(out @ EZ, r[:, 2], atol=1e-9)  # maps e_z onto the facing axis
+        assert_allclose(aligning_rotation(EZ, out[:, 2]), out, atol=1e-9)  # idempotent
         theta = rng.uniform(0, 2 * np.pi)
-        assert_allclose(nullify_yaw(r @ rot_z(theta)), out, atol=1e-9)
+        assert_allclose(aligning_rotation(EZ, (r @ rot_z(theta))[:, 2]), out, atol=1e-9)
 
 
 def test_nullify_yaw_antipodal():
     with pytest.raises(Antipodal):
-        nullify_yaw(rot_x(np.pi))  # facing exactly backwards
-
-
-def test_chordal_distance():
-    assert chordal_distance(np.eye(3), np.eye(3)) == 0.0
-    assert_allclose(chordal_distance(np.eye(3), rot_x(np.pi)), np.sqrt(8.0), atol=1e-12)
-    # local linearity: ||Rz(t) - Rz(t+e)||_F = sqrt(4 - 4 cos e) ~ sqrt(2) e
-    for eps in (1e-3, 1e-5):
-        d = chordal_distance(rot_z(np.radians(10)), rot_z(np.radians(10) + eps))
-        assert abs(d - np.sqrt(2) * eps) < 10 * eps**2 + 1e-12
-
-
-def test_chordal_mean_basics():
-    rng = np.random.default_rng(5)
-    r = random_rotation(rng)
-    assert_allclose(chordal_mean([r], [1.0]), r, atol=1e-12)
-    assert_allclose(chordal_mean([r, r], [1.0, 1.0]), r, atol=1e-12)
-    assert_allclose(chordal_mean([r, random_rotation(rng)], [1.0, 0.0]), r, atol=1e-12)
-
-
-def test_chordal_mean_is_geodesic_midpoint_for_pairs():
-    assert_allclose(chordal_mean([np.eye(3), rot_x(np.pi / 2)]), rot_x(np.pi / 4), atol=1e-12)
-    rng = np.random.default_rng(6)
-    for _ in range(100):
-        a, b = random_rotation(rng), random_rotation(rng)
-        mean = chordal_mean([a, b], [1.0, 1.0])
-        assert is_rotation(mean, tol=1e-9)
-        assert_allclose(mean, geodesic_midpoint(a, b), atol=1e-9)
-
-
-def test_chordal_mean_validation():
-    r = np.eye(3)
-    with pytest.raises(ValueError):
-        chordal_mean([r, r], [1.0])
-    with pytest.raises(ValueError):
-        chordal_mean([r], [-1.0])
-    with pytest.raises(ValueError):
-        chordal_mean([r, r], [0.0, 0.0])
-    with pytest.raises(DegenerateInput):
-        chordal_mean([], None)
-    # antipodal pair sums to a rank-1 matrix
-    with pytest.raises(DegenerateInput):
-        chordal_mean([np.eye(3), rot_x(np.pi)], [1.0, 1.0])
+        aligning_rotation(EZ, -EZ)  # facing exactly backwards
+    # with a fallback axis the half turn about it is returned instead
+    assert_allclose(aligning_rotation(EZ, -EZ, fallback_axis=np.array([1.0, 0.0, 0.0])), rot_x(np.pi), atol=1e-12)
 
 
 def test_axis_angle_roundtrip():
@@ -223,19 +159,16 @@ def test_outputs_satisfy_rotation_invariants():
     rng = np.random.default_rng(10)
     for _ in range(100):
         assert is_rotation(svd_project(rng.uniform(-1, 1, 9)), tol=1e-9)
-        assert is_rotation(gram_schmidt_project(rng.normal(size=6)), tol=1e-9)
-        rs = [random_rotation(rng) for _ in range(4)]
-        assert is_rotation(chordal_mean(rs, list(rng.uniform(0.1, 1.0, 4))), tol=1e-9)
 
 
 def test_aligning_is_shortest_arc():
-    # nullify_yaw output has no twist about the target direction
+    # the arc from e_z to the facing direction has no twist about either
     rng = np.random.default_rng(11)
     for _ in range(100):
         r = random_rotation(rng)
         if r[2, 2] < -0.99:
             continue
-        out = nullify_yaw(r)
+        out = aligning_rotation(EZ, r[:, 2])
         axis, angle = axis_angle_of(out)
         if angle > 1e-9:
             # rotation axis orthogonal to both e_z and the facing direction

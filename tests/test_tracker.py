@@ -317,31 +317,6 @@ def test_tracker_params_json_roundtrip():
     assert TrackerParams.from_json(p.to_json()) == p
 
 
-def test_global_state_snapshot_roundtrip():
-    import json
-
-    from pollisim.tracker import state_from_json, state_to_json
-
-    rng = np.random.default_rng(8)
-    gs = GlobalState(tick=12, claims={2: 0})
-    for tick in range(3):
-        ms = [make_measurement(rng.uniform(0, 0.4, 3), rotation=random_rotation(rng), tick=tick)]
-        gs = ingest(gs, ms, TrackerParams())
-    snap = json.loads(json.dumps(state_to_json(gs)))
-    back = state_from_json(snap)
-    assert back.next_id == gs.next_id and back.tick == gs.tick
-    assert len(back.tracks) == len(gs.tracks)
-    for a, b in zip(gs.tracks, back.tracks):
-        assert a.id == b.id and a.hits == b.hits and a.pollinated == b.pollinated
-        assert_allclose(a.pos_mean, b.pos_mean, atol=0)
-        assert_allclose(a.pos_cov, b.pos_cov, atol=0)
-        assert_allclose(a.rot_mean, b.rot_mean, atol=0)
-    # snapshots reject corrupted rotations
-    snap["tracks"][0]["rot_mean"] = [1.0] * 9
-    with pytest.raises(ValueError):
-        state_from_json(snap)
-
-
 def test_survey_trials_converge_jointly():
     # repeated-viewpoint fusion of the calibrated oracle lands inside
     # (1 cm, 20 deg) in well over 72% of seeded trials
