@@ -49,6 +49,9 @@ class Intrinsics:
 
     @classmethod
     def from_json(cls, d: dict) -> "Intrinsics":
+        for name in ("width", "height"):
+            if isinstance(d[name], bool) or not float(d[name]).is_integer():
+                raise ValueError(f"{name} must be a whole number of pixels")
         return cls(
             fx=float(d["fx"]),
             fy=float(d["fy"]),

@@ -92,12 +92,8 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    out_dir = args.out_dir or (os.path.dirname(os.path.abspath(args.tracks)) if args.tracks else None)
-    if out_dir is None:
-        print("error: config field 'out_dir': provide --out-dir or --tracks", file=sys.stderr)
-        return 2
     try:
-        report = evaluate_run_dir(out_dir, scene_path=args.scene, tracks_path=args.tracks)
+        report = evaluate_run_dir(args.out_dir, scene_path=args.scene)
     except _RUNTIME_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -159,8 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cal.set_defaults(func=_cmd_calibrate)
 
     p_eval = sub.add_parser("eval", help="recompute a report from run artifacts")
-    p_eval.add_argument("--out-dir", default=None, help="run directory written by simulate")
-    p_eval.add_argument("--tracks", default=None, help="track CSV (siblings discovered next to it)")
+    p_eval.add_argument("--out-dir", required=True, help="run directory written by simulate")
     p_eval.add_argument("--scene", default=None, help="scene JSON (defaults to the run's scene.json)")
     p_eval.add_argument("--report", default=None, help="write the recomputed report JSON here")
     p_eval.add_argument("--quiet", action="store_true")

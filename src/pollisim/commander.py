@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .camera import CameraPose
-from .so3 import EZ, Pose, aligning_rotation, fields_to_json, from_axis_angle, random_unit_vector
+from .so3 import EZ, Pose, aligning_rotation, check_fields, fields_to_json, from_axis_angle, random_unit_vector
 from .tracker import (
     GlobalState,
     Track,
@@ -125,10 +125,20 @@ class CommanderConfig:
     tracker: TrackerParams = field(default_factory=TrackerParams)
 
     def __post_init__(self) -> None:
+        check_fields(
+            self,
+            positive=(
+                "max_step", "max_rot_step_deg", "eps_pos", "eps_ang", "trigger_pos", "trigger_ang",
+                "arrival_pos", "arrival_ang", "workspace_radius",
+            ),
+            nonnegative=("standoff",),
+            counts=(("trigger_fresh", 0), ("servo_patience", 1), ("search_patience", 1)),
+            exclude=("tracker",),
+        )
         if not (0.0 < self.gain <= 1.0):
             raise ValueError("gain must be in (0, 1]")
-        if not (0.0 < self.max_step < math.inf):
-            raise ValueError("max_step must be finite and > 0")
+        if len(self.workspace_center) != 3:
+            raise ValueError("workspace_center must be three numbers")
 
     def to_json(self) -> dict:
         return fields_to_json(self, exclude=("arm_id", "tracker"))

@@ -132,8 +132,6 @@ class RunLogs:
     n_ticks: int
     shot_opportunities: int = 0
     shot_px_errors: list[float] = field(default_factory=list)
-    shot_trans_errors: list[float] = field(default_factory=list)
-    shot_rot_errors: list[float] = field(default_factory=list)
     attempts: list[AttemptRecord] = field(default_factory=list)
     reachable_ids: list[int] = field(default_factory=list)
     seed: int = 0

@@ -36,7 +36,10 @@ from .commander import (
     check_pollination,
     step as commander_step,
 )
-from .metrics import AttemptRecord, RunLogs, RunReport, aggregate, report_csv_row, summary_table, REPORT_CSV_HEADER
+from .metrics import (
+    AttemptRecord, RunLogs, RunReport, aggregate, match_tracks_to_flowers, report_csv_row, summary_table,
+    REPORT_CSV_HEADER,
+)
 from .simworld import (
     SURVEY_ELEVATION_RANGE,
     SURVEY_RADIUS_RANGE,
@@ -52,6 +55,7 @@ from .simworld import (
 from .so3 import (
     Pose,
     axis_angle_of,
+    check_fields,
     fields_from_json,
     fields_to_json,
     from_axis_angle,
@@ -62,7 +66,7 @@ from .so3 import (
     svd_project,
     zaxis_angle,
 )
-from .tracker import GlobalState, Track, TrackerParams, ingest
+from .tracker import GlobalState, Track, TrackerParams, get_track, ingest
 
 log = logging.getLogger("pollisim")
 
@@ -90,6 +94,11 @@ class SceneGenParams:
     spread: float = 0.12
     min_sep: float = 0.10
     max_tilt_deg: float = 45.0
+
+    def __post_init__(self) -> None:
+        check_fields(self, positive=("count", "spread"), nonnegative=("min_sep",))
+        if len(self.center) != 3:
+            raise ValueError("center must be three numbers")
 
     def to_json(self) -> dict:
         return fields_to_json(self)
@@ -175,24 +184,12 @@ def parse_config(data: dict, config_dir: str = ".") -> ExperimentConfig:
             )
         except (TypeError, ValueError) as exc:
             raise ConfigError("scene.generate", str(exc)) from exc
-        if scene_gen.count <= 0:
-            raise ConfigError("scene.generate.count", "must be > 0")
 
     noise = _section(data, "noise", NoiseModel.from_json, NoiseModel)
     tracker = _section(data, "tracker", TrackerParams.from_json, None)
     camera = _section(data, "camera", Intrinsics.from_json, Intrinsics.default)
 
     cmdr = _section(data, "commander", lambda d: fields_from_json(CommanderConfig, d), CommanderConfig)
-
-    arm_count = data.get("arm_count", 1)
-    step_budget = data.get("step_budget", 1500)
-    viewpoints = data.get("viewpoints_per_flower", 20)
-    if not isinstance(arm_count, int) or arm_count < 1:
-        raise ConfigError("arm_count", "must be an integer >= 1")
-    if not isinstance(step_budget, int) or step_budget < 1:
-        raise ConfigError("step_budget", "must be an integer >= 1")
-    if not isinstance(viewpoints, int) or viewpoints < 1:
-        raise ConfigError("viewpoints_per_flower", "must be an integer >= 1")
 
     return ExperimentConfig(
         seed=data["seed"],
@@ -202,10 +199,17 @@ def parse_config(data: dict, config_dir: str = ".") -> ExperimentConfig:
         tracker=tracker,
         commander=cmdr,
         camera=camera,
-        arm_count=arm_count,
-        step_budget=step_budget,
-        viewpoints_per_flower=viewpoints,
+        arm_count=_count(data, "arm_count", 1),
+        step_budget=_count(data, "step_budget", 1500),
+        viewpoints_per_flower=_count(data, "viewpoints_per_flower", 20),
     )
+
+
+def _count(data: dict, name: str, default: int) -> int:
+    value = data.get(name, default)
+    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+        raise ConfigError(name, "must be an integer >= 1")
+    return value
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -246,6 +250,8 @@ TRACKS_HEADER = "tick,track_id,x,y,z,r00,r01,r02,r10,r11,r12,r20,r21,r22,cov_tra
 COMMANDS_HEADER = "tick,arm_id,mode,command_kind,target_id,tip_x,tip_y,tip_z"
 ATTEMPTS_HEADER = "tick,arm_id,track_id,flower_id,success"
 SHOTS_HEADER = "tick,camera_id,flower_id,detected,px_err,trans_err_m,rot_err_deg"
+# Version 2: tracks.csv holds the final track table, not a row per track per tick.
+ARTIFACT_SCHEMA_VERSION = 2
 
 
 def _reflect_into_sphere(pos: np.ndarray, center: np.ndarray, radius: float) -> np.ndarray:
@@ -317,16 +323,6 @@ def _arm_homes(center: np.ndarray, radius: float, n: int) -> list[np.ndarray]:
     return homes
 
 
-@dataclass(eq=False)
-class RunArtifacts:
-    """In-memory row buffers; flushed to disk only after a successful run."""
-
-    tracks_rows: list[str] = field(default_factory=list)
-    commands_rows: list[str] = field(default_factory=list)
-    attempts_rows: list[str] = field(default_factory=list)
-    shots_rows: list[str] = field(default_factory=list)
-
-
 def simulate_run(
     cfg: ExperimentConfig, out_dir: str | None = None, validate_rotations: bool = False
 ) -> RunReport:
@@ -362,12 +358,11 @@ def simulate_run(
     cam_rngs = [np.random.default_rng([cfg.seed, 1, i]) for i in range(cfg.arm_count)]
     cmd_rngs = [np.random.default_rng([cfg.seed, 2, i]) for i in range(cfg.arm_count)]
 
-    art = RunArtifacts()
     attempts: list[AttemptRecord] = []
-    shot_opportunities = 0
-    shot_px: list[float] = []
-    shot_trans: list[float] = []
-    shot_rot: list[float] = []
+    # (tick, camera_id, flower_id, detected, px_err, trans_err, rot_err_deg)
+    shots: list[tuple] = []
+    # (tick, arm_id, mode type, command type, target id, tip position)
+    commands: list[tuple] = []
 
     n_ticks = 0
     for tick in range(cfg.step_budget):
@@ -376,53 +371,27 @@ def simulate_run(
             ms, recs = observe_with_truth(
                 scene, arms[i].camera, cfg.camera, cfg.noise, cam_rngs[i], camera_id=i, tick=tick
             )
-            for rec in recs:
-                if rec.flower_id >= 0:
-                    shot_opportunities += 1
-                    if rec.detected:
-                        shot_px.append(rec.px_err)
-                        shot_trans.append(rec.trans_err)
-                        shot_rot.append(rec.rot_err_deg)
-                art.shots_rows.append(
-                    f"{tick},{i},{rec.flower_id},{int(rec.detected)},"
-                    f"{_fmt(rec.px_err)},{_fmt(rec.trans_err)},{_fmt(rec.rot_err_deg)}"
-                )
+            shots.extend((tick, i, r.flower_id, r.detected, r.px_err, r.trans_err, r.rot_err_deg) for r in recs)
             gs = ingest(gs, ms, tparams)
             if validate_rotations:
                 for t in gs.tracks:
                     if not is_rotation(t.rot_mean, tol=1e-9):
                         raise AssertionError(f"track {t.id} rotation left SO(3) at tick {tick}")
             cmd, modes[i] = commander_step(modes[i], gs, arms[i], arm_cfgs[i], cmd_rngs[i])
-            n_attempt_before = len(attempts)
             _apply_command(arms[i], cmd, arm_cfgs[i], scene, tick, attempts)
-            for a in attempts[n_attempt_before:]:
-                art.attempts_rows.append(f"{a.tick},{a.arm_id},{a.track_id},{a.flower_id},{int(a.success)}")
             target_id = getattr(cmd, "track_id", getattr(modes[i], "target_id", -1))
-            tip = arms[i].tip_pose
-            art.commands_rows.append(
-                f"{tick},{i},{_MODE_NAMES[type(modes[i])]},{_COMMAND_NAMES[type(cmd)]},"
-                f"{target_id if isinstance(target_id, int) else -1},"
-                f"{_fmt(tip.position[0])},{_fmt(tip.position[1])},{_fmt(tip.position[2])}"
-            )
-        for t in gs.tracks:
-            r = t.rot_mean.reshape(9)
-            art.tracks_rows.append(
-                f"{tick},{t.id},{_fmt(t.pos_mean[0])},{_fmt(t.pos_mean[1])},{_fmt(t.pos_mean[2])},"
-                + ",".join(_fmt(v) for v in r)
-                + f",{_fmt(np.trace(t.pos_cov))},{_fmt(t.rot_cov)},{t.hits},{int(t.pollinated)}"
-            )
+            commands.append((tick, i, type(modes[i]), type(cmd), target_id, arms[i].tip_pose.position))
         if all(isinstance(m, Done) for m in modes):
             log.info("all arms done at tick %d", tick)
             break
 
+    opportunities, px_errors = _detections((s[2], s[3], s[4]) for s in shots)
     logs = RunLogs(
         scene=scene,
         final_tracks=list(gs.tracks),
         n_ticks=n_ticks,
-        shot_opportunities=shot_opportunities,
-        shot_px_errors=shot_px,
-        shot_trans_errors=shot_trans,
-        shot_rot_errors=shot_rot,
+        shot_opportunities=opportunities,
+        shot_px_errors=px_errors,
         attempts=attempts,
         reachable_ids=reachable_flowers(scene, center, base_cmdr.workspace_radius),
         seed=cfg.seed,
@@ -430,11 +399,24 @@ def simulate_run(
     )
     report = aggregate(logs)
     if out_dir is not None:
-        _write_artifacts(out_dir, cfg, scene, art, report, n_ticks)
+        _write_artifacts(out_dir, cfg, logs, shots, commands, report)
     return report
 
 
-def _write_csv(path: str, header: str, rows: list[str]) -> None:
+def _detections(triples) -> tuple[int, list[float]]:
+    """Shot opportunities (clutter excluded) and the pixel errors of the
+    detected shots, from (flower_id, detected, px_err) triples."""
+    opportunities = 0
+    px_errors: list[float] = []
+    for flower_id, detected, px_err in triples:
+        if flower_id >= 0:
+            opportunities += 1
+            if detected:
+                px_errors.append(px_err)
+    return opportunities, px_errors
+
+
+def _write_csv(path: str, header: str, rows) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")
         for row in rows:
@@ -444,22 +426,37 @@ def _write_csv(path: str, header: str, rows: list[str]) -> None:
 def _write_artifacts(
     out_dir: str,
     cfg: ExperimentConfig,
-    scene: list[FlowerGT],
-    art: RunArtifacts,
+    logs: RunLogs,
+    shots: list[tuple],
+    commands: list[tuple],
     report: RunReport,
-    n_ticks: int,
 ) -> None:
+    last_tick = logs.n_ticks - 1
     os.makedirs(out_dir, exist_ok=True)
-    _write_csv(os.path.join(out_dir, "tracks.csv"), TRACKS_HEADER, art.tracks_rows)
-    _write_csv(os.path.join(out_dir, "commands.csv"), COMMANDS_HEADER, art.commands_rows)
-    _write_csv(os.path.join(out_dir, "attempts.csv"), ATTEMPTS_HEADER, art.attempts_rows)
-    _write_csv(os.path.join(out_dir, "shots.csv"), SHOTS_HEADER, art.shots_rows)
-    save_scene(os.path.join(out_dir, "scene.json"), scene)
+    _write_csv(os.path.join(out_dir, "tracks.csv"), TRACKS_HEADER, (
+        f"{last_tick},{t.id},{_fmt(t.pos_mean[0])},{_fmt(t.pos_mean[1])},{_fmt(t.pos_mean[2])},"
+        + ",".join(_fmt(v) for v in t.rot_mean.reshape(9))
+        + f",{_fmt(np.trace(t.pos_cov))},{_fmt(t.rot_cov)},{t.hits},{int(t.pollinated)}"
+        for t in logs.final_tracks
+    ))
+    _write_csv(os.path.join(out_dir, "commands.csv"), COMMANDS_HEADER, (
+        f"{tick},{arm_id},{_MODE_NAMES[mode]},{_COMMAND_NAMES[kind]},"
+        f"{target_id if isinstance(target_id, int) else -1},{_fmt(tip[0])},{_fmt(tip[1])},{_fmt(tip[2])}"
+        for tick, arm_id, mode, kind, target_id, tip in commands
+    ))
+    _write_csv(os.path.join(out_dir, "attempts.csv"), ATTEMPTS_HEADER, (
+        f"{a.tick},{a.arm_id},{a.track_id},{a.flower_id},{int(a.success)}" for a in logs.attempts
+    ))
+    _write_csv(os.path.join(out_dir, "shots.csv"), SHOTS_HEADER, (
+        f"{tick},{camera_id},{flower_id},{int(detected)},{_fmt(px)},{_fmt(trans)},{_fmt(rot)}"
+        for tick, camera_id, flower_id, detected, px, trans, rot in shots
+    ))
+    save_scene(os.path.join(out_dir, "scene.json"), logs.scene)
     meta = {
-        "schema_version": 1,
+        "schema_version": ARTIFACT_SCHEMA_VERSION,
         "seed": cfg.seed,
         "config_digest": report.config_digest,
-        "n_ticks": n_ticks,
+        "n_ticks": logs.n_ticks,
         "workspace_center": list(cfg.commander.workspace_center),
         "workspace_radius": cfg.commander.workspace_radius,
     }
@@ -504,14 +501,13 @@ def _parse_float(path: str, row_idx: int, value: str) -> float:
         raise SchemaMismatch(f"{path}: row {row_idx}: bad float {value!r}") from exc
 
 
-def evaluate_run_dir(out_dir: str, scene_path: str | None = None, tracks_path: str | None = None) -> RunReport:
+def evaluate_run_dir(out_dir: str, scene_path: str | None = None) -> RunReport:
     """Recompute a RunReport from written artifacts.
 
-    Reads tracks.csv, shots.csv, attempts.csv, scene.json, and meta.json from
-    the run directory; the result is byte-identical to the report the
-    simulation emitted because the CSV floats round-trip exactly.
+    Reads tracks.csv (the final track table), shots.csv, attempts.csv,
+    scene.json and meta.json from the run directory; the result is byte-
+    identical to the report the simulation emitted, as CSV floats round-trip.
     """
-    tracks_path = tracks_path or os.path.join(out_dir, "tracks.csv")
     scene_path = scene_path or os.path.join(out_dir, "scene.json")
     meta_path = os.path.join(out_dir, "meta.json")
     try:
@@ -521,47 +517,34 @@ def evaluate_run_dir(out_dir: str, scene_path: str | None = None, tracks_path: s
         raise SchemaMismatch(f"cannot read {meta_path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise SchemaMismatch(f"{meta_path}: invalid JSON ({exc.msg})") from exc
+    version = meta.get("schema_version")
+    if version != ARTIFACT_SCHEMA_VERSION:
+        raise SchemaMismatch(f"{meta_path}: schema_version {version!r}, expected {ARTIFACT_SCHEMA_VERSION}")
 
     scene = load_scene(scene_path)
 
-    track_rows = _read_csv(tracks_path, TRACKS_HEADER)
+    tracks_path = os.path.join(out_dir, "tracks.csv")
     final_tracks: list[Track] = []
-    if track_rows:
-        last_tick = max(int(r[0]) for r in track_rows)
-        for idx, r in enumerate(track_rows, start=2):
-            if int(r[0]) != last_tick:
-                continue
-            vals = [_parse_float(tracks_path, idx, v) for v in r[2:16]]
-            rot = require_rotation(np.array(vals[3:12]).reshape(3, 3), tol=1e-8)
-            cov_trace = vals[12]
-            final_tracks.append(
-                Track(
-                    id=int(r[1]),
-                    pos_mean=np.array(vals[0:3]),
-                    pos_cov=np.eye(3) * cov_trace / 3.0,
-                    rot_mean=rot,
-                    rot_cov=vals[13],
-                    hits=int(r[16]),
-                    last_tick=last_tick,
-                    pollinated=bool(int(r[17])),
-                )
+    for idx, r in enumerate(_read_csv(tracks_path, TRACKS_HEADER), start=2):
+        vals = [_parse_float(tracks_path, idx, v) for v in r[2:16]]
+        final_tracks.append(
+            Track(
+                id=int(r[1]),
+                pos_mean=np.array(vals[0:3]),
+                pos_cov=np.eye(3) * vals[12] / 3.0,
+                rot_mean=require_rotation(np.array(vals[3:12]).reshape(3, 3), tol=1e-8),
+                rot_cov=vals[13],
+                hits=int(r[16]),
+                last_tick=int(r[0]),
+                pollinated=bool(int(r[17])),
             )
+        )
 
     shots_path = os.path.join(out_dir, "shots.csv")
-    shot_rows = _read_csv(shots_path, SHOTS_HEADER)
-    opportunities = 0
-    px_errors: list[float] = []
-    trans_errors: list[float] = []
-    rot_errors: list[float] = []
-    for idx, r in enumerate(shot_rows, start=2):
-        flower_id = int(r[2])
-        if flower_id < 0:
-            continue
-        opportunities += 1
-        if int(r[3]):
-            px_errors.append(_parse_float(shots_path, idx, r[4]))
-            trans_errors.append(_parse_float(shots_path, idx, r[5]))
-            rot_errors.append(_parse_float(shots_path, idx, r[6]))
+    opportunities, px_errors = _detections(
+        (int(r[2]), int(r[3]), _parse_float(shots_path, idx, r[4]))
+        for idx, r in enumerate(_read_csv(shots_path, SHOTS_HEADER), start=2)
+    )
 
     attempts_path = os.path.join(out_dir, "attempts.csv")
     attempt_rows = _read_csv(attempts_path, ATTEMPTS_HEADER)
@@ -576,8 +559,6 @@ def evaluate_run_dir(out_dir: str, scene_path: str | None = None, tracks_path: s
         n_ticks=int(meta["n_ticks"]),
         shot_opportunities=opportunities,
         shot_px_errors=px_errors,
-        shot_trans_errors=trans_errors,
-        shot_rot_errors=rot_errors,
         attempts=attempts,
         reachable_ids=reachable_flowers(
             scene, np.asarray(meta["workspace_center"], dtype=float), float(meta["workspace_radius"])
@@ -638,20 +619,16 @@ def survey_run(
         for t in gs.tracks:
             if not is_rotation(t.rot_mean, tol=1e-9):
                 violations += 1
-    best: Track | None = None
-    best_d = match_threshold
-    for t in gs.tracks:
-        d = float(np.linalg.norm(t.pos_mean - flower.pose.position))
-        if d <= best_d:
-            best, best_d = t, d
-    if best is None:
+    matches = match_tracks_to_flowers(gs.tracks, [flower], match_threshold)
+    if not matches:
         return SurveyTrial(single_trans, single_rot, opportunities, within_px, None, None, violations)
+    best = get_track(gs, matches[flower.id])
     return SurveyTrial(
         single_trans,
         single_rot,
         opportunities,
         within_px,
-        final_trans=best_d,
+        final_trans=float(np.linalg.norm(best.pos_mean - flower.pose.position)),
         final_rot=zaxis_angle(best.rot_mean, flower.pose.rotation),
         rotation_violations=violations,
     )

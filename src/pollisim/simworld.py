@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .camera import CameraPose, Intrinsics, PixelObs, look_at, project, to_world, uplift
 from .so3 import (
     Pose,
+    check_fields,
     fields_from_json,
     fields_to_json,
     from_axis_angle,
@@ -70,17 +71,13 @@ class NoiseModel:
     flip_prob: float = 0.0
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            if not np.isfinite(getattr(self, f.name)).all():
-                raise ValueError(f"{f.name} must be finite")
+        check_fields(
+            self, nonnegative=("pixel_sigma", "depth_sigma_near", "depth_sigma_far", "rot_sigma", "clutter_rate")
+        )
         if not (0.0 <= self.detect_prob <= 1.0):
             raise ValueError("detect_prob must be in [0, 1]")
-        for name in ("pixel_sigma", "depth_sigma_near", "depth_sigma_far", "rot_sigma", "clutter_rate"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
-        lo, hi = self.reliable_range
-        if not lo < hi:
-            raise ValueError("reliable_range must satisfy min < max")
+        if len(self.reliable_range) != 2 or not self.reliable_range[0] < self.reliable_range[1]:
+            raise ValueError("reliable_range must be two numbers [lo, hi] with lo < hi")
         if not (0.0 <= self.flip_prob <= 1.0):
             raise ValueError("flip_prob must be in [0, 1]")
 
@@ -339,7 +336,6 @@ class SingleShotStats:
     opportunities: int
     trans_errors: list[float] = field(default_factory=list)
     rot_errors: list[float] = field(default_factory=list)
-    px_errors: list[float] = field(default_factory=list)
     detections_within_px: int = 0
 
     @property
@@ -349,10 +345,6 @@ class SingleShotStats:
     @property
     def mean_rot(self) -> float:
         return float(np.mean(self.rot_errors)) if self.rot_errors else float("nan")
-
-    @property
-    def mean_px(self) -> float:
-        return float(np.mean(self.px_errors)) if self.px_errors else float("nan")
 
     @property
     def detection_rate(self) -> float:
@@ -384,7 +376,6 @@ def single_shot_stats(
                 continue
             stats.trans_errors.append(rec.trans_err)
             stats.rot_errors.append(rec.rot_err_deg)
-            stats.px_errors.append(rec.px_err)
             if rec.px_err <= detect_px_threshold:
                 stats.detections_within_px += 1
     return stats

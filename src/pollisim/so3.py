@@ -219,6 +219,34 @@ def fields_from_json(cls, d: dict):
     return cls(**kwargs)
 
 
+def check_fields(obj, positive=(), nonnegative=(), counts=(), exclude=()) -> None:
+    """Validate dataclass `obj`, raising ValueError that names the field.
+
+    `counts` pairs an integer field (bools refused) with its least value;
+    every other field outside `exclude` must hold finite numbers; `positive`
+    fields must be > 0 and `nonnegative` ones >= 0.
+    """
+    for name, least in counts:
+        value = getattr(obj, name)
+        if not isinstance(value, int) or isinstance(value, bool) or value < least:
+            raise ValueError(f"{name} must be an integer >= {least}")
+    for f in fields(obj):
+        if f.name in exclude:
+            continue
+        try:
+            finite = bool(np.isfinite(getattr(obj, f.name)).all())
+        except TypeError:
+            finite = False
+        if not finite:
+            raise ValueError(f"{f.name} must be finite")
+    for name in positive:
+        if not getattr(obj, name) > 0:
+            raise ValueError(f"{name} must be > 0")
+    for name in nonnegative:
+        if getattr(obj, name) < 0:
+            raise ValueError(f"{name} must be >= 0")
+
+
 @dataclass(eq=False)
 class Pose:
     """Rigid pose: world position in meters plus a rotation."""

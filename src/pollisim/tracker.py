@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .simworld import Measurement, NoiseModel
-from .so3 import fields_from_json, fields_to_json, flatten, svd_project
+from .so3 import check_fields, fields_from_json, fields_to_json, flatten, svd_project
 
 
 @dataclass(frozen=True)
@@ -68,8 +68,17 @@ class TrackerParams:
         )
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.assoc_threshold < np.inf):
-            raise ValueError("assoc_threshold must be finite and > 0")
+        check_fields(
+            self,
+            positive=(
+                "assoc_threshold", "init_pos_cov", "init_rot_cov", "r_pos_near", "r_pos_far", "r_rot",
+                "confident_trace",
+            ),
+            nonnegative=("q_pos", "q_rot"),
+            counts=(("stale_ticks", 0), ("stale_min_hits", 1), ("confident_hits", 1)),
+        )
+        if len(self.reliable_range) != 2 or not self.reliable_range[0] < self.reliable_range[1]:
+            raise ValueError("reliable_range must be two numbers [lo, hi] with lo < hi")
 
     def to_json(self) -> dict:
         return fields_to_json(self)

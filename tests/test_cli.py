@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from pollisim.camera import Intrinsics
 from pollisim.cli import main
 from pollisim.runner import (
     ConfigError,
@@ -86,7 +87,7 @@ def test_simulate_seed_override_changes_output(tmp_path):
     assert _read_all_bytes(d1) != _read_all_bytes(d2)
 
 
-def test_eval_reproduces_simulate_report(tmp_path):
+def test_eval_reproduces_simulate_report(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     _write_config(cfg_path, noise=NoiseModel().to_json(), step_budget=100)
     out_dir = tmp_path / "run"
@@ -98,14 +99,19 @@ def test_eval_reproduces_simulate_report(tmp_path):
     rep = evaluate_run_dir(str(out_dir))
     with open(out_dir / "report.json") as fh:
         assert rep.to_json() == json.load(fh)
-
-
-def test_eval_via_tracks_flag(tmp_path):
-    cfg_path = tmp_path / "cfg.json"
-    _write_config(cfg_path, step_budget=80, scene={"generate": {"count": 1}})
-    out_dir = tmp_path / "run"
-    assert main(["simulate", "--config", str(cfg_path), "--out", str(out_dir), "--quiet"]) == 0
-    assert main(["eval", "--tracks", str(out_dir / "tracks.csv"), "--quiet"]) == 0
+    # tracks.csv is the final track table: one row per track, all at the last tick
+    with open(out_dir / "meta.json") as fh:
+        meta = json.load(fh)
+    rows = (out_dir / "tracks.csv").read_text().splitlines()[1:]
+    assert len(rows) == rep.n_tracks > 0
+    assert {r.split(",")[0] for r in rows} == {str(meta["n_ticks"] - 1)}
+    # a run directory of another artifact schema is refused, not misread
+    meta["schema_version"] = 1
+    with open(out_dir / "meta.json", "w") as fh:
+        json.dump(meta, fh)
+    capsys.readouterr()
+    assert main(["eval", "--out-dir", str(out_dir), "--quiet"]) == 3
+    assert "schema_version" in capsys.readouterr().err
 
 
 def test_eval_truncated_csv_schema_mismatch(tmp_path, capsys):
@@ -114,7 +120,7 @@ def test_eval_truncated_csv_schema_mismatch(tmp_path, capsys):
     out_dir = tmp_path / "run"
     assert main(["simulate", "--config", str(cfg_path), "--out", str(out_dir), "--quiet"]) == 0
     tracks = (out_dir / "tracks.csv").read_text().splitlines()
-    (out_dir / "tracks.csv").write_text("\n".join(tracks[:3] + [tracks[3][: len(tracks[3]) // 2]]) + "\n")
+    (out_dir / "tracks.csv").write_text("\n".join(tracks[:-1] + [tracks[-1][: len(tracks[-1]) // 2]]) + "\n")
     assert main(["eval", "--out-dir", str(out_dir), "--quiet"]) == 3
     err = capsys.readouterr().err
     assert "row" in err
@@ -163,16 +169,28 @@ def test_config_error_variants(tmp_path):
     with pytest.raises(ConfigError, match="arm_count"):
         parse_config({"schema_version": 1, "seed": 1, "scene": {"generate": {"count": 2}},
                       "arm_count": 0})
-    for section, key, value in [
-        ("noise", "depth_sigma_near", float("nan")),
-        ("noise", "rot_sigma", float("inf")),
-        ("commander", "gain", 0.0),
-        ("commander", "max_step", -1.0),
-        ("tracker", "assoc_threshold", float("nan")),
+    camera = Intrinsics.default().to_json()
+    for overrides, field_name in [
+        ({"noise": {"depth_sigma_near": float("nan")}}, "'noise': depth_sigma_near"),
+        ({"noise": {"rot_sigma": float("inf")}}, "'noise': rot_sigma"),
+        ({"commander": {"gain": 0.0}}, "'commander': gain"),
+        ({"commander": {"max_step": -1.0}}, "'commander': max_step"),
+        ({"commander": {"eps_pos": 0.0}}, "'commander': eps_pos"),
+        ({"commander": {"servo_patience": 0}}, "'commander': servo_patience"),
+        ({"commander": {"workspace_radius": -1.0}}, "'commander': workspace_radius"),
+        ({"tracker": {"assoc_threshold": float("nan")}}, "'tracker': assoc_threshold"),
+        ({"tracker": {"r_pos_near": -1.0}}, "'tracker': r_pos_near"),
+        ({"tracker": {"r_rot": 0.0}}, "'tracker': r_rot"),
+        ({"tracker": {"init_pos_cov": float("nan")}}, "'tracker': init_pos_cov"),
+        ({"tracker": {"reliable_range": [0.5, 0.1]}}, "'tracker': reliable_range"),
+        ({"scene": {"generate": {"center": [0, 0]}}}, "'scene.generate': center"),
+        ({"scene": {"generate": {"spread": float("nan")}}}, "'scene.generate': spread"),
+        ({"scene": {"generate": {"min_sep": -1.0}}}, "'scene.generate': min_sep"),
+        ({"step_budget": True}, "'step_budget'"),
+        ({"camera": {**camera, "width": 1280.5}}, "'camera': width"),
     ]:
-        with pytest.raises(ConfigError, match=f"'{section}': {key}"):
-            parse_config({"schema_version": 1, "seed": 1, "scene": {"generate": {"count": 2}},
-                          section: {key: value}})
+        with pytest.raises(ConfigError, match=field_name):
+            parse_config({"schema_version": 1, "seed": 1, "scene": {"generate": {"count": 2}}, **overrides})
     with pytest.raises(ConfigError, match="<file>"):
         load_config(str(tmp_path / "missing.json"))
 

@@ -165,8 +165,6 @@ def test_aggregate_simple_run():
         n_ticks=10,
         shot_opportunities=10,
         shot_px_errors=[5.0] * 9,
-        shot_trans_errors=[0.01] * 9,
-        shot_rot_errors=[10.0] * 9,
         attempts=[AttemptRecord(5, 0, 3, 0, True)],
         reachable_ids=[0],
         seed=1,
