@@ -174,9 +174,14 @@ def parse_config(data: dict, config_dir: str = ".") -> ExperimentConfig:
         scene_path = os.path.join(config_dir, scene["path"]) if not os.path.isabs(scene["path"]) else scene["path"]
     else:
         gen = scene["generate"]
+        if not isinstance(gen, dict):
+            raise ConfigError("scene.generate", "must be a JSON object")
         try:
+            count = gen.get("count", 20)
+            if isinstance(count, bool) or not float(count).is_integer():
+                raise ValueError("count must be a whole number")
             scene_gen = SceneGenParams(
-                count=int(gen.get("count", 20)),
+                count=int(count),
                 center=tuple(float(x) for x in gen.get("center", (0.0, 0.0, 0.0))),
                 spread=float(gen.get("spread", 0.12)),
                 min_sep=float(gen.get("min_sep", 0.10)),
@@ -189,7 +194,7 @@ def parse_config(data: dict, config_dir: str = ".") -> ExperimentConfig:
     tracker = _section(data, "tracker", TrackerParams.from_json, None)
     camera = _section(data, "camera", Intrinsics.from_json, Intrinsics.default)
 
-    cmdr = _section(data, "commander", lambda d: fields_from_json(CommanderConfig, d), CommanderConfig)
+    cmdr = _section(data, "commander", _commander_from_json, CommanderConfig)
 
     return ExperimentConfig(
         seed=data["seed"],
@@ -203,6 +208,13 @@ def parse_config(data: dict, config_dir: str = ".") -> ExperimentConfig:
         step_budget=_count(data, "step_budget", 1500),
         viewpoints_per_flower=_count(data, "viewpoints_per_flower", 20),
     )
+
+
+def _commander_from_json(d: dict) -> CommanderConfig:
+    for name in ("arm_id", "tracker"):
+        if name in d:
+            raise ValueError(f"{name} is set by the run, not by the config")
+    return fields_from_json(CommanderConfig, d)
 
 
 def _count(data: dict, name: str, default: int) -> int:

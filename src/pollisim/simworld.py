@@ -18,6 +18,7 @@ import numpy as np
 from .camera import CameraPose, Intrinsics, PixelObs, look_at, project, to_world, uplift
 from .so3 import (
     Pose,
+    candidate_pairs,
     check_fields,
     fields_from_json,
     fields_to_json,
@@ -298,15 +299,21 @@ def generate_scene(
 ) -> list[FlowerGT]:
     """Random scene: clustered positions with a minimum separation, facing
     directions within a cone of world-up, random twist about the facing axis.
+
+    A draw is rejected when np.linalg.norm(p - q) < min_sep for an accepted
+    q; `so3.candidate_pairs` leaves only the q that could be that close.
     """
     if count < 0:
         raise ValueError("count must be >= 0")
     center = np.asarray(center, dtype=float)
     positions: list[np.ndarray] = []
+    accepted = np.empty((count, 3))
     attempts = 0
     while len(positions) < count:
         p = center + rng.normal(0.0, spread, size=3)
-        if all(np.linalg.norm(p - q) >= min_sep for q in positions):
+        near, _ = candidate_pairs(accepted[: len(positions)], [p], min_sep)
+        if all(np.linalg.norm(p - positions[i]) >= min_sep for i in near):
+            accepted[len(positions)] = p
             positions.append(p)
         attempts += 1
         if attempts > 10000 * max(count, 1):

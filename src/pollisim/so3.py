@@ -1,6 +1,7 @@
 """Rotation-manifold geometry: nearest-rotation projection, shortest-arc and
-axis-angle rotations, facing-axis distance for radially symmetric targets, and
-the JSON forms of rotations and of flat config dataclasses.
+axis-angle rotations, facing-axis distance for radially symmetric targets, the
+JSON forms of rotations and of flat config dataclasses, and the broadcast
+distance prefilter that association and scene generation share.
 
 Rotations are plain 3x3 float64 numpy arrays (row-major direction cosines),
 orthonormal with det = +1 within ORTHO_TOL. Angles are radians internally;
@@ -184,6 +185,26 @@ def random_rotations(rng: np.random.Generator, n: int) -> np.ndarray:
     out[:, 2, 1] = 2 * (y * z + w * x)
     out[:, 2, 2] = 1 - 2 * (x * x + y * y)
     return out
+
+
+def candidate_pairs(a, b, radius: float) -> tuple[list[int], list[int]]:
+    """Prefilter for "distance within radius" tests between two sets of 3-D points.
+
+    Returns the index pairs (i, j) of points a[i], b[j] whose squared distance,
+    computed in one broadcast, is within radius * (1 + 1e-9); pairs with a
+    NaN distance stay too. The broadcast sum can differ from a per-pair
+    np.linalg.norm in the last bit, so callers recompute each candidate's
+    distance exactly and apply their own <= or < test; the slack only makes
+    sure that no pair dropped here could have passed that test.
+    """
+    a = np.asarray(a, dtype=float).reshape(-1, 3)
+    b = np.asarray(b, dtype=float).reshape(-1, 3)
+    sq = b[None, :, :] - a[:, None, :]
+    np.multiply(sq, sq, out=sq)  # in place: scoring 60 flowers x 200 tracks needs no second copy
+    limit = radius * (1.0 + 1e-9)
+    # limit * |limit| is negative for a negative radius, which no distance is within.
+    ia, ib = np.nonzero(~(sq.sum(axis=2) > limit * abs(limit)))
+    return ia.tolist(), ib.tolist()
 
 
 def rotation_to_list(r: np.ndarray) -> list[float]:

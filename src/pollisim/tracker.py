@@ -11,12 +11,14 @@ a Kalman filter in the extended tradition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .simworld import Measurement, NoiseModel
-from .so3 import check_fields, fields_from_json, fields_to_json, flatten, svd_project
+from .so3 import candidate_pairs, check_fields, fields_from_json, fields_to_json, flatten, svd_project
+
+_I3 = np.eye(3)
 
 
 @dataclass(frozen=True)
@@ -110,6 +112,14 @@ class Track:
     last_meas: Measurement | None = None
 
 
+def _evolve(t: Track, **changes) -> Track:
+    """A fresh Track with `changes` applied: dataclasses.replace without the
+    per-field __init__ round trip."""
+    new = object.__new__(Track)
+    new.__dict__ = {**t.__dict__, **changes}
+    return new
+
+
 @dataclass(eq=False)
 class GlobalState:
     """All tracks plus id allocation, current tick, and arm target claims."""
@@ -140,13 +150,21 @@ def greedy_pairs(
     Repeatedly commits the smallest Euclidean distance within `threshold`
     (inclusive) among pairs whose keys are both still free. Ties break on
     the lower key of `a`, then the lower key of `b`. Returns (key_a, key_b).
+
+    One broadcast over all pairs (`so3.candidate_pairs`) drops the pairs
+    that are certainly out of range; each remaining pair's distance is then
+    recomputed exactly as float(np.linalg.norm(pb - pa)) and gated with
+    `<=`, so the distances, and hence the commit order, are those of a
+    per-pair loop.
     """
+    ia, ib = candidate_pairs([p for _, p in a], [p for _, p in b], threshold)
     candidates: list[tuple[float, int, int]] = []
-    for kb, pb in b:
-        for ka, pa in a:
-            d = float(np.linalg.norm(pb - pa))
-            if d <= threshold:
-                candidates.append((d, ka, kb))
+    for i, j in zip(ia, ib):
+        ka, pa = a[i]
+        kb, pb = b[j]
+        d = float(np.linalg.norm(pb - pa))
+        if d <= threshold:
+            candidates.append((d, ka, kb))
     candidates.sort()
     used_a: set[int] = set()
     used_b: set[int] = set()
@@ -183,11 +201,7 @@ def predict(t: Track, ticks: int, q_pos: float, q_rot: float) -> Track:
         raise ValueError("ticks must be >= 0")
     if ticks == 0:
         return t
-    return replace(
-        t,
-        pos_cov=t.pos_cov + ticks * q_pos * np.eye(3),
-        rot_cov=t.rot_cov + ticks * q_rot,
-    )
+    return _evolve(t, pos_cov=t.pos_cov + ticks * q_pos * _I3, rot_cov=t.rot_cov + ticks * q_rot)
 
 
 def update_position(t: Track, z: np.ndarray, r_meas: float) -> Track:
@@ -195,11 +209,11 @@ def update_position(t: Track, z: np.ndarray, r_meas: float) -> Track:
     if r_meas <= 0:
         raise ValueError("r_meas must be > 0")
     p = t.pos_cov
-    kgain = p @ np.linalg.inv(p + r_meas * np.eye(3))
+    kgain = p @ np.linalg.inv(p + r_meas * _I3)
     mean = t.pos_mean + kgain @ (np.asarray(z, dtype=float) - t.pos_mean)
-    cov = (np.eye(3) - kgain) @ p
+    cov = (_I3 - kgain) @ p
     cov = 0.5 * (cov + cov.T)  # symmetrize against round-off
-    return replace(t, pos_mean=mean, pos_cov=cov)
+    return _evolve(t, pos_mean=mean, pos_cov=cov)
 
 
 def update_rotation(t: Track, z: np.ndarray, r_meas: float) -> Track:
@@ -214,7 +228,7 @@ def update_rotation(t: Track, z: np.ndarray, r_meas: float) -> Track:
     kgain = t.rot_cov / (t.rot_cov + r_meas)
     s = flatten(t.rot_mean)
     s_post = s + kgain * (flatten(z) - s)
-    return replace(t, rot_mean=svd_project(s_post), rot_cov=(1.0 - kgain) * t.rot_cov)
+    return _evolve(t, rot_mean=svd_project(s_post), rot_cov=(1.0 - kgain) * t.rot_cov)
 
 
 def is_confident(t: Track, params: TrackerParams) -> bool:
@@ -265,7 +279,7 @@ def _spawn(gs: GlobalState, m: Measurement, params: TrackerParams) -> Track:
     t = Track(
         id=gs.next_id,
         pos_mean=np.asarray(m.position_world, dtype=float).copy(),
-        pos_cov=params.init_pos_cov * np.eye(3),
+        pos_cov=params.init_pos_cov * _I3,
         rot_mean=np.asarray(m.rotation, dtype=float).copy(),
         rot_cov=params.init_rot_cov,
         hits=1,
@@ -282,8 +296,13 @@ def ingest(gs: GlobalState, ms: list[Measurement], params: TrackerParams) -> Glo
     Predicts all tracks to the batch tick, associates, runs the position and
     rotation updates per matched pair, spawns tracks for the rest, and prunes
     stale low-support tracks. Mutates and returns gs; tracks themselves are
-    value-like (updates produce fresh Track objects), so snapshots taken
+    value-like (updates produce fresh Track objects, and only those fresh
+    objects get their hits, last_tick and last_meas set), so snapshots taken
     before ingest stay coherent.
+
+    An unassigned measurement spawns only if no track (as updated by this
+    batch, spawns excluded) lies within the association gate. That test uses
+    the same broadcast prefilter and exact per-pair recheck as association.
     """
     if not ms:
         return gs
@@ -303,19 +322,27 @@ def ingest(gs: GlobalState, ms: list[Measurement], params: TrackerParams) -> Glo
         t = gs.tracks[by_id[tid]]
         t = update_position(t, m.position_world, r_pos)
         t = update_rotation(t, m.rotation, params.r_rot)
-        gs.tracks[by_id[tid]] = replace(t, hits=t.hits + 1, last_tick=batch_tick, last_meas=m)
-    existing_means = [t.pos_mean for t in gs.tracks]
-    for mi in asg.spawns:
-        m = ms[mi]
-        if existing_means:
-            # Duplicate suppression: an unassigned measurement still inside
-            # the association gate of some (already taken) track must not
-            # seed a twin next to it. Measurements farther than the
-            # threshold from every track always spawn.
-            nearest = min(float(np.linalg.norm(m.position_world - pm)) for pm in existing_means)
-            if nearest <= params.assoc_threshold:
-                continue
-        gs.tracks.append(_spawn(gs, m, params))
+        t.hits += 1
+        t.last_tick = batch_tick
+        t.last_meas = m
+        gs.tracks[by_id[tid]] = t
+    spawn_ms = [ms[mi] for mi in asg.spawns]
+    suppressed: set[int] = set()
+    if spawn_ms and gs.tracks:
+        # Duplicate suppression: an unassigned measurement still inside the
+        # association gate of some (already taken) track must not seed a
+        # twin next to it. Measurements farther than the threshold from
+        # every track always spawn.
+        means = [t.pos_mean for t in gs.tracks]
+        positions = [m.position_world for m in spawn_ms]
+        ti, si = candidate_pairs(means, positions, params.assoc_threshold)
+        suppressed = {
+            j for i, j in zip(ti, si)
+            if float(np.linalg.norm(positions[j] - means[i])) <= params.assoc_threshold
+        }
+    for j, m in enumerate(spawn_ms):
+        if j not in suppressed:
+            gs.tracks.append(_spawn(gs, m, params))
 
     survivors = []
     for t in gs.tracks:

@@ -186,6 +186,10 @@ def test_config_error_variants(tmp_path):
         ({"scene": {"generate": {"center": [0, 0]}}}, "'scene.generate': center"),
         ({"scene": {"generate": {"spread": float("nan")}}}, "'scene.generate': spread"),
         ({"scene": {"generate": {"min_sep": -1.0}}}, "'scene.generate': min_sep"),
+        ({"scene": {"generate": [3]}}, "'scene.generate': must be a JSON object"),
+        ({"scene": {"generate": {"count": 2.5}}}, "'scene.generate': count"),
+        ({"commander": {"tracker": 5}}, "'commander': tracker"),
+        ({"commander": {"arm_id": 1}}, "'commander': arm_id"),
         ({"step_budget": True}, "'step_budget'"),
         ({"camera": {**camera, "width": 1280.5}}, "'camera': width"),
     ]:

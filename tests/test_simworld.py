@@ -202,6 +202,25 @@ def test_generate_scene_separation_and_tilt():
             assert np.linalg.norm(f.pose.position - g.pose.position) >= 0.08
 
 
+def _reference_scene_positions(rng, count, center, spread, min_sep):
+    """The scalar rejection loop generate_scene replaced: one norm per accepted point."""
+    positions = []
+    while len(positions) < count:
+        p = center + rng.normal(0.0, spread, size=3)
+        if all(np.linalg.norm(p - q) >= min_sep for q in positions):
+            positions.append(p)
+    return positions
+
+
+def test_generate_scene_matches_scalar_rejection_loop():
+    # dense: about 6 of 7 draws are rejected, so the prefilter decides often
+    center = np.array([0.1, -0.2, 0.3])
+    for seed in range(10):
+        scene = generate_scene(np.random.default_rng(seed), 25, center, spread=0.04, min_sep=0.05)
+        ref = _reference_scene_positions(np.random.default_rng(seed), 25, center, 0.04, 0.05)
+        assert np.array_equal(np.array([f.pose.position for f in scene]), np.array(ref))
+
+
 def test_noise_model_validation_and_json():
     with pytest.raises(ValueError):
         NoiseModel(detect_prob=1.5)

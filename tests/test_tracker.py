@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from helpers import brute_force_assignment, geodesic_midpoint, make_measurement
@@ -12,6 +14,7 @@ from pollisim.tracker import (
     associate,
     claim_target,
     get_track,
+    greedy_pairs,
     ingest,
     is_confident,
     mark_pollinated,
@@ -107,6 +110,80 @@ def test_associate_tie_breaks_deterministic():
     gs = _state([_track(tid=0, pos=(0.02, 0, 0)), _track(tid=1, pos=(-0.02, 0, 0))])
     asg = associate([make_measurement([0, 0, 0])], gs, 0.05)
     assert asg.pairs == [(0, 0)]  # equal distance, lower track id wins
+
+
+def _reference_greedy_pairs(a, b, threshold):
+    """The per-pair loop greedy_pairs replaced: one np.linalg.norm per pair."""
+    candidates = []
+    for kb, pb in b:
+        for ka, pa in a:
+            d = float(np.linalg.norm(pb - pa))
+            if d <= threshold:
+                candidates.append((d, ka, kb))
+    candidates.sort()
+    used_a, used_b, pairs = set(), set(), []
+    for _, ka, kb in candidates:
+        if ka not in used_a and kb not in used_b:
+            used_a.add(ka)
+            used_b.add(kb)
+            pairs.append((ka, kb))
+    return pairs
+
+
+def test_greedy_pairs_matches_per_pair_loop_on_grid():
+    # A6-style instances: multiples of 0.01 give exact distance ties and
+    # distances of exactly 0.05, where a last-bit difference would flip `<=`
+    rng = np.random.default_rng(606)
+    at_threshold = 0
+    for i in range(20_000):
+        na, nb = i % 5, (i // 5) % 5
+        a = list(enumerate(rng.integers(0, 11, size=(na, 3)) * 0.01))
+        b = list(enumerate(rng.integers(0, 11, size=(nb, 3)) * 0.01))
+        assert greedy_pairs(a, b, 0.05) == _reference_greedy_pairs(a, b, 0.05)
+        at_threshold += sum(float(np.linalg.norm(pb - pa)) == 0.05 for _, pb in b for _, pa in a)
+    assert at_threshold > 100
+
+
+def test_greedy_pairs_matches_per_pair_loop_on_random_floats():
+    rng = np.random.default_rng(11)
+    for i in range(3000):
+        na, nb = int(rng.integers(0, 12)), int(rng.integers(0, 12))
+        if i % 100 == 0:
+            na, nb = 150, 4  # the large-N shape of a 60-flower run
+        # keys permuted and out of order, so ties cannot follow list position
+        ka, kb = rng.permutation(1000)[:na], rng.permutation(1000)[:nb]
+        a = [(int(k), rng.uniform(-0.1, 0.1, 3)) for k in ka]
+        b = [(int(k), rng.uniform(-0.1, 0.1, 3)) for k in kb]
+        threshold = float(rng.choice([0.02, 0.05, 0.1]))
+        if na and nb and i % 2:
+            # a pair exactly at the threshold, as the per-pair norm computes it
+            (_, pa), (_, pb) = a[int(rng.integers(na))], b[int(rng.integers(nb))]
+            threshold = float(np.linalg.norm(pb - pa))
+        assert greedy_pairs(a, b, threshold) == _reference_greedy_pairs(a, b, threshold)
+    assert greedy_pairs([(0, np.zeros(3))], [(0, np.zeros(3))], -1.0) == []
+
+
+_coords = st.tuples(*[st.floats(-0.1, 0.1, allow_nan=False)] * 3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    t_pos=st.lists(_coords, max_size=6),
+    m_pos=st.lists(_coords, max_size=6),
+    data=st.data(),
+)
+def test_associate_pairs_invariant_under_measurement_permutation(t_pos, m_pos, data):
+    # an exact distance tie between two measurements is broken by index, so
+    # only inputs without one are permutation-invariant
+    dists = [float(np.linalg.norm(np.subtract(m, t))) for m in m_pos for t in t_pos]
+    assume(len(set(dists)) == len(dists))
+    gs = _state([_track(tid=j, pos=p) for j, p in enumerate(t_pos)])
+    ms = [make_measurement(p) for p in m_pos]
+    perm = data.draw(st.permutations(range(len(ms))))
+    base = associate(ms, gs, 0.05)
+    out = associate([ms[i] for i in perm], gs, 0.05)
+    assert sorted((perm[mi], tid) for mi, tid in out.pairs) == sorted(base.pairs)
+    assert sorted(perm[mi] for mi in out.spawns) == base.spawns
 
 
 def test_predict_identity_and_additive():
@@ -230,6 +307,20 @@ def test_ingest_twin_suppression_inside_gate():
     ms = [make_measurement([0.005, 0, 0], tick=1), make_measurement([0.02, 0, 0], tick=1)]
     gs = ingest(gs, ms, params)
     assert len(gs.tracks) == 1
+
+
+def test_ingest_no_spawn_exactly_at_gate():
+    # the leftover measurement is exactly assoc_threshold from the taken
+    # track: inside the inclusive gate, so it must not seed a twin
+    gs = _state([_track(tid=0, pos=(0, 0, 0))])
+    ms = [make_measurement([0, 0, 0], tick=1), make_measurement([0.05, 0, 0], tick=1)]
+    assert float(np.linalg.norm(ms[1].position_world - gs.tracks[0].pos_mean)) == 0.05
+    gs = ingest(gs, ms, TrackerParams(assoc_threshold=0.05))
+    assert len(gs.tracks) == 1 and gs.tracks[0].hits == 2
+    # one ulp tighter, the same leftover spawns
+    gs = _state([_track(tid=0, pos=(0, 0, 0))])
+    gs = ingest(gs, ms, TrackerParams(assoc_threshold=float(np.nextafter(0.05, 0.0))))
+    assert len(gs.tracks) == 2
 
 
 def test_ingest_batch_tick_validation():
