@@ -1,0 +1,211 @@
+"""Run directory: the writer of a simulation's artifacts and the reader that
+`eval` rebuilds the run logs from, side by side, so the two halves of one
+schema change together.
+
+Floats are written with repr, so they read back to the same bits and a
+recomputed report is byte-identical to the one the run emitted.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+
+import numpy as np
+
+from .commander import Done, Explore, MoveDelta, MoveTo, RoughLocalization, Searching, TriggerPollinate, VisualServo
+from .config import ExperimentConfig
+from .metrics import (
+    REPORT_CSV_HEADER,
+    AttemptRecord,
+    RunLogs,
+    RunReport,
+    reachable_flowers,
+    report_csv_row,
+    shot_detections,
+    summary_table,
+)
+from .simworld import load_scene, save_scene
+from .so3 import require_rotation
+from .tracker import Track
+
+TRACKS_HEADER = "tick,track_id,x,y,z,r00,r01,r02,r10,r11,r12,r20,r21,r22,cov_trace,rot_cov,hits,pollinated"
+COMMANDS_HEADER = "tick,arm_id,mode,command_kind,target_id,tip_x,tip_y,tip_z"
+ATTEMPTS_HEADER = "tick,arm_id,track_id,flower_id,success"
+SHOTS_HEADER = "tick,camera_id,flower_id,detected,px_err,trans_err_m,rot_err_deg"
+# Version 2: tracks.csv holds the final track table, not a row per track per tick.
+ARTIFACT_SCHEMA_VERSION = 2
+
+_MODE_NAMES = {
+    Searching: "searching",
+    RoughLocalization: "rough_localization",
+    VisualServo: "visual_servo",
+    Done: "done",
+}
+
+_COMMAND_NAMES = {
+    Explore: "explore",
+    MoveTo: "move_to",
+    MoveDelta: "move_delta",
+    TriggerPollinate: "trigger_pollinate",
+}
+
+
+class SchemaMismatch(ValueError):
+    """A run artifact does not match its expected schema."""
+
+
+def _fmt(x: float) -> str:
+    return repr(float(x))
+
+
+def _write_csv(path: str, header: str, rows) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(row + "\n")
+
+
+def _write_json(path: str, data: dict) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(data, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def write_artifacts(
+    out_dir: str,
+    cfg: ExperimentConfig,
+    logs: RunLogs,
+    shots: list[tuple],
+    commands: list[tuple],
+    report: RunReport,
+) -> None:
+    """Write the run directory from the loop's records.
+
+    `shots` holds (tick, camera_id, flower_id, detected, px_err, trans_err,
+    rot_err_deg) and `commands` (tick, arm_id, mode type, command type,
+    target id, tip position).
+    """
+    last_tick = logs.n_ticks - 1
+    os.makedirs(out_dir, exist_ok=True)
+    _write_csv(os.path.join(out_dir, "tracks.csv"), TRACKS_HEADER, (
+        f"{last_tick},{t.id},{_fmt(t.pos_mean[0])},{_fmt(t.pos_mean[1])},{_fmt(t.pos_mean[2])},"
+        + ",".join(_fmt(v) for v in t.rot_mean.reshape(9))
+        + f",{_fmt(np.trace(t.pos_cov))},{_fmt(t.rot_cov)},{t.hits},{int(t.pollinated)}"
+        for t in logs.final_tracks
+    ))
+    _write_csv(os.path.join(out_dir, "commands.csv"), COMMANDS_HEADER, (
+        f"{tick},{arm_id},{_MODE_NAMES[mode]},{_COMMAND_NAMES[kind]},"
+        f"{target_id if isinstance(target_id, int) else -1},{_fmt(tip[0])},{_fmt(tip[1])},{_fmt(tip[2])}"
+        for tick, arm_id, mode, kind, target_id, tip in commands
+    ))
+    _write_csv(os.path.join(out_dir, "attempts.csv"), ATTEMPTS_HEADER, (
+        f"{a.tick},{a.arm_id},{a.track_id},{a.flower_id},{int(a.success)}" for a in logs.attempts
+    ))
+    _write_csv(os.path.join(out_dir, "shots.csv"), SHOTS_HEADER, (
+        f"{tick},{camera_id},{flower_id},{int(detected)},{_fmt(px)},{_fmt(trans)},{_fmt(rot)}"
+        for tick, camera_id, flower_id, detected, px, trans, rot in shots
+    ))
+    save_scene(os.path.join(out_dir, "scene.json"), logs.scene)
+    _write_json(os.path.join(out_dir, "meta.json"), {
+        "schema_version": ARTIFACT_SCHEMA_VERSION,
+        "seed": cfg.seed,
+        "config_digest": report.config_digest,
+        "n_ticks": logs.n_ticks,
+        "workspace_center": list(cfg.commander.workspace_center),
+        "workspace_radius": cfg.commander.workspace_radius,
+    })
+    _write_json(os.path.join(out_dir, "config_resolved.json"), cfg.to_json())
+    _write_json(os.path.join(out_dir, "report.json"), report.to_json())
+    _write_csv(os.path.join(out_dir, "report.csv"), REPORT_CSV_HEADER, [report_csv_row(report)])
+    with open(os.path.join(out_dir, "summary.txt"), "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(summary_table(report))
+
+
+def _read_csv(path: str, header: str) -> list[list[str]]:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except OSError as exc:
+        raise SchemaMismatch(f"cannot read {path}: {exc}") from exc
+    if not lines or lines[0] != header:
+        raise SchemaMismatch(f"{path}: header mismatch (expected {header!r})")
+    n_cols = len(header.split(","))
+    rows = []
+    for idx, line in enumerate(lines[1:], start=2):
+        parts = line.split(",")
+        if len(parts) != n_cols:
+            raise SchemaMismatch(f"{path}: row {idx} has {len(parts)} fields, expected {n_cols}")
+        rows.append(parts)
+    return rows
+
+
+def _parse_float(path: str, row_idx: int, value: str) -> float:
+    try:
+        return float(value)
+    except ValueError as exc:
+        raise SchemaMismatch(f"{path}: row {row_idx}: bad float {value!r}") from exc
+
+
+def read_run_logs(out_dir: str, scene_path: str | None = None) -> RunLogs:
+    """Rebuild the run logs from a run directory.
+
+    Reads tracks.csv (the final track table), shots.csv, attempts.csv,
+    meta.json and the scene (scene.json of the run unless `scene_path`).
+    """
+    scene_path = scene_path or os.path.join(out_dir, "scene.json")
+    meta_path = os.path.join(out_dir, "meta.json")
+    try:
+        with open(meta_path, "r", encoding="utf-8") as fh:
+            meta = json.load(fh)
+    except OSError as exc:
+        raise SchemaMismatch(f"cannot read {meta_path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise SchemaMismatch(f"{meta_path}: invalid JSON ({exc.msg})") from exc
+    version = meta.get("schema_version")
+    if version != ARTIFACT_SCHEMA_VERSION:
+        raise SchemaMismatch(f"{meta_path}: schema_version {version!r}, expected {ARTIFACT_SCHEMA_VERSION}")
+
+    scene = load_scene(scene_path)
+
+    tracks_path = os.path.join(out_dir, "tracks.csv")
+    final_tracks: list[Track] = []
+    for idx, r in enumerate(_read_csv(tracks_path, TRACKS_HEADER), start=2):
+        vals = [_parse_float(tracks_path, idx, v) for v in r[2:16]]
+        final_tracks.append(
+            Track(
+                id=int(r[1]),
+                pos_mean=np.array(vals[0:3]),
+                pos_cov=np.eye(3) * vals[12] / 3.0,
+                rot_mean=require_rotation(np.array(vals[3:12]).reshape(3, 3), tol=1e-8),
+                rot_cov=vals[13],
+                hits=int(r[16]),
+                last_tick=int(r[0]),
+                pollinated=bool(int(r[17])),
+            )
+        )
+
+    shots_path = os.path.join(out_dir, "shots.csv")
+    opportunities, px_errors = shot_detections(
+        (int(r[2]), int(r[3]), _parse_float(shots_path, idx, r[4]))
+        for idx, r in enumerate(_read_csv(shots_path, SHOTS_HEADER), start=2)
+    )
+
+    attempts = [
+        AttemptRecord(int(r[0]), int(r[1]), int(r[2]), int(r[3]), bool(int(r[4])))
+        for r in _read_csv(os.path.join(out_dir, "attempts.csv"), ATTEMPTS_HEADER)
+    ]
+
+    return RunLogs(
+        scene=scene,
+        final_tracks=final_tracks,
+        n_ticks=int(meta["n_ticks"]),
+        shot_opportunities=opportunities,
+        shot_px_errors=px_errors,
+        attempts=attempts,
+        reachable_ids=reachable_flowers(
+            scene, np.asarray(meta["workspace_center"], dtype=float), float(meta["workspace_radius"])
+        ),
+        seed=int(meta["seed"]),
+        config_digest=str(meta["config_digest"]),
+    )

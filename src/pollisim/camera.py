@@ -47,20 +47,6 @@ class Intrinsics:
     def to_json(self) -> dict:
         return fields_to_json(self)
 
-    @classmethod
-    def from_json(cls, d: dict) -> "Intrinsics":
-        for name in ("width", "height"):
-            if isinstance(d[name], bool) or not float(d[name]).is_integer():
-                raise ValueError(f"{name} must be a whole number of pixels")
-        return cls(
-            fx=float(d["fx"]),
-            fy=float(d["fy"]),
-            cx=float(d["cx"]),
-            cy=float(d["cy"]),
-            width=int(d["width"]),
-            height=int(d["height"]),
-        )
-
 
 @dataclass(eq=False)
 class PixelObs:

@@ -15,18 +15,11 @@ import sys
 
 import numpy as np
 
+from .artifacts import SchemaMismatch
+from .config import ConfigError, config_digest, load_config
 from .metrics import EmptyRun, InvalidCounts, REPORT_CSV_HEADER, report_csv_row, summary_table
-from .runner import (
-    ConfigError,
-    NoConvergence,
-    SchemaMismatch,
-    calibrate_noise,
-    config_digest,
-    evaluate_run_dir,
-    load_config,
-    simulate_run,
-)
-from .simworld import InvariantViolation, ParseError, generate_scene, save_scene
+from .runner import NoConvergence, calibrate_noise, evaluate_run_dir, simulate_run
+from .simworld import InvariantViolation, ParseError, SceneGenParams, generate_scene, save_scene
 
 log = logging.getLogger("pollisim")
 
@@ -108,21 +101,13 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_gen_scene(args: argparse.Namespace) -> int:
-    if args.count < 1:
-        print("error: config field 'count': must be >= 1", file=sys.stderr)
-        return 2
     try:
-        center = np.asarray([float(x) for x in args.center.split(",")], dtype=float)
-        if center.shape != (3,):
-            raise ValueError("expected three comma-separated numbers")
+        params = SceneGenParams(args.count, args.center, args.spread, args.min_sep, args.max_tilt_deg)
     except ValueError as exc:
-        print(f"error: config field 'center': {exc}", file=sys.stderr)
+        print(f"error: {ConfigError('scene.generate', str(exc))}", file=sys.stderr)
         return 2
-    rng = np.random.default_rng([args.seed, 0])
     try:
-        scene = generate_scene(
-            rng, args.count, center, spread=args.spread, min_sep=args.min_sep, max_tilt_deg=args.max_tilt_deg
-        )
+        scene = generate_scene(np.random.default_rng([args.seed, 0]), params)
         save_scene(args.out, scene)
     except _RUNTIME_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -130,6 +115,10 @@ def _cmd_gen_scene(args: argparse.Namespace) -> int:
     if not args.quiet:
         print(f"wrote {len(scene)} flowers to {args.out}")
     return 0
+
+
+def _floats(text: str) -> tuple[float, ...]:
+    return tuple(float(x) for x in text.split(","))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -161,12 +150,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--quiet", action="store_true")
     p_eval.set_defaults(func=_cmd_eval)
 
+    gen = SceneGenParams()
     p_gen = sub.add_parser("gen-scene", help="emit a random scene JSON")
-    p_gen.add_argument("--count", type=int, default=20)
-    p_gen.add_argument("--center", default="0,0,0")
-    p_gen.add_argument("--spread", type=float, default=0.12)
-    p_gen.add_argument("--min-sep", type=float, default=0.10)
-    p_gen.add_argument("--max-tilt-deg", type=float, default=45.0)
+    p_gen.add_argument("--count", type=int, default=gen.count)
+    p_gen.add_argument("--center", type=_floats, default=gen.center, help="x,y,z")
+    p_gen.add_argument("--spread", type=float, default=gen.spread)
+    p_gen.add_argument("--min-sep", type=float, default=gen.min_sep)
+    p_gen.add_argument("--max-tilt-deg", type=float, default=gen.max_tilt_deg)
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--out", required=True)
     p_gen.add_argument("--quiet", action="store_true")

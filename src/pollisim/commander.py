@@ -82,24 +82,26 @@ class TriggerPollinate:
 Command = Explore | MoveTo | MoveDelta | TriggerPollinate
 
 
+# Eye-in-hand camera position in the tip frame. The camera sits behind the
+# tip along -z, with the tip's orientation, so a flower at contact distance
+# stays inside the depth camera's reliable band.
+CAM_OFFSET = np.array([0.0, 0.0, -0.10])
+
+
 @dataclass(eq=False)
 class ArmState:
-    """Pollinator tip pose plus the rigid eye-in-hand camera offset.
-
-    The tip +z axis is the approach/tool direction; the camera sits behind
-    the tip along -z so a flower at contact distance stays inside the depth
-    camera's reliable band. The offset is constant over a run.
-    """
+    """Pollinator tip pose; the tip +z axis is the approach/tool direction."""
 
     tip_pose: Pose
-    cam_offset_pos: np.ndarray = field(default_factory=lambda: np.array([0.0, 0.0, -0.10]))
-    cam_offset_rot: np.ndarray = field(default_factory=lambda: np.eye(3))
 
     @property
     def camera(self) -> CameraPose:
-        rot = self.tip_pose.rotation @ self.cam_offset_rot
-        pos = self.tip_pose.position + self.tip_pose.rotation @ self.cam_offset_pos
-        return Pose(pos, rot)
+        rot = self.tip_pose.rotation
+        return Pose(self.tip_pose.position + rot @ CAM_OFFSET, rot)
+
+
+# CommanderConfig fields that each run sets per arm; they have no JSON form.
+SET_BY_RUN = ("arm_id", "tracker")
 
 
 @dataclass(frozen=True)
@@ -141,7 +143,7 @@ class CommanderConfig:
             raise ValueError("workspace_center must be three numbers")
 
     def to_json(self) -> dict:
-        return fields_to_json(self, exclude=("arm_id", "tracker"))
+        return fields_to_json(self, exclude=SET_BY_RUN)
 
 
 def standoff_pose(flower_pose: Pose, standoff: float) -> Pose:

@@ -9,14 +9,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .simworld import FlowerGT
+from .simworld import DETECT_SUCCESS_PX, FlowerGT
 from .so3 import Pose, fields_to_json, zaxis_angle
 from .tracker import Track, greedy_pairs
 
-# Default success thresholds; overridable per call for sweeps.
+# Pose success thresholds (boundaries inclusive); DETECT_SUCCESS_PX is the
+# detection one.
 TRANS_SUCCESS_M = 0.08
 ROT_SUCCESS_DEG = 60.0
-DETECT_SUCCESS_PX = 20.0
 
 
 class DimensionMismatch(ValueError):
@@ -51,20 +51,16 @@ def pose_error(est: Pose, gt: Pose) -> PoseError:
     )
 
 
-def pose_success(
-    e: PoseError,
-    trans_threshold: float = TRANS_SUCCESS_M,
-    rot_threshold: float = ROT_SUCCESS_DEG,
-) -> bool:
+def pose_success(e: PoseError) -> bool:
     """True iff both errors are within their thresholds (boundaries inclusive)."""
-    return e.trans_err <= trans_threshold and e.rot_err <= rot_threshold
+    return e.trans_err <= TRANS_SUCCESS_M and e.rot_err <= ROT_SUCCESS_DEG
 
 
-def detection_success(err_px: float, threshold: float = DETECT_SUCCESS_PX) -> bool:
-    """True iff the detection pixel error is within the threshold (inclusive)."""
+def detection_success(err_px: float) -> bool:
+    """True iff the detection pixel error is within DETECT_SUCCESS_PX (inclusive)."""
     if err_px < 0:
         raise ValueError("pixel error must be >= 0")
-    return err_px <= threshold
+    return err_px <= DETECT_SUCCESS_PX
 
 
 @dataclass(eq=False)
@@ -138,6 +134,24 @@ class RunLogs:
     config_digest: str = ""
 
 
+def reachable_flowers(scene: list[FlowerGT], center: np.ndarray, radius: float) -> list[int]:
+    center = np.asarray(center, dtype=float)
+    return [f.id for f in scene if float(np.linalg.norm(f.pose.position - center)) <= radius]
+
+
+def shot_detections(triples) -> tuple[int, list[float]]:
+    """Shot opportunities (clutter excluded) and the pixel errors of the
+    detected shots, from (flower_id, detected, px_err) triples."""
+    opportunities = 0
+    px_errors: list[float] = []
+    for flower_id, detected, px_err in triples:
+        if flower_id >= 0:
+            opportunities += 1
+            if detected:
+                px_errors.append(px_err)
+    return opportunities, px_errors
+
+
 @dataclass(eq=False)
 class RunReport:
     """Aggregated run metrics for one simulation or evaluation pass."""
@@ -166,35 +180,24 @@ class RunReport:
         return fields_to_json(self)
 
 
-def match_tracks_to_flowers(
-    tracks: list[Track],
-    flowers: list[FlowerGT],
-    threshold: float = TRANS_SUCCESS_M,
-) -> dict[int, int]:
-    """Greedy nearest matching flower_id -> track_id within threshold meters.
+def match_tracks_to_flowers(tracks: list[Track], flowers: list[FlowerGT]) -> dict[int, int]:
+    """Greedy nearest matching flower_id -> track_id within TRANS_SUCCESS_M.
 
     Same greedy pass as the online association, applied between filtered
     tracks and ground truth for scoring; ties break on lower flower id, then
     lower track id.
     """
     return dict(greedy_pairs(
-        [(f.id, f.pose.position) for f in flowers], [(t.id, t.pos_mean) for t in tracks], threshold
+        [(f.id, f.pose.position) for f in flowers], [(t.id, t.pos_mean) for t in tracks], TRANS_SUCCESS_M
     ))
 
 
-def aggregate(
-    logs: RunLogs,
-    trans_threshold: float = TRANS_SUCCESS_M,
-    rot_threshold: float = ROT_SUCCESS_DEG,
-    detect_px_threshold: float = DETECT_SUCCESS_PX,
-    mean_over_successes_only: bool = False,
-) -> RunReport:
+def aggregate(logs: RunLogs) -> RunReport:
     """Deterministic aggregation of run logs into a RunReport.
 
-    Pose error means are computed over matched flowers (all of them by
-    default; only within-threshold ones when mean_over_successes_only);
-    unmatched ground-truth flowers count against the success rate but not
-    against the means. Attempt accounting is per distinct reachable flower.
+    Pose error means are computed over all matched flowers; unmatched
+    ground-truth flowers count against the success rate but not against the
+    means. Attempt accounting is per distinct reachable flower.
     """
     if not logs.scene:
         raise EmptyRun("run has no ground-truth flowers")
@@ -203,7 +206,7 @@ def aggregate(
 
     by_id = {t.id: t for t in logs.final_tracks}
     flowers = sorted(logs.scene, key=lambda f: f.id)
-    matches = match_tracks_to_flowers(logs.final_tracks, flowers, trans_threshold)
+    matches = match_tracks_to_flowers(logs.final_tracks, flowers)
     errors: list[PoseError] = []
     n_success = 0
     for f in flowers:
@@ -212,11 +215,9 @@ def aggregate(
             continue
         t = by_id[tid]
         e = pose_error(Pose(t.pos_mean, t.rot_mean), f.pose)
-        if pose_success(e, trans_threshold, rot_threshold):
+        errors.append(e)
+        if pose_success(e):
             n_success += 1
-            errors.append(e)
-        elif not mean_over_successes_only:
-            errors.append(e)
 
     trans = [e.trans_err for e in errors]
     rots = [e.rot_err for e in errors]
@@ -231,7 +232,7 @@ def aggregate(
         attempt_rate, success_rate = 0.0, 0.0
 
     det_errs = logs.shot_px_errors
-    n_det_ok = sum(1 for e in det_errs if detection_success(e, detect_px_threshold))
+    n_det_ok = sum(1 for e in det_errs if detection_success(e))
     return RunReport(
         seed=logs.seed,
         config_digest=logs.config_digest,

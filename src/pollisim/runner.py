@@ -1,269 +1,78 @@
-"""Experiment runner: configuration, the closed simulation loop (observe ->
-ingest -> commander -> arm kinematics), the viewpoint-survey harness used for
-filter-convergence studies, single-shot noise calibration, and offline
-re-evaluation of written run artifacts.
+"""Experiment runner: the closed simulation loop (observe -> ingest ->
+commander -> arm kinematics), offline re-evaluation of a run directory, the
+viewpoint-survey harness used for filter-convergence studies, and single-shot
+noise calibration.
 
 Everything is deterministic given (config, seed): RNG streams are split per
-purpose and per arm from the master seed, scheduling is round-robin, and all
-output files are written with round-trippable float formatting.
+purpose and per arm from the master seed, and scheduling is round-robin.
+Config parsing lives in `config`, the run directory's format in `artifacts`.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import logging
 import math
-import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
+# perfbench/benchtrace.py times the writer by patching runner._write_artifacts.
+from .artifacts import read_run_logs, write_artifacts as _write_artifacts
 from .camera import Intrinsics, aim_pose
 from .commander import (
     ArmState,
-    CommanderConfig,
     Command,
+    CommanderConfig,
     Done,
     Explore,
     Mode,
     MoveDelta,
     MoveTo,
-    RoughLocalization,
     Searching,
     TriggerPollinate,
-    VisualServo,
     check_pollination,
     step as commander_step,
 )
+from .config import ConfigError, ExperimentConfig, config_digest
 from .metrics import (
-    AttemptRecord, RunLogs, RunReport, aggregate, match_tracks_to_flowers, report_csv_row, summary_table,
-    REPORT_CSV_HEADER,
+    DETECT_SUCCESS_PX,
+    AttemptRecord,
+    RunLogs,
+    RunReport,
+    aggregate,
+    match_tracks_to_flowers,
+    reachable_flowers,
+    shot_detections,
 )
 from .simworld import (
     SURVEY_ELEVATION_RANGE,
     SURVEY_RADIUS_RANGE,
     FlowerGT,
     NoiseModel,
+    SceneGenParams,  # re-exported: perfbench and the acceptance tests import it from runner
     generate_scene,
     load_scene,
     observe_with_truth,
     sample_viewpoint,
-    save_scene,
     single_shot_stats,
 )
 from .so3 import (
     Pose,
     axis_angle_of,
-    check_fields,
-    fields_from_json,
-    fields_to_json,
     from_axis_angle,
     is_rotation,
     random_rotation,
-    require_rotation,
     rotation_angle,
     svd_project,
     zaxis_angle,
 )
-from .tracker import GlobalState, Track, TrackerParams, get_track, ingest
+from .tracker import GlobalState, TrackerParams, get_track, ingest
 
 log = logging.getLogger("pollisim")
 
 
-class ConfigError(ValueError):
-    """Configuration is invalid; `field` names the offending entry."""
-
-    def __init__(self, field_name: str, message: str):
-        super().__init__(f"config field '{field_name}': {message}")
-        self.field = field_name
-
-
-class SchemaMismatch(ValueError):
-    """A run artifact does not match its expected schema."""
-
-
 class NoConvergence(RuntimeError):
     """Noise calibration failed to reach its targets within the iteration cap."""
-
-
-@dataclass(frozen=True)
-class SceneGenParams:
-    count: int = 20
-    center: tuple[float, float, float] = (0.0, 0.0, 0.0)
-    spread: float = 0.12
-    min_sep: float = 0.10
-    max_tilt_deg: float = 45.0
-
-    def __post_init__(self) -> None:
-        check_fields(self, positive=("count", "spread"), nonnegative=("min_sep",))
-        if len(self.center) != 3:
-            raise ValueError("center must be three numbers")
-
-    def to_json(self) -> dict:
-        return fields_to_json(self)
-
-
-@dataclass(eq=False)
-class ExperimentConfig:
-    """Fully resolved experiment description; hashable to a config digest."""
-
-    seed: int
-    scene_path: str | None = None
-    scene_gen: SceneGenParams | None = field(default_factory=SceneGenParams)
-    noise: NoiseModel = field(default_factory=NoiseModel)
-    tracker: TrackerParams | None = None
-    commander: CommanderConfig = field(default_factory=CommanderConfig)
-    camera: Intrinsics = field(default_factory=Intrinsics.default)
-    arm_count: int = 1
-    step_budget: int = 1500
-    viewpoints_per_flower: int = 20
-
-    def resolved_tracker(self) -> TrackerParams:
-        return self.tracker if self.tracker is not None else TrackerParams.for_noise(self.noise)
-
-    def to_json(self) -> dict:
-        scene: dict = {}
-        if self.scene_path is not None:
-            scene["path"] = self.scene_path
-        if self.scene_gen is not None:
-            scene["generate"] = self.scene_gen.to_json()
-        return {
-            "schema_version": 1,
-            "seed": self.seed,
-            "scene": scene,
-            "noise": self.noise.to_json(),
-            "tracker": self.resolved_tracker().to_json(),
-            "commander": self.commander.to_json(),
-            "camera": self.camera.to_json(),
-            "arm_count": self.arm_count,
-            "step_budget": self.step_budget,
-            "viewpoints_per_flower": self.viewpoints_per_flower,
-        }
-
-
-def config_digest(cfg: ExperimentConfig) -> str:
-    canon = json.dumps(cfg.to_json(), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canon.encode("utf-8")).hexdigest()
-
-
-def _section(d: dict, name: str, builder, default):
-    if name not in d:
-        return default() if callable(default) else default
-    try:
-        return builder(d[name])
-    except (TypeError, ValueError, KeyError) as exc:
-        raise ConfigError(name, str(exc)) from exc
-
-
-def parse_config(data: dict, config_dir: str = ".") -> ExperimentConfig:
-    """Build and validate an ExperimentConfig from parsed JSON."""
-    if not isinstance(data, dict):
-        raise ConfigError("<root>", "config must be a JSON object")
-    version = data.get("schema_version")
-    if version != 1:
-        raise ConfigError("schema_version", f"expected 1, got {version!r}")
-    if "seed" not in data or not isinstance(data["seed"], int) or isinstance(data["seed"], bool):
-        raise ConfigError("seed", "required integer")
-    scene = data.get("scene")
-    if not isinstance(scene, dict) or ("path" in scene) == ("generate" in scene):
-        raise ConfigError("scene", "must contain exactly one of 'path' or 'generate'")
-    scene_path = None
-    scene_gen = None
-    if "path" in scene:
-        scene_path = os.path.join(config_dir, scene["path"]) if not os.path.isabs(scene["path"]) else scene["path"]
-    else:
-        gen = scene["generate"]
-        if not isinstance(gen, dict):
-            raise ConfigError("scene.generate", "must be a JSON object")
-        try:
-            count = gen.get("count", 20)
-            if isinstance(count, bool) or not float(count).is_integer():
-                raise ValueError("count must be a whole number")
-            scene_gen = SceneGenParams(
-                count=int(count),
-                center=tuple(float(x) for x in gen.get("center", (0.0, 0.0, 0.0))),
-                spread=float(gen.get("spread", 0.12)),
-                min_sep=float(gen.get("min_sep", 0.10)),
-                max_tilt_deg=float(gen.get("max_tilt_deg", 45.0)),
-            )
-        except (TypeError, ValueError) as exc:
-            raise ConfigError("scene.generate", str(exc)) from exc
-
-    noise = _section(data, "noise", NoiseModel.from_json, NoiseModel)
-    tracker = _section(data, "tracker", TrackerParams.from_json, None)
-    camera = _section(data, "camera", Intrinsics.from_json, Intrinsics.default)
-
-    cmdr = _section(data, "commander", _commander_from_json, CommanderConfig)
-
-    return ExperimentConfig(
-        seed=data["seed"],
-        scene_path=scene_path,
-        scene_gen=scene_gen,
-        noise=noise,
-        tracker=tracker,
-        commander=cmdr,
-        camera=camera,
-        arm_count=_count(data, "arm_count", 1),
-        step_budget=_count(data, "step_budget", 1500),
-        viewpoints_per_flower=_count(data, "viewpoints_per_flower", 20),
-    )
-
-
-def _commander_from_json(d: dict) -> CommanderConfig:
-    for name in ("arm_id", "tracker"):
-        if name in d:
-            raise ValueError(f"{name} is set by the run, not by the config")
-    return fields_from_json(CommanderConfig, d)
-
-
-def _count(data: dict, name: str, default: int) -> int:
-    value = data.get(name, default)
-    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-        raise ConfigError(name, "must be an integer >= 1")
-    return value
-
-
-def load_config(path: str) -> ExperimentConfig:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise ConfigError("<file>", f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError("<file>", f"{path}:{exc.lineno}: invalid JSON ({exc.msg})") from exc
-    return parse_config(data, config_dir=os.path.dirname(os.path.abspath(path)))
-
-
-def reachable_flowers(scene: list[FlowerGT], center: np.ndarray, radius: float) -> list[int]:
-    center = np.asarray(center, dtype=float)
-    return [f.id for f in scene if float(np.linalg.norm(f.pose.position - center)) <= radius]
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
-_MODE_NAMES = {
-    Searching: "searching",
-    RoughLocalization: "rough_localization",
-    VisualServo: "visual_servo",
-    Done: "done",
-}
-
-_COMMAND_NAMES = {
-    Explore: "explore",
-    MoveTo: "move_to",
-    MoveDelta: "move_delta",
-    TriggerPollinate: "trigger_pollinate",
-}
-
-TRACKS_HEADER = "tick,track_id,x,y,z,r00,r01,r02,r10,r11,r12,r20,r21,r22,cov_trace,rot_cov,hits,pollinated"
-COMMANDS_HEADER = "tick,arm_id,mode,command_kind,target_id,tip_x,tip_y,tip_z"
-ATTEMPTS_HEADER = "tick,arm_id,track_id,flower_id,success"
-SHOTS_HEADER = "tick,camera_id,flower_id,detected,px_err,trans_err_m,rot_err_deg"
-# Version 2: tracks.csv holds the final track table, not a row per track per tick.
-ARTIFACT_SCHEMA_VERSION = 2
 
 
 def _reflect_into_sphere(pos: np.ndarray, center: np.ndarray, radius: float) -> np.ndarray:
@@ -352,10 +161,7 @@ def simulate_run(
     if cfg.scene_path is not None:
         scene = load_scene(cfg.scene_path)
     else:
-        g = cfg.scene_gen
-        scene = generate_scene(
-            rng_scene, g.count, np.asarray(g.center), g.spread, g.min_sep, g.max_tilt_deg
-        )
+        scene = generate_scene(rng_scene, cfg.scene_gen)
     if not scene:
         raise ConfigError("scene", "scene contains no flowers")
     tparams = cfg.resolved_tracker()
@@ -397,7 +203,7 @@ def simulate_run(
             log.info("all arms done at tick %d", tick)
             break
 
-    opportunities, px_errors = _detections((s[2], s[3], s[4]) for s in shots)
+    opportunities, px_errors = shot_detections((s[2], s[3], s[4]) for s in shots)
     logs = RunLogs(
         scene=scene,
         final_tracks=list(gs.tracks),
@@ -415,170 +221,10 @@ def simulate_run(
     return report
 
 
-def _detections(triples) -> tuple[int, list[float]]:
-    """Shot opportunities (clutter excluded) and the pixel errors of the
-    detected shots, from (flower_id, detected, px_err) triples."""
-    opportunities = 0
-    px_errors: list[float] = []
-    for flower_id, detected, px_err in triples:
-        if flower_id >= 0:
-            opportunities += 1
-            if detected:
-                px_errors.append(px_err)
-    return opportunities, px_errors
-
-
-def _write_csv(path: str, header: str, rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(row + "\n")
-
-
-def _write_artifacts(
-    out_dir: str,
-    cfg: ExperimentConfig,
-    logs: RunLogs,
-    shots: list[tuple],
-    commands: list[tuple],
-    report: RunReport,
-) -> None:
-    last_tick = logs.n_ticks - 1
-    os.makedirs(out_dir, exist_ok=True)
-    _write_csv(os.path.join(out_dir, "tracks.csv"), TRACKS_HEADER, (
-        f"{last_tick},{t.id},{_fmt(t.pos_mean[0])},{_fmt(t.pos_mean[1])},{_fmt(t.pos_mean[2])},"
-        + ",".join(_fmt(v) for v in t.rot_mean.reshape(9))
-        + f",{_fmt(np.trace(t.pos_cov))},{_fmt(t.rot_cov)},{t.hits},{int(t.pollinated)}"
-        for t in logs.final_tracks
-    ))
-    _write_csv(os.path.join(out_dir, "commands.csv"), COMMANDS_HEADER, (
-        f"{tick},{arm_id},{_MODE_NAMES[mode]},{_COMMAND_NAMES[kind]},"
-        f"{target_id if isinstance(target_id, int) else -1},{_fmt(tip[0])},{_fmt(tip[1])},{_fmt(tip[2])}"
-        for tick, arm_id, mode, kind, target_id, tip in commands
-    ))
-    _write_csv(os.path.join(out_dir, "attempts.csv"), ATTEMPTS_HEADER, (
-        f"{a.tick},{a.arm_id},{a.track_id},{a.flower_id},{int(a.success)}" for a in logs.attempts
-    ))
-    _write_csv(os.path.join(out_dir, "shots.csv"), SHOTS_HEADER, (
-        f"{tick},{camera_id},{flower_id},{int(detected)},{_fmt(px)},{_fmt(trans)},{_fmt(rot)}"
-        for tick, camera_id, flower_id, detected, px, trans, rot in shots
-    ))
-    save_scene(os.path.join(out_dir, "scene.json"), logs.scene)
-    meta = {
-        "schema_version": ARTIFACT_SCHEMA_VERSION,
-        "seed": cfg.seed,
-        "config_digest": report.config_digest,
-        "n_ticks": logs.n_ticks,
-        "workspace_center": list(cfg.commander.workspace_center),
-        "workspace_radius": cfg.commander.workspace_radius,
-    }
-    with open(os.path.join(out_dir, "meta.json"), "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    with open(os.path.join(out_dir, "config_resolved.json"), "w", encoding="utf-8") as fh:
-        json.dump(cfg.to_json(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    with open(os.path.join(out_dir, "report.json"), "w", encoding="utf-8") as fh:
-        json.dump(report.to_json(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    with open(os.path.join(out_dir, "report.csv"), "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(REPORT_CSV_HEADER + "\n")
-        fh.write(report_csv_row(report) + "\n")
-    with open(os.path.join(out_dir, "summary.txt"), "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(summary_table(report))
-
-
-def _read_csv(path: str, header: str) -> list[list[str]]:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        raise SchemaMismatch(f"cannot read {path}: {exc}") from exc
-    if not lines or lines[0] != header:
-        raise SchemaMismatch(f"{path}: header mismatch (expected {header!r})")
-    n_cols = len(header.split(","))
-    rows = []
-    for idx, line in enumerate(lines[1:], start=2):
-        parts = line.split(",")
-        if len(parts) != n_cols:
-            raise SchemaMismatch(f"{path}: row {idx} has {len(parts)} fields, expected {n_cols}")
-        rows.append(parts)
-    return rows
-
-
-def _parse_float(path: str, row_idx: int, value: str) -> float:
-    try:
-        return float(value)
-    except ValueError as exc:
-        raise SchemaMismatch(f"{path}: row {row_idx}: bad float {value!r}") from exc
-
-
 def evaluate_run_dir(out_dir: str, scene_path: str | None = None) -> RunReport:
-    """Recompute a RunReport from written artifacts.
-
-    Reads tracks.csv (the final track table), shots.csv, attempts.csv,
-    scene.json and meta.json from the run directory; the result is byte-
-    identical to the report the simulation emitted, as CSV floats round-trip.
-    """
-    scene_path = scene_path or os.path.join(out_dir, "scene.json")
-    meta_path = os.path.join(out_dir, "meta.json")
-    try:
-        with open(meta_path, "r", encoding="utf-8") as fh:
-            meta = json.load(fh)
-    except OSError as exc:
-        raise SchemaMismatch(f"cannot read {meta_path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise SchemaMismatch(f"{meta_path}: invalid JSON ({exc.msg})") from exc
-    version = meta.get("schema_version")
-    if version != ARTIFACT_SCHEMA_VERSION:
-        raise SchemaMismatch(f"{meta_path}: schema_version {version!r}, expected {ARTIFACT_SCHEMA_VERSION}")
-
-    scene = load_scene(scene_path)
-
-    tracks_path = os.path.join(out_dir, "tracks.csv")
-    final_tracks: list[Track] = []
-    for idx, r in enumerate(_read_csv(tracks_path, TRACKS_HEADER), start=2):
-        vals = [_parse_float(tracks_path, idx, v) for v in r[2:16]]
-        final_tracks.append(
-            Track(
-                id=int(r[1]),
-                pos_mean=np.array(vals[0:3]),
-                pos_cov=np.eye(3) * vals[12] / 3.0,
-                rot_mean=require_rotation(np.array(vals[3:12]).reshape(3, 3), tol=1e-8),
-                rot_cov=vals[13],
-                hits=int(r[16]),
-                last_tick=int(r[0]),
-                pollinated=bool(int(r[17])),
-            )
-        )
-
-    shots_path = os.path.join(out_dir, "shots.csv")
-    opportunities, px_errors = _detections(
-        (int(r[2]), int(r[3]), _parse_float(shots_path, idx, r[4]))
-        for idx, r in enumerate(_read_csv(shots_path, SHOTS_HEADER), start=2)
-    )
-
-    attempts_path = os.path.join(out_dir, "attempts.csv")
-    attempt_rows = _read_csv(attempts_path, ATTEMPTS_HEADER)
-    attempts = [
-        AttemptRecord(int(r[0]), int(r[1]), int(r[2]), int(r[3]), bool(int(r[4])))
-        for r in attempt_rows
-    ]
-
-    logs = RunLogs(
-        scene=scene,
-        final_tracks=final_tracks,
-        n_ticks=int(meta["n_ticks"]),
-        shot_opportunities=opportunities,
-        shot_px_errors=px_errors,
-        attempts=attempts,
-        reachable_ids=reachable_flowers(
-            scene, np.asarray(meta["workspace_center"], dtype=float), float(meta["workspace_radius"])
-        ),
-        seed=int(meta["seed"]),
-        config_digest=str(meta["config_digest"]),
-    )
-    return aggregate(logs)
+    """Recompute a RunReport from a run directory written by simulate_run;
+    the result is byte-identical to the report the simulation emitted."""
+    return aggregate(read_run_logs(out_dir, scene_path))
 
 
 @dataclass(eq=False)
@@ -594,16 +240,7 @@ class SurveyTrial:
     rotation_violations: int
 
 
-def survey_run(
-    noise: NoiseModel,
-    tparams: TrackerParams,
-    k: Intrinsics,
-    n_views: int,
-    seed: int,
-    radius_range: tuple[float, float] = SURVEY_RADIUS_RANGE,
-    elevation_range: tuple[float, float] = SURVEY_ELEVATION_RANGE,
-    match_threshold: float = 0.08,
-) -> SurveyTrial:
+def survey_run(noise: NoiseModel, tparams: TrackerParams, k: Intrinsics, n_views: int, seed: int) -> SurveyTrial:
     """Observe one randomly oriented flower from n_views sampled viewpoints,
     fusing every batch, and report single-shot vs fused errors.
     """
@@ -616,7 +253,7 @@ def survey_run(
     within_px = 0
     violations = 0
     for tick in range(n_views):
-        cam = sample_viewpoint(rng, flower.pose.position, radius_range, elevation_range)
+        cam = sample_viewpoint(rng, flower.pose.position, SURVEY_RADIUS_RANGE, SURVEY_ELEVATION_RANGE)
         ms, recs = observe_with_truth([flower], cam, k, noise, rng, camera_id=0, tick=tick)
         for rec in recs:
             if rec.flower_id != 0:
@@ -625,13 +262,13 @@ def survey_run(
             if rec.detected:
                 single_trans.append(rec.trans_err)
                 single_rot.append(rec.rot_err_deg)
-                if rec.px_err <= 20.0:
+                if rec.px_err <= DETECT_SUCCESS_PX:
                     within_px += 1
         gs = ingest(gs, ms, tparams)
         for t in gs.tracks:
             if not is_rotation(t.rot_mean, tol=1e-9):
                 violations += 1
-    matches = match_tracks_to_flowers(gs.tracks, [flower], match_threshold)
+    matches = match_tracks_to_flowers(gs.tracks, [flower])
     if not matches:
         return SurveyTrial(single_trans, single_rot, opportunities, within_px, None, None, violations)
     best = get_track(gs, matches[flower.id])
@@ -690,16 +327,15 @@ def calibrate_noise(
     rel_tol: float = 0.05,
     max_iter: int = 100,
     k: Intrinsics | None = None,
-    base: NoiseModel | None = None,
 ) -> NoiseModel:
     """Tune detect_prob, rot_sigma and the depth sigmas so the empirical
     single-shot means over n_samples viewpoints match the targets within
     rel_tol. targets keys: trans_cm, rot_deg, det_rate.
 
     The far-band depth sigma is held at DEPTH_FAR_RATIO times the near-band
-    sigma, so zero targets yield exactly zero noise. pixel_sigma is taken
-    from `base` and not searched: its contribution to translational error is
-    dominated by depth noise at survey ranges.
+    sigma, so zero targets yield exactly zero noise. pixel_sigma keeps its
+    NoiseModel default and is not searched: its contribution to translational
+    error is dominated by depth noise at survey ranges.
     """
     for key in ("trans_cm", "rot_deg", "det_rate"):
         if key not in targets:
@@ -707,7 +343,7 @@ def calibrate_noise(
         if targets[key] < 0:
             raise ValueError(f"target '{key}' must be >= 0")
     k = k or Intrinsics.default()
-    noise = base or NoiseModel()
+    noise = NoiseModel()
     trans_target = float(targets["trans_cm"]) / 100.0
     rot_target = float(targets["rot_deg"])
     det_target = float(targets["det_rate"])

@@ -20,7 +20,6 @@ from .so3 import (
     Pose,
     candidate_pairs,
     check_fields,
-    fields_from_json,
     fields_to_json,
     from_axis_angle,
     random_rotation,
@@ -96,10 +95,6 @@ class NoiseModel:
 
     def to_json(self) -> dict:
         return fields_to_json(self)
-
-    @classmethod
-    def from_json(cls, d: dict) -> "NoiseModel":
-        return fields_from_json(cls, d)
 
 
 @dataclass(eq=False)
@@ -289,23 +284,34 @@ def save_scene(path: str, flowers: list[FlowerGT]) -> None:
         fh.write("\n")
 
 
-def generate_scene(
-    rng: np.random.Generator,
-    count: int,
-    center: np.ndarray = (0.0, 0.0, 0.0),
-    spread: float = 0.12,
-    min_sep: float = 0.10,
-    max_tilt_deg: float = 45.0,
-) -> list[FlowerGT]:
+@dataclass(frozen=True)
+class SceneGenParams:
+    """Settings of `generate_scene`; these defaults are the only copy."""
+
+    count: int = 20
+    center: tuple[float, float, float] = (0.0, 0.0, 0.0)
+    spread: float = 0.12
+    min_sep: float = 0.10
+    max_tilt_deg: float = 45.0
+
+    def __post_init__(self) -> None:
+        check_fields(self, positive=("spread",), nonnegative=("min_sep",), counts=(("count", 1),))
+        if len(self.center) != 3:
+            raise ValueError("center must be three numbers")
+
+    def to_json(self) -> dict:
+        return fields_to_json(self)
+
+
+def generate_scene(rng: np.random.Generator, params: SceneGenParams) -> list[FlowerGT]:
     """Random scene: clustered positions with a minimum separation, facing
     directions within a cone of world-up, random twist about the facing axis.
 
     A draw is rejected when np.linalg.norm(p - q) < min_sep for an accepted
     q; `so3.candidate_pairs` leaves only the q that could be that close.
     """
-    if count < 0:
-        raise ValueError("count must be >= 0")
-    center = np.asarray(center, dtype=float)
+    count, spread, min_sep = params.count, params.spread, params.min_sep
+    center = np.asarray(params.center, dtype=float)
     positions: list[np.ndarray] = []
     accepted = np.empty((count, 3))
     attempts = 0
@@ -316,11 +322,11 @@ def generate_scene(
             accepted[len(positions)] = p
             positions.append(p)
         attempts += 1
-        if attempts > 10000 * max(count, 1):
+        if attempts > 10000 * count:
             raise ValueError("cannot satisfy min_sep; reduce it or increase spread")
     flowers = []
     for i, p in enumerate(positions):
-        tilt = math.radians(rng.uniform(0.0, max_tilt_deg))
+        tilt = math.radians(rng.uniform(0.0, params.max_tilt_deg))
         azim = rng.uniform(0.0, 2.0 * math.pi)
         tilt_axis = np.array([-math.sin(azim), math.cos(azim), 0.0])
         rot = from_axis_angle(tilt_axis, tilt) @ rot_z(rng.uniform(0.0, 2.0 * math.pi))
@@ -334,6 +340,8 @@ def generate_scene(
 # depth readings.
 SURVEY_RADIUS_RANGE = (0.15, 0.70)
 SURVEY_ELEVATION_RANGE = (10.0, 70.0)
+# A detection succeeds when its pixel error is at most this (inclusive).
+DETECT_SUCCESS_PX = 20.0
 
 
 @dataclass
@@ -358,15 +366,7 @@ class SingleShotStats:
         return self.detections_within_px / self.opportunities if self.opportunities else float("nan")
 
 
-def single_shot_stats(
-    noise: NoiseModel,
-    k: Intrinsics,
-    n_samples: int,
-    rng: np.random.Generator,
-    radius_range: tuple[float, float] = SURVEY_RADIUS_RANGE,
-    elevation_range: tuple[float, float] = SURVEY_ELEVATION_RANGE,
-    detect_px_threshold: float = 20.0,
-) -> SingleShotStats:
+def single_shot_stats(noise: NoiseModel, k: Intrinsics, n_samples: int, rng: np.random.Generator) -> SingleShotStats:
     """Sample one flower from n_samples independent viewpoints and collect
     the oracle's single-shot error statistics (clutter excluded).
     """
@@ -375,7 +375,7 @@ def single_shot_stats(
     flower = FlowerGT(id=0, pose=Pose(np.zeros(3), np.eye(3)))
     for _ in range(n_samples):
         flower.pose = Pose(np.zeros(3), random_rotation(rng))
-        cam = sample_viewpoint(rng, flower.pose.position, radius_range, elevation_range)
+        cam = sample_viewpoint(rng, flower.pose.position, SURVEY_RADIUS_RANGE, SURVEY_ELEVATION_RANGE)
         _, records = observe_with_truth([flower], cam, k, quiet, rng)
         for rec in records:
             stats.opportunities += 1
@@ -383,6 +383,6 @@ def single_shot_stats(
                 continue
             stats.trans_errors.append(rec.trans_err)
             stats.rot_errors.append(rec.rot_err_deg)
-            if rec.px_err <= detect_px_threshold:
+            if rec.px_err <= DETECT_SUCCESS_PX:
                 stats.detections_within_px += 1
     return stats

@@ -230,13 +230,40 @@ def fields_to_json(obj, exclude: tuple[str, ...] = ()) -> dict:
     return out
 
 
-def fields_from_json(cls, d: dict):
-    """Build dataclass `cls` from its JSON form; fields whose default is a
-    tuple get a tuple of floats. Unknown keys raise TypeError."""
-    kwargs = dict(d)
-    for f in fields(cls):
-        if f.name in kwargs and isinstance(f.default, tuple):
-            kwargs[f.name] = tuple(float(x) for x in kwargs[f.name])
+def _number(name: str, kind: str, value):
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{name} must be a number")
+    if kind == "float":
+        try:
+            return float(value)
+        except OverflowError:  # an integer literal beyond the float range
+            raise ValueError(f"{name} must be finite") from None
+    if kind == "int" and (isinstance(value, int) or value.is_integer()):
+        return int(value)
+    raise ValueError(f"{name} must be a whole number")
+
+
+def fields_from_json(cls, d: dict, exclude: tuple[str, ...] = ()):
+    """Build dataclass `cls` from its JSON form, by one rule read from the
+    field annotations (strings, as every module uses postponed annotations):
+    a `float` field takes any number and stores float(x), an `int` field
+    takes a whole number and stores int(x), a `tuple[float, ...]` field takes
+    a list of numbers; bools are refused everywhere. Keys that are not
+    fields, or are in `exclude`, raise TypeError."""
+    if not isinstance(d, dict):
+        raise TypeError("must be a JSON object")
+    types = {f.name: f.type for f in fields(cls) if f.name not in exclude}
+    kwargs = {}
+    for name, value in d.items():
+        kind = types.get(name)
+        if kind is None:
+            raise TypeError(f"{name} is not a field of this section")
+        if kind.startswith("tuple["):
+            if not isinstance(value, list):
+                raise TypeError(f"{name} must be a list of numbers")
+            kwargs[name] = tuple(_number(name, "float", x) for x in value)
+        else:
+            kwargs[name] = _number(name, kind, value)
     return cls(**kwargs)
 
 

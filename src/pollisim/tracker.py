@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .simworld import Measurement, NoiseModel
-from .so3 import candidate_pairs, check_fields, fields_from_json, fields_to_json, flatten, svd_project
+from .so3 import candidate_pairs, check_fields, fields_to_json, flatten, svd_project
 
 _I3 = np.eye(3)
 
@@ -84,10 +84,6 @@ class TrackerParams:
 
     def to_json(self) -> dict:
         return fields_to_json(self)
-
-    @classmethod
-    def from_json(cls, d: dict) -> "TrackerParams":
-        return fields_from_json(cls, d)
 
 
 @dataclass(eq=False)

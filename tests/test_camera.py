@@ -12,7 +12,7 @@ from pollisim.camera import (
     to_world,
     uplift,
 )
-from pollisim.so3 import Pose, is_rotation, rot_z
+from pollisim.so3 import Pose, fields_from_json, is_rotation, rot_z
 
 
 UNIT_K = Intrinsics(fx=1.0, fy=1.0, cx=0.0, cy=0.0, width=1000, height=1000)
@@ -102,7 +102,7 @@ def test_intrinsics_validation_and_json():
         Intrinsics(fx=1.0, fy=1.0, cx=10.0, cy=0.0, width=10, height=10)
     k = Intrinsics.default()
     assert k.to_json() == {"fx": 640.0, "fy": 640.0, "cx": 640.0, "cy": 360.0, "width": 1280, "height": 720}
-    assert Intrinsics.from_json(k.to_json()) == k
+    assert fields_from_json(Intrinsics, k.to_json()) == k
 
 
 def test_look_at_geometry():

@@ -4,17 +4,11 @@ import os
 import numpy as np
 import pytest
 
+from pollisim.artifacts import SchemaMismatch
 from pollisim.camera import Intrinsics
 from pollisim.cli import main
-from pollisim.runner import (
-    ConfigError,
-    ExperimentConfig,
-    SchemaMismatch,
-    config_digest,
-    evaluate_run_dir,
-    load_config,
-    parse_config,
-)
+from pollisim.config import ConfigError, ExperimentConfig, config_digest, load_config, parse_config
+from pollisim.runner import evaluate_run_dir
 from pollisim.simworld import NoiseModel, load_scene
 
 
@@ -47,9 +41,17 @@ def test_gen_scene_and_load(tmp_path):
     assert [f.id for f in scene] == list(range(7))
 
 
-def test_gen_scene_bad_count(tmp_path, capsys):
-    assert main(["gen-scene", "--count", "0", "--out", str(tmp_path / "s.json")]) == 2
-    assert "count" in capsys.readouterr().err
+@pytest.mark.parametrize("option, value, field_name", [
+    ("--count", "0", "count"),
+    ("--spread", "-1", "spread"),
+    ("--min-sep", "nan", "min_sep"),
+    ("--max-tilt-deg", "nan", "max_tilt_deg"),
+])
+def test_gen_scene_bad_count(tmp_path, capsys, option, value, field_name):
+    # the options build a SceneGenParams, so they are refused as the config section is
+    assert main(["gen-scene", option, value, "--out", str(tmp_path / "s.json")]) == 2
+    assert field_name in capsys.readouterr().err
+    assert not (tmp_path / "s.json").exists()
 
 
 def test_simulate_minimal_noiseless(tmp_path, capsys):
@@ -192,6 +194,12 @@ def test_config_error_variants(tmp_path):
         ({"commander": {"arm_id": 1}}, "'commander': arm_id"),
         ({"step_budget": True}, "'step_budget'"),
         ({"camera": {**camera, "width": 1280.5}}, "'camera': width"),
+        # one parse rule for every section: bools are not numbers, unknown keys are refused
+        ({"commander": {"gain": True}}, "'commander': gain"),
+        ({"noise": {"detect_prob": True}}, "'noise': detect_prob"),
+        ({"scene": {"generate": {"spread": True}}}, "'scene.generate': spread"),
+        ({"camera": {**camera, "fx": True}}, "'camera': fx"),
+        ({"scene": {"generate": {"sprea": 0.1}}}, "'scene.generate': sprea"),
     ]:
         with pytest.raises(ConfigError, match=field_name):
             parse_config({"schema_version": 1, "seed": 1, "scene": {"generate": {"count": 2}}, **overrides})
@@ -300,3 +308,12 @@ def test_config_digest_stable():
     assert config_digest(a) == config_digest(b)
     c = ExperimentConfig(seed=2)
     assert config_digest(a) != config_digest(c)
+    # a number means the same config however it is spelled
+    for section, one, other in [
+        ("commander", {"gain": 1}, {"gain": 1.0}),
+        ("noise", {"clutter_rate": 0}, {"clutter_rate": 0.0}),
+        ("commander", {"servo_patience": 25.0}, {"servo_patience": 25}),
+    ]:
+        x, y = (parse_config({"schema_version": 1, "seed": 1, "scene": {"generate": {}}, section: s})
+                for s in (one, other))
+        assert config_digest(x) == config_digest(y)

@@ -225,7 +225,7 @@ def test_transition_graph_is_legal_noiseless():
     from pollisim.camera import Intrinsics
 
     cfg = ExperimentConfig(seed=11, scene_gen=SceneGenParams(count=4), noise=NoiseModel.noiseless(), step_budget=900)
-    scene = generate_scene(np.random.default_rng([11, 0]), 4)
+    scene = generate_scene(np.random.default_rng([11, 0]), cfg.scene_gen)
     tparams = cfg.resolved_tracker()
     ccfg = replace(cfg.commander, tracker=tparams, arm_id=0)
     center = np.asarray(ccfg.workspace_center)

@@ -11,6 +11,7 @@ from pollisim.simworld import (
     InvariantViolation,
     NoiseModel,
     ParseError,
+    SceneGenParams,
     generate_scene,
     load_scene,
     observe_with_truth,
@@ -18,7 +19,7 @@ from pollisim.simworld import (
     save_scene,
     single_shot_stats,
 )
-from pollisim.so3 import Pose, is_rotation, random_rotation, rotation_to_list
+from pollisim.so3 import Pose, fields_from_json, is_rotation, random_rotation, rotation_to_list
 
 K = Intrinsics.default()
 
@@ -66,7 +67,7 @@ def test_sample_viewpoint_validation():
 
 def test_observe_noiseless_exact():
     rng = np.random.default_rng(4)
-    scene = generate_scene(np.random.default_rng(7), 6)
+    scene = generate_scene(np.random.default_rng(7), SceneGenParams(count=6))
     cam = sample_viewpoint(rng, np.zeros(3), (0.3, 0.5), (10, 60))
     ms, recs = observe_with_truth(scene, cam, K, NoiseModel.noiseless(), rng)
     assert len(ms) == len([f for f in scene if project(f.pose.position, cam, K) is not None])
@@ -97,7 +98,7 @@ def test_observe_detect_prob_zero_only_clutter():
 
 
 def test_observe_deterministic_stream():
-    scene = generate_scene(np.random.default_rng(8), 5)
+    scene = generate_scene(np.random.default_rng(8), SceneGenParams(count=5))
     cam = sample_viewpoint(np.random.default_rng(9), np.zeros(3), (0.3, 0.5), (10, 60))
     a = observe_with_truth(scene, cam, K, NoiseModel(), np.random.default_rng(123), camera_id=1, tick=5)[0]
     b = observe_with_truth(scene, cam, K, NoiseModel(), np.random.default_rng(123), camera_id=1, tick=5)[0]
@@ -118,7 +119,7 @@ def test_observe_clutter_rate():
 
 def test_observe_measured_rotations_valid():
     rng = np.random.default_rng(11)
-    scene = generate_scene(np.random.default_rng(12), 4)
+    scene = generate_scene(np.random.default_rng(12), SceneGenParams(count=4))
     cam = sample_viewpoint(rng, np.zeros(3), (0.3, 0.5), (10, 60))
     for m in observe_with_truth(scene, cam, K, NoiseModel(), rng)[0]:
         assert is_rotation(m.rotation, tol=1e-9)
@@ -136,7 +137,7 @@ def test_observe_bimodal_flip():
 
 def test_scene_roundtrip(tmp_path):
     rng = np.random.default_rng(14)
-    scene = generate_scene(rng, 20)
+    scene = generate_scene(rng, SceneGenParams(count=20))
     path = tmp_path / "scene.json"
     save_scene(str(path), scene)
     loaded = load_scene(str(path))
@@ -191,7 +192,7 @@ def test_load_scene_parse_errors(tmp_path):
 
 def test_generate_scene_separation_and_tilt():
     rng = np.random.default_rng(15)
-    scene = generate_scene(rng, 15, spread=0.15, min_sep=0.08, max_tilt_deg=30.0)
+    scene = generate_scene(rng, SceneGenParams(count=15, spread=0.15, min_sep=0.08, max_tilt_deg=30.0))
     assert len(scene) == 15
     for i, f in enumerate(scene):
         assert f.id == i
@@ -214,10 +215,10 @@ def _reference_scene_positions(rng, count, center, spread, min_sep):
 
 def test_generate_scene_matches_scalar_rejection_loop():
     # dense: about 6 of 7 draws are rejected, so the prefilter decides often
-    center = np.array([0.1, -0.2, 0.3])
+    params = SceneGenParams(count=25, center=(0.1, -0.2, 0.3), spread=0.04, min_sep=0.05)
     for seed in range(10):
-        scene = generate_scene(np.random.default_rng(seed), 25, center, spread=0.04, min_sep=0.05)
-        ref = _reference_scene_positions(np.random.default_rng(seed), 25, center, 0.04, 0.05)
+        scene = generate_scene(np.random.default_rng(seed), params)
+        ref = _reference_scene_positions(np.random.default_rng(seed), 25, np.array(params.center), 0.04, 0.05)
         assert np.array_equal(np.array([f.pose.position for f in scene]), np.array(ref))
 
 
@@ -229,7 +230,7 @@ def test_noise_model_validation_and_json():
     with pytest.raises(ValueError):
         NoiseModel(reliable_range=(0.5, 0.5))
     n = NoiseModel()
-    assert NoiseModel.from_json(n.to_json()) == n
+    assert fields_from_json(NoiseModel, n.to_json()) == n
 
 
 def test_single_shot_stats_noiseless():

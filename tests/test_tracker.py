@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from helpers import brute_force_assignment, geodesic_midpoint, make_measurement
-from pollisim.so3 import is_rotation, random_rotation, rot_x, zaxis_angle
+from pollisim.so3 import fields_from_json, is_rotation, random_rotation, rot_x, zaxis_angle
 from pollisim.tracker import (
     Assignment,
     GlobalState,
@@ -405,7 +405,7 @@ def test_claims_and_pollination_marking():
 
 def test_tracker_params_json_roundtrip():
     p = TrackerParams()
-    assert TrackerParams.from_json(p.to_json()) == p
+    assert fields_from_json(TrackerParams, p.to_json()) == p
 
 
 def test_survey_trials_converge_jointly():
