@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .so3 import Pose, aligning_rotation, fields_to_json, require_rotation
+from .so3 import Pose, aligning_rotation, cross3, fields_to_json, require_rotation, vnorm
 
 # A camera pose is a rigid pose of the camera in the world frame: columns of
 # rotation are the camera axes (x right, y down, z forward / viewing).
@@ -65,7 +65,7 @@ def uplift(obs: PixelObs, k: Intrinsics) -> np.ndarray:
     if not (obs.ray_depth > 0):
         raise NonPositiveDepth(f"ray_depth must be > 0, got {obs.ray_depth}")
     ray = np.array([(obs.u - k.cx) / k.fx, (obs.v - k.cy) / k.fy, 1.0])
-    return obs.ray_depth * ray / np.linalg.norm(ray)
+    return obs.ray_depth * ray / vnorm(ray)
 
 
 def to_world(x_cam: np.ndarray, cam: CameraPose) -> np.ndarray:
@@ -80,13 +80,14 @@ def project(x_world: np.ndarray, cam: CameraPose, k: Intrinsics) -> PixelObs | N
     [0, width) x [0, height). Visibility is a normal outcome, not an error.
     """
     x_cam = cam.rotation.T @ (np.asarray(x_world, dtype=float) - cam.position)
-    if x_cam[2] <= 0:
+    x, y, z = x_cam.tolist()
+    if z <= 0:
         return None
-    u = k.fx * x_cam[0] / x_cam[2] + k.cx
-    v = k.fy * x_cam[1] / x_cam[2] + k.cy
+    u = k.fx * x / z + k.cx
+    v = k.fy * y / z + k.cy
     if not (0 <= u < k.width and 0 <= v < k.height):
         return None
-    return PixelObs(u=float(u), v=float(v), ray_depth=float(np.linalg.norm(x_cam)))
+    return PixelObs(u=float(u), v=float(v), ray_depth=vnorm(x_cam))
 
 
 def look_at(position: np.ndarray, target: np.ndarray, up: np.ndarray = (0.0, 0.0, 1.0)) -> CameraPose:
@@ -97,19 +98,20 @@ def look_at(position: np.ndarray, target: np.ndarray, up: np.ndarray = (0.0, 0.0
     """
     position = np.asarray(position, dtype=float)
     fwd = np.asarray(target, dtype=float) - position
-    n = np.linalg.norm(fwd)
+    n = vnorm(fwd)
     if n <= 1e-12:
         raise ValueError("camera position coincides with the look-at target")
     z = fwd / n
     upv = np.asarray(up, dtype=float)
     down = -(upv - (upv @ z) * z)
-    dn = np.linalg.norm(down)
+    dn = vnorm(down)
     if dn <= 1e-9:
         down = -(np.array([1.0, 0.0, 0.0]) - z[0] * z)
-        dn = np.linalg.norm(down)
+        dn = vnorm(down)
     y = down / dn
-    x = np.cross(y, z)
-    return Pose(position, require_rotation(np.column_stack([x, y, z]), tol=1e-8))
+    # columns x, y, z, in C order like np.column_stack
+    axes = np.array([cross3(y, z), y, z]).T.copy()
+    return Pose(position, require_rotation(axes, tol=1e-8))
 
 
 def aim_pose(position: np.ndarray, target: np.ndarray) -> Pose:
@@ -120,7 +122,7 @@ def aim_pose(position: np.ndarray, target: np.ndarray) -> Pose:
     """
     position = np.asarray(position, dtype=float)
     d = np.asarray(target, dtype=float) - position
-    n = np.linalg.norm(d)
+    n = vnorm(d)
     if n <= 1e-12:
         raise ValueError("aim target coincides with position")
     rot = aligning_rotation(np.array([0.0, 0.0, 1.0]), d / n, fallback_axis=np.array([1.0, 0.0, 0.0]))

@@ -16,7 +16,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .camera import CameraPose
-from .so3 import EZ, Pose, aligning_rotation, check_fields, fields_to_json, from_axis_angle, random_unit_vector
+from .so3 import (
+    EZ,
+    Pose,
+    aligning_rotation,
+    check_fields,
+    cross3,
+    fields_to_json,
+    from_axis_angle,
+    random_unit_vector,
+    vnorm,
+)
 from .tracker import (
     GlobalState,
     Track,
@@ -188,21 +198,21 @@ def servo_delta(tip: Pose, target: Pose, gain: float, max_step: float) -> MoveDe
         raise ValueError("gain must be in (0, 1]")
     err = target.position - tip.position
     dpos = gain * err
-    n = float(np.linalg.norm(dpos))
+    n = vnorm(dpos)
     if n > max_step:
         dpos = dpos * (max_step / n)
     cur = -tip.rotation[:, 2]
     want = target.rotation[:, 2]
     c = float(np.clip(cur @ want, -1.0, 1.0))
-    axis = np.cross(cur, want)
-    s = float(np.linalg.norm(axis))
+    axis = cross3(cur, want)
+    s = vnorm(axis)
     if s <= 1e-9:
         if c > 0:
             drot = np.eye(3)  # aligned
         else:
-            axis = np.cross(cur, np.array([1.0, 0.0, 0.0]))
-            if np.linalg.norm(axis) <= 1e-9:
-                axis = np.cross(cur, np.array([0.0, 1.0, 0.0]))
+            axis = cross3(cur, np.array([1.0, 0.0, 0.0]))
+            if vnorm(axis) <= 1e-9:
+                axis = cross3(cur, np.array([0.0, 1.0, 0.0]))
             drot = from_axis_angle(axis, gain * math.pi)
     else:
         drot = from_axis_angle(axis, gain * math.acos(c))

@@ -3,7 +3,9 @@ parsing from JSON.
 
 Every section (`noise`, `tracker`, `commander`, `camera`, `scene.generate`)
 is read by `so3.fields_from_json`, so one rule, taken from the dataclass
-field annotations, decides what a number means in any of them.
+field annotations, decides what a number means in any of them. The top level
+follows the same rule: its integers go through the same number check, and a
+key that is not a config field is an error.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass, field
 from .camera import Intrinsics
 from .commander import SET_BY_RUN, CommanderConfig
 from .simworld import NoiseModel, SceneGenParams
-from .so3 import fields_from_json
+from .so3 import _number, fields_from_json
 from .tracker import TrackerParams
 
 
@@ -78,51 +80,59 @@ def _section(name: str, cls, value, exclude: tuple[str, ...] = ()):
         raise ConfigError(name, str(exc)) from exc
 
 
+_SECTIONS = (
+    ("noise", NoiseModel, ()),
+    ("tracker", TrackerParams, ()),
+    ("commander", CommanderConfig, SET_BY_RUN),
+    ("camera", Intrinsics, ()),
+)
+_COUNTS = ("arm_count", "step_budget", "viewpoints_per_flower")
+_TOP_LEVEL = ("schema_version", "seed", "scene", *(name for name, _, _ in _SECTIONS), *_COUNTS)
+
+
+def _unknown_keys(prefix: str, d: dict, known) -> None:
+    for key in d:
+        if key not in known:
+            raise ConfigError(prefix + key, "not a config field")
+
+
+def _integer(name: str, value, least: int | None = None) -> int:
+    """`value` as an int by the sections' rule (`25.0` reads as 25), at least `least`."""
+    try:
+        value = _number(name, "int", value)
+        if least is None or value >= least:
+            return value
+    except (TypeError, ValueError):
+        pass
+    raise ConfigError(name, "required integer" if least is None else f"must be an integer >= {least}")
+
+
 def parse_config(data: dict, config_dir: str = ".") -> ExperimentConfig:
     """Build and validate an ExperimentConfig from parsed JSON."""
     if not isinstance(data, dict):
         raise ConfigError("<root>", "config must be a JSON object")
     version = data.get("schema_version")
-    if version != 1:
+    if isinstance(version, bool) or version != 1:
         raise ConfigError("schema_version", f"expected 1, got {version!r}")
-    if "seed" not in data or not isinstance(data["seed"], int) or isinstance(data["seed"], bool):
-        raise ConfigError("seed", "required integer")
+    _unknown_keys("", data, _TOP_LEVEL)
+    seed = _integer("seed", data.get("seed"))
     scene = data.get("scene")
     if not isinstance(scene, dict) or ("path" in scene) == ("generate" in scene):
         raise ConfigError("scene", "must contain exactly one of 'path' or 'generate'")
+    _unknown_keys("scene.", scene, ("path", "generate"))
     scene_path = None
     scene_gen = None
     if "path" in scene:
-        scene_path = os.path.join(config_dir, scene["path"]) if not os.path.isabs(scene["path"]) else scene["path"]
+        if not isinstance(scene["path"], str):
+            raise ConfigError("scene.path", "must be a string")
+        scene_path = os.path.join(config_dir, scene["path"])  # an absolute path stays as it is
     else:
         scene_gen = _section("scene.generate", SceneGenParams, scene["generate"])
 
-    sections = {}
-    for name, cls, exclude in (
-        ("noise", NoiseModel, ()),
-        ("tracker", TrackerParams, ()),
-        ("commander", CommanderConfig, SET_BY_RUN),
-        ("camera", Intrinsics, ()),
-    ):
-        if name in data:
-            sections[name] = _section(name, cls, data[name], exclude)
-
-    return ExperimentConfig(
-        seed=data["seed"],
-        scene_path=scene_path,
-        scene_gen=scene_gen,
-        arm_count=_count(data, "arm_count", 1),
-        step_budget=_count(data, "step_budget", 1500),
-        viewpoints_per_flower=_count(data, "viewpoints_per_flower", 20),
-        **sections,
-    )
-
-
-def _count(data: dict, name: str, default: int) -> int:
-    value = data.get(name, default)
-    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-        raise ConfigError(name, "must be an integer >= 1")
-    return value
+    # absent keys take the ExperimentConfig defaults
+    given = {name: _section(name, cls, data[name], exclude) for name, cls, exclude in _SECTIONS if name in data}
+    given.update((name, _integer(name, data[name], 1)) for name in _COUNTS if name in data)
+    return ExperimentConfig(seed=seed, scene_path=scene_path, scene_gen=scene_gen, **given)
 
 
 def load_config(path: str) -> ExperimentConfig:

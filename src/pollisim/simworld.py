@@ -20,6 +20,7 @@ from .so3 import (
     Pose,
     candidate_pairs,
     check_fields,
+    cross3,
     fields_to_json,
     from_axis_angle,
     random_rotation,
@@ -27,6 +28,7 @@ from .so3 import (
     rot_z,
     rotation_from_list,
     rotation_to_list,
+    vnorm,
     zaxis_angle,
 )
 
@@ -195,9 +197,9 @@ def observe_with_truth(
             # Ambiguous-appearance failure mode: facing direction flips about
             # a random axis orthogonal to it.
             z = rot[:, 2]
-            perp = np.cross(z, random_unit_vector(rng))
-            while np.linalg.norm(perp) <= 1e-9:
-                perp = np.cross(z, random_unit_vector(rng))
+            perp = cross3(z, random_unit_vector(rng))
+            while vnorm(perp) <= 1e-9:
+                perp = cross3(z, random_unit_vector(rng))
             rot = from_axis_angle(perp, math.pi) @ rot
         noisy_pixel = PixelObs(u=float(u), v=float(v), ray_depth=float(depth))
         pos_world = to_world(uplift(noisy_pixel, k), cam)
@@ -208,7 +210,7 @@ def observe_with_truth(
                 flower_id=flower.id,
                 detected=True,
                 px_err=float(math.hypot(u - obs.u, v - obs.v)),
-                trans_err=float(np.linalg.norm(pos_world - flower.pose.position)),
+                trans_err=vnorm(pos_world - flower.pose.position),
                 rot_err_deg=zaxis_angle(rot, flower.pose.rotation),
                 measurement=m,
             )

@@ -3,6 +3,10 @@ axis-angle rotations, facing-axis distance for radially symmetric targets, the
 JSON forms of rotations and of flat config dataclasses, and the broadcast
 distance prefilter that association and scene generation share.
 
+The 3-vector helpers `cross3`, `vnorm` and the identity `I3` return the same
+bits as `np.cross`, `np.linalg.norm` and `np.eye(3)` without their per-call
+overhead, which dominated the oracle and camera geometry.
+
 Rotations are plain 3x3 float64 numpy arrays (row-major direction cosines),
 orthonormal with det = +1 within ORTHO_TOL. Angles are radians internally;
 functions that report angles to callers return degrees.
@@ -10,6 +14,7 @@ functions that report angles to callers return degrees.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -20,6 +25,10 @@ ORTHO_TOL = 1e-9
 EX = np.array([1.0, 0.0, 0.0])
 EZ = np.array([0.0, 0.0, 1.0])
 
+# Shared, so read-only: every use builds a new array from it.
+I3 = np.eye(3)
+I3.flags.writeable = False
+
 
 class DegenerateInput(ValueError):
     """Projection input is rank-deficient: the nearest rotation is not unique."""
@@ -29,13 +38,27 @@ class Antipodal(ValueError):
     """Shortest-arc rotation is undefined for exactly opposed directions."""
 
 
+def cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.cross of two 3-vectors, written out: the same products and
+    differences in the same order, so the same bits."""
+    a0, a1, a2 = a.tolist()
+    b0, b1, b2 = b.tolist()
+    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+
+
+def vnorm(v: np.ndarray) -> float:
+    """np.linalg.norm of a 1-D float64 array: the same sqrt(v.dot(v)) that
+    it computes, without its wrapper."""
+    return math.sqrt(v.dot(v))
+
+
 def is_rotation(m: np.ndarray, tol: float = ORTHO_TOL) -> bool:
     """True if m is orthonormal with det +1 within tol."""
     m = np.asarray(m, dtype=float)
     if m.shape != (3, 3):
         return False
     return (
-        np.abs(m.T @ m - np.eye(3)).max() <= tol
+        np.abs(m.T @ m - I3).max() <= tol
         and abs(np.linalg.det(m) - 1.0) <= tol
     )
 
@@ -74,7 +97,8 @@ def zaxis_angle(a: np.ndarray, b: np.ndarray) -> float:
     This is the orientation error for targets with radial symmetry about
     their z-axis: rotation about that axis does not change the result.
     """
-    c = float(np.clip(np.asarray(a)[:, 2] @ np.asarray(b)[:, 2], -1.0, 1.0))
+    # max before min, each with the dot first, passes NaN through as np.clip does
+    c = float(min(max(np.asarray(a)[:, 2] @ np.asarray(b)[:, 2], -1.0), 1.0))
     return float(np.degrees(np.arccos(c)))
 
 
@@ -91,13 +115,12 @@ def aligning_rotation(a: np.ndarray, b: np.ndarray, fallback_axis: np.ndarray | 
         if fallback_axis is None:
             raise Antipodal("vectors are antipodal: shortest arc undefined")
         return from_axis_angle(fallback_axis, np.pi)
-    v = np.cross(a, b)
-    k = _hat(v)
+    k = _hat(cross3(a, b))
     # Rodrigues with (1 - cos)/sin^2 = 1/(1 + cos); stable away from c = -1.
-    return np.eye(3) + k + (k @ k) / (1.0 + c)
+    return I3 + k + (k @ k) / (1.0 + c)
 
 
-def _hat(v: np.ndarray) -> np.ndarray:
+def _hat(v) -> np.ndarray:
     x, y, z = v
     return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
 
@@ -105,11 +128,11 @@ def _hat(v: np.ndarray) -> np.ndarray:
 def from_axis_angle(axis: np.ndarray, angle: float) -> np.ndarray:
     """Rotation of `angle` radians about `axis` (normalized internally)."""
     axis = np.asarray(axis, dtype=float)
-    n = np.linalg.norm(axis)
+    n = vnorm(axis)
     if n <= ORTHO_TOL:
         raise ValueError("axis is ~0")
-    k = _hat(axis / n)
-    return np.eye(3) + np.sin(angle) * k + (1.0 - np.cos(angle)) * (k @ k)
+    k = _hat((axis / n).tolist())
+    return I3 + np.sin(angle) * k + (1.0 - np.cos(angle)) * (k @ k)
 
 
 def rot_x(angle: float) -> np.ndarray:
@@ -148,8 +171,8 @@ def axis_angle_of(r: np.ndarray) -> tuple[np.ndarray, float]:
 def random_rotation(rng: np.random.Generator) -> np.ndarray:
     """Uniform (Haar) random rotation via a normalized 4D Gaussian quaternion."""
     q = rng.normal(size=4)
-    q /= np.linalg.norm(q)
-    w, x, y, z = q
+    q /= vnorm(q)
+    w, x, y, z = q.tolist()
     return np.array(
         [
             [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
@@ -162,10 +185,10 @@ def random_rotation(rng: np.random.Generator) -> np.ndarray:
 def random_unit_vector(rng: np.random.Generator) -> np.ndarray:
     """Uniform direction on the unit sphere."""
     v = rng.normal(size=3)
-    n = np.linalg.norm(v)
+    n = vnorm(v)
     while n <= 1e-12:  # astronomically unlikely; keeps the contract total
         v = rng.normal(size=3)
-        n = np.linalg.norm(v)
+        n = vnorm(v)
     return v / n
 
 

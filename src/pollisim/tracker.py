@@ -16,9 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .simworld import Measurement, NoiseModel
-from .so3 import candidate_pairs, check_fields, fields_to_json, flatten, svd_project
-
-_I3 = np.eye(3)
+from .so3 import I3, candidate_pairs, check_fields, fields_to_json, flatten, svd_project
 
 
 @dataclass(frozen=True)
@@ -197,7 +195,7 @@ def predict(t: Track, ticks: int, q_pos: float, q_rot: float) -> Track:
         raise ValueError("ticks must be >= 0")
     if ticks == 0:
         return t
-    return _evolve(t, pos_cov=t.pos_cov + ticks * q_pos * _I3, rot_cov=t.rot_cov + ticks * q_rot)
+    return _evolve(t, pos_cov=t.pos_cov + ticks * q_pos * I3, rot_cov=t.rot_cov + ticks * q_rot)
 
 
 def update_position(t: Track, z: np.ndarray, r_meas: float) -> Track:
@@ -205,9 +203,9 @@ def update_position(t: Track, z: np.ndarray, r_meas: float) -> Track:
     if r_meas <= 0:
         raise ValueError("r_meas must be > 0")
     p = t.pos_cov
-    kgain = p @ np.linalg.inv(p + r_meas * _I3)
+    kgain = p @ np.linalg.inv(p + r_meas * I3)
     mean = t.pos_mean + kgain @ (np.asarray(z, dtype=float) - t.pos_mean)
-    cov = (_I3 - kgain) @ p
+    cov = (I3 - kgain) @ p
     cov = 0.5 * (cov + cov.T)  # symmetrize against round-off
     return _evolve(t, pos_mean=mean, pos_cov=cov)
 
@@ -275,7 +273,7 @@ def _spawn(gs: GlobalState, m: Measurement, params: TrackerParams) -> Track:
     t = Track(
         id=gs.next_id,
         pos_mean=np.asarray(m.position_world, dtype=float).copy(),
-        pos_cov=params.init_pos_cov * _I3,
+        pos_cov=params.init_pos_cov * I3,
         rot_mean=np.asarray(m.rotation, dtype=float).copy(),
         rot_cov=params.init_rot_cov,
         hits=1,

@@ -12,7 +12,7 @@ from pollisim.camera import (
     to_world,
     uplift,
 )
-from pollisim.so3 import Pose, fields_from_json, is_rotation, rot_z
+from pollisim.so3 import Pose, fields_from_json, is_rotation, random_rotation, require_rotation, rot_z
 
 
 UNIT_K = Intrinsics(fx=1.0, fy=1.0, cx=0.0, cy=0.0, width=1000, height=1000)
@@ -122,3 +122,100 @@ def test_aim_pose_points_z_at_target():
     pose = aim_pose(np.array([0.3, 0.0, 0.0]), np.zeros(3))
     assert is_rotation(pose.rotation, tol=1e-9)
     assert_allclose(pose.rotation[:, 2], [-1, 0, 0], atol=1e-12)
+
+
+# Exactness of the rewritten camera geometry: each reference is a verbatim
+# copy of the function before np.cross, np.linalg.norm and np.column_stack
+# were replaced, and the rewrite must return the same bits.
+
+
+def _reference_uplift(obs, k):
+    if not (obs.ray_depth > 0):
+        raise NonPositiveDepth(f"ray_depth must be > 0, got {obs.ray_depth}")
+    ray = np.array([(obs.u - k.cx) / k.fx, (obs.v - k.cy) / k.fy, 1.0])
+    return obs.ray_depth * ray / np.linalg.norm(ray)
+
+
+def _reference_project(x_world, cam, k):
+    x_cam = cam.rotation.T @ (np.asarray(x_world, dtype=float) - cam.position)
+    if x_cam[2] <= 0:
+        return None
+    u = k.fx * x_cam[0] / x_cam[2] + k.cx
+    v = k.fy * x_cam[1] / x_cam[2] + k.cy
+    if not (0 <= u < k.width and 0 <= v < k.height):
+        return None
+    return PixelObs(u=float(u), v=float(v), ray_depth=float(np.linalg.norm(x_cam)))
+
+
+def _reference_look_at(position, target, up=(0.0, 0.0, 1.0)):
+    position = np.asarray(position, dtype=float)
+    fwd = np.asarray(target, dtype=float) - position
+    n = np.linalg.norm(fwd)
+    if n <= 1e-12:
+        raise ValueError("camera position coincides with the look-at target")
+    z = fwd / n
+    upv = np.asarray(up, dtype=float)
+    down = -(upv - (upv @ z) * z)
+    dn = np.linalg.norm(down)
+    if dn <= 1e-9:
+        down = -(np.array([1.0, 0.0, 0.0]) - z[0] * z)
+        dn = np.linalg.norm(down)
+    y = down / dn
+    x = np.cross(y, z)
+    return Pose(position, require_rotation(np.column_stack([x, y, z]), tol=1e-8))
+
+
+def _pose_outcome(fn, *args):
+    try:
+        pose = fn(*args)
+    except ValueError as exc:
+        return repr(exc)
+    assert pose.rotation.flags.c_contiguous
+    return pose.position.tobytes() + pose.rotation.tobytes()
+
+
+def test_look_at_matches_reference_bitwise():
+    rng = np.random.default_rng(80)
+    cases = []
+    for i in range(4_000):
+        target = rng.normal(0.0, 0.2, size=3)
+        offset = rng.normal(size=3) * rng.uniform(0.05, 1.0)
+        if i % 4 == 0:
+            # straight down or up the up axis, or a hair off it: the fallback
+            # branch and both sides of its 1e-9 switch
+            offset = np.array([0.0, 0.0, rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 1.0)])
+            offset[:2] = rng.normal(size=2) * 10.0 ** rng.uniform(-18, -6)
+        up = (0.0, 0.0, 1.0) if i % 3 else rng.normal(size=3)
+        cases.append((target + offset, target, up))
+    cases += [(np.zeros(3), np.zeros(3), (0.0, 0.0, 1.0)), (np.full(3, np.nan), np.zeros(3), (0.0, 0.0, 1.0))]
+    outcomes = [_pose_outcome(look_at, *c) for c in cases]
+    assert outcomes == [_pose_outcome(_reference_look_at, *c) for c in cases]
+    # the coincident and the NaN camera raise in both; so do views a few 1e-9
+    # off the up axis, whose `down` loses the digits require_rotation checks
+    assert all(isinstance(o, str) for o in outcomes[-2:])
+    assert sum(isinstance(o, str) for o in outcomes) < 20
+
+
+def test_uplift_matches_reference_bitwise():
+    rng = np.random.default_rng(81)
+    for k in (Intrinsics.default(), UNIT_K, Intrinsics(fx=500, fy=520, cx=320, cy=240, width=640, height=480)):
+        for _ in range(5_000):
+            obs = PixelObs(float(rng.uniform(-200.0, 1500.0)), float(rng.uniform(-200.0, 900.0)),
+                           float(rng.uniform(1e-6, 2.0)))
+            assert uplift(obs, k).tobytes() == _reference_uplift(obs, k).tobytes()
+
+
+def test_project_matches_reference_bitwise():
+    rng = np.random.default_rng(82)
+    visible = 0
+    for k in (Intrinsics.default(), Intrinsics(fx=500, fy=520, cx=320, cy=240, width=640, height=480)):
+        for _ in range(300):
+            cam = Pose(rng.normal(0.0, 0.5, size=3), random_rotation(rng))
+            for x in rng.normal(0.0, 0.5, size=(20, 3)):
+                got, want = project(x, cam, k), _reference_project(x, cam, k)
+                assert (got is None) == (want is None)
+                if got is not None:
+                    visible += 1
+                    assert np.array([got.u, got.v, got.ray_depth]).tobytes() == \
+                        np.array([want.u, want.v, want.ray_depth]).tobytes()
+    assert 1_000 < visible < 11_000  # both the None and the pixel branches ran

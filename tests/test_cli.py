@@ -155,6 +155,11 @@ def test_config_error_names_field(tmp_path, capsys):
     assert main(["simulate", "--config", str(cfg_path), "--out", str(out_dir), "--quiet"]) == 2
     assert "max_step" in capsys.readouterr().err
     assert not out_dir.exists()
+    # a misspelled key is refused, not run with the default it meant to replace
+    _write_config(cfg_path, step_budjet=10)
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(out_dir), "--quiet"]) == 2
+    assert "'step_budjet'" in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 def test_config_error_variants(tmp_path):
@@ -200,6 +205,18 @@ def test_config_error_variants(tmp_path):
         ({"scene": {"generate": {"spread": True}}}, "'scene.generate': spread"),
         ({"camera": {**camera, "fx": True}}, "'camera': fx"),
         ({"scene": {"generate": {"sprea": 0.1}}}, "'scene.generate': sprea"),
+        # the top level follows the same rule
+        ({"nosie": {"clutter_rate": 0.0}}, "'nosie'"),
+        ({"step_budjet": 10}, "'step_budjet'"),
+        ({"scene": {"generate": {"count": 2}, "pth": "s.json"}}, "'scene.pth'"),
+        ({"seed": 1.5}, "'seed'"),
+        ({"seed": True}, "'seed'"),
+        ({"seed": "1"}, "'seed'"),
+        ({"arm_count": 2.5}, "'arm_count'"),
+        ({"step_budget": 0.0}, "'step_budget'"),
+        ({"viewpoints_per_flower": float("inf")}, "'viewpoints_per_flower'"),
+        ({"schema_version": True}, "'schema_version'"),
+        ({"scene": {"path": 5}}, "'scene.path'"),
     ]:
         with pytest.raises(ConfigError, match=field_name):
             parse_config({"schema_version": 1, "seed": 1, "scene": {"generate": {"count": 2}}, **overrides})
@@ -313,7 +330,14 @@ def test_config_digest_stable():
         ("commander", {"gain": 1}, {"gain": 1.0}),
         ("noise", {"clutter_rate": 0}, {"clutter_rate": 0.0}),
         ("commander", {"servo_patience": 25.0}, {"servo_patience": 25}),
+        ("step_budget", 1500.0, 1500),
+        ("seed", 1.0, 1),
+        ("arm_count", 2, 2.0),
+        ("viewpoints_per_flower", 20.0, 20),
     ]:
         x, y = (parse_config({"schema_version": 1, "seed": 1, "scene": {"generate": {}}, section: s})
                 for s in (one, other))
         assert config_digest(x) == config_digest(y)
+    # the resolved form reads back as the same config: the parser knows every key it writes
+    z = parse_config(x.to_json())
+    assert config_digest(z) == config_digest(x)

@@ -1,12 +1,16 @@
+import hashlib
 import json
+import struct
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from helpers import ks_uniform_pvalue
-from pollisim.camera import Intrinsics, project, to_world, uplift
+from pollisim.camera import Intrinsics, look_at, project, to_world, uplift
 from pollisim.simworld import (
+    SURVEY_ELEVATION_RANGE,
+    SURVEY_RADIUS_RANGE,
     FlowerGT,
     InvariantViolation,
     NoiseModel,
@@ -239,3 +243,54 @@ def test_single_shot_stats_noiseless():
     assert stats.detection_rate == 1.0
     assert stats.mean_trans < 1e-9
     assert stats.mean_rot < 1e-5
+
+
+def _pack_floats(h, *values):
+    h.update(struct.pack(f"<{len(values)}d", *values))
+
+
+def _oracle_stream_digest(seed: int) -> str:
+    """sha256 of everything the oracle returns over a camera sweep, with
+    the flip branch and clutter both frequent, then of single_shot_stats."""
+    rng = np.random.default_rng(seed)
+    scene = generate_scene(rng, SceneGenParams(count=12))
+    noise = NoiseModel(flip_prob=0.5, clutter_rate=2.0)
+    center = np.zeros(3)
+    # views straight down and straight up the up axis take look_at's fallback branch
+    cams = [look_at(center + [0.0, 0.0, 0.35], center), look_at(center - [0.0, 0.0, 0.35], center)]
+    cams.append(sample_viewpoint(rng, center, (0.25, 0.35), (90.0, 90.0)))
+    cams += [sample_viewpoint(rng, center, SURVEY_RADIUS_RANGE, SURVEY_ELEVATION_RANGE) for _ in range(60)]
+    h = hashlib.sha256()
+    for tick, cam in enumerate(cams):
+        h.update(cam.position.tobytes())
+        h.update(cam.rotation.tobytes())
+        ms, records = observe_with_truth(scene, cam, K, noise, rng, camera_id=tick % 3, tick=tick)
+        for m in ms:
+            _pack_floats(h, m.pixel.u, m.pixel.v, m.pixel.ray_depth)
+            h.update(m.position_world.tobytes())
+            h.update(m.rotation.tobytes())
+            h.update(struct.pack("<qq", m.camera_id, m.tick))
+        for r in records:
+            h.update(struct.pack("<q?", r.flower_id, r.detected))
+            _pack_floats(h, r.px_err, r.trans_err, r.rot_err_deg)
+            index = -1 if r.measurement is None else next(i for i, m in enumerate(ms) if m is r.measurement)
+            h.update(struct.pack("<q", index))
+    for model in (NoiseModel(), noise):
+        stats = single_shot_stats(model, K, 500, rng)
+        h.update(struct.pack("<qq", stats.opportunities, stats.detections_within_px))
+        _pack_floats(h, *stats.trans_errors, *stats.rot_errors)
+    return h.hexdigest()
+
+
+# Recorded before the oracle and camera geometry were rewritten for speed:
+# every output bit of the oracle must stay the same.
+ORACLE_STREAM_DIGESTS = {
+    0: "2bec69ee4f9d726152c8c9aefc75bff1e2575a2fcfb34fe6de908ed7ef1aeb51",
+    1: "10d9c95c8d9542e3365dd5f03a2ec91092eb8fbdecea8df8e20ac645ad1685a4",
+    2: "f78ca716f24658a9c10e41b27dece25393827b5722e6317434840e8887811acf",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(ORACLE_STREAM_DIGESTS))
+def test_oracle_stream_matches_recorded_digest(seed):
+    assert _oracle_stream_digest(seed) == ORACLE_STREAM_DIGESTS[seed]
