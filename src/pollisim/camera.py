@@ -94,7 +94,9 @@ def look_at(position: np.ndarray, target: np.ndarray, up: np.ndarray = (0.0, 0.0
     """Camera pose at `position` viewing `target`, image up regularized to `up`.
 
     Falls back to the world x-axis as the up reference when the viewing
-    direction is parallel to `up`.
+    direction is within about 1e-6 rad of `up` (for a unit `up`). Closer than
+    that, `down` keeps too few correct digits after cancellation to give a
+    `y` orthogonal to `z` within require_rotation's 1e-8.
     """
     position = np.asarray(position, dtype=float)
     fwd = np.asarray(target, dtype=float) - position
@@ -105,7 +107,7 @@ def look_at(position: np.ndarray, target: np.ndarray, up: np.ndarray = (0.0, 0.0
     upv = np.asarray(up, dtype=float)
     down = -(upv - (upv @ z) * z)
     dn = vnorm(down)
-    if dn <= 1e-9:
+    if dn <= 1e-6:
         down = -(np.array([1.0, 0.0, 0.0]) - z[0] * z)
         dn = vnorm(down)
     y = down / dn

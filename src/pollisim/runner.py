@@ -50,6 +50,7 @@ from .simworld import (
     FlowerGT,
     NoiseModel,
     SceneGenParams,  # re-exported: perfbench and the acceptance tests import it from runner
+    ViewCache,
     generate_scene,
     load_scene,
     observe_with_truth,
@@ -144,6 +145,25 @@ def _arm_homes(center: np.ndarray, radius: float, n: int) -> list[np.ndarray]:
     return homes
 
 
+def _failed_rotation_audit(tracks, verdicts: dict[int, tuple[np.ndarray, bool]]) -> list[int]:
+    """Ids of the tracks whose rotation mean fails the SO(3) audit.
+
+    `verdicts` maps a track id to the rot_mean array last audited and its
+    verdict. The filter replaces rot_mean with a new array on every update
+    and shares the old one otherwise, so a track holding the very array
+    audited before keeps its verdict. Holding the array, not its id(), keeps
+    it alive, so no other array can take its place.
+    """
+    failed = []
+    for t in tracks:
+        seen = verdicts.get(t.id)
+        if seen is None or seen[0] is not t.rot_mean:
+            seen = verdicts[t.id] = (t.rot_mean, is_rotation(t.rot_mean, tol=1e-9))
+        if not seen[1]:
+            failed.append(t.id)
+    return failed
+
+
 def simulate_run(
     cfg: ExperimentConfig, out_dir: str | None = None, validate_rotations: bool = False
 ) -> RunReport:
@@ -182,6 +202,7 @@ def simulate_run(
     # (tick, arm_id, mode type, command type, target id, tip position)
     commands: list[tuple] = []
 
+    verdicts: dict[int, tuple[np.ndarray, bool]] = {}
     n_ticks = 0
     for tick in range(cfg.step_budget):
         n_ticks = tick + 1
@@ -192,9 +213,9 @@ def simulate_run(
             shots.extend((tick, i, r.flower_id, r.detected, r.px_err, r.trans_err, r.rot_err_deg) for r in recs)
             gs = ingest(gs, ms, tparams)
             if validate_rotations:
-                for t in gs.tracks:
-                    if not is_rotation(t.rot_mean, tol=1e-9):
-                        raise AssertionError(f"track {t.id} rotation left SO(3) at tick {tick}")
+                failed = _failed_rotation_audit(gs.tracks, verdicts)
+                if failed:
+                    raise AssertionError(f"track {failed[0]} rotation left SO(3) at tick {tick}")
             cmd, modes[i] = commander_step(modes[i], gs, arms[i], arm_cfgs[i], cmd_rngs[i])
             _apply_command(arms[i], cmd, arm_cfgs[i], scene, tick, attempts)
             target_id = getattr(cmd, "track_id", getattr(modes[i], "target_id", -1))
@@ -252,6 +273,7 @@ def survey_run(noise: NoiseModel, tparams: TrackerParams, k: Intrinsics, n_views
     opportunities = 0
     within_px = 0
     violations = 0
+    verdicts: dict[int, tuple[np.ndarray, bool]] = {}
     for tick in range(n_views):
         cam = sample_viewpoint(rng, flower.pose.position, SURVEY_RADIUS_RANGE, SURVEY_ELEVATION_RANGE)
         ms, recs = observe_with_truth([flower], cam, k, noise, rng, camera_id=0, tick=tick)
@@ -265,9 +287,7 @@ def survey_run(noise: NoiseModel, tparams: TrackerParams, k: Intrinsics, n_views
                 if rec.px_err <= DETECT_SUCCESS_PX:
                     within_px += 1
         gs = ingest(gs, ms, tparams)
-        for t in gs.tracks:
-            if not is_rotation(t.rot_mean, tol=1e-9):
-                violations += 1
+        violations += len(_failed_rotation_audit(gs.tracks, verdicts))
     matches = match_tracks_to_flowers(gs.tracks, [flower])
     if not matches:
         return SurveyTrial(single_trans, single_rot, opportunities, within_px, None, None, violations)
@@ -288,9 +308,11 @@ def survey_run(noise: NoiseModel, tparams: TrackerParams, k: Intrinsics, n_views
 _CAL_RNG_TAG = 7
 
 
-def _stat_for(noise: NoiseModel, k: Intrinsics, n_samples: int, seed: int) -> "tuple[float, float, float]":
+def _stat_for(
+    noise: NoiseModel, k: Intrinsics, n_samples: int, seed: int, views: ViewCache | None = None
+) -> "tuple[float, float, float]":
     rng = np.random.default_rng([seed, _CAL_RNG_TAG])
-    s = single_shot_stats(noise, k, n_samples, rng)
+    s = single_shot_stats(noise, k, n_samples, rng, views)
     return s.mean_trans, s.mean_rot, s.detection_rate
 
 
@@ -336,6 +358,11 @@ def calibrate_noise(
     sigma, so zero targets yield exactly zero noise. pixel_sigma keeps its
     NoiseModel default and is not searched: its contribution to translational
     error is dominated by depth noise at survey ranges.
+
+    Every evaluation restarts the same stream, so evaluations share one
+    ViewCache: a sample whose stream state an earlier evaluation already
+    drew from reuses that flower rotation and viewpoint (see
+    single_shot_stats).
     """
     for key in ("trans_cm", "rot_deg", "det_rate"):
         if key not in targets:
@@ -350,6 +377,8 @@ def calibrate_noise(
     # Inner searches run tighter than the joint verification so boundary hits
     # survive the re-evaluation with all knobs in place.
     inner_tol = 0.4 * rel_tol
+    # n_samples <= 0 gets an empty cache; its searches end in NoConvergence.
+    views = ViewCache(max(n_samples, 0))
 
     # detect_prob first: skipped detections change the downstream RNG draw
     # alignment, so the other statistics are bisected against the final one.
@@ -357,7 +386,7 @@ def calibrate_noise(
         noise = replace(noise, detect_prob=1.0)
     else:
         def det_stat(x: float) -> float:
-            return _stat_for(replace(noise, detect_prob=x), k, n_samples, seed)[2]
+            return _stat_for(replace(noise, detect_prob=x), k, n_samples, seed, views)[2]
 
         hi_rate = det_stat(1.0)
         if hi_rate < det_target:
@@ -368,7 +397,7 @@ def calibrate_noise(
         noise = replace(noise, rot_sigma=0.0)
     else:
         def rot_stat(x: float) -> float:
-            return _stat_for(replace(noise, rot_sigma=x), k, n_samples, seed)[1]
+            return _stat_for(replace(noise, rot_sigma=x), k, n_samples, seed, views)[1]
 
         noise = replace(noise, rot_sigma=_bisect(rot_stat, rot_target, 0.0, 60.0, inner_tol, max_iter, "rot_sigma"))
 
@@ -377,12 +406,12 @@ def calibrate_noise(
     else:
         def trans_stat(x: float) -> float:
             trial = replace(noise, depth_sigma_near=x, depth_sigma_far=DEPTH_FAR_RATIO * x)
-            return _stat_for(trial, k, n_samples, seed)[0]
+            return _stat_for(trial, k, n_samples, seed, views)[0]
 
         near = _bisect(trans_stat, trans_target, 0.0, 0.01, inner_tol, max_iter, "depth_sigma_near")
         noise = replace(noise, depth_sigma_near=near, depth_sigma_far=DEPTH_FAR_RATIO * near)
 
-    trans, rot, det = _stat_for(noise, k, n_samples, seed)
+    trans, rot, det = _stat_for(noise, k, n_samples, seed, views)
     checks = []
     if trans_target > 0:
         checks.append(abs(trans - trans_target) <= rel_tol * trans_target)

@@ -368,16 +368,97 @@ class SingleShotStats:
         return self.detections_within_px / self.opportunities if self.opportunities else float("nan")
 
 
-def single_shot_stats(noise: NoiseModel, k: Intrinsics, n_samples: int, rng: np.random.Generator) -> SingleShotStats:
+def _draw_view(rng: np.random.Generator) -> tuple[Pose, CameraPose]:
+    """One calibration sample's geometry: a uniformly random flower rotation
+    at the origin, then a survey viewpoint looking at it."""
+    flower_pose = Pose(np.zeros(3), random_rotation(rng))
+    return flower_pose, sample_viewpoint(rng, flower_pose.position, SURVEY_RADIUS_RANGE, SURVEY_ELEVATION_RANGE)
+
+
+_MASK128 = (1 << 128) - 1
+
+
+def _pcg64_key(rng: np.random.Generator) -> int:
+    """The generator's whole PCG64 state (state, inc, has_uint32, uinteger) packed into one int."""
+    st = rng.bit_generator.state
+    if st["bit_generator"] != "PCG64":
+        raise TypeError(f"ViewCache keys on PCG64 states, not {st['bit_generator']}")
+    inner = st["state"]
+    return (((inner["state"] << 128) | inner["inc"]) << 33) | (st["has_uint32"] << 32) | st["uinteger"]
+
+
+def _pcg64_state(key: int) -> dict:
+    """Inverse of `_pcg64_key`: the state dict that `bit_generator.state` accepts."""
+    return {
+        "bit_generator": "PCG64",
+        "state": {"state": key >> 161, "inc": (key >> 33) & _MASK128},
+        "has_uint32": (key >> 32) & 1,
+        "uinteger": key & 0xFFFFFFFF,
+    }
+
+
+class ViewCache:
+    """The views `single_shot_stats` drew, one slot per sample index, so that
+    a later call reaching the same generator state reuses them.
+
+    A slot holds the generator state at the start of the sample, the flower
+    rotation and camera pose drawn from it, and the state those two draws
+    left behind. The geometry sits in preallocated arrays and each state in
+    one packed int: about 300 bytes a slot, where Pose objects and state
+    dicts would take several times that.
+    """
+
+    def __init__(self, n_slots: int) -> None:
+        self.flower_rot = np.empty((n_slots, 3, 3))
+        self.cam_pos = np.empty((n_slots, 3))
+        self.cam_rot = np.empty((n_slots, 3, 3))
+        self.start: list[int | None] = [None] * n_slots
+        self.after: list[int] = [0] * n_slots
+
+    def __len__(self) -> int:
+        return len(self.start)
+
+    def view(self, i: int, rng: np.random.Generator) -> tuple[Pose, CameraPose]:
+        """Slot i's view if rng is in its start state (rng then moves to the
+        stored after-state), else a fresh draw that overwrites slot i."""
+        start = _pcg64_key(rng)
+        if self.start[i] == start:
+            rng.bit_generator.state = _pcg64_state(self.after[i])
+            return (
+                Pose(np.zeros(3), self.flower_rot[i].copy()),
+                Pose(self.cam_pos[i].copy(), self.cam_rot[i].copy()),
+            )
+        flower_pose, cam = _draw_view(rng)
+        self.flower_rot[i] = flower_pose.rotation
+        self.cam_pos[i] = cam.position
+        self.cam_rot[i] = cam.rotation
+        self.start[i] = start
+        self.after[i] = _pcg64_key(rng)
+        return flower_pose, cam
+
+
+def single_shot_stats(
+    noise: NoiseModel, k: Intrinsics, n_samples: int, rng: np.random.Generator, views: ViewCache | None = None
+) -> SingleShotStats:
     """Sample one flower from n_samples independent viewpoints and collect
     the oracle's single-shot error statistics (clutter excluded).
+
+    Each sample draws a flower rotation and a viewpoint, then observes. With
+    `views`, sample i takes its rotation and viewpoint from slot i of the
+    cache whenever rng is in the state that slot was drawn from, and skips
+    the draws. Those two draws read nothing but the generator, so the same
+    start state gives the same geometry bits and the same end state: the
+    result, and rng's state afterwards, equal the uncached call's. This pays
+    off under common random numbers, where calibration re-seeds every
+    evaluation and only the observation draws differ between them.
     """
+    if views is not None and len(views) < n_samples:
+        raise ValueError(f"ViewCache has {len(views)} slots for {n_samples} samples")
     stats = SingleShotStats(opportunities=0)
     quiet = replace(noise, clutter_rate=0.0)
     flower = FlowerGT(id=0, pose=Pose(np.zeros(3), np.eye(3)))
-    for _ in range(n_samples):
-        flower.pose = Pose(np.zeros(3), random_rotation(rng))
-        cam = sample_viewpoint(rng, flower.pose.position, SURVEY_RADIUS_RANGE, SURVEY_ELEVATION_RANGE)
+    for i in range(n_samples):
+        flower.pose, cam = _draw_view(rng) if views is None else views.view(i, rng)
         _, records = observe_with_truth([flower], cam, k, quiet, rng)
         for rec in records:
             stats.opportunities += 1

@@ -1,8 +1,8 @@
 """The benchmark's tracer (perfbench/benchtrace.py) times each layer by
 patching names in the `pollisim.runner` and `pollisim.simworld` namespaces. A
 call that stops going through one of those names reads as zero calls there
-and fails nothing else, so this pins that a run, its eval, a survey and the
-single-shot statistics still reach every one of them.
+and fails nothing else, so this pins that a run, its eval, a survey, the
+single-shot statistics and a calibration still reach every one of them.
 """
 
 import os
@@ -21,8 +21,6 @@ if PERFBENCH not in sys.path:
 
 import benchtrace  # noqa: E402
 
-# Calibration is the one runner job these calls do not exercise.
-NOT_REACHED = {"pollisim.runner.calibrate_noise"}
 # The oracle and camera calls the calibrate and survey_1000 workloads require.
 ORACLE_POINTS = [
     "pollisim.simworld.sample_viewpoint",
@@ -30,6 +28,8 @@ ORACLE_POINTS = [
     "pollisim.simworld.project",
     "pollisim.simworld.observe_with_truth",
 ]
+CAL_TARGETS = {"trans_cm": 3.03, "rot_deg": 29.88, "det_rate": 0.9301}
+CAL_SAMPLES = 150
 
 
 def test_runner_patch_points_fire(tmp_path):
@@ -42,10 +42,19 @@ def test_runner_patch_points_fire(tmp_path):
         assert runner.evaluate_run_dir(str(tmp_path / "run")).to_json() == report.to_json()
         runner.survey_run(NoiseModel(), TrackerParams(), Intrinsics.default(), 5, 0)
         runner.single_shot_stats(NoiseModel(), Intrinsics.default(), 20, np.random.default_rng(0))
+        views_before = tracer.stats["simworld.sample_viewpoint"][0]
+        evals_before = tracer.stats["simworld.single_shot_stats"][0]
+        runner.calibrate_noise(CAL_TARGETS, seed=0, n_samples=CAL_SAMPLES)
     assert report.n_succeeded == 1  # the run reached the servo, so svd_project ran
     points = {f"{mod}.{attr}" for mod, attr, _ in benchtrace.PATCHES if mod == "pollisim.runner"}
-    silent = sorted(p for p in (points - NOT_REACHED) | set(ORACLE_POINTS) if tracer.fired[p] == 0)
+    silent = sorted(p for p in points | set(ORACLE_POINTS) if tracer.fired[p] == 0)
     assert silent == []
     assert tracer.fired["pollisim.runner.aggregate"] == 2
     # every viewpoint is built by one look_at call through simworld's own name
-    assert tracer.stats["camera.look_at"][0] == tracer.stats["simworld.sample_viewpoint"][0] == 5 + 20
+    assert views_before == 5 + 20
+    assert tracer.stats["camera.look_at"][0] == tracer.stats["simworld.sample_viewpoint"][0]
+    # calibration draws fewer viewpoints than it uses: its evaluations share views
+    cal_evals = tracer.stats["simworld.single_shot_stats"][0] - evals_before
+    cal_views = tracer.stats["simworld.sample_viewpoint"][0] - views_before
+    assert cal_evals > 1
+    assert CAL_SAMPLES <= cal_views < cal_evals * CAL_SAMPLES

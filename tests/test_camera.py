@@ -174,6 +174,12 @@ def _pose_outcome(fn, *args):
     return pose.position.tobytes() + pose.rotation.tobytes()
 
 
+def _reference_down_norm(position, target, up):
+    z = (np.asarray(target, dtype=float) - position) / np.linalg.norm(np.asarray(target, dtype=float) - position)
+    upv = np.asarray(up, dtype=float)
+    return np.linalg.norm(-(upv - (upv @ z) * z))
+
+
 def test_look_at_matches_reference_bitwise():
     rng = np.random.default_rng(80)
     cases = []
@@ -182,18 +188,32 @@ def test_look_at_matches_reference_bitwise():
         offset = rng.normal(size=3) * rng.uniform(0.05, 1.0)
         if i % 4 == 0:
             # straight down or up the up axis, or a hair off it: the fallback
-            # branch and both sides of its 1e-9 switch
+            # branch and both sides of its switch
             offset = np.array([0.0, 0.0, rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 1.0)])
             offset[:2] = rng.normal(size=2) * 10.0 ** rng.uniform(-18, -6)
         up = (0.0, 0.0, 1.0) if i % 3 else rng.normal(size=3)
         cases.append((target + offset, target, up))
     cases += [(np.zeros(3), np.zeros(3), (0.0, 0.0, 1.0)), (np.full(3, np.nan), np.zeros(3), (0.0, 0.0, 1.0))]
     outcomes = [_pose_outcome(look_at, *c) for c in cases]
-    assert outcomes == [_pose_outcome(_reference_look_at, *c) for c in cases]
-    # the coincident and the NaN camera raise in both; so do views a few 1e-9
-    # off the up axis, whose `down` loses the digits require_rotation checks
-    assert all(isinstance(o, str) for o in outcomes[-2:])
-    assert sum(isinstance(o, str) for o in outcomes) < 20
+    # The coincident and the NaN camera raise; every other view gives a pose.
+    assert [i for i, o in enumerate(outcomes) if isinstance(o, str)] == [len(cases) - 2, len(cases) - 1]
+    assert outcomes[-2:] == [_pose_outcome(_reference_look_at, *c) for c in cases[-2:]]
+    # The reference switched to the fallback at |down| <= 1e-9, where views a
+    # few 1e-9 off the up axis lose the digits require_rotation checks; look_at
+    # switches at 1e-6. Inside that band: a valid pose aimed at the target.
+    # Outside it: the reference's bits.
+    in_band = 0
+    for (position, target, up), got in zip(cases[:-2], outcomes[:-2]):
+        if 1e-9 < _reference_down_norm(position, target, up) <= 1e-6:
+            in_band += 1
+            pose = look_at(position, target, up)
+            assert pose.position.tobytes() == position.tobytes()
+            assert is_rotation(pose.rotation, tol=1e-8)
+            fwd = target - position
+            assert_allclose(pose.rotation[:, 2], fwd / np.linalg.norm(fwd), rtol=0, atol=1e-12)
+        else:
+            assert got == _pose_outcome(_reference_look_at, position, target, up)
+    assert in_band > 100
 
 
 def test_uplift_matches_reference_bitwise():

@@ -1,0 +1,117 @@
+"""Work the runner skips because its result is already known: calibration's
+reused views and the rotation audit's reused verdicts. Each must leave every
+result exactly as the full computation gives it."""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from pollisim import runner
+from pollisim.camera import Intrinsics
+from pollisim.simworld import NoiseModel, SceneGenParams
+from pollisim.tracker import TrackerParams
+
+K = Intrinsics.default()
+CLI_TARGETS = {"trans_cm": 3.03, "rot_deg": 29.88, "det_rate": 0.9301}
+NOISELESS_TARGETS = {"trans_cm": 0.0, "rot_deg": 0.0, "det_rate": 1.0}
+# No detect bisection, but both sigma searches.
+PERFECT_DETECTION_TARGETS = {"trans_cm": 3.03, "rot_deg": 29.88, "det_rate": 1.0}
+
+
+def _calibration_record(monkeypatch, targets, seed, cached):
+    """Every evaluation's (trans, rot, det), then the model or the failure."""
+    evals = []
+    inner = runner.single_shot_stats
+
+    def recorded(noise, k, n_samples, rng, *views):
+        s = inner(noise, k, n_samples, rng, *(views if cached else ()))
+        evals.append((s.mean_trans, s.mean_rot, s.detection_rate))
+        return s
+
+    with monkeypatch.context() as m:
+        m.setattr(runner, "single_shot_stats", recorded)
+        try:
+            outcome = runner.calibrate_noise(targets, seed=seed, n_samples=250).to_json()
+        except runner.NoConvergence as exc:
+            outcome = str(exc)
+    return evals, outcome
+
+
+@pytest.mark.parametrize("targets", [CLI_TARGETS, NOISELESS_TARGETS, PERFECT_DETECTION_TARGETS])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_calibration_with_reused_views_equals_the_uncached_one(monkeypatch, targets, seed):
+    cached = _calibration_record(monkeypatch, targets, seed, cached=True)
+    uncached = _calibration_record(monkeypatch, targets, seed, cached=False)
+    # NaN statistics (no detection at all) compare equal through repr
+    assert repr(cached) == repr(uncached)
+    assert len(cached[0]) >= 1
+
+
+def _bad_rotation_ingest(monkeypatch, views):
+    """Make runner.ingest return, at the given views (0-based ingest count),
+    the first track holding one fixed non-rotation mean. The filter itself
+    keeps running on the true state."""
+    real_ingest = runner.ingest
+    bad = 2.0 * np.eye(3)
+    state = {"gs": None, "view": -1}
+
+    def ingest(gs, ms, tparams):
+        state["view"] += 1
+        state["gs"] = real_ingest(gs if state["gs"] is None else state["gs"], ms, tparams)
+        tracks = state["gs"].tracks
+        if state["view"] in views and tracks:
+            return replace(state["gs"], tracks=[replace(tracks[0], rot_mean=bad), *tracks[1:]])
+        return state["gs"]
+
+    monkeypatch.setattr(runner, "ingest", ingest)
+
+
+def _counted_is_rotation(monkeypatch):
+    audited = []
+    real = runner.is_rotation
+    monkeypatch.setattr(runner, "is_rotation", lambda m, tol: audited.append(len(audited)) or real(m, tol=tol))
+    return audited
+
+
+def _count_tracks_per_ingest(monkeypatch):
+    counts = []
+    real_ingest = runner.ingest
+
+    def counting(gs, ms, tparams):
+        out = real_ingest(gs, ms, tparams)
+        counts.append(len(out.tracks))
+        return out
+
+    monkeypatch.setattr(runner, "ingest", counting)
+    return counts
+
+
+def test_survey_audit_counts_every_failing_view_and_reuses_verdicts(monkeypatch):
+    n_views, bad_views = 20, range(6, 11)
+    clean = runner.survey_run(NoiseModel(), TrackerParams(), K, n_views, 3)
+    assert clean.rotation_violations == 0
+
+    tracks_per_view = _count_tracks_per_ingest(monkeypatch)
+    _bad_rotation_ingest(monkeypatch, set(bad_views))
+    audited = _counted_is_rotation(monkeypatch)
+    trial = runner.survey_run(NoiseModel(), TrackerParams(), K, n_views, 3)
+    assert all(tracks_per_view[v] >= 1 for v in bad_views)
+    assert trial.rotation_violations == len(bad_views)
+    assert 0 < len(audited) < sum(tracks_per_view)
+    # the fused result is untouched: the filter never saw the bad mean
+    assert (trial.final_trans, trial.final_rot) == (clean.final_trans, clean.final_rot)
+
+
+def test_validated_run_raises_on_a_bad_rotation_and_reuses_verdicts(monkeypatch):
+    cfg = runner.ExperimentConfig(seed=1, scene_gen=SceneGenParams(count=3), step_budget=60)
+    plain = runner.simulate_run(cfg).to_json()
+    with monkeypatch.context() as m:
+        tracks_per_tick = _count_tracks_per_ingest(m)
+        audited = _counted_is_rotation(m)
+        assert runner.simulate_run(cfg, validate_rotations=True).to_json() == plain
+    assert 0 < len(audited) < sum(tracks_per_tick)
+    assert tracks_per_tick[40] >= 1
+    _bad_rotation_ingest(monkeypatch, {40})
+    with pytest.raises(AssertionError, match="rotation left SO\\(3\\) at tick 40"):
+        runner.simulate_run(cfg, validate_rotations=True)

@@ -7,6 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from helpers import ks_uniform_pvalue
+from pollisim import simworld
 from pollisim.camera import Intrinsics, look_at, project, to_world, uplift
 from pollisim.simworld import (
     SURVEY_ELEVATION_RANGE,
@@ -16,6 +17,7 @@ from pollisim.simworld import (
     NoiseModel,
     ParseError,
     SceneGenParams,
+    ViewCache,
     generate_scene,
     load_scene,
     observe_with_truth,
@@ -243,6 +245,65 @@ def test_single_shot_stats_noiseless():
     assert stats.detection_rate == 1.0
     assert stats.mean_trans < 1e-9
     assert stats.mean_rot < 1e-5
+
+
+def _stats_bits(stats):
+    return (stats.opportunities, stats.detections_within_px, stats.trans_errors, stats.rot_errors)
+
+
+def test_view_cache_gives_the_uncached_stats_across_seeds(monkeypatch):
+    # Two streams fed through one cache in alternation: a call finds the
+    # slots holding the other seed's views, or its own where they are still
+    # there. Each call must equal the uncached one, rng state afterwards too.
+    n = 150
+    views = ViewCache(n)
+    draws = []
+    real = simworld.sample_viewpoint
+    monkeypatch.setattr(simworld, "sample_viewpoint", lambda *args: draws.append(1) or real(*args))
+    drawn = []
+    for model in (NoiseModel(), NoiseModel(detect_prob=0.6, rot_sigma=10.0), NoiseModel(flip_prob=0.5)):
+        for seed in (3, 4, 3, 3, 4):
+            want_rng, got_rng = np.random.default_rng([seed, 7]), np.random.default_rng([seed, 7])
+            with monkeypatch.context() as m:
+                m.setattr(simworld, "sample_viewpoint", real)
+                want = single_shot_stats(model, K, n, want_rng)
+            before = len(draws)
+            got = single_shot_stats(model, K, n, got_rng, views)
+            drawn.append(len(draws) - before)
+            assert _stats_bits(got) == _stats_bits(want)
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state
+            assert len(views) == n
+    # A seed after the other one redraws every view; a seed repeated with
+    # the same model redraws none.
+    assert drawn == [n, n, n, 0, n] * 3
+    with pytest.raises(ValueError, match="slots"):
+        single_shot_stats(NoiseModel(), K, n + 1, np.random.default_rng(0), views)
+
+
+def test_view_cache_reuses_only_an_identical_state(monkeypatch):
+    draws = []
+    real = simworld.sample_viewpoint
+    monkeypatch.setattr(simworld, "sample_viewpoint", lambda *args: draws.append(1) or real(*args))
+    views = ViewCache(1)
+    rng = np.random.default_rng(5)
+    first = views.view(0, rng)
+    after = rng.bit_generator.state
+    rng = np.random.default_rng(5)
+    again = views.view(0, rng)
+    assert len(draws) == 1
+    assert rng.bit_generator.state == after
+    for a, b in zip(first, again):
+        assert a.position.tobytes() == b.position.tobytes() and a.rotation.tobytes() == b.rotation.tobytes()
+    # The same 128-bit state and increment with a buffered 32-bit half is
+    # another state: the slot is redrawn, and then the first state misses.
+    rng = np.random.default_rng(5)
+    rng.bit_generator.state = dict(rng.bit_generator.state, has_uint32=1, uinteger=12345)
+    views.view(0, rng)
+    assert rng.bit_generator.state["has_uint32"] == 1
+    views.view(0, np.random.default_rng(5))
+    assert len(draws) == 3
+    with pytest.raises(TypeError, match="PCG64"):
+        views.view(0, np.random.Generator(np.random.MT19937(0)))
 
 
 def _pack_floats(h, *values):
