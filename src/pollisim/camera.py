@@ -11,7 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .so3 import Pose, aligning_rotation, cross3, fields_to_json, require_rotation, vnorm
+from .configfields import fields_to_json
+from .so3 import EX, EZ, Pose, aligning_rotation, cross3, require_rotation, vnorm
 
 # A camera pose is a rigid pose of the camera in the world frame: columns of
 # rotation are the camera axes (x right, y down, z forward / viewing).
@@ -90,13 +91,13 @@ def project(x_world: np.ndarray, cam: CameraPose, k: Intrinsics) -> PixelObs | N
     return PixelObs(u=float(u), v=float(v), ray_depth=vnorm(x_cam))
 
 
-def look_at(position: np.ndarray, target: np.ndarray, up: np.ndarray = (0.0, 0.0, 1.0)) -> CameraPose:
-    """Camera pose at `position` viewing `target`, image up regularized to `up`.
+def look_at(position: np.ndarray, target: np.ndarray) -> CameraPose:
+    """Camera pose at `position` viewing `target`, image up regularized to world z.
 
     Falls back to the world x-axis as the up reference when the viewing
-    direction is within about 1e-6 rad of `up` (for a unit `up`). Closer than
-    that, `down` keeps too few correct digits after cancellation to give a
-    `y` orthogonal to `z` within require_rotation's 1e-8.
+    direction is within about 1e-6 rad of world z. Closer than that, `down`
+    keeps too few correct digits after cancellation to give a `y` orthogonal
+    to `z` within require_rotation's 1e-8.
     """
     position = np.asarray(position, dtype=float)
     fwd = np.asarray(target, dtype=float) - position
@@ -104,11 +105,10 @@ def look_at(position: np.ndarray, target: np.ndarray, up: np.ndarray = (0.0, 0.0
     if n <= 1e-12:
         raise ValueError("camera position coincides with the look-at target")
     z = fwd / n
-    upv = np.asarray(up, dtype=float)
-    down = -(upv - (upv @ z) * z)
+    down = -(EZ - (EZ @ z) * z)
     dn = vnorm(down)
     if dn <= 1e-6:
-        down = -(np.array([1.0, 0.0, 0.0]) - z[0] * z)
+        down = -(EX - z[0] * z)
         dn = vnorm(down)
     y = down / dn
     # columns x, y, z, in C order like np.column_stack
@@ -127,5 +127,4 @@ def aim_pose(position: np.ndarray, target: np.ndarray) -> Pose:
     n = vnorm(d)
     if n <= 1e-12:
         raise ValueError("aim target coincides with position")
-    rot = aligning_rotation(np.array([0.0, 0.0, 1.0]), d / n, fallback_axis=np.array([1.0, 0.0, 0.0]))
-    return Pose(position, rot)
+    return Pose(position, aligning_rotation(d / n))

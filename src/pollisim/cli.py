@@ -15,24 +15,15 @@ import sys
 
 import numpy as np
 
-from .artifacts import SchemaMismatch
 from .config import ConfigError, config_digest, load_config
-from .metrics import EmptyRun, InvalidCounts, REPORT_CSV_HEADER, report_csv_row, summary_table
+from .metrics import REPORT_CSV_HEADER, report_csv_row, summary_table
 from .runner import NoConvergence, calibrate_noise, evaluate_run_dir, simulate_run
-from .simworld import InvariantViolation, ParseError, SceneGenParams, generate_scene, save_scene
+from .simworld import SceneGenParams, generate_scene, save_scene
 
 log = logging.getLogger("pollisim")
 
-_RUNTIME_ERRORS = (
-    InvariantViolation,
-    ParseError,
-    SchemaMismatch,
-    NoConvergence,
-    EmptyRun,
-    InvalidCounts,
-    ValueError,
-    OSError,
-)
+# Every error type the package raises is one of these three.
+_RUNTIME_ERRORS = (ValueError, NoConvergence, OSError)
 
 
 def _setup_logging() -> None:
@@ -69,6 +60,9 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
     targets = {"trans_cm": args.trans_cm, "rot_deg": args.rot_deg, "det_rate": args.det_rate}
     if any(v < 0 for v in targets.values()):
         print("error: config field 'targets': values must be >= 0", file=sys.stderr)
+        return 2
+    if args.samples < 1:
+        print("error: config field 'samples': must be >= 1", file=sys.stderr)
         return 2
     try:
         noise = calibrate_noise(targets, seed=args.seed, n_samples=args.samples)

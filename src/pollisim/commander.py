@@ -11,22 +11,13 @@ execute and the successor mode.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .camera import CameraPose
-from .so3 import (
-    EZ,
-    Pose,
-    aligning_rotation,
-    check_fields,
-    cross3,
-    fields_to_json,
-    from_axis_angle,
-    random_unit_vector,
-    vnorm,
-)
+from .configfields import check_fields, fields_to_json
+from .so3 import Pose, aligning_rotation, cross3, from_axis_angle, random_unit_vector, vnorm
 from .tracker import (
     GlobalState,
     Track,
@@ -100,9 +91,13 @@ CAM_OFFSET = np.array([0.0, 0.0, -0.10])
 
 @dataclass(eq=False)
 class ArmState:
-    """Pollinator tip pose; the tip +z axis is the approach/tool direction."""
+    """Pollinator tip pose; the tip +z axis is the approach/tool direction.
+
+    `arm_id` is the arm's index in the run; claims and attempts carry it.
+    """
 
     tip_pose: Pose
+    arm_id: int = 0
 
     @property
     def camera(self) -> CameraPose:
@@ -110,15 +105,10 @@ class ArmState:
         return Pose(self.tip_pose.position + rot @ CAM_OFFSET, rot)
 
 
-# CommanderConfig fields that each run sets per arm; they have no JSON form.
-SET_BY_RUN = ("arm_id", "tracker")
-
-
 @dataclass(frozen=True)
 class CommanderConfig:
     """Control gains, tolerances and mode-transition thresholds."""
 
-    arm_id: int = 0
     gain: float = 0.5
     max_step: float = 0.02
     max_rot_step_deg: float = 20.0
@@ -134,7 +124,6 @@ class CommanderConfig:
     search_patience: int = 300
     workspace_center: tuple[float, float, float] = (0.0, 0.0, 0.0)
     workspace_radius: float = 0.5
-    tracker: TrackerParams = field(default_factory=TrackerParams)
 
     def __post_init__(self) -> None:
         check_fields(
@@ -145,7 +134,6 @@ class CommanderConfig:
             ),
             nonnegative=("standoff",),
             counts=(("trigger_fresh", 0), ("servo_patience", 1), ("search_patience", 1)),
-            exclude=("tracker",),
         )
         if not (0.0 < self.gain <= 1.0):
             raise ValueError("gain must be in (0, 1]")
@@ -153,7 +141,7 @@ class CommanderConfig:
             raise ValueError("workspace_center must be three numbers")
 
     def to_json(self) -> dict:
-        return fields_to_json(self, exclude=SET_BY_RUN)
+        return fields_to_json(self)
 
 
 def standoff_pose(flower_pose: Pose, standoff: float) -> Pose:
@@ -164,8 +152,7 @@ def standoff_pose(flower_pose: Pose, standoff: float) -> Pose:
     +z to -z is ambiguous and resolves about the world x-axis.
     """
     zf = flower_pose.rotation[:, 2]
-    rot = aligning_rotation(EZ, -zf, fallback_axis=np.array([1.0, 0.0, 0.0]))
-    return Pose(flower_pose.position + standoff * zf, rot)
+    return Pose(flower_pose.position + standoff * zf, aligning_rotation(-zf))
 
 
 def _angle_between(a: np.ndarray, b: np.ndarray) -> float:
@@ -219,15 +206,17 @@ def servo_delta(tip: Pose, target: Pose, gain: float, max_step: float) -> MoveDe
     return MoveDelta(dpos=dpos, drot=drot)
 
 
-def _eligible_targets(gs: GlobalState, cfg: CommanderConfig, ignore_claims: bool = False) -> list[Track]:
+def _eligible_targets(gs: GlobalState, cfg: CommanderConfig, tparams: TrackerParams, arm_id: int | None) -> list[Track]:
+    """Confident, unpollinated tracks in reach; unless arm_id is None, those
+    another arm has claimed are left out."""
     out = []
     center = np.asarray(cfg.workspace_center, dtype=float)
     for t in gs.tracks:
-        if t.pollinated or not is_confident(t, cfg.tracker):
+        if t.pollinated or not is_confident(t, tparams):
             continue
-        if not ignore_claims:
+        if arm_id is not None:
             holder = gs.claims.get(t.id)
-            if holder is not None and holder != cfg.arm_id:
+            if holder is not None and holder != arm_id:
                 continue
         if np.linalg.norm(t.pos_mean - center) > cfg.workspace_radius + cfg.standoff:
             continue
@@ -236,9 +225,9 @@ def _eligible_targets(gs: GlobalState, cfg: CommanderConfig, ignore_claims: bool
 
 
 def _lost(
-    gs: GlobalState, cfg: CommanderConfig, target_id: int, rng: np.random.Generator, search_steps: int
+    gs: GlobalState, arm_id: int, target_id: int, rng: np.random.Generator, search_steps: int
 ) -> tuple[Command, Mode]:
-    release_target(gs, target_id, cfg.arm_id)
+    release_target(gs, target_id, arm_id)
     return Explore(tuple(random_unit_vector(rng))), Searching(search_steps)
 
 
@@ -247,12 +236,14 @@ def step(
     gs: GlobalState,
     arm: ArmState,
     cfg: CommanderConfig,
+    tparams: TrackerParams,
     rng: np.random.Generator,
 ) -> tuple[Command, Mode]:
     """Advance the state machine one tick against the current global state.
 
-    Claims on the shared state are taken when an approach starts and released
-    on trigger or target loss, so two arms never chase the same track.
+    A track is a target once `tparams` deems it confident. Claims on the
+    shared state are taken when an approach starts and released on trigger
+    or target loss, so two arms never chase the same track.
     """
     tip = arm.tip_pose
 
@@ -260,23 +251,23 @@ def step(
         return Explore(tuple(random_unit_vector(rng))), mode
 
     if isinstance(mode, Searching):
-        targets = _eligible_targets(gs, cfg)
+        targets = _eligible_targets(gs, cfg, tparams, arm.arm_id)
         if targets:
             nearest = min(
                 targets,
                 key=lambda t: (float(np.linalg.norm(t.pos_mean - tip.position)), t.id),
             )
-            claim_target(gs, nearest.id, cfg.arm_id)
+            claim_target(gs, nearest.id, arm.arm_id)
             goal = standoff_pose(Pose(nearest.pos_mean, nearest.rot_mean), cfg.standoff)
             return MoveTo(goal), RoughLocalization(nearest.id, mode.steps)
-        if mode.steps >= cfg.search_patience and not _eligible_targets(gs, cfg, ignore_claims=True):
+        if mode.steps >= cfg.search_patience and not _eligible_targets(gs, cfg, tparams, None):
             return Explore(tuple(random_unit_vector(rng))), Done()
         return Explore(tuple(random_unit_vector(rng))), Searching(mode.steps + 1)
 
     if isinstance(mode, RoughLocalization):
         t = get_track(gs, mode.target_id)
         if t is None or t.pollinated:
-            return _lost(gs, cfg, mode.target_id, rng, mode.search_steps)
+            return _lost(gs, arm.arm_id, mode.target_id, rng, mode.search_steps)
         goal = standoff_pose(Pose(t.pos_mean, t.rot_mean), cfg.standoff)
         arrived = (
             float(np.linalg.norm(tip.position - goal.position)) <= cfg.arrival_pos
@@ -289,13 +280,13 @@ def step(
     # VisualServo
     t = get_track(gs, mode.target_id)
     if t is None or t.pollinated:
-        return _lost(gs, cfg, mode.target_id, rng, mode.search_steps)
+        return _lost(gs, arm.arm_id, mode.target_id, rng, mode.search_steps)
     if t.last_meas is None or gs.tick - t.last_meas.tick > cfg.servo_patience:
         # The camera is pointed straight at this estimate and sees nothing:
         # treat the track as refuted, not merely lost, or a clutter-born
         # phantom would be re-targeted forever.
         remove_track(gs, mode.target_id)
-        return _lost(gs, cfg, mode.target_id, rng, mode.search_steps)
+        return _lost(gs, arm.arm_id, mode.target_id, rng, mode.search_steps)
     # Real-time feedback: position from the latest raw measurement of this
     # flower; orientation from the filtered track, whose facing estimate is
     # far more reliable than any single shot.

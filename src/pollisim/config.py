@@ -2,10 +2,10 @@
 parsing from JSON.
 
 Every section (`noise`, `tracker`, `commander`, `camera`, `scene.generate`)
-is read by `so3.fields_from_json`, so one rule, taken from the dataclass
-field annotations, decides what a number means in any of them. The top level
-follows the same rule: its integers go through the same number check, and a
-key that is not a config field is an error.
+is read by `configfields.fields_from_json`, so one rule, taken from the
+dataclass field annotations, decides what a number means in any of them. The
+top level follows the same rule: its integers go through the same number
+check, and a key that is not a config field is an error.
 """
 
 from __future__ import annotations
@@ -16,9 +16,9 @@ import os
 from dataclasses import dataclass, field
 
 from .camera import Intrinsics
-from .commander import SET_BY_RUN, CommanderConfig
+from .commander import CommanderConfig
+from .configfields import fields_from_json, json_number
 from .simworld import NoiseModel, SceneGenParams
-from .so3 import _number, fields_from_json
 from .tracker import TrackerParams
 
 
@@ -73,21 +73,21 @@ def config_digest(cfg: ExperimentConfig) -> str:
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 
-def _section(name: str, cls, value, exclude: tuple[str, ...] = ()):
+def _section(name: str, cls, value):
     try:
-        return fields_from_json(cls, value, exclude)
+        return fields_from_json(cls, value)
     except (TypeError, ValueError) as exc:
         raise ConfigError(name, str(exc)) from exc
 
 
 _SECTIONS = (
-    ("noise", NoiseModel, ()),
-    ("tracker", TrackerParams, ()),
-    ("commander", CommanderConfig, SET_BY_RUN),
-    ("camera", Intrinsics, ()),
+    ("noise", NoiseModel),
+    ("tracker", TrackerParams),
+    ("commander", CommanderConfig),
+    ("camera", Intrinsics),
 )
 _COUNTS = ("arm_count", "step_budget", "viewpoints_per_flower")
-_TOP_LEVEL = ("schema_version", "seed", "scene", *(name for name, _, _ in _SECTIONS), *_COUNTS)
+_TOP_LEVEL = ("schema_version", "seed", "scene", *(name for name, _ in _SECTIONS), *_COUNTS)
 
 
 def _unknown_keys(prefix: str, d: dict, known) -> None:
@@ -99,7 +99,7 @@ def _unknown_keys(prefix: str, d: dict, known) -> None:
 def _integer(name: str, value, least: int | None = None) -> int:
     """`value` as an int by the sections' rule (`25.0` reads as 25), at least `least`."""
     try:
-        value = _number(name, "int", value)
+        value = json_number(name, "int", value)
         if least is None or value >= least:
             return value
     except (TypeError, ValueError):
@@ -130,7 +130,7 @@ def parse_config(data: dict, config_dir: str = ".") -> ExperimentConfig:
         scene_gen = _section("scene.generate", SceneGenParams, scene["generate"])
 
     # absent keys take the ExperimentConfig defaults
-    given = {name: _section(name, cls, data[name], exclude) for name, cls, exclude in _SECTIONS if name in data}
+    given = {name: _section(name, cls, data[name]) for name, cls in _SECTIONS if name in data}
     given.update((name, _integer(name, data[name], 1)) for name in _COUNTS if name in data)
     return ExperimentConfig(seed=seed, scene_path=scene_path, scene_gen=scene_gen, **given)
 

@@ -9,8 +9,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .configfields import fields_to_json
 from .simworld import DETECT_SUCCESS_PX, FlowerGT
-from .so3 import Pose, fields_to_json, zaxis_angle
+from .so3 import Pose, zaxis_angle
 from .tracker import Track, greedy_pairs
 
 # Pose success thresholds (boundaries inclusive); DETECT_SUCCESS_PX is the

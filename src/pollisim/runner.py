@@ -35,7 +35,6 @@ from .commander import (
 )
 from .config import ConfigError, ExperimentConfig, config_digest
 from .metrics import (
-    DETECT_SUCCESS_PX,
     AttemptRecord,
     RunLogs,
     RunReport,
@@ -50,6 +49,7 @@ from .simworld import (
     FlowerGT,
     NoiseModel,
     SceneGenParams,  # re-exported: perfbench and the acceptance tests import it from runner
+    SingleShotStats,
     ViewCache,
     generate_scene,
     load_scene,
@@ -128,7 +128,7 @@ def _apply_command(
         success = (not flower.pollinated) and check_pollination(tip, flower, cfg.eps_pos, cfg.eps_ang)
         if success:
             flower.pollinated = True
-        attempts.append(AttemptRecord(tick, cfg.arm_id, cmd.track_id, flower.id, success))
+        attempts.append(AttemptRecord(tick, arm.arm_id, cmd.track_id, flower.id, success))
     else:  # pragma: no cover - exhaustive over Command
         raise TypeError(f"unknown command {cmd!r}")
 
@@ -185,14 +185,13 @@ def simulate_run(
     if not scene:
         raise ConfigError("scene", "scene contains no flowers")
     tparams = cfg.resolved_tracker()
-    base_cmdr = replace(cfg.commander, tracker=tparams)
-    center = np.asarray(base_cmdr.workspace_center, dtype=float)
+    cmdr = cfg.commander
+    center = np.asarray(cmdr.workspace_center, dtype=float)
 
     gs = GlobalState()
-    homes = _arm_homes(center, base_cmdr.workspace_radius, cfg.arm_count)
-    arms = [ArmState(tip_pose=aim_pose(h, center)) for h in homes]
+    homes = _arm_homes(center, cmdr.workspace_radius, cfg.arm_count)
+    arms = [ArmState(tip_pose=aim_pose(h, center), arm_id=i) for i, h in enumerate(homes)]
     modes: list[Mode] = [Searching() for _ in range(cfg.arm_count)]
-    arm_cfgs = [replace(base_cmdr, arm_id=i) for i in range(cfg.arm_count)]
     cam_rngs = [np.random.default_rng([cfg.seed, 1, i]) for i in range(cfg.arm_count)]
     cmd_rngs = [np.random.default_rng([cfg.seed, 2, i]) for i in range(cfg.arm_count)]
 
@@ -216,8 +215,8 @@ def simulate_run(
                 failed = _failed_rotation_audit(gs.tracks, verdicts)
                 if failed:
                     raise AssertionError(f"track {failed[0]} rotation left SO(3) at tick {tick}")
-            cmd, modes[i] = commander_step(modes[i], gs, arms[i], arm_cfgs[i], cmd_rngs[i])
-            _apply_command(arms[i], cmd, arm_cfgs[i], scene, tick, attempts)
+            cmd, modes[i] = commander_step(modes[i], gs, arms[i], cmdr, tparams, cmd_rngs[i])
+            _apply_command(arms[i], cmd, cmdr, scene, tick, attempts)
             target_id = getattr(cmd, "track_id", getattr(modes[i], "target_id", -1))
             commands.append((tick, i, type(modes[i]), type(cmd), target_id, arms[i].tip_pose.position))
         if all(isinstance(m, Done) for m in modes):
@@ -232,7 +231,7 @@ def simulate_run(
         shot_opportunities=opportunities,
         shot_px_errors=px_errors,
         attempts=attempts,
-        reachable_ids=reachable_flowers(scene, center, base_cmdr.workspace_radius),
+        reachable_ids=reachable_flowers(scene, center, cmdr.workspace_radius),
         seed=cfg.seed,
         config_digest=digest,
     )
@@ -268,38 +267,24 @@ def survey_run(noise: NoiseModel, tparams: TrackerParams, k: Intrinsics, n_views
     rng = np.random.default_rng([seed, 10])
     flower = FlowerGT(id=0, pose=Pose(np.zeros(3), random_rotation(rng)))
     gs = GlobalState()
-    single_trans: list[float] = []
-    single_rot: list[float] = []
-    opportunities = 0
-    within_px = 0
+    shots = SingleShotStats()
     violations = 0
     verdicts: dict[int, tuple[np.ndarray, bool]] = {}
     for tick in range(n_views):
         cam = sample_viewpoint(rng, flower.pose.position, SURVEY_RADIUS_RANGE, SURVEY_ELEVATION_RANGE)
         ms, recs = observe_with_truth([flower], cam, k, noise, rng, camera_id=0, tick=tick)
-        for rec in recs:
-            if rec.flower_id != 0:
-                continue
-            opportunities += 1
-            if rec.detected:
-                single_trans.append(rec.trans_err)
-                single_rot.append(rec.rot_err_deg)
-                if rec.px_err <= DETECT_SUCCESS_PX:
-                    within_px += 1
+        shots.add(recs)
         gs = ingest(gs, ms, tparams)
         violations += len(_failed_rotation_audit(gs.tracks, verdicts))
+    final_trans = final_rot = None
     matches = match_tracks_to_flowers(gs.tracks, [flower])
-    if not matches:
-        return SurveyTrial(single_trans, single_rot, opportunities, within_px, None, None, violations)
-    best = get_track(gs, matches[flower.id])
+    if matches:
+        best = get_track(gs, matches[flower.id])
+        final_trans = float(np.linalg.norm(best.pos_mean - flower.pose.position))
+        final_rot = zaxis_angle(best.rot_mean, flower.pose.rotation)
     return SurveyTrial(
-        single_trans,
-        single_rot,
-        opportunities,
-        within_px,
-        final_trans=float(np.linalg.norm(best.pos_mean - flower.pose.position)),
-        final_rot=zaxis_angle(best.rot_mean, flower.pose.rotation),
-        rotation_violations=violations,
+        shots.trans_errors, shots.rot_errors, shots.opportunities, shots.detections_within_px,
+        final_trans, final_rot, violations,
     )
 
 
@@ -369,6 +354,8 @@ def calibrate_noise(
             raise ValueError(f"targets missing '{key}'")
         if targets[key] < 0:
             raise ValueError(f"target '{key}' must be >= 0")
+    if n_samples < 1:
+        raise ValueError("n_samples must be >= 1")
     k = k or Intrinsics.default()
     noise = NoiseModel()
     trans_target = float(targets["trans_cm"]) / 100.0
@@ -377,8 +364,7 @@ def calibrate_noise(
     # Inner searches run tighter than the joint verification so boundary hits
     # survive the re-evaluation with all knobs in place.
     inner_tol = 0.4 * rel_tol
-    # n_samples <= 0 gets an empty cache; its searches end in NoConvergence.
-    views = ViewCache(max(n_samples, 0))
+    views = ViewCache(n_samples)
 
     # detect_prob first: skipped detections change the downstream RNG draw
     # alignment, so the other statistics are bisected against the final one.

@@ -16,12 +16,11 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .camera import CameraPose, Intrinsics, PixelObs, look_at, project, to_world, uplift
+from .configfields import check_fields, fields_to_json
 from .so3 import (
     Pose,
     candidate_pairs,
-    check_fields,
     cross3,
-    fields_to_json,
     from_axis_angle,
     random_rotation,
     random_unit_vector,
@@ -115,7 +114,9 @@ class ShotRecord:
     """Per-visible-flower oracle bookkeeping (ground-truth linked).
 
     flower_id is -1 for clutter (false positive) measurements; error fields
-    are NaN when not applicable.
+    are NaN when not applicable. A record is detected exactly when
+    observe_with_truth emitted a measurement for it, and both lists keep the
+    same order.
     """
 
     flower_id: int
@@ -123,7 +124,6 @@ class ShotRecord:
     px_err: float
     trans_err: float
     rot_err_deg: float
-    measurement: Measurement | None = None
 
 
 def sample_viewpoint(
@@ -212,7 +212,6 @@ def observe_with_truth(
                 px_err=float(math.hypot(u - obs.u, v - obs.v)),
                 trans_err=vnorm(pos_world - flower.pose.position),
                 rot_err_deg=zaxis_angle(rot, flower.pose.rotation),
-                measurement=m,
             )
         )
     n_clutter = int(rng.poisson(noise.clutter_rate)) if noise.clutter_rate > 0 else 0
@@ -223,9 +222,7 @@ def observe_with_truth(
         pix = PixelObs(u=float(u), v=float(v), ray_depth=float(depth))
         m = Measurement(pix, to_world(uplift(pix, k), cam), random_rotation(rng), camera_id, tick)
         measurements.append(m)
-        records.append(
-            ShotRecord(-1, True, float("nan"), float("nan"), float("nan"), measurement=m)
-        )
+        records.append(ShotRecord(-1, True, float("nan"), float("nan"), float("nan")))
     return measurements, records
 
 
@@ -350,10 +347,22 @@ DETECT_SUCCESS_PX = 20.0
 class SingleShotStats:
     """Empirical single-shot oracle statistics over independent viewpoints."""
 
-    opportunities: int
+    opportunities: int = 0
     trans_errors: list[float] = field(default_factory=list)
     rot_errors: list[float] = field(default_factory=list)
     detections_within_px: int = 0
+
+    def add(self, records: list[ShotRecord]) -> None:
+        """Tally the flower records of one observation; clutter is skipped."""
+        for rec in records:
+            if rec.flower_id < 0:
+                continue
+            self.opportunities += 1
+            if rec.detected:
+                self.trans_errors.append(rec.trans_err)
+                self.rot_errors.append(rec.rot_err_deg)
+                if rec.px_err <= DETECT_SUCCESS_PX:
+                    self.detections_within_px += 1
 
     @property
     def mean_trans(self) -> float:
@@ -454,18 +463,10 @@ def single_shot_stats(
     """
     if views is not None and len(views) < n_samples:
         raise ValueError(f"ViewCache has {len(views)} slots for {n_samples} samples")
-    stats = SingleShotStats(opportunities=0)
+    stats = SingleShotStats()
     quiet = replace(noise, clutter_rate=0.0)
     flower = FlowerGT(id=0, pose=Pose(np.zeros(3), np.eye(3)))
     for i in range(n_samples):
         flower.pose, cam = _draw_view(rng) if views is None else views.view(i, rng)
-        _, records = observe_with_truth([flower], cam, k, quiet, rng)
-        for rec in records:
-            stats.opportunities += 1
-            if not rec.detected:
-                continue
-            stats.trans_errors.append(rec.trans_err)
-            stats.rot_errors.append(rec.rot_err_deg)
-            if rec.px_err <= DETECT_SUCCESS_PX:
-                stats.detections_within_px += 1
+        stats.add(observe_with_truth([flower], cam, k, quiet, rng)[1])
     return stats

@@ -1,7 +1,7 @@
 """Rotation-manifold geometry: nearest-rotation projection, shortest-arc and
 axis-angle rotations, facing-axis distance for radially symmetric targets, the
-JSON forms of rotations and of flat config dataclasses, and the broadcast
-distance prefilter that association and scene generation share.
+JSON form of rotations, and the broadcast distance prefilter that association
+and scene generation share.
 
 The 3-vector helpers `cross3`, `vnorm` and the identity `I3` return the same
 bits as `np.cross`, `np.linalg.norm` and `np.eye(3)` without their per-call
@@ -15,27 +15,23 @@ functions that report angles to callers return degrees.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
 # Absolute degeneracy / orthonormality tolerance used throughout.
 ORTHO_TOL = 1e-9
 
+# Shared, so read-only: every use builds a new array from them.
 EX = np.array([1.0, 0.0, 0.0])
 EZ = np.array([0.0, 0.0, 1.0])
-
-# Shared, so read-only: every use builds a new array from it.
 I3 = np.eye(3)
-I3.flags.writeable = False
+for _shared in (EX, EZ, I3):
+    _shared.flags.writeable = False
 
 
 class DegenerateInput(ValueError):
     """Projection input is rank-deficient: the nearest rotation is not unique."""
-
-
-class Antipodal(ValueError):
-    """Shortest-arc rotation is undefined for exactly opposed directions."""
 
 
 def cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -102,20 +98,16 @@ def zaxis_angle(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.degrees(np.arccos(c)))
 
 
-def aligning_rotation(a: np.ndarray, b: np.ndarray, fallback_axis: np.ndarray | None = None) -> np.ndarray:
-    """Shortest-arc rotation mapping unit vector a onto unit vector b.
+def aligning_rotation(b: np.ndarray) -> np.ndarray:
+    """Shortest-arc rotation mapping +z onto unit vector b.
 
-    For antipodal inputs the arc is ambiguous: rotates 180 deg about
-    fallback_axis when given, else raises Antipodal.
+    For b = -z the arc is ambiguous: the half turn about the x-axis.
     """
-    a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    c = float(np.clip(a @ b, -1.0, 1.0))
+    c = float(np.clip(EZ @ b, -1.0, 1.0))
     if c < -1.0 + ORTHO_TOL:
-        if fallback_axis is None:
-            raise Antipodal("vectors are antipodal: shortest arc undefined")
-        return from_axis_angle(fallback_axis, np.pi)
-    k = _hat(cross3(a, b))
+        return from_axis_angle(EX, np.pi)
+    k = _hat(cross3(EZ, b))
     # Rodrigues with (1 - cos)/sin^2 = 1/(1 + cos); stable away from c = -1.
     return I3 + k + (k @ k) / (1.0 + c)
 
@@ -241,81 +233,6 @@ def rotation_from_list(values: list[float]) -> np.ndarray:
     if arr.shape != (9,):
         raise ValueError(f"rotation JSON must have 9 elements, got {arr.shape}")
     return require_rotation(arr.reshape(3, 3))
-
-
-def fields_to_json(obj, exclude: tuple[str, ...] = ()) -> dict:
-    """JSON form of a flat dataclass: its fields in declaration order, tuples as lists."""
-    out = {}
-    for f in fields(obj):
-        if f.name not in exclude:
-            value = getattr(obj, f.name)
-            out[f.name] = list(value) if isinstance(value, tuple) else value
-    return out
-
-
-def _number(name: str, kind: str, value):
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"{name} must be a number")
-    if kind == "float":
-        try:
-            return float(value)
-        except OverflowError:  # an integer literal beyond the float range
-            raise ValueError(f"{name} must be finite") from None
-    if kind == "int" and (isinstance(value, int) or value.is_integer()):
-        return int(value)
-    raise ValueError(f"{name} must be a whole number")
-
-
-def fields_from_json(cls, d: dict, exclude: tuple[str, ...] = ()):
-    """Build dataclass `cls` from its JSON form, by one rule read from the
-    field annotations (strings, as every module uses postponed annotations):
-    a `float` field takes any number and stores float(x), an `int` field
-    takes a whole number and stores int(x), a `tuple[float, ...]` field takes
-    a list of numbers; bools are refused everywhere. Keys that are not
-    fields, or are in `exclude`, raise TypeError."""
-    if not isinstance(d, dict):
-        raise TypeError("must be a JSON object")
-    types = {f.name: f.type for f in fields(cls) if f.name not in exclude}
-    kwargs = {}
-    for name, value in d.items():
-        kind = types.get(name)
-        if kind is None:
-            raise TypeError(f"{name} is not a field of this section")
-        if kind.startswith("tuple["):
-            if not isinstance(value, list):
-                raise TypeError(f"{name} must be a list of numbers")
-            kwargs[name] = tuple(_number(name, "float", x) for x in value)
-        else:
-            kwargs[name] = _number(name, kind, value)
-    return cls(**kwargs)
-
-
-def check_fields(obj, positive=(), nonnegative=(), counts=(), exclude=()) -> None:
-    """Validate dataclass `obj`, raising ValueError that names the field.
-
-    `counts` pairs an integer field (bools refused) with its least value;
-    every other field outside `exclude` must hold finite numbers; `positive`
-    fields must be > 0 and `nonnegative` ones >= 0.
-    """
-    for name, least in counts:
-        value = getattr(obj, name)
-        if not isinstance(value, int) or isinstance(value, bool) or value < least:
-            raise ValueError(f"{name} must be an integer >= {least}")
-    for f in fields(obj):
-        if f.name in exclude:
-            continue
-        try:
-            finite = bool(np.isfinite(getattr(obj, f.name)).all())
-        except TypeError:
-            finite = False
-        if not finite:
-            raise ValueError(f"{f.name} must be finite")
-    for name in positive:
-        if not getattr(obj, name) > 0:
-            raise ValueError(f"{name} must be > 0")
-    for name in nonnegative:
-        if getattr(obj, name) < 0:
-            raise ValueError(f"{name} must be >= 0")
 
 
 @dataclass(eq=False)

@@ -15,8 +15,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .configfields import check_fields, fields_to_json
 from .simworld import Measurement, NoiseModel
-from .so3 import I3, candidate_pairs, check_fields, fields_to_json, flatten, svd_project
+from .so3 import I3, candidate_pairs, flatten, svd_project
+
+# for_noise expresses the pixel sigma in meters at a reference range (m),
+# through the default camera's focal length (pixels).
+FOR_NOISE_FOCAL = 640.0
+FOR_NOISE_RANGE = 0.30
 
 
 @dataclass(frozen=True)
@@ -45,15 +51,15 @@ class TrackerParams:
     confident_hits: int = 3
 
     @classmethod
-    def for_noise(cls, noise: NoiseModel, reference_range: float = 0.30, focal: float = 640.0) -> "TrackerParams":
+    def for_noise(cls, noise: NoiseModel) -> "TrackerParams":
         """Derive measurement variances from a (calibrated) noise model.
 
         Per-axis position variance mixes the depth sigma with the lateral
-        pixel sigma expressed in meters at the reference range; the rotation
+        pixel sigma expressed in meters at FOR_NOISE_RANGE; the rotation
         variance is the expected per-component R9 residual for an axis-angle
         perturbation of scale rot_sigma.
         """
-        lat = noise.pixel_sigma / focal * reference_range
+        lat = noise.pixel_sigma / FOR_NOISE_FOCAL * FOR_NOISE_RANGE
         r_near = (noise.depth_sigma_near**2 + 2.0 * lat**2) / 3.0
         r_far = (noise.depth_sigma_far**2 + 2.0 * lat**2) / 3.0
         psi = np.radians(noise.rot_sigma)

@@ -2,14 +2,25 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
+import json
 import math
 
 import numpy as np
 
 from pollisim.camera import PixelObs
+from pollisim.configfields import fields_from_json
 from pollisim.simworld import Measurement
 from pollisim.so3 import axis_angle_of, from_axis_angle
+
+
+def assert_json_form(obj) -> None:
+    """A config dataclass maps 1:1 to its JSON form: one key per field, in
+    declaration order, and the serialized form reads back as an equal object."""
+    form = obj.to_json()
+    assert list(form) == [f.name for f in dataclasses.fields(obj)]
+    assert fields_from_json(type(obj), json.loads(json.dumps(form))) == obj
 
 
 def geodesic_midpoint(a: np.ndarray, b: np.ndarray) -> np.ndarray:

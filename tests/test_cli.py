@@ -270,6 +270,16 @@ def test_calibrate_negative_target_rejected(capsys):
     assert main(["calibrate-noise", "--trans-cm", "-1", "--rot-deg", "0", "--det-rate", "1"]) == 2
 
 
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_calibrate_nonpositive_samples_rejected(capsys, samples):
+    from pollisim.runner import calibrate_noise
+
+    assert main(["calibrate-noise", "--samples", samples]) == 2
+    assert "samples" in capsys.readouterr().err
+    with pytest.raises(ValueError, match="n_samples"):
+        calibrate_noise({"trans_cm": 3.03, "rot_deg": 29.88, "det_rate": 0.9301}, n_samples=int(samples))
+
+
 def test_calibrate_reproducible_under_fixed_seed():
     from pollisim.runner import calibrate_noise
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from helpers import make_measurement
+from helpers import assert_json_form, make_measurement
 from pollisim.commander import (
     ArmState,
     CommanderConfig,
@@ -26,6 +26,7 @@ from pollisim.runner import ExperimentConfig, SceneGenParams, simulate_run
 
 
 CFG = CommanderConfig()
+TP = TrackerParams()
 
 
 def _confident_track(tid=0, pos=(0.1, 0.0, 0.2), rot=None, tick=0, with_meas=True):
@@ -45,15 +46,13 @@ def _confident_track(tid=0, pos=(0.1, 0.0, 0.2), rot=None, tick=0, with_meas=Tru
 
 def _arm(tip=(0.3, 0.0, 0.3)):
     target = np.array([0.1, 0.0, 0.2])
-    rot = aligning_rotation(np.array([0.0, 0.0, 1.0]),
-                            (target - np.asarray(tip)) / np.linalg.norm(target - np.asarray(tip)),
-                            fallback_axis=np.array([1.0, 0.0, 0.0]))
+    rot = aligning_rotation((target - np.asarray(tip)) / np.linalg.norm(target - np.asarray(tip)))
     return ArmState(tip_pose=Pose(np.asarray(tip, float), rot))
 
 
 def test_searching_without_targets_explores():
     rng = np.random.default_rng(0)
-    cmd, mode = step(Searching(), GlobalState(), _arm(), CFG, rng)
+    cmd, mode = step(Searching(), GlobalState(), _arm(), CFG, TP, rng)
     assert isinstance(cmd, Explore)
     assert_allclose(np.linalg.norm(cmd.direction), 1.0, atol=1e-12)
     assert mode == Searching(1)
@@ -64,7 +63,7 @@ def test_searching_transitions_to_rough_localization():
     zf = rot_x(np.radians(25.0))
     track = _confident_track(tid=3, rot=zf)
     gs = GlobalState(tracks=[track], next_id=4)
-    cmd, mode = step(Searching(), gs, _arm(), CFG, rng)
+    cmd, mode = step(Searching(), gs, _arm(), CFG, TP, rng)
     assert isinstance(cmd, MoveTo)
     assert mode == RoughLocalization(3, 0)
     assert gs.claims == {3: 0}
@@ -88,19 +87,19 @@ def test_rough_localization_approaches_then_servos():
     track = _confident_track(tid=1)
     gs = GlobalState(tracks=[track], next_id=2)
     far_arm = _arm(tip=(0.4, 0.2, 0.4))
-    cmd, mode = step(RoughLocalization(1, 7), gs, far_arm, CFG, rng)
+    cmd, mode = step(RoughLocalization(1, 7), gs, far_arm, CFG, TP, rng)
     assert isinstance(cmd, MoveTo)
     assert mode == RoughLocalization(1, 7)
     # at the standoff pose: transition to servo
     goal = standoff_pose(Pose(track.pos_mean, track.rot_mean), CFG.standoff)
     arm = ArmState(tip_pose=goal.copy())
-    cmd, mode = step(RoughLocalization(1, 7), gs, arm, CFG, rng)
+    cmd, mode = step(RoughLocalization(1, 7), gs, arm, CFG, TP, rng)
     assert mode == VisualServo(1, 7)
 
 
 def test_target_lost_returns_to_searching():
     rng = np.random.default_rng(3)
-    cmd, mode = step(RoughLocalization(99, 11), GlobalState(), _arm(), CFG, rng)
+    cmd, mode = step(RoughLocalization(99, 11), GlobalState(), _arm(), CFG, TP, rng)
     assert isinstance(cmd, Explore)
     assert mode == Searching(11)
 
@@ -109,7 +108,7 @@ def test_servo_stale_measurement_refutes_track():
     rng = np.random.default_rng(4)
     track = _confident_track(tid=2, tick=0)
     gs = GlobalState(tracks=[track], next_id=3, tick=100)  # long since last seen
-    cmd, mode = step(VisualServo(2, 5), gs, _arm(), CFG, rng)
+    cmd, mode = step(VisualServo(2, 5), gs, _arm(), CFG, TP, rng)
     assert mode == Searching(5)
     assert gs.tracks == []  # refuted, not merely released
 
@@ -120,7 +119,7 @@ def test_servo_aligned_triggers_and_marks():
     track = _confident_track(tid=8, pos=(0.1, 0.0, 0.2), rot=zf, tick=0)
     gs = GlobalState(tracks=[track], next_id=9, tick=1)
     tip = Pose(track.pos_mean.copy(), rot_x(np.pi))  # tip -z == flower +z
-    cmd, mode = step(VisualServo(8, 4), gs, ArmState(tip_pose=tip), CFG, rng)
+    cmd, mode = step(VisualServo(8, 4), gs, ArmState(tip_pose=tip), CFG, TP, rng)
     assert cmd == TriggerPollinate(8)
     assert mode == Searching(0)  # trigger resets the search budget
     assert track.pollinated
@@ -131,7 +130,7 @@ def test_servo_misaligned_issues_clamped_delta():
     track = _confident_track(tid=1, pos=(0.1, 0.0, 0.2))
     gs = GlobalState(tracks=[track], next_id=2, tick=0)
     arm = _arm(tip=(0.4, 0.0, 0.2))
-    cmd, mode = step(VisualServo(1, 2), gs, arm, CFG, rng)
+    cmd, mode = step(VisualServo(1, 2), gs, arm, CFG, TP, rng)
     assert isinstance(cmd, MoveDelta)
     assert mode == VisualServo(1, 2)
     assert np.linalg.norm(cmd.dpos) <= CFG.max_step + 1e-12
@@ -139,9 +138,9 @@ def test_servo_misaligned_issues_clamped_delta():
 
 def test_done_when_search_budget_exhausted():
     rng = np.random.default_rng(7)
-    cmd, mode = step(Searching(CFG.search_patience), GlobalState(), _arm(), CFG, rng)
+    cmd, mode = step(Searching(CFG.search_patience), GlobalState(), _arm(), CFG, TP, rng)
     assert isinstance(mode, Done)
-    cmd, mode = step(mode, GlobalState(), _arm(), CFG, rng)
+    cmd, mode = step(mode, GlobalState(), _arm(), CFG, TP, rng)
     assert isinstance(mode, Done)
 
 
@@ -149,9 +148,19 @@ def test_claimed_track_not_targeted_by_other_arm():
     rng = np.random.default_rng(8)
     track = _confident_track(tid=0)
     gs = GlobalState(tracks=[track], next_id=1, claims={0: 1})
-    cmd, mode = step(Searching(), gs, _arm(), CFG, rng)  # arm_id 0
+    cmd, mode = step(Searching(), gs, _arm(), CFG, TP, rng)  # arm_id 0
     assert isinstance(cmd, Explore)
     assert isinstance(mode, Searching)
+    # the holder itself, arm 1, may target it
+    cmd, mode = step(Searching(), gs, ArmState(_arm().tip_pose, arm_id=1), CFG, TP, rng)
+    assert isinstance(cmd, MoveTo)
+    assert mode == RoughLocalization(0, 0)
+    assert gs.claims == {0: 1}
+
+
+def test_commander_config_json():
+    assert_json_form(CFG)
+    assert_json_form(CommanderConfig(gain=1.0, trigger_fresh=0, workspace_center=(0.1, -0.2, 0.3)))
 
 
 def test_servo_delta_fixed_point():
@@ -217,7 +226,6 @@ def test_check_pollination_cases():
 
 def test_transition_graph_is_legal_noiseless():
     # record every mode transition over a full noiseless run
-    from dataclasses import replace
     from pollisim import commander, tracker
     from pollisim.camera import aim_pose
     from pollisim.runner import _apply_command, _arm_homes
@@ -227,7 +235,7 @@ def test_transition_graph_is_legal_noiseless():
     cfg = ExperimentConfig(seed=11, scene_gen=SceneGenParams(count=4), noise=NoiseModel.noiseless(), step_budget=900)
     scene = generate_scene(np.random.default_rng([11, 0]), cfg.scene_gen)
     tparams = cfg.resolved_tracker()
-    ccfg = replace(cfg.commander, tracker=tparams, arm_id=0)
+    ccfg = cfg.commander
     center = np.asarray(ccfg.workspace_center)
     gs = tracker.GlobalState()
     arm = ArmState(tip_pose=aim_pose(_arm_homes(center, ccfg.workspace_radius, 1)[0], center))
@@ -251,7 +259,7 @@ def test_transition_graph_is_legal_noiseless():
         ms, _ = observe_with_truth(scene, arm.camera, Intrinsics.default(), cfg.noise, cam_rng, 0, tick)
         gs = tracker.ingest(gs, ms, tparams)
         prev = type(mode).__name__
-        cmd, mode = commander.step(mode, gs, arm, ccfg, cmd_rng)
+        cmd, mode = commander.step(mode, gs, arm, ccfg, tparams, cmd_rng)
         seen.add((prev, type(mode).__name__))
         _apply_command(arm, cmd, ccfg, scene, tick, attempts)
         if isinstance(mode, Done):
@@ -272,3 +280,19 @@ def test_noiseless_run_pollinates_everything():
     assert report.pollination_success_rate == 1.0
     assert report.pose_success_rate == 1.0
     assert report.n_views < 900  # reached Done early
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_each_attempt_names_the_arm_that_triggered_it(tmp_path, seed):
+    cfg = ExperimentConfig(
+        seed=seed, scene_gen=SceneGenParams(count=6), noise=NoiseModel.noiseless(), arm_count=2, step_budget=600
+    )
+    simulate_run(cfg, out_dir=str(tmp_path))
+    with open(tmp_path / "commands.csv") as fh:
+        commands = [row.split(",") for row in fh.read().splitlines()[1:]]
+    with open(tmp_path / "attempts.csv") as fh:
+        attempts = [row.split(",")[:3] for row in fh.read().splitlines()[1:]]
+    # (tick, arm_id, track id) of every trigger, in the order both files keep
+    triggers = [[tick, arm, target] for tick, arm, _, kind, target, *_ in commands if kind == "trigger_pollinate"]
+    assert attempts == triggers
+    assert {arm for _, arm, _ in attempts} == {"0", "1"}

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from helpers import ks_uniform_pvalue
+from helpers import assert_json_form, ks_uniform_pvalue
 from pollisim import simworld
 from pollisim.camera import Intrinsics, look_at, project, to_world, uplift
 from pollisim.simworld import (
@@ -25,7 +25,7 @@ from pollisim.simworld import (
     save_scene,
     single_shot_stats,
 )
-from pollisim.so3 import Pose, fields_from_json, is_rotation, random_rotation, rotation_to_list
+from pollisim.so3 import Pose, is_rotation, random_rotation, rotation_to_list
 
 K = Intrinsics.default()
 
@@ -77,12 +77,12 @@ def test_observe_noiseless_exact():
     cam = sample_viewpoint(rng, np.zeros(3), (0.3, 0.5), (10, 60))
     ms, recs = observe_with_truth(scene, cam, K, NoiseModel.noiseless(), rng)
     assert len(ms) == len([f for f in scene if project(f.pose.position, cam, K) is not None])
-    for rec in recs:
+    assert len(recs) == len(ms)  # every visible flower detected, no clutter: one record per measurement
+    for rec, m in zip(recs, ms):
         assert rec.detected
         assert rec.px_err < 1e-12
         assert rec.trans_err < 1e-9
         assert rec.rot_err_deg < 1e-5
-        m = rec.measurement
         assert_allclose(
             to_world(uplift(m.pixel, K), cam), m.position_world, atol=1e-12
         )
@@ -235,8 +235,13 @@ def test_noise_model_validation_and_json():
         NoiseModel(pixel_sigma=-1.0)
     with pytest.raises(ValueError):
         NoiseModel(reliable_range=(0.5, 0.5))
-    n = NoiseModel()
-    assert fields_from_json(NoiseModel, n.to_json()) == n
+    assert_json_form(NoiseModel())
+    assert_json_form(NoiseModel(pixel_sigma=2.0, reliable_range=(0.1, 0.4), flip_prob=0.25))
+
+
+def test_scene_gen_params_json():
+    assert_json_form(SceneGenParams())
+    assert_json_form(SceneGenParams(count=7, center=(0.1, -0.2, 0.3), spread=0.05, min_sep=0.02))
 
 
 def test_single_shot_stats_noiseless():
@@ -331,11 +336,15 @@ def _oracle_stream_digest(seed: int) -> str:
             h.update(m.position_world.tobytes())
             h.update(m.rotation.tobytes())
             h.update(struct.pack("<qq", m.camera_id, m.tick))
+        # A record is detected exactly when it has a measurement, and both
+        # lists keep the same order: the k-th detected record is ms[k].
+        detected = 0
         for r in records:
             h.update(struct.pack("<q?", r.flower_id, r.detected))
             _pack_floats(h, r.px_err, r.trans_err, r.rot_err_deg)
-            index = -1 if r.measurement is None else next(i for i, m in enumerate(ms) if m is r.measurement)
-            h.update(struct.pack("<q", index))
+            h.update(struct.pack("<q", detected if r.detected else -1))
+            detected += r.detected
+        assert detected == len(ms)
     for model in (NoiseModel(), noise):
         stats = single_shot_stats(model, K, 500, rng)
         h.update(struct.pack("<qq", stats.opportunities, stats.detections_within_px))

@@ -6,7 +6,6 @@ from numpy.testing import assert_allclose
 
 from pollisim.so3 import (
     ORTHO_TOL,
-    Antipodal,
     DegenerateInput,
     EZ,
     aligning_rotation,
@@ -87,19 +86,19 @@ def test_zaxis_angle_yaw_invariance():
         assert zaxis_angle(r, r @ rot_z(theta)) < 1e-5
 
 
-# Yaw nullification of a rotation r is aligning_rotation(EZ, r[:, 2]): the
+# Yaw nullification of a rotation r is aligning_rotation(r[:, 2]): the
 # shortest arc taking e_z onto the facing axis, with no twist about it.
 
 
 def test_nullify_yaw_basics():
-    assert_allclose(aligning_rotation(EZ, rot_z(np.radians(45))[:, 2]), np.eye(3), atol=1e-12)
-    assert_allclose(aligning_rotation(EZ, EZ), np.eye(3), atol=1e-12)
+    assert_allclose(aligning_rotation(rot_z(np.radians(45))[:, 2]), np.eye(3), atol=1e-12)
+    assert_allclose(aligning_rotation(EZ), np.eye(3), atol=1e-12)
 
 
 def test_nullify_yaw_hand_derived():
     # Yaw about the facing axis is removed; the tilt survives untouched.
     r = rot_x(np.radians(30)) @ rot_z(np.radians(50))
-    out = aligning_rotation(EZ, r[:, 2])
+    out = aligning_rotation(r[:, 2])
     assert_allclose(out, rot_x(np.radians(30)), atol=1e-12)
     axis, angle = axis_angle_of(out)
     assert_allclose(axis, [1, 0, 0], atol=1e-12)
@@ -112,19 +111,17 @@ def test_nullify_yaw_properties():
         r = random_rotation(rng)
         if r[2, 2] < -1 + 1e-6:
             continue
-        out = aligning_rotation(EZ, r[:, 2])
+        out = aligning_rotation(r[:, 2])
         assert is_rotation(out, tol=1e-9)
         assert_allclose(out @ EZ, r[:, 2], atol=1e-9)  # maps e_z onto the facing axis
-        assert_allclose(aligning_rotation(EZ, out[:, 2]), out, atol=1e-9)  # idempotent
+        assert_allclose(aligning_rotation(out[:, 2]), out, atol=1e-9)  # idempotent
         theta = rng.uniform(0, 2 * np.pi)
-        assert_allclose(aligning_rotation(EZ, (r @ rot_z(theta))[:, 2]), out, atol=1e-9)
+        assert_allclose(aligning_rotation((r @ rot_z(theta))[:, 2]), out, atol=1e-9)
 
 
 def test_nullify_yaw_antipodal():
-    with pytest.raises(Antipodal):
-        aligning_rotation(EZ, -EZ)  # facing exactly backwards
-    # with a fallback axis the half turn about it is returned instead
-    assert_allclose(aligning_rotation(EZ, -EZ, fallback_axis=np.array([1.0, 0.0, 0.0])), rot_x(np.pi), atol=1e-12)
+    # facing exactly backwards: the half turn about the x-axis
+    assert_allclose(aligning_rotation(-EZ), rot_x(np.pi), atol=1e-12)
 
 
 def test_axis_angle_roundtrip():
@@ -173,7 +170,7 @@ def test_aligning_is_shortest_arc():
         r = random_rotation(rng)
         if r[2, 2] < -0.99:
             continue
-        out = aligning_rotation(EZ, r[:, 2])
+        out = aligning_rotation(r[:, 2])
         axis, angle = axis_angle_of(out)
         if angle > 1e-9:
             # rotation axis orthogonal to both e_z and the facing direction

@@ -4,8 +4,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from helpers import brute_force_assignment, geodesic_midpoint, make_measurement
-from pollisim.so3 import fields_from_json, is_rotation, random_rotation, rot_x, zaxis_angle
+from helpers import assert_json_form, brute_force_assignment, geodesic_midpoint, make_measurement
+from pollisim.simworld import NoiseModel
+from pollisim.so3 import is_rotation, random_rotation, rot_x, zaxis_angle
 from pollisim.tracker import (
     Assignment,
     GlobalState,
@@ -404,8 +405,8 @@ def test_claims_and_pollination_marking():
 
 
 def test_tracker_params_json_roundtrip():
-    p = TrackerParams()
-    assert fields_from_json(TrackerParams, p.to_json()) == p
+    assert_json_form(TrackerParams())
+    assert_json_form(TrackerParams.for_noise(NoiseModel(reliable_range=(0.1, 0.4))))
 
 
 def test_survey_trials_converge_jointly():
@@ -413,7 +414,6 @@ def test_survey_trials_converge_jointly():
     # (1 cm, 20 deg) in well over 72% of seeded trials
     from pollisim.camera import Intrinsics
     from pollisim.runner import survey_run
-    from pollisim.simworld import NoiseModel
 
     ok = 0
     n = 300
