@@ -1,7 +1,10 @@
-"""Work the runner skips because its result is already known: calibration's
-reused views and the rotation audit's reused verdicts. Each must leave every
-result exactly as the full computation gives it."""
+"""The runner's outputs, pinned: every byte of one run directory, and the
+work the runner skips because its result is already known (calibration's
+reused views and the rotation audit's reused verdicts), which must leave
+every result exactly as the full computation gives it."""
 
+import hashlib
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -13,6 +16,33 @@ from pollisim.simworld import NoiseModel, SceneGenParams
 from pollisim.tracker import TrackerParams
 
 K = Intrinsics.default()
+# Clutter, flips and two arms, so every file and every row kind is exercised:
+# 2132 shot rows (clutter among them) and 18 attempts.
+PINNED_RUN = runner.ExperimentConfig(
+    seed=3, scene_gen=SceneGenParams(count=12), arm_count=2, step_budget=300,
+    noise=NoiseModel(flip_prob=0.2, clutter_rate=0.5),
+)
+PINNED_RUN_SHA256 = {
+    "attempts.csv": "bbcbe942a9b0d722862f3e318ed4a355825e2f21860851752f4e9488a63faf4a",
+    "commands.csv": "30699ddc5fe6b13c3cc7c136c466e2a28a4753f3e2be9309606942b1256bc480",
+    "config_resolved.json": "0788358dc35225dfbaa08df1d246da8141d7829c3509f1bf668b614dac3c3dc6",
+    "meta.json": "ec0a3b236fd1c15e86beeca96fde16bd59bddfd4dee08278c7bb51900b23a92b",
+    "report.csv": "2ef0be8d364769787d0492ded6e2bf1bc286ac2e6c4555eff2a6bd7891235b26",
+    "report.json": "32885c0134d4ef51545e8474192dad9212309531f983b1614fef7c19122af3f5",
+    "scene.json": "e8844d2d1295704d92268e5dc7258bdc0be080225eeb97150ada500bba602446",
+    "shots.csv": "ac319fd05a4ffe3b12561127fd70fcfd7f34c33e95c0a7db78d0c7e3c15a9920",
+    "summary.txt": "768c99368d2a5d2422af10482060dd0605213811d5a5c4f3c3f368e8fa92fbe4",
+    "tracks.csv": "cfc93e1651bd5b4752b7e40cea64a4893c9846021fe3adcb7617018701ce2cda",
+}
+
+
+def test_run_directory_bytes_are_pinned(tmp_path):
+    runner.simulate_run(PINNED_RUN, out_dir=str(tmp_path))
+    got = {}
+    for name in os.listdir(tmp_path):
+        with open(tmp_path / name, "rb") as fh:
+            got[name] = hashlib.sha256(fh.read()).hexdigest()
+    assert got == PINNED_RUN_SHA256
 CLI_TARGETS = {"trans_cm": 3.03, "rot_deg": 29.88, "det_rate": 0.9301}
 NOISELESS_TARGETS = {"trans_cm": 0.0, "rot_deg": 0.0, "det_rate": 1.0}
 # No detect bisection, but both sigma searches.
