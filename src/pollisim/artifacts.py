@@ -22,10 +22,9 @@ from .metrics import (
     RunReport,
     reachable_flowers,
     report_csv_row,
-    shot_detections,
     summary_table,
 )
-from .simworld import load_scene, save_scene
+from .simworld import ShotRecord, SingleShotStats, load_scene, save_scene
 from .so3 import require_rotation
 from .tracker import Track
 
@@ -76,15 +75,14 @@ def write_artifacts(
     out_dir: str,
     cfg: ExperimentConfig,
     logs: RunLogs,
-    shots: list[tuple],
+    shots: list[ShotRecord],
     commands: list[tuple],
     report: RunReport,
 ) -> None:
     """Write the run directory from the loop's records.
 
-    `shots` holds (tick, camera_id, flower_id, detected, px_err, trans_err,
-    rot_err_deg) and `commands` (tick, arm_id, mode type, command type,
-    target id, tip position).
+    `commands` holds (tick, arm_id, mode type, command type, target id, tip
+    position).
     """
     last_tick = logs.n_ticks - 1
     os.makedirs(out_dir, exist_ok=True)
@@ -96,15 +94,16 @@ def write_artifacts(
     ))
     _write_csv(os.path.join(out_dir, "commands.csv"), COMMANDS_HEADER, (
         f"{tick},{arm_id},{_MODE_NAMES[mode]},{_COMMAND_NAMES[kind]},"
-        f"{target_id if isinstance(target_id, int) else -1},{_fmt(tip[0])},{_fmt(tip[1])},{_fmt(tip[2])}"
+        f"{target_id},{_fmt(tip[0])},{_fmt(tip[1])},{_fmt(tip[2])}"
         for tick, arm_id, mode, kind, target_id, tip in commands
     ))
     _write_csv(os.path.join(out_dir, "attempts.csv"), ATTEMPTS_HEADER, (
         f"{a.tick},{a.arm_id},{a.track_id},{a.flower_id},{int(a.success)}" for a in logs.attempts
     ))
     _write_csv(os.path.join(out_dir, "shots.csv"), SHOTS_HEADER, (
-        f"{tick},{camera_id},{flower_id},{int(detected)},{_fmt(px)},{_fmt(trans)},{_fmt(rot)}"
-        for tick, camera_id, flower_id, detected, px, trans, rot in shots
+        f"{s.tick},{s.camera_id},{s.flower_id},{int(s.detected)},"
+        f"{_fmt(s.px_err)},{_fmt(s.trans_err)},{_fmt(s.rot_err_deg)}"
+        for s in shots
     ))
     save_scene(os.path.join(out_dir, "scene.json"), logs.scene)
     _write_json(os.path.join(out_dir, "meta.json"), {
@@ -147,6 +146,13 @@ def _parse_float(path: str, row_idx: int, value: str) -> float:
         raise SchemaMismatch(f"{path}: row {row_idx}: bad float {value!r}") from exc
 
 
+def _shot_record(path: str, row_idx: int, r: list[str]) -> ShotRecord:
+    px_err, trans_err, rot_err = (_parse_float(path, row_idx, v) for v in r[4:7])
+    if px_err < 0:
+        raise SchemaMismatch(f"{path}: row {row_idx}: negative px_err {r[4]!r}")
+    return ShotRecord(int(r[0]), int(r[1]), int(r[2]), bool(int(r[3])), px_err, trans_err, rot_err)
+
+
 def read_run_logs(out_dir: str, scene_path: str | None = None) -> RunLogs:
     """Rebuild the run logs from a run directory.
 
@@ -186,10 +192,8 @@ def read_run_logs(out_dir: str, scene_path: str | None = None) -> RunLogs:
         )
 
     shots_path = os.path.join(out_dir, "shots.csv")
-    opportunities, px_errors = shot_detections(
-        (int(r[2]), int(r[3]), _parse_float(shots_path, idx, r[4]))
-        for idx, r in enumerate(_read_csv(shots_path, SHOTS_HEADER), start=2)
-    )
+    shots = SingleShotStats()
+    shots.add([_shot_record(shots_path, idx, r) for idx, r in enumerate(_read_csv(shots_path, SHOTS_HEADER), start=2)])
 
     attempts = [
         AttemptRecord(int(r[0]), int(r[1]), int(r[2]), int(r[3]), bool(int(r[4])))
@@ -200,8 +204,7 @@ def read_run_logs(out_dir: str, scene_path: str | None = None) -> RunLogs:
         scene=scene,
         final_tracks=final_tracks,
         n_ticks=int(meta["n_ticks"]),
-        shot_opportunities=opportunities,
-        shot_px_errors=px_errors,
+        shots=shots,
         attempts=attempts,
         reachable_ids=reachable_flowers(
             scene, np.asarray(meta["workspace_center"], dtype=float), float(meta["workspace_radius"])

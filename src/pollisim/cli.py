@@ -58,14 +58,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_calibrate(args: argparse.Namespace) -> int:
     targets = {"trans_cm": args.trans_cm, "rot_deg": args.rot_deg, "det_rate": args.det_rate}
-    if any(v < 0 for v in targets.values()):
-        print("error: config field 'targets': values must be >= 0", file=sys.stderr)
-        return 2
-    if args.samples < 1:
-        print("error: config field 'samples': must be >= 1", file=sys.stderr)
-        return 2
     try:
         noise = calibrate_noise(targets, seed=args.seed, n_samples=args.samples)
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except _RUNTIME_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -115,13 +112,20 @@ def _floats(text: str) -> tuple[float, ...]:
     return tuple(float(x) for x in text.split(","))
 
 
+def _seed(text: str) -> int:
+    """A --seed value: numpy's seed sequences take only integers >= 0."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="pollisim", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_sim = sub.add_parser("simulate", help="run the full pollination loop")
     p_sim.add_argument("--config", required=True, help="experiment config JSON")
-    p_sim.add_argument("--seed", type=int, default=None, help="override the config seed")
+    p_sim.add_argument("--seed", type=_seed, default=None, help="override the config seed")
     p_sim.add_argument("--out", required=True, help="output directory for run artifacts")
     p_sim.add_argument("--arms", type=int, default=None, help="override the config arm count")
     p_sim.add_argument("--quiet", action="store_true")
@@ -131,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cal.add_argument("--trans-cm", type=float, default=3.03, help="target mean translational error (cm)")
     p_cal.add_argument("--rot-deg", type=float, default=29.88, help="target mean facing-axis error (deg)")
     p_cal.add_argument("--det-rate", type=float, default=0.9301, help="target detection success rate")
-    p_cal.add_argument("--seed", type=int, default=0)
+    p_cal.add_argument("--seed", type=_seed, default=0)
     p_cal.add_argument("--samples", type=int, default=10000)
     p_cal.add_argument("--out", default=None, help="write the NoiseModel JSON here")
     p_cal.add_argument("--quiet", action="store_true")
@@ -151,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--spread", type=float, default=gen.spread)
     p_gen.add_argument("--min-sep", type=float, default=gen.min_sep)
     p_gen.add_argument("--max-tilt-deg", type=float, default=gen.max_tilt_deg)
-    p_gen.add_argument("--seed", type=int, default=0)
+    p_gen.add_argument("--seed", type=_seed, default=0)
     p_gen.add_argument("--out", required=True)
     p_gen.add_argument("--quiet", action="store_true")
     p_gen.set_defaults(func=_cmd_gen_scene)

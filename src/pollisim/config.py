@@ -115,7 +115,7 @@ def parse_config(data: dict, config_dir: str = ".") -> ExperimentConfig:
     if isinstance(version, bool) or version != 1:
         raise ConfigError("schema_version", f"expected 1, got {version!r}")
     _unknown_keys("", data, _TOP_LEVEL)
-    seed = _integer("seed", data.get("seed"))
+    seed = _integer("seed", data.get("seed"), 0)
     scene = data.get("scene")
     if not isinstance(scene, dict) or ("path" in scene) == ("generate" in scene):
         raise ConfigError("scene", "must contain exactly one of 'path' or 'generate'")

@@ -1,5 +1,6 @@
-"""Evaluation: pose and detection error computation, success thresholds, DICE
-overlap, pollination rates, and aggregation of run logs into a report.
+"""Evaluation: pose error computation and the pose success thresholds, DICE
+overlap, pollination rates, and aggregation of run logs (pose, detection and
+pollination) into a report.
 """
 
 from __future__ import annotations
@@ -10,12 +11,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .configfields import fields_to_json
-from .simworld import DETECT_SUCCESS_PX, FlowerGT
+from .simworld import FlowerGT, SingleShotStats
 from .so3 import Pose, zaxis_angle
 from .tracker import Track, greedy_pairs
 
-# Pose success thresholds (boundaries inclusive); DETECT_SUCCESS_PX is the
-# detection one.
+# Pose success thresholds (boundaries inclusive); the detection one is
+# simworld.DETECT_SUCCESS_PX, applied by SingleShotStats.
 TRANS_SUCCESS_M = 0.08
 ROT_SUCCESS_DEG = 60.0
 
@@ -55,13 +56,6 @@ def pose_error(est: Pose, gt: Pose) -> PoseError:
 def pose_success(e: PoseError) -> bool:
     """True iff both errors are within their thresholds (boundaries inclusive)."""
     return e.trans_err <= TRANS_SUCCESS_M and e.rot_err <= ROT_SUCCESS_DEG
-
-
-def detection_success(err_px: float) -> bool:
-    """True iff the detection pixel error is within DETECT_SUCCESS_PX (inclusive)."""
-    if err_px < 0:
-        raise ValueError("pixel error must be >= 0")
-    return err_px <= DETECT_SUCCESS_PX
 
 
 @dataclass(eq=False)
@@ -127,8 +121,7 @@ class RunLogs:
     scene: list[FlowerGT]
     final_tracks: list[Track]
     n_ticks: int
-    shot_opportunities: int = 0
-    shot_px_errors: list[float] = field(default_factory=list)
+    shots: SingleShotStats = field(default_factory=SingleShotStats)
     attempts: list[AttemptRecord] = field(default_factory=list)
     reachable_ids: list[int] = field(default_factory=list)
     seed: int = 0
@@ -138,19 +131,6 @@ class RunLogs:
 def reachable_flowers(scene: list[FlowerGT], center: np.ndarray, radius: float) -> list[int]:
     center = np.asarray(center, dtype=float)
     return [f.id for f in scene if float(np.linalg.norm(f.pose.position - center)) <= radius]
-
-
-def shot_detections(triples) -> tuple[int, list[float]]:
-    """Shot opportunities (clutter excluded) and the pixel errors of the
-    detected shots, from (flower_id, detected, px_err) triples."""
-    opportunities = 0
-    px_errors: list[float] = []
-    for flower_id, detected, px_err in triples:
-        if flower_id >= 0:
-            opportunities += 1
-            if detected:
-                px_errors.append(px_err)
-    return opportunities, px_errors
 
 
 @dataclass(eq=False)
@@ -232,8 +212,7 @@ def aggregate(logs: RunLogs) -> RunReport:
     else:
         attempt_rate, success_rate = 0.0, 0.0
 
-    det_errs = logs.shot_px_errors
-    n_det_ok = sum(1 for e in det_errs if detection_success(e))
+    det_errs = logs.shots.px_errors
     return RunReport(
         seed=logs.seed,
         config_digest=logs.config_digest,
@@ -250,7 +229,7 @@ def aggregate(logs: RunLogs) -> RunReport:
         mean_rot_err_deg=float(np.mean(rots)) if rots else float("nan"),
         median_rot_err_deg=float(np.median(rots)) if rots else float("nan"),
         detection_err_px=float(np.mean(det_errs)) if det_errs else float("nan"),
-        detection_success_rate=(n_det_ok / logs.shot_opportunities) if logs.shot_opportunities else float("nan"),
+        detection_success_rate=logs.shots.detection_rate,
         pose_success_rate=n_success / len(flowers),
         attempt_rate=attempt_rate,
         pollination_success_rate=success_rate,

@@ -41,7 +41,6 @@ from .metrics import (
     aggregate,
     match_tracks_to_flowers,
     reachable_flowers,
-    shot_detections,
 )
 from .simworld import (
     SURVEY_ELEVATION_RANGE,
@@ -49,6 +48,7 @@ from .simworld import (
     FlowerGT,
     NoiseModel,
     SceneGenParams,  # re-exported: perfbench and the acceptance tests import it from runner
+    ShotRecord,
     SingleShotStats,
     ViewCache,
     generate_scene,
@@ -196,8 +196,7 @@ def simulate_run(
     cmd_rngs = [np.random.default_rng([cfg.seed, 2, i]) for i in range(cfg.arm_count)]
 
     attempts: list[AttemptRecord] = []
-    # (tick, camera_id, flower_id, detected, px_err, trans_err, rot_err_deg)
-    shots: list[tuple] = []
+    shots: list[ShotRecord] = []
     # (tick, arm_id, mode type, command type, target id, tip position)
     commands: list[tuple] = []
 
@@ -209,7 +208,7 @@ def simulate_run(
             ms, recs = observe_with_truth(
                 scene, arms[i].camera, cfg.camera, cfg.noise, cam_rngs[i], camera_id=i, tick=tick
             )
-            shots.extend((tick, i, r.flower_id, r.detected, r.px_err, r.trans_err, r.rot_err_deg) for r in recs)
+            shots.extend(recs)
             gs = ingest(gs, ms, tparams)
             if validate_rotations:
                 failed = _failed_rotation_audit(gs.tracks, verdicts)
@@ -223,13 +222,13 @@ def simulate_run(
             log.info("all arms done at tick %d", tick)
             break
 
-    opportunities, px_errors = shot_detections((s[2], s[3], s[4]) for s in shots)
+    tally = SingleShotStats()
+    tally.add(shots)
     logs = RunLogs(
         scene=scene,
         final_tracks=list(gs.tracks),
         n_ticks=n_ticks,
-        shot_opportunities=opportunities,
-        shot_px_errors=px_errors,
+        shots=tally,
         attempts=attempts,
         reachable_ids=reachable_flowers(scene, center, cmdr.workspace_radius),
         seed=cfg.seed,
@@ -351,11 +350,13 @@ def calibrate_noise(
     """
     for key in ("trans_cm", "rot_deg", "det_rate"):
         if key not in targets:
-            raise ValueError(f"targets missing '{key}'")
-        if targets[key] < 0:
-            raise ValueError(f"target '{key}' must be >= 0")
+            raise ConfigError(f"targets.{key}", "missing")
+        if not (math.isfinite(targets[key]) and targets[key] >= 0):
+            raise ConfigError(f"targets.{key}", "must be a finite number >= 0")
+    if targets["det_rate"] > 1:
+        raise ConfigError("targets.det_rate", "must be <= 1")
     if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
+        raise ConfigError("n_samples", "must be >= 1")
     k = k or Intrinsics.default()
     noise = NoiseModel()
     trans_target = float(targets["trans_cm"]) / 100.0

@@ -111,7 +111,8 @@ class Measurement:
 
 @dataclass(eq=False)
 class ShotRecord:
-    """Per-visible-flower oracle bookkeeping (ground-truth linked).
+    """Per-visible-flower oracle bookkeeping (ground-truth linked), one row
+    of a run's shots.csv.
 
     flower_id is -1 for clutter (false positive) measurements; error fields
     are NaN when not applicable. A record is detected exactly when
@@ -119,6 +120,8 @@ class ShotRecord:
     same order.
     """
 
+    tick: int
+    camera_id: int
     flower_id: int
     detected: bool
     px_err: float
@@ -181,9 +184,7 @@ def observe_with_truth(
         if obs is None:
             continue
         if rng.random() >= noise.detect_prob:
-            records.append(
-                ShotRecord(flower.id, False, float("nan"), float("nan"), float("nan"))
-            )
+            records.append(ShotRecord(tick, camera_id, flower.id, False, float("nan"), float("nan"), float("nan")))
             continue
         u = obs.u + rng.normal(0.0, noise.pixel_sigma)
         v = obs.v + rng.normal(0.0, noise.pixel_sigma)
@@ -207,6 +208,8 @@ def observe_with_truth(
         measurements.append(m)
         records.append(
             ShotRecord(
+                tick=tick,
+                camera_id=camera_id,
                 flower_id=flower.id,
                 detected=True,
                 px_err=float(math.hypot(u - obs.u, v - obs.v)),
@@ -222,7 +225,7 @@ def observe_with_truth(
         pix = PixelObs(u=float(u), v=float(v), ray_depth=float(depth))
         m = Measurement(pix, to_world(uplift(pix, k), cam), random_rotation(rng), camera_id, tick)
         measurements.append(m)
-        records.append(ShotRecord(-1, True, float("nan"), float("nan"), float("nan")))
+        records.append(ShotRecord(tick, camera_id, -1, True, float("nan"), float("nan"), float("nan")))
     return measurements, records
 
 
@@ -345,24 +348,32 @@ DETECT_SUCCESS_PX = 20.0
 
 @dataclass
 class SingleShotStats:
-    """Empirical single-shot oracle statistics over independent viewpoints."""
+    """Single-shot oracle statistics: the tally of a run's shots, of a
+    survey trial's and of a calibration sample set.
+
+    Every visible flower is one opportunity, clutter none; a detection
+    succeeds when its pixel error is within DETECT_SUCCESS_PX.
+    """
 
     opportunities: int = 0
+    px_errors: list[float] = field(default_factory=list)
     trans_errors: list[float] = field(default_factory=list)
     rot_errors: list[float] = field(default_factory=list)
-    detections_within_px: int = 0
 
     def add(self, records: list[ShotRecord]) -> None:
-        """Tally the flower records of one observation; clutter is skipped."""
+        """Tally flower records; clutter is skipped."""
         for rec in records:
             if rec.flower_id < 0:
                 continue
             self.opportunities += 1
             if rec.detected:
+                self.px_errors.append(rec.px_err)
                 self.trans_errors.append(rec.trans_err)
                 self.rot_errors.append(rec.rot_err_deg)
-                if rec.px_err <= DETECT_SUCCESS_PX:
-                    self.detections_within_px += 1
+
+    @property
+    def detections_within_px(self) -> int:
+        return sum(1 for e in self.px_errors if e <= DETECT_SUCCESS_PX)
 
     @property
     def mean_trans(self) -> float:

@@ -112,14 +112,6 @@ class Track:
     last_meas: Measurement | None = None
 
 
-def _evolve(t: Track, **changes) -> Track:
-    """A fresh Track with `changes` applied: dataclasses.replace without the
-    per-field __init__ round trip."""
-    new = object.__new__(Track)
-    new.__dict__ = {**t.__dict__, **changes}
-    return new
-
-
 @dataclass(eq=False)
 class GlobalState:
     """All tracks plus id allocation, current tick, and arm target claims."""
@@ -195,28 +187,32 @@ def associate(ms: list[Measurement], gs: GlobalState, threshold: float) -> Assig
     return Assignment(pairs=[(mi, tid) for tid, mi in pairs], spawns=spawns)
 
 
-def predict(t: Track, ticks: int, q_pos: float, q_rot: float) -> Track:
+# The filter steps update the Track they are given, but by assigning new
+# arrays, never by writing into the old ones: the rotation audit in `runner`
+# keeps a verdict for as long as a track holds the very rot_mean it audited.
+
+
+def predict(t: Track, ticks: int, q_pos: float, q_rot: float) -> None:
     """Static-state prediction: means unchanged, covariance inflated."""
     if ticks < 0:
         raise ValueError("ticks must be >= 0")
-    if ticks == 0:
-        return t
-    return _evolve(t, pos_cov=t.pos_cov + ticks * q_pos * I3, rot_cov=t.rot_cov + ticks * q_rot)
+    if ticks:
+        t.pos_cov = t.pos_cov + ticks * q_pos * I3
+        t.rot_cov = t.rot_cov + ticks * q_rot
 
 
-def update_position(t: Track, z: np.ndarray, r_meas: float) -> Track:
+def update_position(t: Track, z: np.ndarray, r_meas: float) -> None:
     """Linear Kalman update with identity observation model on position."""
     if r_meas <= 0:
         raise ValueError("r_meas must be > 0")
     p = t.pos_cov
     kgain = p @ np.linalg.inv(p + r_meas * I3)
-    mean = t.pos_mean + kgain @ (np.asarray(z, dtype=float) - t.pos_mean)
+    t.pos_mean = t.pos_mean + kgain @ (np.asarray(z, dtype=float) - t.pos_mean)
     cov = (I3 - kgain) @ p
-    cov = 0.5 * (cov + cov.T)  # symmetrize against round-off
-    return _evolve(t, pos_mean=mean, pos_cov=cov)
+    t.pos_cov = 0.5 * (cov + cov.T)  # symmetrize against round-off
 
 
-def update_rotation(t: Track, z: np.ndarray, r_meas: float) -> Track:
+def update_rotation(t: Track, z: np.ndarray, r_meas: float) -> None:
     """Scalar-gain Kalman update on the flattened rotation, SVD re-projected.
 
     The state is the 9-vector flatten(rot_mean); the posterior mean is
@@ -227,8 +223,8 @@ def update_rotation(t: Track, z: np.ndarray, r_meas: float) -> Track:
         raise ValueError("r_meas must be > 0")
     kgain = t.rot_cov / (t.rot_cov + r_meas)
     s = flatten(t.rot_mean)
-    s_post = s + kgain * (flatten(z) - s)
-    return _evolve(t, rot_mean=svd_project(s_post), rot_cov=(1.0 - kgain) * t.rot_cov)
+    t.rot_mean = svd_project(s + kgain * (flatten(z) - s))
+    t.rot_cov = (1.0 - kgain) * t.rot_cov
 
 
 def is_confident(t: Track, params: TrackerParams) -> bool:
@@ -295,10 +291,8 @@ def ingest(gs: GlobalState, ms: list[Measurement], params: TrackerParams) -> Glo
 
     Predicts all tracks to the batch tick, associates, runs the position and
     rotation updates per matched pair, spawns tracks for the rest, and prunes
-    stale low-support tracks. Mutates and returns gs; tracks themselves are
-    value-like (updates produce fresh Track objects, and only those fresh
-    objects get their hits, last_tick and last_meas set), so snapshots taken
-    before ingest stay coherent.
+    stale low-support tracks. Updates gs and its tracks in place and
+    returns gs.
 
     An unassigned measurement spawns only if no track (as updated by this
     batch, spawns excluded) lies within the association gate. That test uses
@@ -310,22 +304,22 @@ def ingest(gs: GlobalState, ms: list[Measurement], params: TrackerParams) -> Glo
     if any(m.tick != batch_tick for m in ms):
         raise ValueError("measurement batch must come from a single tick")
     dt = max(0, batch_tick - gs.tick)
-    gs.tracks = [predict(t, dt, params.q_pos, params.q_rot) for t in gs.tracks]
+    for t in gs.tracks:
+        predict(t, dt, params.q_pos, params.q_rot)
     gs.tick = max(gs.tick, batch_tick)
 
     asg = associate(ms, gs, params.assoc_threshold)
-    by_id = {t.id: i for i, t in enumerate(gs.tracks)}
+    by_id = {t.id: t for t in gs.tracks}
+    lo, hi = params.reliable_range
     for mi, tid in asg.pairs:
         m = ms[mi]
-        lo, hi = params.reliable_range
         r_pos = params.r_pos_near if lo <= m.pixel.ray_depth <= hi else params.r_pos_far
-        t = gs.tracks[by_id[tid]]
-        t = update_position(t, m.position_world, r_pos)
-        t = update_rotation(t, m.rotation, params.r_rot)
+        t = by_id[tid]
+        update_position(t, m.position_world, r_pos)
+        update_rotation(t, m.rotation, params.r_rot)
         t.hits += 1
         t.last_tick = batch_tick
         t.last_meas = m
-        gs.tracks[by_id[tid]] = t
     spawn_ms = [ms[mi] for mi in asg.spawns]
     suppressed: set[int] = set()
     if spawn_ms and gs.tracks:

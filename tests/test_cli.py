@@ -130,6 +130,17 @@ def test_eval_truncated_csv_schema_mismatch(tmp_path, capsys):
         evaluate_run_dir(str(out_dir))
 
 
+def test_eval_refuses_negative_pixel_error(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    _write_config(cfg_path, step_budget=20, scene={"generate": {"count": 1}})
+    out_dir = tmp_path / "run"
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(out_dir), "--quiet"]) == 0
+    shots = (out_dir / "shots.csv").read_text().splitlines()
+    (out_dir / "shots.csv").write_text("\n".join(shots + ["19,0,0,1,-1.0,0.01,5.0"]) + "\n")
+    assert main(["eval", "--out-dir", str(out_dir), "--quiet"]) == 3
+    assert f"shots.csv: row {len(shots) + 1}: negative px_err" in capsys.readouterr().err
+
+
 def test_eval_empty_tracks_nonempty_scene(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     _write_config(cfg_path, step_budget=60)
@@ -212,6 +223,7 @@ def test_config_error_variants(tmp_path):
         ({"seed": 1.5}, "'seed'"),
         ({"seed": True}, "'seed'"),
         ({"seed": "1"}, "'seed'"),
+        ({"seed": -1}, "'seed': must be an integer >= 0"),
         ({"arm_count": 2.5}, "'arm_count'"),
         ({"step_budget": 0.0}, "'step_budget'"),
         ({"viewpoints_per_flower": float("inf")}, "'viewpoints_per_flower'"),
@@ -266,8 +278,38 @@ def test_calibrate_noiseless_targets(tmp_path, capsys):
     assert model["detect_prob"] == 1.0
 
 
-def test_calibrate_negative_target_rejected(capsys):
-    assert main(["calibrate-noise", "--trans-cm", "-1", "--rot-deg", "0", "--det-rate", "1"]) == 2
+@pytest.mark.parametrize("option, value", [
+    ("--trans-cm", "-1"),
+    ("--trans-cm", "nan"),
+    ("--rot-deg", "nan"),
+    ("--rot-deg", "inf"),
+    ("--det-rate", "nan"),
+    ("--det-rate", "1.5"),
+])
+def test_calibrate_negative_target_rejected(capsys, option, value):
+    # refused before any bisection runs, naming the target
+    from pollisim.runner import calibrate_noise
+
+    key = option[2:].replace("-", "_")
+    assert main(["calibrate-noise", option, value]) == 2
+    assert f"'targets.{key}'" in capsys.readouterr().err
+    targets = {"trans_cm": 3.03, "rot_deg": 29.88, "det_rate": 0.9301, key: float(value)}
+    with pytest.raises(ValueError, match=key):
+        calibrate_noise(targets, n_samples=1)
+
+
+@pytest.mark.parametrize("command", [
+    ["simulate", "--config", "cfg.json", "--out", "run"],
+    ["calibrate-noise"],
+    ["gen-scene", "--out", "s.json"],
+])
+def test_negative_seed_rejected(tmp_path, monkeypatch, capsys, command):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--seed", "-1"])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
 
 
 @pytest.mark.parametrize("samples", ["0", "-5"])

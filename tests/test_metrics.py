@@ -11,7 +11,6 @@ from pollisim.metrics import (
     PoseError,
     RunLogs,
     aggregate,
-    detection_success,
     dice,
     match_tracks_to_flowers,
     pollination_rates,
@@ -20,7 +19,7 @@ from pollisim.metrics import (
     report_csv_row,
     summary_table,
 )
-from pollisim.simworld import FlowerGT, NoiseModel
+from pollisim.simworld import FlowerGT, NoiseModel, SingleShotStats
 from pollisim.so3 import Pose, rot_x, rot_z
 from pollisim.tracker import Track
 from pollisim.runner import ExperimentConfig, SceneGenParams, simulate_run
@@ -58,14 +57,6 @@ def test_pose_success_thresholds():
     assert not pose_success(PoseError(0.09, 10.0))
     assert pose_success(PoseError(0.08, 60.0))  # boundary inclusive
     assert not pose_success(PoseError(0.080001, 60.0))
-
-
-def test_detection_success():
-    assert detection_success(8.97)
-    assert detection_success(20.0)
-    assert not detection_success(25.0)
-    with pytest.raises(ValueError):
-        detection_success(-1.0)
 
 
 def test_dice_identical_and_disjoint():
@@ -163,8 +154,7 @@ def test_aggregate_simple_run():
         scene=flowers,
         final_tracks=tracks,
         n_ticks=10,
-        shot_opportunities=10,
-        shot_px_errors=[5.0] * 9,
+        shots=SingleShotStats(opportunities=10, px_errors=[5.0] * 9),
         attempts=[AttemptRecord(5, 0, 3, 0, True)],
         reachable_ids=[0],
         seed=1,
@@ -214,10 +204,10 @@ def test_aggregate_permutation_invariant():
     tracks = [_track_at(10 + i, f.pose.position + rng.normal(0, 0.002, 3)) for i, f in enumerate(flowers)]
     attempts = [AttemptRecord(t, 0, 10 + i, i, i % 2 == 0) for i, t in enumerate(range(5))]
     logs_a = RunLogs(scene=list(flowers), final_tracks=list(tracks), n_ticks=9,
-                     shot_opportunities=4, shot_px_errors=[1.0, 2.0, 3.0, 4.0],
+                     shots=SingleShotStats(opportunities=4, px_errors=[1.0, 2.0, 3.0, 4.0]),
                      attempts=list(attempts), reachable_ids=[0, 1, 2, 3, 4])
     logs_b = RunLogs(scene=flowers[::-1], final_tracks=tracks[::-1], n_ticks=9,
-                     shot_opportunities=4, shot_px_errors=[4.0, 3.0, 2.0, 1.0],
+                     shots=SingleShotStats(opportunities=4, px_errors=[4.0, 3.0, 2.0, 1.0]),
                      attempts=attempts[::-1], reachable_ids=[4, 3, 2, 1, 0])
     assert aggregate(logs_a).to_json() == aggregate(logs_b).to_json()
 
@@ -226,7 +216,7 @@ def test_report_formatting():
     flowers = [_flower_at(0, [0, 0, 0])]
     tracks = [_track_at(3, [0.004, 0, 0])]
     logs = RunLogs(scene=flowers, final_tracks=tracks, n_ticks=10,
-                   shot_opportunities=10, shot_px_errors=[5.0] * 9,
+                   shots=SingleShotStats(opportunities=10, px_errors=[5.0] * 9),
                    attempts=[AttemptRecord(5, 0, 3, 0, True)], reachable_ids=[0],
                    seed=1, config_digest="d")
     rep = aggregate(logs)

@@ -11,13 +11,21 @@ import numpy as np
 import pytest
 
 from pollisim import runner
+from pollisim.artifacts import read_run_logs
 from pollisim.camera import Intrinsics
 from pollisim.simworld import NoiseModel, SceneGenParams
 from pollisim.tracker import TrackerParams
 
 K = Intrinsics.default()
+CLI_TARGETS = {"trans_cm": 3.03, "rot_deg": 29.88, "det_rate": 0.9301}
+NOISELESS_TARGETS = {"trans_cm": 0.0, "rot_deg": 0.0, "det_rate": 1.0}
+# No detect bisection, but both sigma searches.
+PERFECT_DETECTION_TARGETS = {"trans_cm": 3.03, "rot_deg": 29.88, "det_rate": 1.0}
+
 # Clutter, flips and two arms, so every file and every row kind is exercised:
-# 2132 shot rows (clutter among them) and 18 attempts.
+# 2132 shot rows (clutter among them) and 18 attempts. The digests were
+# recorded before the filter steps updated tracks in place and before the
+# loop kept its shots as ShotRecords: every run byte must stay the same.
 PINNED_RUN = runner.ExperimentConfig(
     seed=3, scene_gen=SceneGenParams(count=12), arm_count=2, step_budget=300,
     noise=NoiseModel(flip_prob=0.2, clutter_rate=0.5),
@@ -43,10 +51,17 @@ def test_run_directory_bytes_are_pinned(tmp_path):
         with open(tmp_path / name, "rb") as fh:
             got[name] = hashlib.sha256(fh.read()).hexdigest()
     assert got == PINNED_RUN_SHA256
-CLI_TARGETS = {"trans_cm": 3.03, "rot_deg": 29.88, "det_rate": 0.9301}
-NOISELESS_TARGETS = {"trans_cm": 0.0, "rot_deg": 0.0, "det_rate": 1.0}
-# No detect bisection, but both sigma searches.
-PERFECT_DETECTION_TARGETS = {"trans_cm": 3.03, "rot_deg": 29.88, "det_rate": 1.0}
+
+
+def test_read_run_logs_rebuilds_the_loops_shot_tally(monkeypatch, tmp_path):
+    passed = []
+    real = runner.aggregate
+    monkeypatch.setattr(runner, "aggregate", lambda logs: passed.append(logs) or real(logs))
+    runner.simulate_run(PINNED_RUN, out_dir=str(tmp_path))
+    loop, read = passed[0].shots, read_run_logs(str(tmp_path)).shots
+    assert read.opportunities == loop.opportunities == 1844
+    for name in ("px_errors", "trans_errors", "rot_errors"):
+        assert np.array(getattr(read, name)).tobytes() == np.array(getattr(loop, name)).tobytes()
 
 
 def _calibration_record(monkeypatch, targets, seed, cached):

@@ -17,6 +17,8 @@ from pollisim.simworld import (
     NoiseModel,
     ParseError,
     SceneGenParams,
+    ShotRecord,
+    SingleShotStats,
     ViewCache,
     generate_scene,
     load_scene,
@@ -252,6 +254,24 @@ def test_single_shot_stats_noiseless():
     assert stats.mean_rot < 1e-5
 
 
+def test_single_shot_stats_tally():
+    nan = float("nan")
+    stats = SingleShotStats()
+    stats.add([
+        ShotRecord(0, 0, 0, True, 8.97, 0.01, 5.0),
+        ShotRecord(0, 0, 1, True, 20.0, 0.02, 6.0),  # the pixel gate is inclusive
+        ShotRecord(0, 0, 2, True, 25.0, 0.03, 7.0),
+        ShotRecord(0, 0, 3, False, nan, nan, nan),
+        ShotRecord(0, 0, -1, True, nan, nan, nan),  # clutter is no opportunity
+    ])
+    assert stats.opportunities == 4
+    assert stats.px_errors == [8.97, 20.0, 25.0]
+    assert stats.trans_errors == [0.01, 0.02, 0.03] and stats.rot_errors == [5.0, 6.0, 7.0]
+    assert stats.detections_within_px == 2
+    assert stats.detection_rate == 0.5
+    assert np.isnan(SingleShotStats().detection_rate)
+
+
 def _stats_bits(stats):
     return (stats.opportunities, stats.detections_within_px, stats.trans_errors, stats.rot_errors)
 
@@ -340,6 +360,7 @@ def _oracle_stream_digest(seed: int) -> str:
         # lists keep the same order: the k-th detected record is ms[k].
         detected = 0
         for r in records:
+            assert (r.tick, r.camera_id) == (tick, tick % 3)
             h.update(struct.pack("<q?", r.flower_id, r.detected))
             _pack_floats(h, r.px_err, r.trans_err, r.rot_err_deg)
             h.update(struct.pack("<q", detected if r.detected else -1))

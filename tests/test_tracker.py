@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 
 from helpers import assert_json_form, brute_force_assignment, geodesic_midpoint, make_measurement
 from pollisim.simworld import NoiseModel
-from pollisim.so3 import is_rotation, random_rotation, rot_x, zaxis_angle
+from pollisim.so3 import I3, flatten, is_rotation, random_rotation, rot_x, svd_project, zaxis_angle
 from pollisim.tracker import (
     Assignment,
     GlobalState,
@@ -189,12 +189,13 @@ def test_associate_pairs_invariant_under_measurement_permutation(t_pos, m_pos, d
 
 def test_predict_identity_and_additive():
     t = _track(pos_cov=1e-4, rot_cov=0.2)
-    assert predict(t, 0, 1e-6, 1e-4) is t
-    out = predict(t, 5, 1e-6, 1e-4)
-    assert_allclose(out.pos_cov, 1e-4 * np.eye(3) + 5e-6 * np.eye(3), atol=1e-15)
-    assert_allclose(out.rot_cov, 0.2 + 5e-4, atol=1e-15)
-    assert_allclose(out.pos_mean, t.pos_mean, atol=0)
-    assert_allclose(out.rot_mean, t.rot_mean, atol=0)
+    pos_mean, pos_cov, rot_mean = t.pos_mean, t.pos_cov, t.rot_mean
+    assert predict(t, 0, 1e-6, 1e-4) is None
+    assert t.pos_cov is pos_cov and t.rot_cov == 0.2
+    assert predict(t, 5, 1e-6, 1e-4) is None
+    assert_allclose(t.pos_cov, 1e-4 * np.eye(3) + 5e-6 * np.eye(3), atol=1e-15)
+    assert_allclose(t.rot_cov, 0.2 + 5e-4, atol=1e-15)
+    assert t.pos_mean is pos_mean and t.rot_mean is rot_mean
     with pytest.raises(ValueError):
         predict(t, -1, 1e-6, 1e-4)
 
@@ -202,14 +203,14 @@ def test_predict_identity_and_additive():
 def test_update_position_uninformative_prior():
     t = _track(pos_cov=1e9)
     z = np.array([0.3, -0.2, 0.5])
-    out = update_position(t, z, 1e-2)
-    assert np.linalg.norm(out.pos_mean - z) < 1e-6
+    assert update_position(t, z, 1e-2) is None
+    assert np.linalg.norm(t.pos_mean - z) < 1e-6
 
 
 def test_update_position_equal_variance_midpoint():
     t = _track(pos=(1.0, 0.0, 0.0), pos_cov=4e-4)
-    out = update_position(t, np.array([0.0, 1.0, 0.0]), 4e-4)
-    assert_allclose(out.pos_mean, [0.5, 0.5, 0.0], atol=1e-12)
+    update_position(t, np.array([0.0, 1.0, 0.0]), 4e-4)
+    assert_allclose(t.pos_mean, [0.5, 0.5, 0.0], atol=1e-12)
 
 
 def test_update_position_posterior_dominated():
@@ -217,10 +218,10 @@ def test_update_position_posterior_dominated():
     t = _track(pos_cov=2.5e-3)
     for _ in range(50):
         z = rng.normal(0, 0.03, size=3)
-        out = update_position(t, z, 1e-4)
-        diff_eigs = np.linalg.eigvalsh(t.pos_cov - out.pos_cov)
+        prior = t.pos_cov
+        update_position(t, z, 1e-4)
+        diff_eigs = np.linalg.eigvalsh(prior - t.pos_cov)
         assert diff_eigs.min() > -1e-12  # posterior <= prior in Loewner order
-        t = out
 
 
 def test_update_position_monte_carlo_convergence():
@@ -231,7 +232,7 @@ def test_update_position_monte_carlo_convergence():
     for _ in range(500):
         t = _track(pos=rng.normal(0, sigma, 3), pos_cov=sigma**2)
         for _ in range(100):
-            t = update_position(t, rng.normal(0, sigma, 3), sigma**2)
+            update_position(t, rng.normal(0, sigma, 3), sigma**2)
         finals.append(t.pos_mean)
     emp_std = float(np.std(np.asarray(finals)))
     expected = sigma / np.sqrt(101)
@@ -243,30 +244,115 @@ def test_update_position_monte_carlo_convergence():
 def test_update_rotation_gain_extremes():
     z = rot_x(np.pi / 2)
     t = _track(rot_cov=1e9)
-    out = update_rotation(t, z, 1e-6)
-    assert np.abs(out.rot_mean - z).max() < 1e-6
+    assert update_rotation(t, z, 1e-6) is None
+    assert np.abs(t.rot_mean - z).max() < 1e-6
     # fixed point: measuring the prior leaves the mean, shrinks the variance
     t2 = _track(rot=rot_x(0.3), rot_cov=0.2)
-    out2 = update_rotation(t2, rot_x(0.3), 0.1)
-    assert_allclose(out2.rot_mean, rot_x(0.3), atol=1e-12)
-    assert out2.rot_cov < t2.rot_cov
+    update_rotation(t2, rot_x(0.3), 0.1)
+    assert_allclose(t2.rot_mean, rot_x(0.3), atol=1e-12)
+    assert t2.rot_cov < 0.2
 
 
 def test_update_rotation_equal_variance_midpoint():
     t = _track(rot=np.eye(3), rot_cov=0.1)
-    out = update_rotation(t, rot_x(np.pi / 2), 0.1)
-    assert_allclose(out.rot_mean, rot_x(np.pi / 4), atol=1e-9)
-    assert_allclose(out.rot_mean, geodesic_midpoint(np.eye(3), rot_x(np.pi / 2)), atol=1e-9)
+    update_rotation(t, rot_x(np.pi / 2), 0.1)
+    assert_allclose(t.rot_mean, rot_x(np.pi / 4), atol=1e-9)
+    assert_allclose(t.rot_mean, geodesic_midpoint(np.eye(3), rot_x(np.pi / 2)), atol=1e-9)
 
 
 def test_update_rotation_stays_on_manifold():
     rng = np.random.default_rng(4)
     t = _track(rot=random_rotation(rng), rot_cov=0.3)
     for _ in range(100):
-        t = update_rotation(t, random_rotation(rng), 0.2)
+        update_rotation(t, random_rotation(rng), 0.2)
         assert is_rotation(t.rot_mean, tol=1e-9)
     with pytest.raises(ValueError):
         update_rotation(t, np.eye(3), 0.0)
+
+
+# The filter steps as they were when each returned a fresh Track, kept
+# verbatim as the reference for the in-place ones.
+def _evolve(t: Track, **changes) -> Track:
+    """A fresh Track with `changes` applied: dataclasses.replace without the
+    per-field __init__ round trip."""
+    new = object.__new__(Track)
+    new.__dict__ = {**t.__dict__, **changes}
+    return new
+
+
+def _reference_predict(t: Track, ticks: int, q_pos: float, q_rot: float) -> Track:
+    """Static-state prediction: means unchanged, covariance inflated."""
+    if ticks < 0:
+        raise ValueError("ticks must be >= 0")
+    if ticks == 0:
+        return t
+    return _evolve(t, pos_cov=t.pos_cov + ticks * q_pos * I3, rot_cov=t.rot_cov + ticks * q_rot)
+
+
+def _reference_update_position(t: Track, z: np.ndarray, r_meas: float) -> Track:
+    """Linear Kalman update with identity observation model on position."""
+    if r_meas <= 0:
+        raise ValueError("r_meas must be > 0")
+    p = t.pos_cov
+    kgain = p @ np.linalg.inv(p + r_meas * I3)
+    mean = t.pos_mean + kgain @ (np.asarray(z, dtype=float) - t.pos_mean)
+    cov = (I3 - kgain) @ p
+    cov = 0.5 * (cov + cov.T)  # symmetrize against round-off
+    return _evolve(t, pos_mean=mean, pos_cov=cov)
+
+
+def _reference_update_rotation(t: Track, z: np.ndarray, r_meas: float) -> Track:
+    """Scalar-gain Kalman update on the flattened rotation, SVD re-projected.
+
+    The state is the 9-vector flatten(rot_mean); the posterior mean is
+    projected back to the nearest rotation so the track always stays on the
+    manifold.
+    """
+    if r_meas <= 0:
+        raise ValueError("r_meas must be > 0")
+    kgain = t.rot_cov / (t.rot_cov + r_meas)
+    s = flatten(t.rot_mean)
+    s_post = s + kgain * (flatten(z) - s)
+    return _evolve(t, rot_mean=svd_project(s_post), rot_cov=(1.0 - kgain) * t.rot_cov)
+
+
+_variance = st.floats(1e-8, 1.0)
+_filter_step = st.one_of(
+    st.tuples(st.just("predict"), st.integers(0, 600), st.floats(0.0, 1e-3), st.floats(0.0, 1e-2)),
+    st.tuples(st.just("position"), st.tuples(*[st.floats(-1.0, 1.0)] * 3), _variance),
+    st.tuples(st.just("rotation"), st.integers(0, 2**32 - 1), _variance),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    pos=st.tuples(*[st.floats(-1.0, 1.0)] * 3),
+    pos_var=_variance,
+    rot_seed=st.integers(0, 2**32 - 1),
+    rot_var=_variance,
+    steps=st.lists(_filter_step, max_size=40),
+)
+def test_in_place_filter_steps_match_the_copying_reference_bitwise(pos, pos_var, rot_seed, rot_var, steps):
+    t = _track(pos=pos, pos_cov=pos_var, rot=random_rotation(np.random.default_rng(rot_seed)), rot_cov=rot_var)
+    ref = _track(pos=pos, pos_cov=pos_var, rot=t.rot_mean.copy(), rot_cov=rot_var)
+    for kind, a, b, *c in steps:
+        if kind == "predict":
+            assert predict(t, a, b, c[0]) is None
+            ref = _reference_predict(ref, a, b, c[0])
+        elif kind == "position":
+            assert update_position(t, np.asarray(a), b) is None
+            ref = _reference_update_position(ref, np.asarray(a), b)
+        else:
+            z = random_rotation(np.random.default_rng(a))
+            before = t.rot_mean
+            assert update_rotation(t, z, b) is None
+            ref = _reference_update_rotation(ref, z, b)
+            assert t.rot_mean is not before  # the rotation audit keys its verdicts on this
+        assert t.pos_mean.tobytes() == ref.pos_mean.tobytes()
+        assert t.pos_cov.tobytes() == ref.pos_cov.tobytes()
+        assert t.rot_mean.tobytes() == ref.rot_mean.tobytes()
+        assert repr(t.rot_cov) == repr(ref.rot_cov)
+        assert is_rotation(t.rot_mean, tol=1e-9)
 
 
 def test_ingest_spawn_from_empty():
