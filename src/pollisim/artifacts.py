@@ -15,6 +15,7 @@ import numpy as np
 
 from .commander import Done, Explore, MoveDelta, MoveTo, RoughLocalization, Searching, TriggerPollinate, VisualServo
 from .config import ExperimentConfig
+from .configfields import json_number, write_json
 from .metrics import (
     REPORT_CSV_HEADER,
     AttemptRecord,
@@ -65,12 +66,6 @@ def _write_csv(path: str, header: str, rows) -> None:
             fh.write(row + "\n")
 
 
-def _write_json(path: str, data: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def write_artifacts(
     out_dir: str,
     cfg: ExperimentConfig,
@@ -106,7 +101,7 @@ def write_artifacts(
         for s in shots
     ))
     save_scene(os.path.join(out_dir, "scene.json"), logs.scene)
-    _write_json(os.path.join(out_dir, "meta.json"), {
+    write_json(os.path.join(out_dir, "meta.json"), {
         "schema_version": ARTIFACT_SCHEMA_VERSION,
         "seed": cfg.seed,
         "config_digest": report.config_digest,
@@ -114,14 +109,24 @@ def write_artifacts(
         "workspace_center": list(cfg.commander.workspace_center),
         "workspace_radius": cfg.commander.workspace_radius,
     })
-    _write_json(os.path.join(out_dir, "config_resolved.json"), cfg.to_json())
-    _write_json(os.path.join(out_dir, "report.json"), report.to_json())
+    write_json(os.path.join(out_dir, "config_resolved.json"), cfg.to_json())
+    write_json(os.path.join(out_dir, "report.json"), report.to_json())
     _write_csv(os.path.join(out_dir, "report.csv"), REPORT_CSV_HEADER, [report_csv_row(report)])
     with open(os.path.join(out_dir, "summary.txt"), "w", encoding="utf-8", newline="\n") as fh:
         fh.write(summary_table(report))
 
 
-def _read_csv(path: str, header: str) -> list[list[str]]:
+# How _read_csv reads a cell of each column kind, and what it calls a bad one.
+_CELL_READERS = {
+    "i": ("integer", int),
+    "f": ("float", float),
+    "b": ("flag", {"0": False, "1": True}.__getitem__),
+}
+
+
+def _read_csv(path: str, header: str, kinds: str) -> list[list]:
+    """The rows of a CSV file with this header, each cell read by its
+    column's letter in `kinds`: i an integer, f a float, b a 0/1 flag."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.read().splitlines()
@@ -129,37 +134,39 @@ def _read_csv(path: str, header: str) -> list[list[str]]:
         raise SchemaMismatch(f"cannot read {path}: {exc}") from exc
     if not lines or lines[0] != header:
         raise SchemaMismatch(f"{path}: header mismatch (expected {header!r})")
-    n_cols = len(header.split(","))
+    readers = [_CELL_READERS[k] for k in kinds]
     rows = []
     for idx, line in enumerate(lines[1:], start=2):
         parts = line.split(",")
-        if len(parts) != n_cols:
-            raise SchemaMismatch(f"{path}: row {idx} has {len(parts)} fields, expected {n_cols}")
-        rows.append(parts)
+        if len(parts) != len(readers):
+            raise SchemaMismatch(f"{path}: row {idx} has {len(parts)} fields, expected {len(readers)}")
+        row = []
+        for (name, read), value in zip(readers, parts):
+            try:
+                row.append(read(value))
+            except (KeyError, ValueError):
+                raise SchemaMismatch(f"{path}: row {idx}: bad {name} {value!r}") from None
+        rows.append(row)
     return rows
 
 
-def _parse_float(path: str, row_idx: int, value: str) -> float:
+def _whole_number(value) -> int:
+    return json_number("value", "int", value)
+
+
+def _meta_value(path: str, meta: dict, key: str, read):
     try:
-        return float(value)
-    except ValueError as exc:
-        raise SchemaMismatch(f"{path}: row {row_idx}: bad float {value!r}") from exc
+        return read(meta[key])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SchemaMismatch(f"{path}: key {key!r} missing or malformed") from exc
 
 
-def _shot_record(path: str, row_idx: int, r: list[str]) -> ShotRecord:
-    px_err, trans_err, rot_err = (_parse_float(path, row_idx, v) for v in r[4:7])
-    if px_err < 0:
-        raise SchemaMismatch(f"{path}: row {row_idx}: negative px_err {r[4]!r}")
-    return ShotRecord(int(r[0]), int(r[1]), int(r[2]), bool(int(r[3])), px_err, trans_err, rot_err)
-
-
-def read_run_logs(out_dir: str, scene_path: str | None = None) -> RunLogs:
+def read_run_logs(out_dir: str) -> RunLogs:
     """Rebuild the run logs from a run directory.
 
     Reads tracks.csv (the final track table), shots.csv, attempts.csv,
-    meta.json and the scene (scene.json of the run unless `scene_path`).
+    meta.json and scene.json.
     """
-    scene_path = scene_path or os.path.join(out_dir, "scene.json")
     meta_path = os.path.join(out_dir, "meta.json")
     try:
         with open(meta_path, "r", encoding="utf-8") as fh:
@@ -168,47 +175,49 @@ def read_run_logs(out_dir: str, scene_path: str | None = None) -> RunLogs:
         raise SchemaMismatch(f"cannot read {meta_path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise SchemaMismatch(f"{meta_path}: invalid JSON ({exc.msg})") from exc
-    version = meta.get("schema_version")
+    version = meta.get("schema_version") if isinstance(meta, dict) else None
     if version != ARTIFACT_SCHEMA_VERSION:
         raise SchemaMismatch(f"{meta_path}: schema_version {version!r}, expected {ARTIFACT_SCHEMA_VERSION}")
 
-    scene = load_scene(scene_path)
+    scene = load_scene(os.path.join(out_dir, "scene.json"))
 
-    tracks_path = os.path.join(out_dir, "tracks.csv")
-    final_tracks: list[Track] = []
-    for idx, r in enumerate(_read_csv(tracks_path, TRACKS_HEADER), start=2):
-        vals = [_parse_float(tracks_path, idx, v) for v in r[2:16]]
-        final_tracks.append(
-            Track(
-                id=int(r[1]),
-                pos_mean=np.array(vals[0:3]),
-                pos_cov=np.eye(3) * vals[12] / 3.0,
-                rot_mean=require_rotation(np.array(vals[3:12]).reshape(3, 3), tol=1e-8),
-                rot_cov=vals[13],
-                hits=int(r[16]),
-                last_tick=int(r[0]),
-                pollinated=bool(int(r[17])),
-            )
+    final_tracks = [
+        Track(
+            id=track_id,
+            pos_mean=np.array(vals[0:3]),
+            pos_cov=np.eye(3) * vals[12] / 3.0,
+            rot_mean=require_rotation(np.array(vals[3:12]).reshape(3, 3), tol=1e-8),
+            rot_cov=vals[13],
+            hits=hits,
+            last_tick=tick,
+            pollinated=pollinated,
         )
+        for tick, track_id, *vals, hits, pollinated in _read_csv(
+            os.path.join(out_dir, "tracks.csv"), TRACKS_HEADER, "ii" + "f" * 14 + "ib"
+        )
+    ]
 
     shots_path = os.path.join(out_dir, "shots.csv")
+    records = [ShotRecord(*r) for r in _read_csv(shots_path, SHOTS_HEADER, "iiibfff")]
+    for idx, rec in enumerate(records, start=2):
+        if rec.px_err < 0:
+            raise SchemaMismatch(f"{shots_path}: row {idx}: negative px_err {rec.px_err!r}")
     shots = SingleShotStats()
-    shots.add([_shot_record(shots_path, idx, r) for idx, r in enumerate(_read_csv(shots_path, SHOTS_HEADER), start=2)])
-
-    attempts = [
-        AttemptRecord(int(r[0]), int(r[1]), int(r[2]), int(r[3]), bool(int(r[4])))
-        for r in _read_csv(os.path.join(out_dir, "attempts.csv"), ATTEMPTS_HEADER)
-    ]
+    shots.add(records)
 
     return RunLogs(
         scene=scene,
         final_tracks=final_tracks,
-        n_ticks=int(meta["n_ticks"]),
+        n_ticks=_meta_value(meta_path, meta, "n_ticks", _whole_number),
         shots=shots,
-        attempts=attempts,
+        attempts=[
+            AttemptRecord(*r) for r in _read_csv(os.path.join(out_dir, "attempts.csv"), ATTEMPTS_HEADER, "iiiib")
+        ],
         reachable_ids=reachable_flowers(
-            scene, np.asarray(meta["workspace_center"], dtype=float), float(meta["workspace_radius"])
+            scene,
+            _meta_value(meta_path, meta, "workspace_center", lambda v: np.asarray(v, dtype=float).reshape(3)),
+            _meta_value(meta_path, meta, "workspace_radius", float),
         ),
-        seed=int(meta["seed"]),
-        config_digest=str(meta["config_digest"]),
+        seed=_meta_value(meta_path, meta, "seed", _whole_number),
+        config_digest=_meta_value(meta_path, meta, "config_digest", str),
     )

@@ -8,19 +8,17 @@ FLOPE_LOG environment variable sets the log level (DEBUG/INFO/WARNING/...).
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import os
 import sys
 
 import numpy as np
 
-from .config import ConfigError, config_digest, load_config
+from .config import ConfigError, load_config
+from .configfields import json_text, write_json
 from .metrics import REPORT_CSV_HEADER, report_csv_row, summary_table
 from .runner import NoConvergence, calibrate_noise, evaluate_run_dir, simulate_run
 from .simworld import SceneGenParams, generate_scene, save_scene
-
-log = logging.getLogger("pollisim")
 
 # Every error type the package raises is one of these three.
 _RUNTIME_ERRORS = (ValueError, NoConvergence, OSError)
@@ -32,80 +30,48 @@ def _setup_logging() -> None:
     logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
-    try:
-        cfg = load_config(args.config)
-        if args.seed is not None:
-            cfg.seed = args.seed
-        if args.arms is not None:
-            if args.arms < 1:
-                raise ConfigError("arm_count", "must be >= 1")
-            cfg.arm_count = args.arms
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        report = simulate_run(cfg, out_dir=args.out)
-    except _RUNTIME_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+def _cmd_simulate(args: argparse.Namespace) -> None:
+    cfg = load_config(args.config)
+    if args.seed is not None:
+        cfg.seed = args.seed
+    if args.arms is not None:
+        if args.arms < 1:
+            raise ConfigError("arm_count", "must be >= 1")
+        cfg.arm_count = args.arms
+    report = simulate_run(cfg, out_dir=args.out)
     if not args.quiet:
         print(summary_table(report), end="")
-        print(f"config digest: {config_digest(cfg)}")
+        print(f"config digest: {report.config_digest}")
         print(f"artifacts written to {args.out}")
-    return 0
 
 
-def _cmd_calibrate(args: argparse.Namespace) -> int:
+def _cmd_calibrate(args: argparse.Namespace) -> None:
     targets = {"trans_cm": args.trans_cm, "rot_deg": args.rot_deg, "det_rate": args.det_rate}
-    try:
-        noise = calibrate_noise(targets, seed=args.seed, n_samples=args.samples)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except _RUNTIME_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    payload = json.dumps(noise.to_json(), indent=2, sort_keys=True) + "\n"
+    model = calibrate_noise(targets, seed=args.seed, n_samples=args.samples).to_json()
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+        write_json(args.out, model)
     if not args.quiet:
-        print(payload, end="")
-    return 0
+        print(json_text(model), end="")
 
 
-def _cmd_eval(args: argparse.Namespace) -> int:
-    try:
-        report = evaluate_run_dir(args.out_dir, scene_path=args.scene)
-    except _RUNTIME_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+def _cmd_eval(args: argparse.Namespace) -> None:
+    report = evaluate_run_dir(args.out_dir)
+    if args.report:
+        write_json(args.report, report.to_json())
     if not args.quiet:
         print(REPORT_CSV_HEADER)
         print(report_csv_row(report))
-    if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            json.dump(report.to_json(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    return 0
 
 
-def _cmd_gen_scene(args: argparse.Namespace) -> int:
+def _cmd_gen_scene(args: argparse.Namespace) -> None:
     try:
         params = SceneGenParams(args.count, args.center, args.spread, args.min_sep, args.max_tilt_deg)
     except ValueError as exc:
-        print(f"error: {ConfigError('scene.generate', str(exc))}", file=sys.stderr)
-        return 2
-    try:
-        scene = generate_scene(np.random.default_rng([args.seed, 0]), params)
-        save_scene(args.out, scene)
-    except _RUNTIME_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        raise ConfigError("scene.generate", str(exc)) from exc
+    scene = generate_scene(np.random.default_rng([args.seed, 0]), params)
+    save_scene(args.out, scene)
     if not args.quiet:
         print(f"wrote {len(scene)} flowers to {args.out}")
-    return 0
 
 
 def _floats(text: str) -> tuple[float, ...]:
@@ -143,7 +109,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_eval = sub.add_parser("eval", help="recompute a report from run artifacts")
     p_eval.add_argument("--out-dir", required=True, help="run directory written by simulate")
-    p_eval.add_argument("--scene", default=None, help="scene JSON (defaults to the run's scene.json)")
     p_eval.add_argument("--report", default=None, help="write the recomputed report JSON here")
     p_eval.add_argument("--quiet", action="store_true")
     p_eval.set_defaults(func=_cmd_eval)
@@ -164,10 +129,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand; the only place an error becomes an exit code."""
     _setup_logging()
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    args = build_parser().parse_args(argv)
+    try:
+        args.func(args)
+    except ConfigError as exc:  # a ValueError too, so it is caught first
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except _RUNTIME_ERRORS as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
+    return 0
 
 
 if __name__ == "__main__":

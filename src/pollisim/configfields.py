@@ -1,5 +1,6 @@
 """The one rule by which every config dataclass maps to and from its JSON
-form, and by which its values are checked.
+form, and by which its values are checked; and the one form in which every
+JSON file the package writes is laid out.
 
 Each config dataclass (`NoiseModel`, `TrackerParams`, `CommanderConfig`,
 `Intrinsics`, `SceneGenParams`) maps 1:1 to its JSON object: one key per
@@ -8,9 +9,21 @@ field, in declaration order.
 
 from __future__ import annotations
 
+import json
 from dataclasses import fields
 
 import numpy as np
+
+
+def json_text(obj) -> str:
+    """`obj` as every JSON file of the package is laid out: indented, keys
+    sorted, newline-terminated."""
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def write_json(path: str, obj) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json_text(obj))
 
 
 def fields_to_json(obj) -> dict:

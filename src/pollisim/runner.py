@@ -240,10 +240,10 @@ def simulate_run(
     return report
 
 
-def evaluate_run_dir(out_dir: str, scene_path: str | None = None) -> RunReport:
+def evaluate_run_dir(out_dir: str) -> RunReport:
     """Recompute a RunReport from a run directory written by simulate_run;
     the result is byte-identical to the report the simulation emitted."""
-    return aggregate(read_run_logs(out_dir, scene_path))
+    return aggregate(read_run_logs(out_dir))
 
 
 @dataclass(eq=False)
@@ -346,7 +346,8 @@ def calibrate_noise(
     Every evaluation restarts the same stream, so evaluations share one
     ViewCache: a sample whose stream state an earlier evaluation already
     drew from reuses that flower rotation and viewpoint (see
-    single_shot_stats).
+    single_shot_stats). For the same reason a model's statistics depend on
+    the model alone, and each model is evaluated once.
     """
     for key in ("trans_cm", "rot_deg", "det_rate"):
         if key not in targets:
@@ -366,6 +367,12 @@ def calibrate_noise(
     # survive the re-evaluation with all knobs in place.
     inner_tol = 0.4 * rel_tol
     views = ViewCache(n_samples)
+    memo: dict[NoiseModel, tuple[float, float, float]] = {}
+
+    def stat(model: NoiseModel) -> tuple[float, float, float]:
+        if model not in memo:
+            memo[model] = _stat_for(model, k, n_samples, seed, views)
+        return memo[model]
 
     # detect_prob first: skipped detections change the downstream RNG draw
     # alignment, so the other statistics are bisected against the final one.
@@ -373,7 +380,7 @@ def calibrate_noise(
         noise = replace(noise, detect_prob=1.0)
     else:
         def det_stat(x: float) -> float:
-            return _stat_for(replace(noise, detect_prob=x), k, n_samples, seed, views)[2]
+            return stat(replace(noise, detect_prob=x))[2]
 
         hi_rate = det_stat(1.0)
         if hi_rate < det_target:
@@ -384,7 +391,7 @@ def calibrate_noise(
         noise = replace(noise, rot_sigma=0.0)
     else:
         def rot_stat(x: float) -> float:
-            return _stat_for(replace(noise, rot_sigma=x), k, n_samples, seed, views)[1]
+            return stat(replace(noise, rot_sigma=x))[1]
 
         noise = replace(noise, rot_sigma=_bisect(rot_stat, rot_target, 0.0, 60.0, inner_tol, max_iter, "rot_sigma"))
 
@@ -393,12 +400,12 @@ def calibrate_noise(
     else:
         def trans_stat(x: float) -> float:
             trial = replace(noise, depth_sigma_near=x, depth_sigma_far=DEPTH_FAR_RATIO * x)
-            return _stat_for(trial, k, n_samples, seed, views)[0]
+            return stat(trial)[0]
 
         near = _bisect(trans_stat, trans_target, 0.0, 0.01, inner_tol, max_iter, "depth_sigma_near")
         noise = replace(noise, depth_sigma_near=near, depth_sigma_far=DEPTH_FAR_RATIO * near)
 
-    trans, rot, det = _stat_for(noise, k, n_samples, seed, views)
+    trans, rot, det = stat(noise)
     checks = []
     if trans_target > 0:
         checks.append(abs(trans - trans_target) <= rel_tol * trans_target)

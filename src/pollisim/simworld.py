@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .camera import CameraPose, Intrinsics, PixelObs, look_at, project, to_world, uplift
-from .configfields import check_fields, fields_to_json
+from .configfields import check_fields, fields_to_json, write_json
 from .so3 import (
     Pose,
     candidate_pairs,
@@ -270,7 +270,7 @@ def load_scene(path: str) -> list[FlowerGT]:
 
 def save_scene(path: str, flowers: list[FlowerGT]) -> None:
     """Write a scene JSON file (deterministic key order)."""
-    data = {
+    write_json(path, {
         "flowers": [
             {
                 "id": f.id,
@@ -280,10 +280,7 @@ def save_scene(path: str, flowers: list[FlowerGT]) -> None:
             }
             for f in sorted(flowers, key=lambda f: f.id)
         ]
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    })
 
 
 @dataclass(frozen=True)

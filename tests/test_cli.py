@@ -1,9 +1,12 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import pollisim
 from pollisim.artifacts import SchemaMismatch
 from pollisim.camera import Intrinsics
 from pollisim.cli import main
@@ -139,6 +142,86 @@ def test_eval_refuses_negative_pixel_error(tmp_path, capsys):
     (out_dir / "shots.csv").write_text("\n".join(shots + ["19,0,0,1,-1.0,0.01,5.0"]) + "\n")
     assert main(["eval", "--out-dir", str(out_dir), "--quiet"]) == 3
     assert f"shots.csv: row {len(shots) + 1}: negative px_err" in capsys.readouterr().err
+
+
+def _simulated_run(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    _write_config(cfg_path, step_budget=20, scene={"generate": {"count": 1}})
+    out_dir = tmp_path / "run"
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(out_dir), "--quiet"]) == 0
+    return out_dir
+
+
+@pytest.mark.parametrize("name, row, message", [
+    ("tracks.csv", "19,x," + "0.0," * 14 + "1,0", "bad integer 'x'"),
+    ("shots.csv", "19,0,0,2,1.0,0.01,5.0", "bad flag '2'"),
+    ("attempts.csv", "19,0,1,0,yes", "bad flag 'yes'"),
+    ("shots.csv", "19,0,0,1,one,0.01,5.0", "bad float 'one'"),
+], ids=["tracks-integer", "shots-flag", "attempts-flag", "shots-float"])
+def test_eval_refuses_a_damaged_cell_naming_file_and_row(tmp_path, capsys, name, row, message):
+    out_dir = _simulated_run(tmp_path)
+    lines = (out_dir / name).read_text().splitlines()
+    (out_dir / name).write_text("\n".join(lines + [row]) + "\n")
+    assert main(["eval", "--out-dir", str(out_dir), "--quiet"]) == 3
+    assert f"{name}: row {len(lines) + 1}: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [
+    ("n_ticks", None), ("n_ticks", 3.7), ("seed", [1]), ("workspace_center", [0.0, 0.0]),
+])
+def test_eval_refuses_a_missing_or_malformed_meta_key(tmp_path, capsys, key, value):
+    out_dir = _simulated_run(tmp_path)
+    meta = json.loads((out_dir / "meta.json").read_text())
+    if value is None:
+        del meta[key]
+    else:
+        meta[key] = value
+    (out_dir / "meta.json").write_text(json.dumps(meta))
+    assert main(["eval", "--out-dir", str(out_dir), "--quiet"]) == 3
+    assert f"meta.json: key '{key}' missing or malformed" in capsys.readouterr().err
+
+
+NOISELESS_CALIBRATION = ["calibrate-noise", "--trans-cm", "0", "--rot-deg", "0", "--det-rate", "1", "--samples", "50"]
+
+
+def _unwritable_calibration(tmp_path):
+    return [*NOISELESS_CALIBRATION, "--out", str(tmp_path / "missing" / "noise.json")], 3, "noise.json"
+
+
+def _unwritable_eval_report(tmp_path):
+    out_dir = _simulated_run(tmp_path)
+    return ["eval", "--out-dir", str(out_dir), "--report", str(tmp_path / "missing" / "r.json")], 3, "r.json"
+
+
+def _scene_without_flowers(tmp_path):
+    scene_path = tmp_path / "empty_scene.json"
+    scene_path.write_text('{"flowers": []}')
+    cfg_path = tmp_path / "cfg.json"
+    _write_config(cfg_path, scene={"path": str(scene_path)})
+    return ["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "run")], 2, "'scene'"
+
+
+@pytest.mark.parametrize("case", [_unwritable_calibration, _unwritable_eval_report, _scene_without_flowers])
+def test_every_failure_leaves_through_the_exit_code_gate(tmp_path, capsys, case):
+    argv, code, named = case(tmp_path)
+    capsys.readouterr()
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert named in err
+    assert "Traceback" not in err
+
+
+def test_module_entry_point_exits_3_without_traceback(tmp_path):
+    src = os.path.dirname(os.path.dirname(pollisim.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    argv = [*NOISELESS_CALIBRATION, "--out", str(tmp_path / "missing" / "noise.json")]
+    proc = subprocess.run([sys.executable, "-m", "pollisim.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
 
 
 def test_eval_empty_tracks_nonempty_scene(tmp_path):

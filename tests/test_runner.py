@@ -93,6 +93,16 @@ def test_calibration_with_reused_views_equals_the_uncached_one(monkeypatch, targ
     assert len(cached[0]) >= 1
 
 
+def test_calibration_evaluates_each_noise_model_once(monkeypatch):
+    # the uncached search at these settings makes 19 evaluations of 16 models
+    models = []
+    inner = runner.single_shot_stats
+    monkeypatch.setattr(runner, "single_shot_stats", lambda noise, *rest: models.append(noise) or inner(noise, *rest))
+    runner.calibrate_noise(CLI_TARGETS, seed=0, n_samples=250)
+    assert len(models) > 1
+    assert len(models) == len(set(models))
+
+
 def _bad_rotation_ingest(monkeypatch, views):
     """Make runner.ingest return, at the given views (0-based ingest count),
     the first track holding one fixed non-rotation mean. The filter itself
