@@ -3,6 +3,7 @@ work the runner skips because its result is already known (calibration's
 reused views and the rotation audit's reused verdicts), which must leave
 every result exactly as the full computation gives it."""
 
+import csv
 import hashlib
 import os
 from dataclasses import replace
@@ -44,13 +45,57 @@ PINNED_RUN_SHA256 = {
 }
 
 
-def test_run_directory_bytes_are_pinned(tmp_path):
-    runner.simulate_run(PINNED_RUN, out_dir=str(tmp_path))
+# Three arms on twelve flowers with the stock noise: arms contend for the
+# same confident tracks, so the rule that keeps them on distinct targets
+# decides most of the 900 command rows. The digests were recorded while
+# that rule was a claims table in the tracker's state.
+PINNED_3ARM_RUN = runner.ExperimentConfig(
+    seed=0, scene_gen=SceneGenParams(count=12), arm_count=3, step_budget=300,
+)
+PINNED_3ARM_RUN_SHA256 = {
+    "attempts.csv": "a12b5e63f556864d6e01ca8a001ac9818764dd7ae30416580cd3e54fa28a5588",
+    "commands.csv": "654bf6d6bfb4ea15009e03937dda7c97b0597454ca701eefe380a652b81ce500",
+    "config_resolved.json": "ea1fedfe8f6a199ff8770386e101aac3f1672e14a850486dc88b5e08fcbd33fe",
+    "meta.json": "c84d54093dd6af1999a1eabd88327bda17a254b485d8a3b1c4109a2e736c3754",
+    "report.csv": "461627c6a5bdb68cba419f5fd9c19c3fae9f4db2a7dbbb1e122511a48cda1690",
+    "report.json": "53ad1e4a19616abca1d8c5fd06426550f78bcc0a402ee6a71ae376fd52b0afbf",
+    "scene.json": "b0f3564c4ccb40d881c5116976498816a80dfc4c9419cb185dd0a6340f28c7ac",
+    "shots.csv": "5f812e3abd728550264e04a0f9c7776743fff432f0f7605b061c415fa67f0474",
+    "summary.txt": "1f3d5d96ce52b33355c8bf3da2d7cce4f81524e3d0d965a04e535301ccd7e2bb",
+    "tracks.csv": "7abf3a9084da108cb03ea955ae2e899cdae138b48009c2d73dfe672b2d7f88e3",
+}
+
+
+def _run_digests(cfg, out_dir) -> dict[str, str]:
+    runner.simulate_run(cfg, out_dir=str(out_dir))
     got = {}
-    for name in os.listdir(tmp_path):
-        with open(tmp_path / name, "rb") as fh:
+    for name in os.listdir(out_dir):
+        with open(out_dir / name, "rb") as fh:
             got[name] = hashlib.sha256(fh.read()).hexdigest()
-    assert got == PINNED_RUN_SHA256
+    return got
+
+
+def test_run_directory_bytes_are_pinned(tmp_path):
+    assert _run_digests(PINNED_RUN, tmp_path) == PINNED_RUN_SHA256
+
+
+def test_three_arm_run_is_pinned_and_targets_are_exclusive(tmp_path):
+    assert _run_digests(PINNED_3ARM_RUN, tmp_path) == PINNED_3ARM_RUN_SHA256
+    # Replay commands.csv row by row (each row is one arm's mode right after
+    # its step) and check that no two arms approach one track at once.
+    approaching: dict[str, str] = {}
+    clashes, shared = [], 0
+    with open(tmp_path / "commands.csv", encoding="utf-8") as fh:
+        for row in csv.DictReader(fh):
+            if row["mode"] in ("rough_localization", "visual_servo"):
+                approaching[row["arm_id"]] = row["target_id"]
+            else:
+                approaching.pop(row["arm_id"], None)
+            if len(set(approaching.values())) < len(approaching):
+                clashes.append(row)
+            shared += len(approaching) >= 2
+    assert clashes == []
+    assert shared > 0  # arms do approach side by side, so the check has teeth
 
 
 def test_read_run_logs_rebuilds_the_loops_shot_tally(monkeypatch, tmp_path):
