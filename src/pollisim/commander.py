@@ -5,7 +5,8 @@ pollination.
 Mode graph: Searching -> RoughLocalization -> VisualServo -> (trigger) ->
 Searching -> ... -> Done, plus a lost-target edge from either approach mode
 back to Searching. Modes are immutable values; `step` returns the command to
-execute and the successor mode.
+execute and the successor mode. The approach modes name their target, so the
+modes of all arms say which tracks are taken: no other record is kept.
 """
 
 from __future__ import annotations
@@ -18,17 +19,7 @@ import numpy as np
 from .camera import CameraPose
 from .configfields import check_fields, fields_to_json
 from .so3 import Pose, aligning_rotation, cross3, from_axis_angle, random_unit_vector, vnorm
-from .tracker import (
-    GlobalState,
-    Track,
-    TrackerParams,
-    claim_target,
-    get_track,
-    is_confident,
-    mark_pollinated,
-    release_target,
-    remove_track,
-)
+from .tracker import GlobalState, Track, TrackerParams, get_track, is_confident, remove_track
 from .simworld import FlowerGT
 
 
@@ -93,7 +84,7 @@ CAM_OFFSET = np.array([0.0, 0.0, -0.10])
 class ArmState:
     """Pollinator tip pose; the tip +z axis is the approach/tool direction.
 
-    `arm_id` is the arm's index in the run; claims and attempts carry it.
+    `arm_id` is the arm's index in the run; its attempts carry it.
     """
 
     tip_pose: Pose
@@ -206,28 +197,20 @@ def servo_delta(tip: Pose, target: Pose, gain: float, max_step: float) -> MoveDe
     return MoveDelta(dpos=dpos, drot=drot)
 
 
-def _eligible_targets(gs: GlobalState, cfg: CommanderConfig, tparams: TrackerParams, arm_id: int | None) -> list[Track]:
-    """Confident, unpollinated tracks in reach; unless arm_id is None, those
-    another arm has claimed are left out."""
+def _eligible_targets(gs: GlobalState, cfg: CommanderConfig, tparams: TrackerParams, taken: set[int]) -> list[Track]:
+    """Confident, unpollinated tracks in reach whose ids are not in `taken`."""
     out = []
     center = np.asarray(cfg.workspace_center, dtype=float)
     for t in gs.tracks:
-        if t.pollinated or not is_confident(t, tparams):
+        if t.pollinated or t.id in taken or not is_confident(t, tparams):
             continue
-        if arm_id is not None:
-            holder = gs.claims.get(t.id)
-            if holder is not None and holder != arm_id:
-                continue
         if np.linalg.norm(t.pos_mean - center) > cfg.workspace_radius + cfg.standoff:
             continue
         out.append(t)
     return out
 
 
-def _lost(
-    gs: GlobalState, arm_id: int, target_id: int, rng: np.random.Generator, search_steps: int
-) -> tuple[Command, Mode]:
-    release_target(gs, target_id, arm_id)
+def _lost(rng: np.random.Generator, search_steps: int) -> tuple[Command, Mode]:
     return Explore(tuple(random_unit_vector(rng))), Searching(search_steps)
 
 
@@ -238,12 +221,13 @@ def step(
     cfg: CommanderConfig,
     tparams: TrackerParams,
     rng: np.random.Generator,
+    taken: set[int],
 ) -> tuple[Command, Mode]:
     """Advance the state machine one tick against the current global state.
 
-    A track is a target once `tparams` deems it confident. Claims on the
-    shared state are taken when an approach starts and released on trigger
-    or target loss, so two arms never chase the same track.
+    A track is a target once `tparams` deems it confident. `taken` holds the
+    ids of the tracks the other arms' approach modes target; a searching arm
+    skips them, so two arms never chase the same track.
     """
     tip = arm.tip_pose
 
@@ -251,23 +235,23 @@ def step(
         return Explore(tuple(random_unit_vector(rng))), mode
 
     if isinstance(mode, Searching):
-        targets = _eligible_targets(gs, cfg, tparams, arm.arm_id)
+        targets = _eligible_targets(gs, cfg, tparams, taken)
         if targets:
             nearest = min(
                 targets,
                 key=lambda t: (float(np.linalg.norm(t.pos_mean - tip.position)), t.id),
             )
-            claim_target(gs, nearest.id, arm.arm_id)
             goal = standoff_pose(Pose(nearest.pos_mean, nearest.rot_mean), cfg.standoff)
             return MoveTo(goal), RoughLocalization(nearest.id, mode.steps)
-        if mode.steps >= cfg.search_patience and not _eligible_targets(gs, cfg, tparams, None):
+        # Done waits for every target, including those other arms approach.
+        if mode.steps >= cfg.search_patience and not _eligible_targets(gs, cfg, tparams, set()):
             return Explore(tuple(random_unit_vector(rng))), Done()
         return Explore(tuple(random_unit_vector(rng))), Searching(mode.steps + 1)
 
     if isinstance(mode, RoughLocalization):
         t = get_track(gs, mode.target_id)
         if t is None or t.pollinated:
-            return _lost(gs, arm.arm_id, mode.target_id, rng, mode.search_steps)
+            return _lost(rng, mode.search_steps)
         goal = standoff_pose(Pose(t.pos_mean, t.rot_mean), cfg.standoff)
         arrived = (
             float(np.linalg.norm(tip.position - goal.position)) <= cfg.arrival_pos
@@ -280,13 +264,13 @@ def step(
     # VisualServo
     t = get_track(gs, mode.target_id)
     if t is None or t.pollinated:
-        return _lost(gs, arm.arm_id, mode.target_id, rng, mode.search_steps)
+        return _lost(rng, mode.search_steps)
     if t.last_meas is None or gs.tick - t.last_meas.tick > cfg.servo_patience:
         # The camera is pointed straight at this estimate and sees nothing:
         # treat the track as refuted, not merely lost, or a clutter-born
         # phantom would be re-targeted forever.
         remove_track(gs, mode.target_id)
-        return _lost(gs, arm.arm_id, mode.target_id, rng, mode.search_steps)
+        return _lost(rng, mode.search_steps)
     # Real-time feedback: position from the latest raw measurement of this
     # flower; orientation from the filtered track, whose facing estimate is
     # far more reliable than any single shot.
@@ -299,6 +283,6 @@ def step(
         and _angle_between(-tip.rotation[:, 2], t.rot_mean[:, 2]) <= cfg.trigger_ang
     )
     if aligned:
-        mark_pollinated(gs, mode.target_id)
+        t.pollinated = True
         return TriggerPollinate(mode.target_id), Searching()
     return servo_delta(tip, target, cfg.gain, cfg.max_step), VisualServo(mode.target_id, mode.search_steps)

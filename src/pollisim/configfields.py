@@ -50,6 +50,13 @@ def json_number(name: str, kind: str, value):
     raise ValueError(f"{name} must be a whole number")
 
 
+def json_numbers(name: str, value) -> list[float]:
+    """`value` read as a list of float-field numbers."""
+    if not isinstance(value, list):
+        raise TypeError(f"{name} must be a list of numbers")
+    return [json_number(name, "float", x) for x in value]
+
+
 def fields_from_json(cls, d: dict):
     """Build dataclass `cls` from its JSON form, by one rule read from the
     field annotations (strings, as every module uses postponed annotations):
@@ -66,9 +73,7 @@ def fields_from_json(cls, d: dict):
         if kind is None:
             raise TypeError(f"{name} is not a field of this section")
         if kind.startswith("tuple["):
-            if not isinstance(value, list):
-                raise TypeError(f"{name} must be a list of numbers")
-            kwargs[name] = tuple(json_number(name, "float", x) for x in value)
+            kwargs[name] = tuple(json_numbers(name, value))
         else:
             kwargs[name] = json_number(name, kind, value)
     return cls(**kwargs)

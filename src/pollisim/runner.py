@@ -28,8 +28,10 @@ from .commander import (
     Mode,
     MoveDelta,
     MoveTo,
+    RoughLocalization,
     Searching,
     TriggerPollinate,
+    VisualServo,
     check_pollination,
     step as commander_step,
 )
@@ -214,7 +216,13 @@ def simulate_run(
                 failed = _failed_rotation_audit(gs.tracks, verdicts)
                 if failed:
                     raise AssertionError(f"track {failed[0]} rotation left SO(3) at tick {tick}")
-            cmd, modes[i] = commander_step(modes[i], gs, arms[i], cmdr, tparams, cmd_rngs[i])
+            # The other arms' approach targets, as their modes stand now: an
+            # arm that stepped earlier this tick has its new target here.
+            taken = {
+                m.target_id for j, m in enumerate(modes)
+                if j != i and isinstance(m, (RoughLocalization, VisualServo))
+            }
+            cmd, modes[i] = commander_step(modes[i], gs, arms[i], cmdr, tparams, cmd_rngs[i], taken)
             _apply_command(arms[i], cmd, cmdr, scene, tick, attempts)
             target_id = getattr(cmd, "track_id", getattr(modes[i], "target_id", -1))
             commands.append((tick, i, type(modes[i]), type(cmd), target_id, arms[i].tip_pose.position))

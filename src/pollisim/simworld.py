@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .camera import CameraPose, Intrinsics, PixelObs, look_at, project, to_world, uplift
-from .configfields import check_fields, fields_to_json, write_json
+from .configfields import check_fields, fields_to_json, json_number, json_numbers, write_json
 from .so3 import (
     Pose,
     candidate_pairs,
@@ -230,19 +230,34 @@ def observe_with_truth(
 
 
 def _flower_from_json(entry: dict, index: int) -> FlowerGT:
+    """One `flowers` entry: `id` a whole number >= 0, `position` three numbers,
+    `rotation` nine, `pollinated` (optional) a JSON bool. A bad entry raises
+    ParseError naming `flowers[index].<field>`."""
+    where = f"flowers[{index}]"
+    if not isinstance(entry, dict):
+        raise ParseError(f"{where} must be a JSON object")
     try:
-        fid = int(entry["id"])
-        position = np.asarray(entry["position"], dtype=float).reshape(3)
-        rot_values = entry["rotation"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"flowers[{index}]: missing or malformed field ({exc})") from exc
+        fid = json_number(f"{where}.id", "int", entry["id"])
+        if fid < 0:  # negative ids mark clutter in ShotRecord.flower_id
+            raise ValueError(f"{where}.id must be >= 0")
+        position = np.array(json_numbers(f"{where}.position", entry["position"]))
+        if position.shape != (3,):
+            raise ValueError(f"{where}.position must be three numbers")
+        rot_values = json_numbers(f"{where}.rotation", entry["rotation"])
+        pollinated = entry.get("pollinated", False)
+        if not isinstance(pollinated, bool):
+            raise TypeError(f"{where}.pollinated must be true or false")
+    except KeyError as exc:
+        raise ParseError(f"{where}: missing field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ParseError(str(exc)) from exc
     try:
         rotation = rotation_from_list(rot_values)
     except ValueError as exc:
         raise InvariantViolation(f"flower id {fid}: {exc}") from exc
     if not np.isfinite(position).all():
         raise InvariantViolation(f"flower id {fid}: non-finite position")
-    return FlowerGT(id=fid, pose=Pose(position, rotation), pollinated=bool(entry.get("pollinated", False)))
+    return FlowerGT(id=fid, pose=Pose(position, rotation), pollinated=pollinated)
 
 
 def load_scene(path: str) -> list[FlowerGT]:

@@ -114,12 +114,12 @@ class Track:
 
 @dataclass(eq=False)
 class GlobalState:
-    """All tracks plus id allocation, current tick, and arm target claims."""
+    """All tracks plus id allocation and the current tick. Ids are never
+    reused, so an id names one track for the whole run."""
 
     tracks: list[Track] = field(default_factory=list)
     next_id: int = 0
     tick: int = 0
-    claims: dict[int, int] = field(default_factory=dict)
 
 
 @dataclass(eq=False)
@@ -239,28 +239,6 @@ def get_track(gs: GlobalState, track_id: int) -> Track | None:
     return None
 
 
-def mark_pollinated(gs: GlobalState, track_id: int) -> None:
-    """Record a pollination attempt against a track (at most once per track)."""
-    t = get_track(gs, track_id)
-    if t is not None:
-        t.pollinated = True
-    gs.claims.pop(track_id, None)
-
-
-def claim_target(gs: GlobalState, track_id: int, arm_id: int) -> bool:
-    """Try to claim a track for one arm; False if another arm holds it."""
-    holder = gs.claims.get(track_id)
-    if holder is not None and holder != arm_id:
-        return False
-    gs.claims[track_id] = arm_id
-    return True
-
-
-def release_target(gs: GlobalState, track_id: int, arm_id: int) -> None:
-    if gs.claims.get(track_id) == arm_id:
-        gs.claims.pop(track_id, None)
-
-
 def remove_track(gs: GlobalState, track_id: int) -> None:
     """Drop a track outright (used when direct observation refutes it).
 
@@ -268,7 +246,6 @@ def remove_track(gs: GlobalState, track_id: int) -> None:
     phantom stays gone instead of being re-targeted forever.
     """
     gs.tracks = [t for t in gs.tracks if t.id != track_id]
-    gs.claims.pop(track_id, None)
 
 
 def _spawn(gs: GlobalState, m: Measurement, params: TrackerParams) -> Track:
@@ -338,12 +315,8 @@ def ingest(gs: GlobalState, ms: list[Measurement], params: TrackerParams) -> Glo
         if j not in suppressed:
             gs.tracks.append(_spawn(gs, m, params))
 
-    survivors = []
-    for t in gs.tracks:
-        stale = gs.tick - t.last_tick > params.stale_ticks and t.hits < params.stale_min_hits
-        if stale:
-            gs.claims.pop(t.id, None)
-        else:
-            survivors.append(t)
-    gs.tracks = survivors
+    gs.tracks = [
+        t for t in gs.tracks
+        if gs.tick - t.last_tick <= params.stale_ticks or t.hits >= params.stale_min_hits
+    ]
     return gs

@@ -52,7 +52,7 @@ def _arm(tip=(0.3, 0.0, 0.3)):
 
 def test_searching_without_targets_explores():
     rng = np.random.default_rng(0)
-    cmd, mode = step(Searching(), GlobalState(), _arm(), CFG, TP, rng)
+    cmd, mode = step(Searching(), GlobalState(), _arm(), CFG, TP, rng, set())
     assert isinstance(cmd, Explore)
     assert_allclose(np.linalg.norm(cmd.direction), 1.0, atol=1e-12)
     assert mode == Searching(1)
@@ -63,10 +63,9 @@ def test_searching_transitions_to_rough_localization():
     zf = rot_x(np.radians(25.0))
     track = _confident_track(tid=3, rot=zf)
     gs = GlobalState(tracks=[track], next_id=4)
-    cmd, mode = step(Searching(), gs, _arm(), CFG, TP, rng)
+    cmd, mode = step(Searching(), gs, _arm(), CFG, TP, rng, set())
     assert isinstance(cmd, MoveTo)
     assert mode == RoughLocalization(3, 0)
-    assert gs.claims == {3: 0}
     # standoff geometry: position offset along the flower facing axis,
     # tool axis anti-parallel to it
     facing = zf[:, 2]
@@ -87,19 +86,19 @@ def test_rough_localization_approaches_then_servos():
     track = _confident_track(tid=1)
     gs = GlobalState(tracks=[track], next_id=2)
     far_arm = _arm(tip=(0.4, 0.2, 0.4))
-    cmd, mode = step(RoughLocalization(1, 7), gs, far_arm, CFG, TP, rng)
+    cmd, mode = step(RoughLocalization(1, 7), gs, far_arm, CFG, TP, rng, set())
     assert isinstance(cmd, MoveTo)
     assert mode == RoughLocalization(1, 7)
     # at the standoff pose: transition to servo
     goal = standoff_pose(Pose(track.pos_mean, track.rot_mean), CFG.standoff)
     arm = ArmState(tip_pose=goal.copy())
-    cmd, mode = step(RoughLocalization(1, 7), gs, arm, CFG, TP, rng)
+    cmd, mode = step(RoughLocalization(1, 7), gs, arm, CFG, TP, rng, set())
     assert mode == VisualServo(1, 7)
 
 
 def test_target_lost_returns_to_searching():
     rng = np.random.default_rng(3)
-    cmd, mode = step(RoughLocalization(99, 11), GlobalState(), _arm(), CFG, TP, rng)
+    cmd, mode = step(RoughLocalization(99, 11), GlobalState(), _arm(), CFG, TP, rng, set())
     assert isinstance(cmd, Explore)
     assert mode == Searching(11)
 
@@ -108,7 +107,7 @@ def test_servo_stale_measurement_refutes_track():
     rng = np.random.default_rng(4)
     track = _confident_track(tid=2, tick=0)
     gs = GlobalState(tracks=[track], next_id=3, tick=100)  # long since last seen
-    cmd, mode = step(VisualServo(2, 5), gs, _arm(), CFG, TP, rng)
+    cmd, mode = step(VisualServo(2, 5), gs, _arm(), CFG, TP, rng, set())
     assert mode == Searching(5)
     assert gs.tracks == []  # refuted, not merely released
 
@@ -119,7 +118,7 @@ def test_servo_aligned_triggers_and_marks():
     track = _confident_track(tid=8, pos=(0.1, 0.0, 0.2), rot=zf, tick=0)
     gs = GlobalState(tracks=[track], next_id=9, tick=1)
     tip = Pose(track.pos_mean.copy(), rot_x(np.pi))  # tip -z == flower +z
-    cmd, mode = step(VisualServo(8, 4), gs, ArmState(tip_pose=tip), CFG, TP, rng)
+    cmd, mode = step(VisualServo(8, 4), gs, ArmState(tip_pose=tip), CFG, TP, rng, set())
     assert cmd == TriggerPollinate(8)
     assert mode == Searching(0)  # trigger resets the search budget
     assert track.pollinated
@@ -130,7 +129,7 @@ def test_servo_misaligned_issues_clamped_delta():
     track = _confident_track(tid=1, pos=(0.1, 0.0, 0.2))
     gs = GlobalState(tracks=[track], next_id=2, tick=0)
     arm = _arm(tip=(0.4, 0.0, 0.2))
-    cmd, mode = step(VisualServo(1, 2), gs, arm, CFG, TP, rng)
+    cmd, mode = step(VisualServo(1, 2), gs, arm, CFG, TP, rng, set())
     assert isinstance(cmd, MoveDelta)
     assert mode == VisualServo(1, 2)
     assert np.linalg.norm(cmd.dpos) <= CFG.max_step + 1e-12
@@ -138,24 +137,34 @@ def test_servo_misaligned_issues_clamped_delta():
 
 def test_done_when_search_budget_exhausted():
     rng = np.random.default_rng(7)
-    cmd, mode = step(Searching(CFG.search_patience), GlobalState(), _arm(), CFG, TP, rng)
+    cmd, mode = step(Searching(CFG.search_patience), GlobalState(), _arm(), CFG, TP, rng, set())
     assert isinstance(mode, Done)
-    cmd, mode = step(mode, GlobalState(), _arm(), CFG, TP, rng)
+    cmd, mode = step(mode, GlobalState(), _arm(), CFG, TP, rng, set())
     assert isinstance(mode, Done)
 
 
 def test_claimed_track_not_targeted_by_other_arm():
     rng = np.random.default_rng(8)
     track = _confident_track(tid=0)
-    gs = GlobalState(tracks=[track], next_id=1, claims={0: 1})
-    cmd, mode = step(Searching(), gs, _arm(), CFG, TP, rng)  # arm_id 0
+    gs = GlobalState(tracks=[track], next_id=1)
+    # arm 1 approaches track 0, so arm 0 finds it taken
+    cmd, mode = step(Searching(), gs, _arm(), CFG, TP, rng, taken={0})
     assert isinstance(cmd, Explore)
     assert isinstance(mode, Searching)
-    # the holder itself, arm 1, may target it
-    cmd, mode = step(Searching(), gs, ArmState(_arm().tip_pose, arm_id=1), CFG, TP, rng)
+    # arm 1 itself, whose own target is not among the others' targets, may target it
+    cmd, mode = step(Searching(), gs, ArmState(_arm().tip_pose, arm_id=1), CFG, TP, rng, taken=set())
     assert isinstance(cmd, MoveTo)
     assert mode == RoughLocalization(0, 0)
-    assert gs.claims == {0: 1}
+
+
+def test_not_done_while_another_arm_approaches_the_last_target():
+    # The search budget is spent and the only confident track is taken: the
+    # arm keeps exploring, because that approach may still lose its target.
+    rng = np.random.default_rng(9)
+    gs = GlobalState(tracks=[_confident_track(tid=0)], next_id=1)
+    cmd, mode = step(Searching(CFG.search_patience), gs, _arm(), CFG, TP, rng, taken={0})
+    assert isinstance(cmd, Explore)
+    assert mode == Searching(CFG.search_patience + 1)
 
 
 def test_commander_config_json():
@@ -259,7 +268,7 @@ def test_transition_graph_is_legal_noiseless():
         ms, _ = observe_with_truth(scene, arm.camera, Intrinsics.default(), cfg.noise, cam_rng, 0, tick)
         gs = tracker.ingest(gs, ms, tparams)
         prev = type(mode).__name__
-        cmd, mode = commander.step(mode, gs, arm, ccfg, tparams, cmd_rng)
+        cmd, mode = commander.step(mode, gs, arm, ccfg, tparams, cmd_rng, set())
         seen.add((prev, type(mode).__name__))
         _apply_command(arm, cmd, ccfg, scene, tick, attempts)
         if isinstance(mode, Done):

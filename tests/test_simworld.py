@@ -198,6 +198,31 @@ def test_load_scene_parse_errors(tmp_path):
         load_scene(str(tmp_path / "nonexistent.json"))
 
 
+_GOOD_ENTRY = {"id": 0, "position": [0, 0, 0], "rotation": [1, 0, 0, 0, 1, 0, 0, 0, 1]}
+
+
+@pytest.mark.parametrize("field, value", [
+    ("id", 2.7),
+    ("id", True),
+    ("id", -1),  # negative ids mark clutter in the shot records
+    ("pollinated", "no"),
+    ("position", ["0.1", True, 0]),
+    ("rotation", ["1", 0, 0, 0, 1, 0, 0, 0, 1]),
+])
+def test_load_scene_refuses_a_malformed_entry(tmp_path, field, value):
+    bad = {**_GOOD_ENTRY, "id": 1, field: value}
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps({"flowers": [_GOOD_ENTRY, bad]}))
+    with pytest.raises(ParseError, match=f"flowers\\[1\\]\\.{field}"):
+        load_scene(str(path))
+
+
+def test_load_scene_reads_pollinated_as_given(tmp_path):
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps({"flowers": [{**_GOOD_ENTRY, "pollinated": True}, {**_GOOD_ENTRY, "id": 4}]}))
+    assert [(f.id, f.pollinated) for f in load_scene(str(path))] == [(0, True), (4, False)]
+
+
 def test_generate_scene_separation_and_tilt():
     rng = np.random.default_rng(15)
     scene = generate_scene(rng, SceneGenParams(count=15, spread=0.15, min_sep=0.08, max_tilt_deg=30.0))

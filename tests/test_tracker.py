@@ -13,14 +13,11 @@ from pollisim.tracker import (
     Track,
     TrackerParams,
     associate,
-    claim_target,
     get_track,
     greedy_pairs,
     ingest,
     is_confident,
-    mark_pollinated,
     predict,
-    release_target,
     remove_track,
     update_position,
     update_rotation,
@@ -476,16 +473,8 @@ def test_confidence_gate():
     assert not is_confident(_track(pos_cov=1e-3, hits=9), params)
 
 
-def test_claims_and_pollination_marking():
+def test_remove_track():
     gs = _state([_track(tid=4)])
-    assert claim_target(gs, 4, arm_id=0)
-    assert not claim_target(gs, 4, arm_id=1)
-    assert claim_target(gs, 4, arm_id=0)  # re-claim by holder is fine
-    release_target(gs, 4, arm_id=1)  # non-holder release is a no-op
-    assert gs.claims == {4: 0}
-    mark_pollinated(gs, 4)
-    assert get_track(gs, 4).pollinated
-    assert gs.claims == {}
     remove_track(gs, 4)
     assert gs.tracks == [] and get_track(gs, 4) is None
 
