@@ -295,8 +295,11 @@ def survey_run(noise: NoiseModel, tparams: TrackerParams, k: Intrinsics, n_views
     )
 
 
-# Calibration: bisection per knob with common random numbers so each empirical
-# statistic is a smooth monotone function of its parameter.
+# Calibration: bisection per knob. Each evaluation restarts one stream from the
+# same seed, and `ViewCache` reuses the samples whose start state recurs. The
+# statistics are not smooth or monotone in a knob: a sample draws its view and
+# its observation from that one stream and a missed detection skips draws, so
+# one detection flip shifts every later sample's view and noise.
 _CAL_RNG_TAG = 7
 
 

@@ -140,14 +140,22 @@ def sample_viewpoint(
     Radius is uniform in [min, max], elevation uniform in degrees, azimuth
     uniform in [0, 360). The camera optical axis passes through `center` and
     the image up direction is regularized to world z.
+
+    The three uniforms come from one rng.random(3), each scaled as
+    low + (high - low) * u: the arithmetic and the draws of three
+    Generator.uniform calls, so the same pose bits and generator state.
     """
     rmin, rmax = radius_range
-    if not (0 < rmin <= rmax):
-        raise ValueError("radius_range must satisfy 0 < min <= max")
+    elo, ehi = elevation_range
+    if not (0 < rmin <= rmax < math.inf):
+        raise ValueError("radius_range must satisfy 0 < min <= max < inf")
+    if not (-math.inf < elo <= ehi < math.inf):
+        raise ValueError("elevation_range must be finite with min <= max")
     center = np.asarray(center, dtype=float)
-    r = rng.uniform(rmin, rmax)
-    elev = math.radians(rng.uniform(*elevation_range))
-    azim = rng.uniform(0.0, 2.0 * math.pi)
+    ur, ue, ua = rng.random(3).tolist()
+    r = rmin + (rmax - rmin) * ur
+    elev = math.radians(elo + (ehi - elo) * ue)
+    azim = 2.0 * math.pi * ua  # low 0 drops out exactly: u >= 0
     offset = r * np.array(
         [math.cos(elev) * math.cos(azim), math.cos(elev) * math.sin(azim), math.sin(elev)]
     )
@@ -229,11 +237,12 @@ def observe_with_truth(
     return measurements, records
 
 
-def _flower_from_json(entry: dict, index: int) -> FlowerGT:
-    """One `flowers` entry: `id` a whole number >= 0, `position` three numbers,
-    `rotation` nine, `pollinated` (optional) a JSON bool. A bad entry raises
-    ParseError naming `flowers[index].<field>`."""
-    where = f"flowers[{index}]"
+def _flower_from_json(entry: dict, index: int, path: str) -> FlowerGT:
+    """One `flowers` entry of scene file `path`: `id` a whole number >= 0,
+    `position` three numbers, `rotation` nine, `pollinated` (optional) a JSON
+    bool. A bad entry raises ParseError naming `path` and
+    `flowers[index].<field>`."""
+    where = f"{path}: flowers[{index}]"
     if not isinstance(entry, dict):
         raise ParseError(f"{where} must be a JSON object")
     try:
@@ -254,9 +263,9 @@ def _flower_from_json(entry: dict, index: int) -> FlowerGT:
     try:
         rotation = rotation_from_list(rot_values)
     except ValueError as exc:
-        raise InvariantViolation(f"flower id {fid}: {exc}") from exc
+        raise InvariantViolation(f"{path}: flower id {fid}: {exc}") from exc
     if not np.isfinite(position).all():
-        raise InvariantViolation(f"flower id {fid}: non-finite position")
+        raise InvariantViolation(f"{path}: flower id {fid}: non-finite position")
     return FlowerGT(id=fid, pose=Pose(position, rotation), pollinated=pollinated)
 
 
@@ -274,11 +283,11 @@ def load_scene(path: str) -> list[FlowerGT]:
     entries = data["flowers"]
     if not isinstance(entries, list):
         raise ParseError(f"{path}: 'flowers' must be a list")
-    flowers = [_flower_from_json(e, i) for i, e in enumerate(entries)]
+    flowers = [_flower_from_json(e, i, path) for i, e in enumerate(entries)]
     seen: set[int] = set()
     for f in flowers:
         if f.id in seen:
-            raise InvariantViolation(f"flower id {f.id}: duplicate id")
+            raise InvariantViolation(f"{path}: flower id {f.id}: duplicate id")
         seen.add(f.id)
     return sorted(flowers, key=lambda f: f.id)
 
@@ -321,8 +330,8 @@ def generate_scene(rng: np.random.Generator, params: SceneGenParams) -> list[Flo
     """Random scene: clustered positions with a minimum separation, facing
     directions within a cone of world-up, random twist about the facing axis.
 
-    A draw is rejected when np.linalg.norm(p - q) < min_sep for an accepted
-    q; `so3.candidate_pairs` leaves only the q that could be that close.
+    A draw is rejected when vnorm(p - q) < min_sep for an accepted q;
+    `so3.candidate_pairs` leaves only the q that could be that close.
     """
     count, spread, min_sep = params.count, params.spread, params.min_sep
     center = np.asarray(params.center, dtype=float)
@@ -332,7 +341,7 @@ def generate_scene(rng: np.random.Generator, params: SceneGenParams) -> list[Flo
     while len(positions) < count:
         p = center + rng.normal(0.0, spread, size=3)
         near, _ = candidate_pairs(accepted[: len(positions)], [p], min_sep)
-        if all(np.linalg.norm(p - positions[i]) >= min_sep for i in near):
+        if all(vnorm(p - positions[i]) >= min_sep for i in near):
             accepted[len(positions)] = p
             positions.append(p)
         attempts += 1

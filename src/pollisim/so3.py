@@ -3,9 +3,10 @@ axis-angle rotations, facing-axis distance for radially symmetric targets, the
 JSON form of rotations, and the broadcast distance prefilter that association
 and scene generation share.
 
-The 3-vector helpers `cross3`, `vnorm` and the identity `I3` return the same
-bits as `np.cross`, `np.linalg.norm` and `np.eye(3)` without their per-call
-overhead, which dominated the oracle and camera geometry.
+The helpers `cross3`, `vnorm`, `det3` and the identity `I3` return the same
+bits as `np.cross`, `np.linalg.norm`, `np.linalg.det` and `np.eye(3)` without
+their per-call overhead, which dominated the oracle, camera and filter
+geometry at the few points per call that they see.
 
 Rotations are plain 3x3 float64 numpy arrays (row-major direction cosines),
 orthonormal with det = +1 within ORTHO_TOL. Angles are radians internally;
@@ -18,6 +19,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 # Absolute degeneracy / orthonormality tolerance used throughout.
 ORTHO_TOL = 1e-9
@@ -28,6 +30,10 @@ EZ = np.array([0.0, 0.0, 1.0])
 I3 = np.eye(3)
 for _shared in (EX, EZ, I3):
     _shared.flags.writeable = False
+
+# candidate_pairs returns every pair when there are at most this many: below
+# it, one exact distance per pair costs less than the broadcast prefilter.
+ALL_PAIRS_MAX = 8
 
 
 class DegenerateInput(ValueError):
@@ -48,14 +54,22 @@ def vnorm(v: np.ndarray) -> float:
     return math.sqrt(v.dot(v))
 
 
+def det3(m: np.ndarray) -> np.floating:
+    """np.linalg.det of a 3x3 float64 array: the LAPACK gufunc that it calls,
+    without its wrapper, so the same bits and the same RuntimeWarning on
+    NaN input."""
+    return _umath_linalg.det(m, signature="d->d")
+
+
 def is_rotation(m: np.ndarray, tol: float = ORTHO_TOL) -> bool:
     """True if m is orthonormal with det +1 within tol."""
     m = np.asarray(m, dtype=float)
     if m.shape != (3, 3):
         return False
+    # all(), not max(): a NaN entry must fail, and Python's max() can skip it
     return (
-        np.abs(m.T @ m - I3).max() <= tol
-        and abs(np.linalg.det(m) - 1.0) <= tol
+        all(abs(e) <= tol for row in (m.T @ m - I3).tolist() for e in row)
+        and abs(det3(m) - 1.0) <= tol
     )
 
 
@@ -83,8 +97,9 @@ def svd_project(x: np.ndarray) -> np.ndarray:
     u, s, vt = np.linalg.svd(m)
     if s[1] <= ORTHO_TOL:
         raise DegenerateInput("second singular value ~0: nearest rotation not unique")
-    d = np.linalg.det(u @ vt)
-    return u @ np.diag([1.0, 1.0, d]) @ vt
+    flip = I3.copy()
+    flip[2, 2] = det3(u @ vt)
+    return u @ flip @ vt
 
 
 def zaxis_angle(a: np.ndarray, b: np.ndarray) -> float:
@@ -203,7 +218,8 @@ def random_rotations(rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 def candidate_pairs(a, b, radius: float) -> tuple[list[int], list[int]]:
-    """Prefilter for "distance within radius" tests between two sets of 3-D points.
+    """Prefilter for "distance within radius" tests between two sequences of
+    3-D points.
 
     Returns the index pairs (i, j) of points a[i], b[j] whose squared distance,
     computed in one broadcast, is within radius * (1 + 1e-9); pairs with a
@@ -211,7 +227,15 @@ def candidate_pairs(a, b, radius: float) -> tuple[list[int], list[int]]:
     np.linalg.norm in the last bit, so callers recompute each candidate's
     distance exactly and apply their own <= or < test; the slack only makes
     sure that no pair dropped here could have passed that test.
+
+    With at most ALL_PAIRS_MAX pairs in all, every pair is returned without
+    the broadcast. That is exact for the same reason: a caller's own test
+    drops each extra pair just as the prefilter would have. Pairs come in
+    row-major order either way.
     """
+    na, nb = len(a), len(b)
+    if na * nb <= ALL_PAIRS_MAX:
+        return [i for i in range(na) for _ in range(nb)], list(range(nb)) * na
     a = np.asarray(a, dtype=float).reshape(-1, 3)
     b = np.asarray(b, dtype=float).reshape(-1, 3)
     sq = b[None, :, :] - a[:, None, :]

@@ -17,7 +17,7 @@ import numpy as np
 
 from .configfields import check_fields, fields_to_json
 from .simworld import Measurement, NoiseModel
-from .so3 import I3, candidate_pairs, flatten, svd_project
+from .so3 import I3, candidate_pairs, svd_project, vnorm
 
 # for_noise expresses the pixel sigma in meters at a reference range (m),
 # through the default camera's focal length (pixels).
@@ -145,16 +145,17 @@ def greedy_pairs(
 
     One broadcast over all pairs (`so3.candidate_pairs`) drops the pairs
     that are certainly out of range; each remaining pair's distance is then
-    recomputed exactly as float(np.linalg.norm(pb - pa)) and gated with
-    `<=`, so the distances, and hence the commit order, are those of a
-    per-pair loop.
+    recomputed exactly as vnorm(pb - pa), the bits of np.linalg.norm, and
+    gated with `<=`, so the distances, and hence the commit order, are those
+    of a per-pair loop. At most `so3.ALL_PAIRS_MAX` pairs skip the broadcast
+    and are all recomputed; the `<=` gate drops the same pairs either way.
     """
     ia, ib = candidate_pairs([p for _, p in a], [p for _, p in b], threshold)
     candidates: list[tuple[float, int, int]] = []
     for i, j in zip(ia, ib):
         ka, pa = a[i]
         kb, pb = b[j]
-        d = float(np.linalg.norm(pb - pa))
+        d = vnorm(pb - pa)
         if d <= threshold:
             candidates.append((d, ka, kb))
     candidates.sort()
@@ -222,8 +223,8 @@ def update_rotation(t: Track, z: np.ndarray, r_meas: float) -> None:
     if r_meas <= 0:
         raise ValueError("r_meas must be > 0")
     kgain = t.rot_cov / (t.rot_cov + r_meas)
-    s = flatten(t.rot_mean)
-    t.rot_mean = svd_project(s + kgain * (flatten(z) - s))
+    s = t.rot_mean  # blended as 3x3: the same elementwise arithmetic as on the 9-vector
+    t.rot_mean = svd_project(s + kgain * (np.asarray(z, dtype=float) - s))
     t.rot_cov = (1.0 - kgain) * t.rot_cov
 
 
@@ -309,7 +310,7 @@ def ingest(gs: GlobalState, ms: list[Measurement], params: TrackerParams) -> Glo
         ti, si = candidate_pairs(means, positions, params.assoc_threshold)
         suppressed = {
             j for i, j in zip(ti, si)
-            if float(np.linalg.norm(positions[j] - means[i])) <= params.assoc_threshold
+            if vnorm(positions[j] - means[i]) <= params.assoc_threshold
         }
     for j, m in enumerate(spawn_ms):
         if j not in suppressed:

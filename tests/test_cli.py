@@ -336,6 +336,18 @@ def test_runtime_error_exit_3(tmp_path, capsys):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("ids", [[-1], [1, 1]])
+def test_scene_entry_error_exits_3_naming_the_scene_file(tmp_path, capsys, ids):
+    scene_path = tmp_path / "scene.json"
+    rot = [1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0]
+    with open(scene_path, "w") as fh:
+        json.dump({"flowers": [{"id": i, "position": [0.2 * n, 0, 0], "rotation": rot} for n, i in enumerate(ids)]}, fh)
+    cfg_path = tmp_path / "cfg.json"
+    _write_config(cfg_path, scene={"path": str(scene_path)})
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "run"), "--quiet"]) == 3
+    assert capsys.readouterr().err.startswith(f"error: {scene_path}: flower")
+
+
 def test_scene_path_relative_to_config(tmp_path):
     sub = tmp_path / "sub"
     sub.mkdir()

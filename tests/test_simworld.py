@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import struct
 
 import numpy as np
@@ -71,6 +72,35 @@ def test_sample_viewpoint_validation():
         sample_viewpoint(rng, np.zeros(3), (0.0, 0.5), (0, 10))
     with pytest.raises(ValueError):
         sample_viewpoint(rng, np.zeros(3), (0.6, 0.5), (0, 10))
+    # ranges Generator.uniform refused: reversed or not finite
+    for radii, elevations in [((0.2, np.inf), (0, 10)), ((0.2, 0.5), (10, 0)),
+                              ((0.2, 0.5), (0, np.inf)), ((0.2, 0.5), (np.nan, 10))]:
+        with pytest.raises(ValueError):
+            sample_viewpoint(rng, np.zeros(3), radii, elevations)
+
+
+def _reference_sample_viewpoint(rng, center, radius_range, elevation_range):
+    """sample_viewpoint as three Generator.uniform calls."""
+    center = np.asarray(center, dtype=float)
+    r = rng.uniform(*radius_range)
+    elev = math.radians(rng.uniform(*elevation_range))
+    azim = rng.uniform(0.0, 2.0 * math.pi)
+    offset = r * np.array([math.cos(elev) * math.cos(azim), math.cos(elev) * math.sin(azim), math.sin(elev)])
+    return look_at(center + offset, center)
+
+
+def test_sample_viewpoint_matches_three_uniform_draws_bitwise():
+    a, b = np.random.default_rng(4), np.random.default_rng(4)
+    centers = np.random.default_rng(5).normal(size=(30_000, 3))
+    ranges = [(SURVEY_RADIUS_RANGE, SURVEY_ELEVATION_RANGE), ((0.3, 0.3), (10, 10)), ((0.2, 0.7), (-30.0, 89.5))]
+    for i, center in enumerate(centers):
+        radii, elevations = ranges[i % len(ranges)]
+        got = sample_viewpoint(a, center, radii, elevations)
+        want = _reference_sample_viewpoint(b, center, radii, elevations)
+        assert got.position.tobytes() == want.position.tobytes()
+        assert got.rotation.tobytes() == want.rotation.tobytes()
+    assert a.bit_generator.state == b.bit_generator.state
+    assert a.random() == b.random()
 
 
 def test_observe_noiseless_exact():
@@ -215,6 +245,18 @@ def test_load_scene_refuses_a_malformed_entry(tmp_path, field, value):
     path.write_text(json.dumps({"flowers": [_GOOD_ENTRY, bad]}))
     with pytest.raises(ParseError, match=f"flowers\\[1\\]\\.{field}"):
         load_scene(str(path))
+
+
+@pytest.mark.parametrize("entries, error", [
+    ([{**_GOOD_ENTRY, "id": -1}], ParseError),
+    ([{**_GOOD_ENTRY, "id": 1}, {**_GOOD_ENTRY, "id": 1}], InvariantViolation),
+])
+def test_load_scene_entry_errors_name_the_file(tmp_path, entries, error):
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps({"flowers": entries}))
+    with pytest.raises(error) as exc:
+        load_scene(str(path))
+    assert str(exc.value).startswith(f"{path}: flower")
 
 
 def test_load_scene_reads_pollinated_as_given(tmp_path):

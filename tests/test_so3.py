@@ -1,16 +1,23 @@
 import struct
+import warnings
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from pollisim import runner, simworld, tracker
+from pollisim.camera import Intrinsics
+from pollisim.simworld import NoiseModel, SceneGenParams, generate_scene
 from pollisim.so3 import (
+    ALL_PAIRS_MAX,
     ORTHO_TOL,
     DegenerateInput,
     EZ,
     aligning_rotation,
     axis_angle_of,
+    candidate_pairs,
     cross3,
+    det3,
     flatten,
     from_axis_angle,
     is_rotation,
@@ -331,3 +338,142 @@ def test_random_rotation_matches_reference_bitwise():
     a, b = np.random.default_rng(75), np.random.default_rng(75)
     for _ in range(20_000):
         assert _bits(random_rotation(a)) == _bits(_reference_random_rotation(b))
+
+
+def _with_warnings(fn, *args):
+    """(the bits fn returns, or the error it raises; the warnings it emits)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            out = _bits(fn(*args))
+        except (ValueError, np.linalg.LinAlgError) as exc:
+            out = repr(exc)
+    return out, [(w.category, str(w.message)) for w in caught]
+
+
+def test_det3_matches_np_linalg_det_bitwise():
+    """det3 calls numpy's private `numpy.linalg._umath_linalg.det`; this is
+    the test that catches a numpy release moving or changing it."""
+    rng = np.random.default_rng(76)
+    mats = list(rng.normal(size=(5_000, 3, 3)))
+    mats += list(rng.normal(size=(2_000, 3, 3)) * 10.0 ** rng.uniform(-100, 100, size=(2_000, 1, 1)))
+    mats += [random_rotation(rng) for _ in range(2_000)]
+    for _ in range(500):  # singular: one row a combination of the others
+        m = rng.normal(size=(3, 3))
+        m[2] = m[0] * rng.normal() + m[1] * rng.normal()
+        mats.append(m)
+    mats += [np.zeros((3, 3)), np.ones((3, 3)), np.eye(3)[[0, 0, 1]]]
+    mats += list(rng.choice(SPECIALS, size=(3_000, 3, 3)))  # inf, -inf and NaN entries among them
+    warned = 0
+    for m in mats:
+        got = _with_warnings(det3, m)
+        assert got == _with_warnings(np.linalg.det, m)
+        warned += bool(got[1])
+    assert warned > 100  # NaN input gives "invalid value encountered in det" in both
+    with np.errstate(invalid="ignore"):
+        assert type(det3(mats[0])) is type(np.linalg.det(mats[0])) is np.float64
+
+
+def test_is_rotation_matches_reference_on_non_finite_entries():
+    rng = np.random.default_rng(77)
+    cases = [np.full((3, 3), v) for v in (np.nan, np.inf, -np.inf)]
+    for _ in range(300):
+        m = random_rotation(rng)
+        m[tuple(rng.integers(0, 3, size=2))] = rng.choice([np.nan, np.inf, -np.inf])
+        cases.append(m)
+    cases += list(rng.choice(SPECIALS, size=(300, 3, 3)))
+    for m in cases:
+        got = _with_warnings(is_rotation, m)
+        assert got == _with_warnings(_reference_is_rotation, m)
+        assert got[0] == _bits(False)
+
+
+def _reference_svd_project(x):
+    m = np.asarray(x, dtype=float).reshape(3, 3)
+    u, s, vt = np.linalg.svd(m)
+    if s[1] <= ORTHO_TOL:
+        raise DegenerateInput("second singular value ~0: nearest rotation not unique")
+    d = np.linalg.det(u @ vt)
+    return u @ np.diag([1.0, 1.0, d]) @ vt
+
+
+def test_svd_project_matches_reference_bitwise():
+    rng = np.random.default_rng(78)
+    inputs = list(rng.normal(size=(5_000, 3, 3)))
+    inputs += [random_rotation(rng) + rng.normal(0.0, 0.3, size=(3, 3)) for _ in range(5_000)]
+    inputs += [-random_rotation(rng) for _ in range(500)]  # det(U V^T) = -1
+    inputs += [np.diag([1.0, 1.0, 0.0]), np.zeros((3, 3)), np.ones((3, 3))]
+    inputs += [np.full((3, 3), np.nan), np.full((3, 3), np.inf)]
+    for x in inputs:
+        assert _with_warnings(svd_project, x) == _with_warnings(_reference_svd_project, x)
+    with pytest.raises(np.linalg.LinAlgError):  # NaN input still fails in the SVD
+        svd_project(np.full((3, 3), np.nan))
+
+
+def _reference_candidate_pairs(a, b, radius):
+    """candidate_pairs as one broadcast at every size."""
+    a = np.asarray(a, dtype=float).reshape(-1, 3)
+    b = np.asarray(b, dtype=float).reshape(-1, 3)
+    sq = b[None, :, :] - a[:, None, :]
+    np.multiply(sq, sq, out=sq)
+    limit = radius * (1.0 + 1e-9)
+    ia, ib = np.nonzero(~(sq.sum(axis=2) > limit * abs(limit)))
+    return ia.tolist(), ib.tolist()
+
+
+def test_candidate_pairs_keeps_every_pair_within_the_radius():
+    rng = np.random.default_rng(79)
+    sizes = [(na, nb) for na in range(7) for nb in range(7)] + [(3, 4), (9, 1), (1, 9), (20, 6), (113, 20)]
+    assert any(na * nb <= ALL_PAIRS_MAX for na, nb in sizes)
+    assert any(na * nb > ALL_PAIRS_MAX for na, nb in sizes)
+    for na, nb in sizes:
+        for radius in (0.02, 0.05, 0.1):
+            a = list(rng.uniform(-0.1, 0.1, (na, 3)))
+            b = list(rng.uniform(-0.1, 0.1, (nb, 3)))
+            if na and nb:  # one pair exactly at the radius, as vnorm computes it
+                radius = vnorm(b[-1] - a[-1])
+                if rng.random() < 0.5:
+                    a[int(rng.integers(na))] = np.array([np.nan, 0.0, 0.0])
+            ia, ib = candidate_pairs(a, b, radius)
+            got = list(zip(ia, ib))
+            assert got == sorted(set(got))  # row-major, no repeats
+            within = {
+                (i, j) for i in range(na) for j in range(nb)
+                if not vnorm(b[j] - a[i]) > radius  # NaN distances stay
+            }
+            assert within <= set(got)
+            if na * nb <= ALL_PAIRS_MAX:
+                assert len(got) == na * nb
+            else:
+                assert (ia, ib) == _reference_candidate_pairs(a, b, radius)
+
+
+def test_small_inputs_leave_association_and_scenes_unchanged(monkeypatch):
+    """The survey (1-14 tracks per ingest, so both sides of ALL_PAIRS_MAX) and
+    generated scenes come out the same as with the broadcast at every size."""
+    def outputs():
+        trials = [
+            runner.survey_run(NoiseModel(clutter_rate=0.5), tracker.TrackerParams(), Intrinsics.default(), 20, seed)
+            for seed in range(8)
+        ]
+        scenes = [
+            [(f.id, _bits(f.pose.position), _bits(f.pose.rotation)) for f in generate_scene(
+                np.random.default_rng(seed), SceneGenParams(count=12, spread=0.08, min_sep=0.06))]
+            for seed in range(8)
+        ]
+        return repr(trials), scenes
+
+    small_pairs = []
+    real = candidate_pairs
+
+    def counted(a, b, radius):
+        small_pairs.append(len(a) * len(b) <= ALL_PAIRS_MAX)
+        return real(a, b, radius)
+
+    for module in (tracker, simworld):
+        monkeypatch.setattr(module, "candidate_pairs", counted)
+    got = outputs()
+    assert 0 < sum(small_pairs) < len(small_pairs)
+    for module in (tracker, simworld):
+        monkeypatch.setattr(module, "candidate_pairs", _reference_candidate_pairs)
+    assert got == outputs()
