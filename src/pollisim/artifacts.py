@@ -13,9 +13,11 @@ import os
 
 import numpy as np
 
-from .commander import Done, Explore, MoveDelta, MoveTo, RoughLocalization, Searching, TriggerPollinate, VisualServo
+from .commander import (
+    CommanderConfig, Done, Explore, MoveDelta, MoveTo, RoughLocalization, Searching, TriggerPollinate, VisualServo,
+)
 from .config import ExperimentConfig
-from .configfields import json_number, write_json
+from .configfields import fields_from_json, json_number, write_json
 from .metrics import (
     REPORT_CSV_HEADER,
     AttemptRecord,
@@ -124,9 +126,10 @@ _CELL_READERS = {
 }
 
 
-def _read_csv(path: str, header: str, kinds: str) -> list[list]:
+def _read_csv(path: str, header: str, kinds: str, fault=lambda row: None) -> list[list]:
     """The rows of a CSV file with this header, each cell read by its
-    column's letter in `kinds`: i an integer, f a float, b a 0/1 flag."""
+    column's letter in `kinds`: i an integer, f a float, b a 0/1 flag.
+    `fault(row)` says what is wrong with a row whose cells read, or None."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.read().splitlines()
@@ -146,12 +149,26 @@ def _read_csv(path: str, header: str, kinds: str) -> list[list]:
                 row.append(read(value))
             except (KeyError, ValueError):
                 raise SchemaMismatch(f"{path}: row {idx}: bad {name} {value!r}") from None
+        if (msg := fault(row)) is not None:
+            raise SchemaMismatch(f"{path}: row {idx}: {msg}")
         rows.append(row)
     return rows
 
 
 def _whole_number(value) -> int:
     return json_number("value", "int", value)
+
+
+def _commander_field(key: str):
+    """Reader of a meta.json key copied from the commander config: the
+    config's own rule, which checks it as `simulate` did."""
+    return lambda value: getattr(fields_from_json(CommanderConfig, {key: value}), key)
+
+
+def _text(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError("value must be a string")
+    return value
 
 
 def _meta_value(path: str, meta: dict, key: str, read):
@@ -165,7 +182,8 @@ def read_run_logs(out_dir: str) -> RunLogs:
     """Rebuild the run logs from a run directory.
 
     Reads tracks.csv (the final track table), shots.csv, attempts.csv,
-    meta.json and scene.json.
+    meta.json and scene.json. A track id may appear once, and an attempt
+    must name a flower of the scene.
     """
     meta_path = os.path.join(out_dir, "meta.json")
     try:
@@ -181,43 +199,44 @@ def read_run_logs(out_dir: str) -> RunLogs:
 
     scene = load_scene(os.path.join(out_dir, "scene.json"))
 
-    final_tracks = [
-        Track(
+    tracks_path = os.path.join(out_dir, "tracks.csv")
+    final_tracks: dict[int, Track] = {}
+    for idx, (_, track_id, *vals, hits, pollinated) in enumerate(
+        _read_csv(tracks_path, TRACKS_HEADER, "ii" + "f" * 14 + "ib"), start=2
+    ):
+        if track_id in final_tracks:
+            raise SchemaMismatch(f"{tracks_path}: row {idx}: repeated track_id {track_id}")
+        final_tracks[track_id] = Track(
             id=track_id,
             pos_mean=np.array(vals[0:3]),
             pos_cov=np.eye(3) * vals[12] / 3.0,
             rot_mean=require_rotation(np.array(vals[3:12]).reshape(3, 3), tol=1e-8),
             rot_cov=vals[13],
             hits=hits,
-            last_tick=tick,
             pollinated=pollinated,
         )
-        for tick, track_id, *vals, hits, pollinated in _read_csv(
-            os.path.join(out_dir, "tracks.csv"), TRACKS_HEADER, "ii" + "f" * 14 + "ib"
-        )
-    ]
 
-    shots_path = os.path.join(out_dir, "shots.csv")
-    records = [ShotRecord(*r) for r in _read_csv(shots_path, SHOTS_HEADER, "iiibfff")]
-    for idx, rec in enumerate(records, start=2):
-        if rec.px_err < 0:
-            raise SchemaMismatch(f"{shots_path}: row {idx}: negative px_err {rec.px_err!r}")
     shots = SingleShotStats()
-    shots.add(records)
+    shots.add([ShotRecord(*r) for r in _read_csv(
+        os.path.join(out_dir, "shots.csv"), SHOTS_HEADER, "iiibfff",
+        lambda r: f"negative px_err {r[4]!r}" if r[4] < 0 else None,
+    )])
+    flower_ids = {f.id for f in scene}
 
     return RunLogs(
         scene=scene,
-        final_tracks=final_tracks,
+        final_tracks=list(final_tracks.values()),
         n_ticks=_meta_value(meta_path, meta, "n_ticks", _whole_number),
         shots=shots,
-        attempts=[
-            AttemptRecord(*r) for r in _read_csv(os.path.join(out_dir, "attempts.csv"), ATTEMPTS_HEADER, "iiiib")
-        ],
+        attempts=[AttemptRecord(*r) for r in _read_csv(
+            os.path.join(out_dir, "attempts.csv"), ATTEMPTS_HEADER, "iiiib",
+            lambda r: None if r[3] in flower_ids else f"flower_id {r[3]} is not in scene.json",
+        )],
         reachable_ids=reachable_flowers(
             scene,
-            _meta_value(meta_path, meta, "workspace_center", lambda v: np.asarray(v, dtype=float).reshape(3)),
-            _meta_value(meta_path, meta, "workspace_radius", float),
+            _meta_value(meta_path, meta, "workspace_center", _commander_field("workspace_center")),
+            _meta_value(meta_path, meta, "workspace_radius", _commander_field("workspace_radius")),
         ),
         seed=_meta_value(meta_path, meta, "seed", _whole_number),
-        config_digest=_meta_value(meta_path, meta, "config_digest", str),
+        config_digest=_meta_value(meta_path, meta, "config_digest", _text),
     )

@@ -147,20 +147,19 @@ def _arm_homes(center: np.ndarray, radius: float, n: int) -> list[np.ndarray]:
     return homes
 
 
-def _failed_rotation_audit(tracks, verdicts: dict[int, tuple[np.ndarray, bool]]) -> list[int]:
+def _failed_rotation_audit(tracks, verdicts: dict[int, tuple[bytes, bool]]) -> list[int]:
     """Ids of the tracks whose rotation mean fails the SO(3) audit.
 
-    `verdicts` maps a track id to the rot_mean array last audited and its
-    verdict. The filter replaces rot_mean with a new array on every update
-    and shares the old one otherwise, so a track holding the very array
-    audited before keeps its verdict. Holding the array, not its id(), keeps
-    it alive, so no other array can take its place.
+    `verdicts` maps a track id to the bytes of the rot_mean last audited and
+    its verdict. A verdict depends only on those bytes, so a track whose mean
+    still has them keeps its verdict, however the mean was changed.
     """
     failed = []
     for t in tracks:
+        key = t.rot_mean.tobytes()
         seen = verdicts.get(t.id)
-        if seen is None or seen[0] is not t.rot_mean:
-            seen = verdicts[t.id] = (t.rot_mean, is_rotation(t.rot_mean, tol=1e-9))
+        if seen is None or seen[0] != key:
+            seen = verdicts[t.id] = (key, is_rotation(t.rot_mean, tol=1e-9))
         if not seen[1]:
             failed.append(t.id)
     return failed
@@ -202,7 +201,7 @@ def simulate_run(
     # (tick, arm_id, mode type, command type, target id, tip position)
     commands: list[tuple] = []
 
-    verdicts: dict[int, tuple[np.ndarray, bool]] = {}
+    verdicts: dict[int, tuple[bytes, bool]] = {}
     n_ticks = 0
     for tick in range(cfg.step_budget):
         n_ticks = tick + 1
@@ -276,7 +275,7 @@ def survey_run(noise: NoiseModel, tparams: TrackerParams, k: Intrinsics, n_views
     gs = GlobalState()
     shots = SingleShotStats()
     violations = 0
-    verdicts: dict[int, tuple[np.ndarray, bool]] = {}
+    verdicts: dict[int, tuple[bytes, bool]] = {}
     for tick in range(n_views):
         cam = sample_viewpoint(rng, flower.pose.position, SURVEY_RADIUS_RANGE, SURVEY_ELEVATION_RANGE)
         ms, recs = observe_with_truth([flower], cam, k, noise, rng, camera_id=0, tick=tick)

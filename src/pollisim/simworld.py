@@ -105,7 +105,6 @@ class Measurement:
     pixel: PixelObs
     position_world: np.ndarray
     rotation: np.ndarray
-    camera_id: int
     tick: int
 
 
@@ -212,7 +211,7 @@ def observe_with_truth(
             rot = from_axis_angle(perp, math.pi) @ rot
         noisy_pixel = PixelObs(u=float(u), v=float(v), ray_depth=float(depth))
         pos_world = to_world(uplift(noisy_pixel, k), cam)
-        m = Measurement(noisy_pixel, pos_world, rot, camera_id, tick)
+        m = Measurement(noisy_pixel, pos_world, rot, tick)
         measurements.append(m)
         records.append(
             ShotRecord(
@@ -231,7 +230,7 @@ def observe_with_truth(
         v = rng.uniform(0.0, k.height)
         depth = rng.uniform(*noise.reliable_range)
         pix = PixelObs(u=float(u), v=float(v), ray_depth=float(depth))
-        m = Measurement(pix, to_world(uplift(pix, k), cam), random_rotation(rng), camera_id, tick)
+        m = Measurement(pix, to_world(uplift(pix, k), cam), random_rotation(rng), tick)
         measurements.append(m)
         records.append(ShotRecord(tick, camera_id, -1, True, float("nan"), float("nan"), float("nan")))
     return measurements, records

@@ -98,7 +98,8 @@ class Track:
     over the flattened-rotation coordinates. rot_mean is re-projected onto
     SO(3) after every update, so it always satisfies rotation invariants.
     last_meas is the most recent fused raw measurement (used by visual
-    servoing, which deliberately bypasses the filtered estimate).
+    servoing, which deliberately bypasses the filtered estimate); its tick is
+    the track's last hit.
     """
 
     id: int
@@ -107,7 +108,6 @@ class Track:
     rot_mean: np.ndarray
     rot_cov: float
     hits: int
-    last_tick: int
     pollinated: bool = False
     last_meas: Measurement | None = None
 
@@ -188,11 +188,6 @@ def associate(ms: list[Measurement], gs: GlobalState, threshold: float) -> Assig
     return Assignment(pairs=[(mi, tid) for tid, mi in pairs], spawns=spawns)
 
 
-# The filter steps update the Track they are given, but by assigning new
-# arrays, never by writing into the old ones: the rotation audit in `runner`
-# keeps a verdict for as long as a track holds the very rot_mean it audited.
-
-
 def predict(t: Track, ticks: int, q_pos: float, q_rot: float) -> None:
     """Static-state prediction: means unchanged, covariance inflated."""
     if ticks < 0:
@@ -257,7 +252,6 @@ def _spawn(gs: GlobalState, m: Measurement, params: TrackerParams) -> Track:
         rot_mean=np.asarray(m.rotation, dtype=float).copy(),
         rot_cov=params.init_rot_cov,
         hits=1,
-        last_tick=m.tick,
         last_meas=m,
     )
     gs.next_id += 1
@@ -296,7 +290,6 @@ def ingest(gs: GlobalState, ms: list[Measurement], params: TrackerParams) -> Glo
         update_position(t, m.position_world, r_pos)
         update_rotation(t, m.rotation, params.r_rot)
         t.hits += 1
-        t.last_tick = batch_tick
         t.last_meas = m
     spawn_ms = [ms[mi] for mi in asg.spawns]
     suppressed: set[int] = set()
@@ -318,6 +311,6 @@ def ingest(gs: GlobalState, ms: list[Measurement], params: TrackerParams) -> Glo
 
     gs.tracks = [
         t for t in gs.tracks
-        if gs.tick - t.last_tick <= params.stale_ticks or t.hits >= params.stale_min_hits
+        if gs.tick - t.last_meas.tick <= params.stale_ticks or t.hits >= params.stale_min_hits
     ]
     return gs

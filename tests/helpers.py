@@ -75,13 +75,11 @@ def make_measurement(
     rotation: np.ndarray | None = None,
     tick: int = 0,
     depth: float = 0.30,
-    camera_id: int = 0,
 ) -> Measurement:
     """Measurement literal for tracker tests; defaults land in the depth band."""
     return Measurement(
         pixel=PixelObs(u=640.0, v=360.0, ray_depth=depth),
         position_world=np.asarray(position, dtype=float),
         rotation=np.eye(3) if rotation is None else rotation,
-        camera_id=camera_id,
         tick=tick,
     )

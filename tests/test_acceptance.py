@@ -170,7 +170,7 @@ def test_a6_association_oracle():
             tracks=[
                 Track(
                     id=j, pos_mean=t_pos[j], pos_cov=np.eye(3) * 1e-4,
-                    rot_mean=np.eye(3), rot_cov=0.1, hits=1, last_tick=0,
+                    rot_mean=np.eye(3), rot_cov=0.1, hits=1,
                 )
                 for j in range(nt)
             ],

@@ -157,7 +157,10 @@ def _simulated_run(tmp_path):
     ("shots.csv", "19,0,0,2,1.0,0.01,5.0", "bad flag '2'"),
     ("attempts.csv", "19,0,1,0,yes", "bad flag 'yes'"),
     ("shots.csv", "19,0,0,1,one,0.01,5.0", "bad float 'one'"),
-], ids=["tracks-integer", "shots-flag", "attempts-flag", "shots-float"])
+    # a well-formed row for track 0, which the run already holds
+    ("tracks.csv", "19,0," + "0.0," * 3 + "1.0,0.0,0.0,0.0,1.0,0.0,0.0,0.0,1.0," + "0.0,0.1,1,0", "repeated track_id 0"),
+    ("attempts.csv", "19,0,0,7,0", "flower_id 7 is not in scene.json"),
+], ids=["tracks-integer", "shots-flag", "attempts-flag", "shots-float", "tracks-repeated-id", "attempts-unknown-flower"])
 def test_eval_refuses_a_damaged_cell_naming_file_and_row(tmp_path, capsys, name, row, message):
     out_dir = _simulated_run(tmp_path)
     lines = (out_dir / name).read_text().splitlines()
@@ -168,6 +171,8 @@ def test_eval_refuses_a_damaged_cell_naming_file_and_row(tmp_path, capsys, name,
 
 @pytest.mark.parametrize("key, value", [
     ("n_ticks", None), ("n_ticks", 3.7), ("seed", [1]), ("workspace_center", [0.0, 0.0]),
+    ("workspace_radius", "0.5"), ("workspace_radius", 0.0), ("workspace_radius", float("nan")),
+    ("workspace_center", [True, "0", 0]), ("workspace_center", [0.0, 0.0, float("inf")]), ("config_digest", 12),
 ])
 def test_eval_refuses_a_missing_or_malformed_meta_key(tmp_path, capsys, key, value):
     out_dir = _simulated_run(tmp_path)

@@ -37,7 +37,6 @@ def _confident_track(tid=0, pos=(0.1, 0.0, 0.2), rot=None, tick=0, with_meas=Tru
         rot_mean=np.eye(3) if rot is None else rot,
         rot_cov=0.01,
         hits=5,
-        last_tick=tick,
     )
     if with_meas:
         t.last_meas = make_measurement(pos, rotation=t.rot_mean, tick=tick)

@@ -118,7 +118,6 @@ def _track_at(tid, pos, rot=None, hits=5):
         rot_mean=np.eye(3) if rot is None else rot,
         rot_cov=0.01,
         hits=hits,
-        last_tick=0,
     )
 
 

