@@ -182,8 +182,8 @@ def read_run_logs(out_dir: str) -> RunLogs:
     """Rebuild the run logs from a run directory.
 
     Reads tracks.csv (the final track table), shots.csv, attempts.csv,
-    meta.json and scene.json. A track id may appear once, and an attempt
-    must name a flower of the scene.
+    meta.json and scene.json. A track row must hold the last tick, a track
+    id may appear once, and an attempt must name a flower of the scene.
     """
     meta_path = os.path.join(out_dir, "meta.json")
     try:
@@ -198,12 +198,14 @@ def read_run_logs(out_dir: str) -> RunLogs:
         raise SchemaMismatch(f"{meta_path}: schema_version {version!r}, expected {ARTIFACT_SCHEMA_VERSION}")
 
     scene = load_scene(os.path.join(out_dir, "scene.json"))
+    n_ticks = _meta_value(meta_path, meta, "n_ticks", _whole_number)
 
     tracks_path = os.path.join(out_dir, "tracks.csv")
     final_tracks: dict[int, Track] = {}
-    for idx, (_, track_id, *vals, hits, pollinated) in enumerate(
-        _read_csv(tracks_path, TRACKS_HEADER, "ii" + "f" * 14 + "ib"), start=2
-    ):
+    for idx, (_, track_id, *vals, hits, pollinated) in enumerate(_read_csv(
+        tracks_path, TRACKS_HEADER, "ii" + "f" * 14 + "ib",
+        lambda r: None if r[0] == n_ticks - 1 else f"tick {r[0]}, expected the last tick {n_ticks - 1}",
+    ), start=2):
         if track_id in final_tracks:
             raise SchemaMismatch(f"{tracks_path}: row {idx}: repeated track_id {track_id}")
         final_tracks[track_id] = Track(
@@ -226,7 +228,7 @@ def read_run_logs(out_dir: str) -> RunLogs:
     return RunLogs(
         scene=scene,
         final_tracks=list(final_tracks.values()),
-        n_ticks=_meta_value(meta_path, meta, "n_ticks", _whole_number),
+        n_ticks=n_ticks,
         shots=shots,
         attempts=[AttemptRecord(*r) for r in _read_csv(
             os.path.join(out_dir, "attempts.csv"), ATTEMPTS_HEADER, "iiiib",

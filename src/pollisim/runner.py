@@ -49,10 +49,10 @@ from .simworld import (
     SURVEY_RADIUS_RANGE,
     FlowerGT,
     NoiseModel,
+    SampleCache,
     SceneGenParams,  # re-exported: perfbench and the acceptance tests import it from runner
     ShotRecord,
     SingleShotStats,
-    ViewCache,
     generate_scene,
     load_scene,
     observe_with_truth,
@@ -295,7 +295,8 @@ def survey_run(noise: NoiseModel, tparams: TrackerParams, k: Intrinsics, n_views
 
 
 # Calibration: bisection per knob. Each evaluation restarts one stream from the
-# same seed, and `ViewCache` reuses the samples whose start state recurs. The
+# same seed, and `SampleCache` replays the samples whose start state recurs:
+# once detect_prob is fixed, every sample of every later evaluation. The
 # statistics are not smooth or monotone in a knob: a sample draws its view and
 # its observation from that one stream and a missed detection skips draws, so
 # one detection flip shifts every later sample's view and noise.
@@ -303,10 +304,10 @@ _CAL_RNG_TAG = 7
 
 
 def _stat_for(
-    noise: NoiseModel, k: Intrinsics, n_samples: int, seed: int, views: ViewCache | None = None
+    noise: NoiseModel, k: Intrinsics, n_samples: int, seed: int, cache: SampleCache | None = None
 ) -> "tuple[float, float, float]":
     rng = np.random.default_rng([seed, _CAL_RNG_TAG])
-    s = single_shot_stats(noise, k, n_samples, rng, views)
+    s = single_shot_stats(noise, k, n_samples, rng, cache)
     return s.mean_trans, s.mean_rot, s.detection_rate
 
 
@@ -354,10 +355,11 @@ def calibrate_noise(
     error is dominated by depth noise at survey ranges.
 
     Every evaluation restarts the same stream, so evaluations share one
-    ViewCache: a sample whose stream state an earlier evaluation already
-    drew from reuses that flower rotation and viewpoint (see
-    single_shot_stats). For the same reason a model's statistics depend on
-    the model alone, and each model is evaluated once.
+    SampleCache: a sample whose stream state an earlier evaluation already
+    drew from replays that sample's draws, and of its errors recomputes only
+    the part whose settings changed (see single_shot_stats). For the same
+    reason a model's statistics depend on the model alone, and each model is
+    evaluated once.
     """
     for key in ("trans_cm", "rot_deg", "det_rate"):
         if key not in targets:
@@ -376,12 +378,12 @@ def calibrate_noise(
     # Inner searches run tighter than the joint verification so boundary hits
     # survive the re-evaluation with all knobs in place.
     inner_tol = 0.4 * rel_tol
-    views = ViewCache(n_samples)
+    cache = SampleCache(n_samples, k)
     memo: dict[NoiseModel, tuple[float, float, float]] = {}
 
     def stat(model: NoiseModel) -> tuple[float, float, float]:
         if model not in memo:
-            memo[model] = _stat_for(model, k, n_samples, seed, views)
+            memo[model] = _stat_for(model, k, n_samples, seed, cache)
         return memo[model]
 
     # detect_prob first: skipped detections change the downstream RNG draw

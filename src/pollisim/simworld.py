@@ -165,6 +165,36 @@ def _in_band(depth: float, band: tuple[float, float]) -> bool:
     return band[0] <= depth <= band[1]
 
 
+def _pose_draws(rng: np.random.Generator) -> tuple[float, float, float, np.ndarray, float]:
+    """A detection's draws in stream order: the standard normals of pixel u,
+    pixel v and ray depth, the rotation axis, then the angle's standard
+    normal. Scaled as 0.0 + sigma * z, each is what rng.normal(0.0, sigma)
+    returns for the same draw."""
+    z_u, z_v, z_d = rng.standard_normal(3).tolist()
+    axis = random_unit_vector(rng)
+    return z_u, z_v, z_d, axis, rng.standard_normal()
+
+
+def _noisy_position(
+    obs: PixelObs, position: np.ndarray, cam: CameraPose, k: Intrinsics, noise: NoiseModel,
+    z_u: float, z_v: float, z_d: float,
+) -> tuple[PixelObs, np.ndarray, float, float]:
+    """The detected pixel of the flower at `position`, projected at `obs`,
+    its world position, and their errors (pixels, meters)."""
+    u = obs.u + (0.0 + noise.pixel_sigma * z_u)
+    v = obs.v + (0.0 + noise.pixel_sigma * z_v)
+    sigma_d = noise.depth_sigma_near if _in_band(obs.ray_depth, noise.reliable_range) else noise.depth_sigma_far
+    depth = max(obs.ray_depth + (0.0 + sigma_d * z_d), 1e-6)  # keeps the uplift precondition under extreme draws
+    pixel = PixelObs(float(u), float(v), float(depth))
+    pos_world = to_world(uplift(pixel, k), cam)
+    return pixel, pos_world, math.hypot(u - obs.u, v - obs.v), vnorm(pos_world - position)
+
+
+def _noisy_rotation(rotation: np.ndarray, axis: np.ndarray, z_a: float, rot_sigma: float) -> np.ndarray:
+    """`rotation` turned about `axis` by a folded Gaussian angle."""
+    return from_axis_angle(axis, abs(0.0 + math.radians(rot_sigma) * z_a)) @ rotation
+
+
 def observe_with_truth(
     scene: list[FlowerGT],
     cam: CameraPose,
@@ -193,14 +223,11 @@ def observe_with_truth(
         if rng.random() >= noise.detect_prob:
             records.append(ShotRecord(tick, camera_id, flower.id, False, float("nan"), float("nan"), float("nan")))
             continue
-        u = obs.u + rng.normal(0.0, noise.pixel_sigma)
-        v = obs.v + rng.normal(0.0, noise.pixel_sigma)
-        sigma_d = noise.depth_sigma_near if _in_band(obs.ray_depth, noise.reliable_range) else noise.depth_sigma_far
-        depth = obs.ray_depth + rng.normal(0.0, sigma_d)
-        depth = max(depth, 1e-6)  # keeps the uplift precondition under extreme draws
-        axis = random_unit_vector(rng)
-        angle = abs(rng.normal(0.0, math.radians(noise.rot_sigma)))
-        rot = from_axis_angle(axis, angle) @ flower.pose.rotation
+        z_u, z_v, z_d, axis, z_a = _pose_draws(rng)
+        noisy_pixel, pos_world, px_err, trans_err = _noisy_position(
+            obs, flower.pose.position, cam, k, noise, z_u, z_v, z_d
+        )
+        rot = _noisy_rotation(flower.pose.rotation, axis, z_a, noise.rot_sigma)
         if noise.flip_prob > 0.0 and rng.random() < noise.flip_prob:
             # Ambiguous-appearance failure mode: facing direction flips about
             # a random axis orthogonal to it.
@@ -209,20 +236,9 @@ def observe_with_truth(
             while vnorm(perp) <= 1e-9:
                 perp = cross3(z, random_unit_vector(rng))
             rot = from_axis_angle(perp, math.pi) @ rot
-        noisy_pixel = PixelObs(u=float(u), v=float(v), ray_depth=float(depth))
-        pos_world = to_world(uplift(noisy_pixel, k), cam)
-        m = Measurement(noisy_pixel, pos_world, rot, tick)
-        measurements.append(m)
+        measurements.append(Measurement(noisy_pixel, pos_world, rot, tick))
         records.append(
-            ShotRecord(
-                tick=tick,
-                camera_id=camera_id,
-                flower_id=flower.id,
-                detected=True,
-                px_err=float(math.hypot(u - obs.u, v - obs.v)),
-                trans_err=vnorm(pos_world - flower.pose.position),
-                rot_err_deg=zaxis_angle(rot, flower.pose.rotation),
-            )
+            ShotRecord(tick, camera_id, flower.id, True, px_err, trans_err, zaxis_angle(rot, flower.pose.rotation))
         )
     n_clutter = int(rng.poisson(noise.clutter_rate)) if noise.clutter_rate > 0 else 0
     for _ in range(n_clutter):
@@ -422,7 +438,7 @@ def _pcg64_key(rng: np.random.Generator) -> int:
     """The generator's whole PCG64 state (state, inc, has_uint32, uinteger) packed into one int."""
     st = rng.bit_generator.state
     if st["bit_generator"] != "PCG64":
-        raise TypeError(f"ViewCache keys on PCG64 states, not {st['bit_generator']}")
+        raise TypeError(f"SampleCache keys on PCG64 states, not {st['bit_generator']}")
     inner = st["state"]
     return (((inner["state"] << 128) | inner["inc"]) << 33) | (st["has_uint32"] << 32) | st["uinteger"]
 
@@ -437,67 +453,139 @@ def _pcg64_state(key: int) -> dict:
     }
 
 
-class ViewCache:
-    """The views `single_shot_stats` drew, one slot per sample index, so that
-    a later call reaching the same generator state reuses them.
+class SampleCache:
+    """The calibration samples `single_shot_stats` drew, one slot per sample
+    index, so that a later call reaching the same generator state replays
+    them instead of drawing again.
 
     A slot holds the generator state at the start of the sample, the flower
     rotation and camera pose drawn from it, and the state those two draws
-    left behind. The geometry sits in preallocated arrays and each state in
-    one packed int: about 300 bytes a slot, where Pose objects and state
-    dicts would take several times that.
+    left behind. When a later call first reuses the view, the slot also
+    records, on a scratch generator, what the oracle draws from there: the
+    detection uniform, the `_pose_draws`, the state after the uniform (where
+    a miss ends) and the state after the last draw (where a detection ends).
+    A detection's errors are then a function of those draws and the model:
+    the slot keeps its position errors with the pixel and depth sigmas and
+    reliable_range that gave them, and its rotation error with its
+    rot_sigma, and recomputes a part only when its own settings change.
+
+    The projected pixel depends on the intrinsics, so a cache serves one
+    `Intrinsics`. Floats sit in preallocated arrays and each state in one
+    packed int: about 600 bytes a slot.
     """
 
-    def __init__(self, n_slots: int) -> None:
+    def __init__(self, n_slots: int, k: Intrinsics) -> None:
+        self.k = k
         self.flower_rot = np.empty((n_slots, 3, 3))
         self.cam_pos = np.empty((n_slots, 3))
         self.cam_rot = np.empty((n_slots, 3, 3))
         self.start: list[int | None] = [None] * n_slots
         self.after: list[int] = [0] * n_slots
+        # Projected u, v and ray depth (NaN out of view), the detection
+        # uniform, the pixel and depth normals, the axis, the angle normal.
+        self.draws = np.empty((n_slots, 11))
+        self.miss_end: list[int] = [0] * n_slots
+        self.hit_end: list[int | None] = [None] * n_slots  # None: not recorded
+        # Each error part after the settings that gave it; NaN matches none.
+        self.pos = np.empty((n_slots, 7))  # pixel, near, far sigma, band lo, hi | px, trans error
+        self.rot = np.empty((n_slots, 2))  # rot_sigma | rotation error
+        self._scratch = np.random.Generator(np.random.PCG64())
 
     def __len__(self) -> int:
         return len(self.start)
 
-    def view(self, i: int, rng: np.random.Generator) -> tuple[Pose, CameraPose]:
-        """Slot i's view if rng is in its start state (rng then moves to the
-        stored after-state), else a fresh draw that overwrites slot i."""
-        start = _pcg64_key(rng)
-        if self.start[i] == start:
-            rng.bit_generator.state = _pcg64_state(self.after[i])
-            return (
-                Pose(np.zeros(3), self.flower_rot[i].copy()),
-                Pose(self.cam_pos[i].copy(), self.cam_rot[i].copy()),
-            )
-        flower_pose, cam = _draw_view(rng)
-        self.flower_rot[i] = flower_pose.rotation
-        self.cam_pos[i] = cam.position
-        self.cam_rot[i] = cam.rotation
-        self.start[i] = start
-        self.after[i] = _pcg64_key(rng)
-        return flower_pose, cam
+    def _record(self, i: int) -> None:
+        """Slot i's projection and the oracle's draws from its after-view state."""
+        cam = Pose(self.cam_pos[i], self.cam_rot[i])
+        obs = project(np.zeros(3), cam, self.k)
+        self.pos[i] = self.rot[i] = np.nan
+        self.miss_end[i] = self.hit_end[i] = self.after[i]
+        if obs is None:  # out of view: the oracle draws nothing
+            self.draws[i] = np.nan
+            return
+        g = self._scratch
+        g.bit_generator.state = _pcg64_state(self.after[i])
+        r = g.random()
+        self.miss_end[i] = _pcg64_key(g)
+        z_u, z_v, z_d, axis, z_a = _pose_draws(g)
+        self.hit_end[i] = _pcg64_key(g)
+        self.draws[i] = (obs.u, obs.v, obs.ray_depth, r, z_u, z_v, z_d, *axis.tolist(), z_a)
+
+    def replay(self, i: int, noise: NoiseModel, stats: SingleShotStats) -> int:
+        """Tally slot i's observation under `noise`, a model without flips,
+        from the slot's draws; the state in which the oracle would leave the
+        generator."""
+        if self.hit_end[i] is None:
+            self._record(i)
+        u, v, depth, r, z_u, z_v, z_d, ax, ay, az, z_a = self.draws[i].tolist()
+        if math.isnan(depth):
+            return self.after[i]
+        if r >= noise.detect_prob:
+            stats.add([ShotRecord(0, 0, 0, False, float("nan"), float("nan"), float("nan"))])
+            return self.miss_end[i]
+        pos = self.pos[i].tolist()
+        knobs = [noise.pixel_sigma, noise.depth_sigma_near, noise.depth_sigma_far, *noise.reliable_range]
+        if pos[:5] != knobs:
+            cam = Pose(self.cam_pos[i], self.cam_rot[i])
+            errors = _noisy_position(PixelObs(u, v, depth), np.zeros(3), cam, self.k, noise, z_u, z_v, z_d)[2:]
+            self.pos[i] = pos = [*knobs, *errors]
+        rot = self.rot[i].tolist()
+        if rot[0] != noise.rot_sigma:
+            flower_rot = self.flower_rot[i]
+            noisy = _noisy_rotation(flower_rot, np.array([ax, ay, az]), z_a, noise.rot_sigma)
+            self.rot[i] = rot = [noise.rot_sigma, zaxis_angle(noisy, flower_rot)]
+        stats.add([ShotRecord(0, 0, 0, True, pos[5], pos[6], rot[1])])
+        return self.hit_end[i]
 
 
 def single_shot_stats(
-    noise: NoiseModel, k: Intrinsics, n_samples: int, rng: np.random.Generator, views: ViewCache | None = None
+    noise: NoiseModel, k: Intrinsics, n_samples: int, rng: np.random.Generator, cache: SampleCache | None = None
 ) -> SingleShotStats:
     """Sample one flower from n_samples independent viewpoints and collect
     the oracle's single-shot error statistics (clutter excluded).
 
     Each sample draws a flower rotation and a viewpoint, then observes. With
-    `views`, sample i takes its rotation and viewpoint from slot i of the
-    cache whenever rng is in the state that slot was drawn from, and skips
-    the draws. Those two draws read nothing but the generator, so the same
-    start state gives the same geometry bits and the same end state: the
-    result, and rng's state afterwards, equal the uncached call's. This pays
-    off under common random numbers, where calibration re-seeds every
-    evaluation and only the observation draws differ between them.
+    `cache`, sample i whose start state is slot i's reuses that slot: a model
+    without flips replays the slot's recorded draws (see SampleCache), one
+    with flips observes from the slot's view. Every draw reads nothing but
+    the generator, so the same start state gives the same bits and the same
+    end state: the result, and rng's state afterwards, equal the uncached
+    call's. The loop tracks the state as a packed int and moves rng to it
+    only before a fresh draw and at the end. This pays off under common
+    random numbers, where calibration re-seeds every evaluation.
     """
-    if views is not None and len(views) < n_samples:
-        raise ValueError(f"ViewCache has {len(views)} slots for {n_samples} samples")
+    state = None
+    if cache is not None:
+        if len(cache) < n_samples:
+            raise ValueError(f"SampleCache has {len(cache)} slots for {n_samples} samples")
+        if cache.k != k:
+            raise ValueError(f"SampleCache holds projections for {cache.k}, not {k}")
+        state = _pcg64_key(rng)
     stats = SingleShotStats()
     quiet = replace(noise, clutter_rate=0.0)
     flower = FlowerGT(id=0, pose=Pose(np.zeros(3), np.eye(3)))
+    live = True  # rng is in `state`
     for i in range(n_samples):
-        flower.pose, cam = _draw_view(rng) if views is None else views.view(i, rng)
+        if cache is not None and cache.start[i] == state:
+            if noise.flip_prob == 0.0:
+                state = cache.replay(i, noise, stats)
+                live = False
+                continue
+            flower.pose = Pose(np.zeros(3), cache.flower_rot[i])
+            cam = Pose(cache.cam_pos[i], cache.cam_rot[i])
+            rng.bit_generator.state = _pcg64_state(cache.after[i])
+        else:
+            if not live:
+                rng.bit_generator.state = _pcg64_state(state)
+            flower.pose, cam = _draw_view(rng)
+            if cache is not None:
+                cache.flower_rot[i], cache.cam_pos[i] = flower.pose.rotation, cam.position
+                cache.cam_rot[i] = cam.rotation
+                cache.start[i], cache.after[i], cache.hit_end[i] = state, _pcg64_key(rng), None
         stats.add(observe_with_truth([flower], cam, k, quiet, rng)[1])
+        if cache is not None:
+            state = _pcg64_key(rng)
+        live = True
+    if not live:
+        rng.bit_generator.state = _pcg64_state(state)
     return stats

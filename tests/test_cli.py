@@ -160,7 +160,11 @@ def _simulated_run(tmp_path):
     # a well-formed row for track 0, which the run already holds
     ("tracks.csv", "19,0," + "0.0," * 3 + "1.0,0.0,0.0,0.0,1.0,0.0,0.0,0.0,1.0," + "0.0,0.1,1,0", "repeated track_id 0"),
     ("attempts.csv", "19,0,0,7,0", "flower_id 7 is not in scene.json"),
-], ids=["tracks-integer", "shots-flag", "attempts-flag", "shots-float", "tracks-repeated-id", "attempts-unknown-flower"])
+    # a well-formed row for a new track, at a tick before the run's last one
+    ("tracks.csv", "5,99," + "0.0," * 3 + "1.0,0.0,0.0,0.0,1.0,0.0,0.0,0.0,1.0," + "0.0,0.1,1,0",
+     "tick 5, expected the last tick 19"),
+], ids=["tracks-integer", "shots-flag", "attempts-flag", "shots-float", "tracks-repeated-id", "attempts-unknown-flower",
+        "tracks-early-tick"])
 def test_eval_refuses_a_damaged_cell_naming_file_and_row(tmp_path, capsys, name, row, message):
     out_dir = _simulated_run(tmp_path)
     lines = (out_dir / name).read_text().splitlines()

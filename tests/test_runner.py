@@ -1,10 +1,11 @@
 """The runner's outputs, pinned: every byte of one run directory, and the
 work the runner skips because its result is already known (calibration's
-reused views and the rotation audit's reused verdicts), which must leave
+replayed samples and the rotation audit's reused verdicts), which must leave
 every result exactly as the full computation gives it."""
 
 import csv
 import hashlib
+import json
 import os
 from dataclasses import replace
 
@@ -137,6 +138,22 @@ def test_calibration_with_reused_views_equals_the_uncached_one(monkeypatch, targ
     # NaN statistics (no detection at all) compare equal through repr
     assert repr(cached) == repr(uncached)
     assert len(cached[0]) >= 1
+
+
+BENCH_DIGESTS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench", "digests.json")
+
+
+def test_benchmark_calibration_gives_its_recorded_models():
+    # The calibrate workload at benchmark seed 0: the CLI targets, 1000
+    # samples, seeds 0-2. Its models were recorded before SampleCache
+    # replayed samples, so every bit of the fitted models must stay.
+    with open(BENCH_DIGESTS, encoding="utf-8") as fh:
+        want = json.load(fh)["calibrate"]["0"]
+    got = []
+    for seed in range(3):
+        model = runner.calibrate_noise(CLI_TARGETS, seed=seed, n_samples=1000).to_json()
+        got.append(hashlib.sha256(json.dumps(model, sort_keys=True, separators=(",", ":")).encode()).hexdigest())
+    assert got == want
 
 
 def test_calibration_evaluates_each_noise_model_once(monkeypatch):

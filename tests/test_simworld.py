@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,10 +18,10 @@ from pollisim.simworld import (
     InvariantViolation,
     NoiseModel,
     ParseError,
+    SampleCache,
     SceneGenParams,
     ShotRecord,
     SingleShotStats,
-    ViewCache,
     generate_scene,
     load_scene,
     observe_with_truth,
@@ -343,59 +344,124 @@ def _stats_bits(stats):
     return (stats.opportunities, stats.detections_within_px, stats.trans_errors, stats.rot_errors)
 
 
-def test_view_cache_gives_the_uncached_stats_across_seeds(monkeypatch):
+def _uncached(monkeypatch, model, n, seed):
+    """single_shot_stats without a cache, through the real oracle, and the
+    generator it leaves."""
+    rng = np.random.default_rng([seed, 7])
+    with monkeypatch.context() as m:
+        m.setattr(simworld, "sample_viewpoint", sample_viewpoint)
+        m.setattr(simworld, "observe_with_truth", observe_with_truth)
+        return single_shot_stats(model, K, n, rng), rng.bit_generator.state
+
+
+def _counted(monkeypatch, *names):
+    """Count the calls of simworld's functions `names` from here on."""
+    calls = {name: 0 for name in names}
+    for name in names:
+        real = getattr(simworld, name)
+
+        def counted(*args, _name=name, _real=real):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(simworld, name, counted)
+    return calls
+
+
+def test_sample_cache_gives_the_uncached_stats_across_seeds(monkeypatch):
     # Two streams fed through one cache in alternation: a call finds the
-    # slots holding the other seed's views, or its own where they are still
+    # slots holding the other seed's samples, or its own where they are still
     # there. Each call must equal the uncached one, rng state afterwards too.
     n = 150
-    views = ViewCache(n)
-    draws = []
-    real = simworld.sample_viewpoint
-    monkeypatch.setattr(simworld, "sample_viewpoint", lambda *args: draws.append(1) or real(*args))
+    cache = SampleCache(n, K)
+    calls = _counted(monkeypatch, "sample_viewpoint")
     drawn = []
     for model in (NoiseModel(), NoiseModel(detect_prob=0.6, rot_sigma=10.0), NoiseModel(flip_prob=0.5)):
         for seed in (3, 4, 3, 3, 4):
-            want_rng, got_rng = np.random.default_rng([seed, 7]), np.random.default_rng([seed, 7])
-            with monkeypatch.context() as m:
-                m.setattr(simworld, "sample_viewpoint", real)
-                want = single_shot_stats(model, K, n, want_rng)
-            before = len(draws)
-            got = single_shot_stats(model, K, n, got_rng, views)
-            drawn.append(len(draws) - before)
+            want, want_state = _uncached(monkeypatch, model, n, seed)
+            got_rng = np.random.default_rng([seed, 7])
+            before = calls["sample_viewpoint"]
+            got = single_shot_stats(model, K, n, got_rng, cache)
+            drawn.append(calls["sample_viewpoint"] - before)
             assert _stats_bits(got) == _stats_bits(want)
-            assert got_rng.bit_generator.state == want_rng.bit_generator.state
-            assert len(views) == n
+            assert got_rng.bit_generator.state == want_state
+            assert len(cache) == n
     # A seed after the other one redraws every view; a seed repeated with
     # the same model redraws none.
     assert drawn == [n, n, n, 0, n] * 3
     with pytest.raises(ValueError, match="slots"):
-        single_shot_stats(NoiseModel(), K, n + 1, np.random.default_rng(0), views)
+        single_shot_stats(NoiseModel(), K, n + 1, np.random.default_rng(0), cache)
 
 
-def test_view_cache_reuses_only_an_identical_state(monkeypatch):
-    draws = []
-    real = simworld.sample_viewpoint
-    monkeypatch.setattr(simworld, "sample_viewpoint", lambda *args: draws.append(1) or real(*args))
-    views = ViewCache(1)
+def test_sample_cache_reuses_only_an_identical_state(monkeypatch):
+    calls = _counted(monkeypatch, "sample_viewpoint", "observe_with_truth")
+    cache = SampleCache(1, K)
+    model = NoiseModel(detect_prob=1.0)
     rng = np.random.default_rng(5)
-    first = views.view(0, rng)
+    first = single_shot_stats(model, K, 1, rng, cache)
     after = rng.bit_generator.state
     rng = np.random.default_rng(5)
-    again = views.view(0, rng)
-    assert len(draws) == 1
+    again = single_shot_stats(model, K, 1, rng, cache)
+    assert calls == {"sample_viewpoint": 1, "observe_with_truth": 1}
     assert rng.bit_generator.state == after
-    for a, b in zip(first, again):
-        assert a.position.tobytes() == b.position.tobytes() and a.rotation.tobytes() == b.rotation.tobytes()
+    assert _stats_bits(again) == _stats_bits(first) and again.opportunities == 1
     # The same 128-bit state and increment with a buffered 32-bit half is
     # another state: the slot is redrawn, and then the first state misses.
-    rng = np.random.default_rng(5)
-    rng.bit_generator.state = dict(rng.bit_generator.state, has_uint32=1, uinteger=12345)
-    views.view(0, rng)
-    assert rng.bit_generator.state["has_uint32"] == 1
-    views.view(0, np.random.default_rng(5))
-    assert len(draws) == 3
+    # A replay from the buffered state keeps the buffered half.
+    buffered = dict(np.random.default_rng(5).bit_generator.state, has_uint32=1, uinteger=12345)
+    for _ in range(2):
+        rng = np.random.default_rng(5)
+        rng.bit_generator.state = buffered
+        single_shot_stats(model, K, 1, rng, cache)
+        assert (rng.bit_generator.state["has_uint32"], rng.bit_generator.state["uinteger"]) == (1, 12345)
+        assert rng.bit_generator.state["state"] == after["state"]
+    single_shot_stats(model, K, 1, np.random.default_rng(5), cache)
+    assert calls == {"sample_viewpoint": 3, "observe_with_truth": 3}
     with pytest.raises(TypeError, match="PCG64"):
-        views.view(0, np.random.Generator(np.random.MT19937(0)))
+        single_shot_stats(model, K, 1, np.random.Generator(np.random.MT19937(0)), cache)
+    other = Intrinsics(fx=600.0, fy=600.0, cx=640.0, cy=360.0, width=1280, height=720)
+    with pytest.raises(ValueError, match="projections"):
+        single_shot_stats(model, other, 1, np.random.default_rng(5), cache)
+
+
+def test_sample_cache_replays_a_calibration_shaped_search(monkeypatch):
+    # The order calibrate_noise evaluates in: detect_prob steps, then
+    # rot_sigma steps, then depth-sigma steps, an earlier model again, and
+    # all sigmas zero. Once detect_prob is fixed, a repeated seed observes
+    # nothing: every sample replays, and recomputes only the error part
+    # whose settings changed.
+    n, seed = 200, 11
+    cache = SampleCache(n, K)
+    detect = [replace(NoiseModel(), detect_prob=p) for p in (1.0, 0.5, 0.75, 0.875, 0.8125)]
+    fixed = detect[-1]
+    rot = [replace(fixed, rot_sigma=x) for x in (30.0, 45.0, 37.5)]
+    depth = [replace(rot[-1], depth_sigma_near=x, depth_sigma_far=20.0 * x) for x in (0.005, 0.0025, 0.00375)]
+    zero = replace(depth[-1], pixel_sigma=0.0, depth_sigma_near=0.0, depth_sigma_far=0.0, rot_sigma=0.0)
+    models = detect + rot + depth + [rot[0], zero]
+    calls = _counted(monkeypatch, "sample_viewpoint", "observe_with_truth", "_noisy_position", "_noisy_rotation")
+    counts = []
+    for model in models:
+        want, want_state = _uncached(monkeypatch, model, n, seed)
+        rng = np.random.default_rng([seed, 7])
+        before = dict(calls)
+        got = single_shot_stats(model, K, n, rng, cache)
+        assert _stats_bits(got) == _stats_bits(want)
+        assert rng.bit_generator.state == want_state
+        counts.append({name: calls[name] - before[name] for name in calls})
+    assert counts[0]["observe_with_truth"] == n
+    for i, model in enumerate(models[1:], 1):
+        if model.detect_prob == models[i - 1].detect_prob:
+            assert counts[i]["observe_with_truth"] == counts[i]["sample_viewpoint"] == 0
+    # rot[0] is the first replay of detect[-1]'s samples: it computes both parts.
+    for c in counts[len(detect) + 1:len(detect) + len(rot)]:
+        assert c["_noisy_position"] == 0 and c["_noisy_rotation"] > 0
+    for c in counts[len(detect) + len(rot):len(detect) + len(rot) + len(depth)]:
+        assert c["_noisy_rotation"] == 0 and c["_noisy_position"] > 0
+    # rot[0] again differs from depth[-1] in both parts, and so does the
+    # zero model: each detection recomputes both.
+    for c in counts[-2:]:
+        assert c["_noisy_rotation"] == c["_noisy_position"] > 0
+    assert got.mean_trans < 1e-9 and got.mean_rot < 1e-5
 
 
 def _pack_floats(h, *values):
