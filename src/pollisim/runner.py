@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import logging
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -299,20 +301,58 @@ def survey_run(noise: NoiseModel, tparams: TrackerParams, k: Intrinsics, n_views
 # once detect_prob is fixed, every sample of every later evaluation. The
 # statistics are not smooth or monotone in a knob: a sample draws its view and
 # its observation from that one stream and a missed detection skips draws, so
-# one detection flip shifts every later sample's view and noise.
+# one detection flip shifts every later sample's view and noise. Such a flip
+# also keeps most of a detect_prob evaluation from replaying, so those
+# evaluations stop sampling once their verdict is settled (_verdict_settled).
 _CAL_RNG_TAG = 7
 
 
 def _stat_for(
-    noise: NoiseModel, k: Intrinsics, n_samples: int, seed: int, cache: SampleCache | None = None
+    noise: NoiseModel,
+    k: Intrinsics,
+    n_samples: int,
+    seed: int,
+    cache: SampleCache | None = None,
+    stop: Callable[[int, int, int], bool] | None = None,
 ) -> "tuple[float, float, float]":
     rng = np.random.default_rng([seed, _CAL_RNG_TAG])
-    s = single_shot_stats(noise, k, n_samples, rng, cache)
+    s = single_shot_stats(noise, k, n_samples, rng, cache, stop=stop)
     return s.mean_trans, s.mean_rot, s.detection_rate
 
 
+def _verdict(v: float, target: float, tol: float) -> int:
+    """How _bisect reads a value: 0 within tol of target, else -1 below it
+    or 1 above it (NaN reads as above)."""
+    if abs(v - target) <= tol:
+        return 0
+    return -1 if v < target else 1
+
+
+def _verdict_settled(within: int, opportunities: int, left: int, target: float, tol: float) -> bool:
+    """Whether every completion of a detection tally gets one and the same
+    verdict outside the window.
+
+    With `left` samples to go, each adding at most one opportunity, the final
+    rate (within + a) / (opportunities + b), 0 <= a <= b <= left, lies between
+    within / n and (within + left) / n, n = opportunities + left. Rounded
+    division and _verdict are both monotone, so when those two ends read the
+    same, every completion reads that way, and so does the partial rate
+    within / opportunities, which lies between them. With no opportunity yet
+    the final rate could still be NaN.
+    """
+    if opportunities == 0:
+        return False
+    n = opportunities + left
+    low = _verdict(within / n, target, tol)
+    return low != 0 and low == _verdict((within + left) / n, target, tol)
+
+
 def _bisect(eval_fn, target: float, lo: float, hi: float, rel_tol: float, max_iter: int, label: str) -> float:
-    """Find x with eval_fn(x) ~= target, assuming eval_fn is increasing."""
+    """Find x with eval_fn(x) ~= target, assuming eval_fn is increasing.
+
+    Of a value outside the window only its _verdict matters, so eval_fn may
+    return in its place any value with the same verdict."""
+    tol = rel_tol * abs(target)
     val_hi = eval_fn(hi)
     iters = 0
     while val_hi < target and iters < max_iter:
@@ -324,10 +364,10 @@ def _bisect(eval_fn, target: float, lo: float, hi: float, rel_tol: float, max_it
     x = hi
     for _ in range(max_iter - iters):
         x = 0.5 * (lo + hi)
-        v = eval_fn(x)
-        if abs(v - target) <= rel_tol * abs(target):
+        verdict = _verdict(eval_fn(x), target, tol)
+        if verdict == 0:
             return x
-        if v < target:
+        if verdict < 0:
             lo = x
         else:
             hi = x
@@ -360,7 +400,18 @@ def calibrate_noise(
     the part whose settings changed (see single_shot_stats). For the same
     reason a model's statistics depend on the model alone, and each model is
     evaluated once.
+
+    A detect_prob evaluation stops sampling as soon as every way its
+    remaining samples could fall gives the bisection the same verdict
+    outside the window (see _verdict_settled), a curtailed sequential test.
+    Its partial detection rate gets that verdict too, so the search, the
+    number of evaluations and the result are those of full evaluations.
+    rel_tol must be finite and > 0, max_iter >= 1.
     """
+    if not (math.isfinite(rel_tol) and rel_tol > 0):
+        raise ConfigError("rel_tol", "must be a finite number > 0")
+    if max_iter < 1:
+        raise ConfigError("max_iter", "must be >= 1")
     for key in ("trans_cm", "rot_deg", "det_rate"):
         if key not in targets:
             raise ConfigError(f"targets.{key}", "missing")
@@ -381,9 +432,9 @@ def calibrate_noise(
     cache = SampleCache(n_samples, k)
     memo: dict[NoiseModel, tuple[float, float, float]] = {}
 
-    def stat(model: NoiseModel) -> tuple[float, float, float]:
+    def stat(model: NoiseModel, stop=None) -> tuple[float, float, float]:
         if model not in memo:
-            memo[model] = _stat_for(model, k, n_samples, seed, cache)
+            memo[model] = _stat_for(model, k, n_samples, seed, cache, stop)
         return memo[model]
 
     # detect_prob first: skipped detections change the downstream RNG draw
@@ -391,8 +442,16 @@ def calibrate_noise(
     if det_target >= 1.0:
         noise = replace(noise, detect_prob=1.0)
     else:
+        settled = partial(_verdict_settled, target=det_target, tol=inner_tol * abs(det_target))
+
+        # A stopped evaluation memoizes a partial tally, of which only the
+        # detection rate's verdict is exact. Nothing reads more of it: its
+        # rate reads outside the window, the model the bisection returns reads
+        # inside it, and every later model carries that model's detect_prob.
+        # The check against hi_rate below reads a verdict too: a settled tally
+        # is below the target exactly when its full one is.
         def det_stat(x: float) -> float:
-            return stat(replace(noise, detect_prob=x))[2]
+            return stat(replace(noise, detect_prob=x), settled)[2]
 
         hi_rate = det_stat(1.0)
         if hi_rate < det_target:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -539,7 +540,13 @@ class SampleCache:
 
 
 def single_shot_stats(
-    noise: NoiseModel, k: Intrinsics, n_samples: int, rng: np.random.Generator, cache: SampleCache | None = None
+    noise: NoiseModel,
+    k: Intrinsics,
+    n_samples: int,
+    rng: np.random.Generator,
+    cache: SampleCache | None = None,
+    *,
+    stop: Callable[[int, int, int], bool] | None = None,
 ) -> SingleShotStats:
     """Sample one flower from n_samples independent viewpoints and collect
     the oracle's single-shot error statistics (clutter excluded).
@@ -553,6 +560,12 @@ def single_shot_stats(
     call's. The loop tracks the state as a packed int and moves rng to it
     only before a fresh draw and at the end. This pays off under common
     random numbers, where calibration re-seeds every evaluation.
+
+    With `stop`, sampling ends early once stop(within, opportunities, left)
+    is true before a sample: `within` counts the detections within
+    DETECT_SUCCESS_PX so far, `opportunities` the visible flowers so far,
+    `left` the samples still to take. The tally returned is then that
+    partial one, and rng is left where it stopped.
     """
     state = None
     if cache is not None:
@@ -565,7 +578,14 @@ def single_shot_stats(
     quiet = replace(noise, clutter_rate=0.0)
     flower = FlowerGT(id=0, pose=Pose(np.zeros(3), np.eye(3)))
     live = True  # rng is in `state`
+    within = counted = 0  # the detections within DETECT_SUCCESS_PX among px_errors[:counted]
     for i in range(n_samples):
+        if stop is not None:
+            if counted < len(stats.px_errors):  # a sample adds at most one detection
+                within += stats.px_errors[counted] <= DETECT_SUCCESS_PX
+                counted += 1
+            if stop(within, stats.opportunities, n_samples - i):
+                break
         if cache is not None and cache.start[i] == state:
             if noise.flip_prob == 0.0:
                 state = cache.replay(i, noise, stats)

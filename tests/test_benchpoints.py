@@ -58,3 +58,14 @@ def test_runner_patch_points_fire(tmp_path):
     cal_views = tracer.stats["simworld.sample_viewpoint"][0] - views_before
     assert cal_evals > 1
     assert CAL_SAMPLES <= cal_views < cal_evals * CAL_SAMPLES
+
+
+def test_calibration_keeps_its_evaluation_count():
+    # The calibrate workload's items are evaluations x samples: a detect_prob
+    # evaluation that stops sampling early still counts as one call, and the
+    # search makes as many as when every evaluation drew all its samples.
+    tracer = benchtrace.Tracer()
+    with tracer.installed():
+        runner.calibrate_noise(CAL_TARGETS, seed=0, n_samples=CAL_SAMPLES)
+    assert tracer.stats["simworld.single_shot_stats"][0] == 17
+    assert tracer.fired["pollisim.simworld.observe_with_truth"] > 0

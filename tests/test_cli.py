@@ -426,6 +426,27 @@ def test_calibrate_nonpositive_samples_rejected(capsys, samples):
         calibrate_noise({"trans_cm": 3.03, "rot_deg": 29.88, "det_rate": 0.9301}, n_samples=int(samples))
 
 
+@pytest.mark.parametrize("option, value", [
+    ("rel_tol", float("inf")),
+    ("rel_tol", float("nan")),
+    ("rel_tol", -0.05),
+    ("rel_tol", 0.0),
+    ("max_iter", 0),
+    ("max_iter", -3),
+])
+def test_calibrate_bad_search_settings_rejected(monkeypatch, option, value):
+    # refused before any evaluation, naming the setting
+    from pollisim import runner
+
+    evals = []
+    monkeypatch.setattr(runner, "single_shot_stats", lambda *args, **kwargs: evals.append(args))
+    with pytest.raises(ConfigError, match=f"'{option}'"):
+        runner.calibrate_noise(
+            {"trans_cm": 3.03, "rot_deg": 29.88, "det_rate": 0.9301}, n_samples=100, **{option: value}
+        )
+    assert evals == []
+
+
 def test_calibrate_reproducible_under_fixed_seed():
     from pollisim.runner import calibrate_noise
 

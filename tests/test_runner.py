@@ -116,8 +116,8 @@ def _calibration_record(monkeypatch, targets, seed, cached):
     evals = []
     inner = runner.single_shot_stats
 
-    def recorded(noise, k, n_samples, rng, *views):
-        s = inner(noise, k, n_samples, rng, *(views if cached else ()))
+    def recorded(noise, k, n_samples, rng, *views, **stop):
+        s = inner(noise, k, n_samples, rng, *(views if cached else ()), **stop)
         evals.append((s.mean_trans, s.mean_rot, s.detection_rate))
         return s
 
@@ -140,6 +140,55 @@ def test_calibration_with_reused_views_equals_the_uncached_one(monkeypatch, targ
     assert len(cached[0]) >= 1
 
 
+@pytest.mark.parametrize("seed", range(10))
+def test_settled_detect_evaluations_give_the_full_search(monkeypatch, seed):
+    # Against a reference whose detect_prob evaluations never stop early:
+    # the same number of evaluations, each with the same verdict, and the
+    # same model or failure.
+    stopped = 0
+    for targets in (CLI_TARGETS, NOISELESS_TARGETS, PERFECT_DETECTION_TARGETS):
+        settled = _calibration_record(monkeypatch, targets, seed, cached=True)
+        with monkeypatch.context() as m:
+            m.setattr(runner, "_verdict_settled", lambda *args, **kwargs: False)
+            full = _calibration_record(monkeypatch, targets, seed, cached=True)
+        assert settled[1] == full[1]
+        assert len(settled[0]) == len(full[0])
+        tol = 0.4 * 0.05 * targets["det_rate"]
+        for got, want in zip(settled[0], full[0]):
+            if repr(got) != repr(want):
+                stopped += 1
+                assert runner._verdict(got[2], targets["det_rate"], tol) == runner._verdict(
+                    want[2], targets["det_rate"], tol
+                ) != 0
+    assert stopped > 0  # at the CLI targets some evaluations do stop early
+
+
+@pytest.mark.parametrize("target, tol", [
+    (0.0, 0.0), (0.5, 0.25), (0.5, 0.01), (0.9301, 0.4 * 0.05 * 0.9301), (0.97, 0.05 * 0.97),
+    (0.999, 0.4 * 0.05 * 0.999), (1.0, 0.0), (1.0, 0.02),
+])
+def test_a_settled_tally_has_one_verdict_for_every_completion(target, tol):
+    # Enumerate every small tally (within <= opportunities, left samples to
+    # go) and every completion: a samples of the b <= left visible ones detected.
+    settles = 0
+    for n in range(1, 13):
+        for opportunities in range(n + 1):
+            left = n - opportunities
+            for within in range(opportunities + 1):
+                if not runner._verdict_settled(within, opportunities, left, target, tol):
+                    continue
+                settles += 1
+                assert opportunities > 0
+                verdict = runner._verdict(within / opportunities, target, tol)
+                assert verdict != 0
+                finals = {
+                    runner._verdict((within + a) / (opportunities + b), target, tol)
+                    for b in range(left + 1) for a in range(b + 1)
+                }
+                assert finals == {verdict}
+    assert settles > 0
+
+
 BENCH_DIGESTS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench", "digests.json")
 
 
@@ -160,7 +209,9 @@ def test_calibration_evaluates_each_noise_model_once(monkeypatch):
     # the uncached search at these settings makes 19 evaluations of 16 models
     models = []
     inner = runner.single_shot_stats
-    monkeypatch.setattr(runner, "single_shot_stats", lambda noise, *rest: models.append(noise) or inner(noise, *rest))
+    monkeypatch.setattr(
+        runner, "single_shot_stats", lambda noise, *rest, **kw: models.append(noise) or inner(noise, *rest, **kw)
+    )
     runner.calibrate_noise(CLI_TARGETS, seed=0, n_samples=250)
     assert len(models) > 1
     assert len(models) == len(set(models))

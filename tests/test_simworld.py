@@ -393,6 +393,30 @@ def test_sample_cache_gives_the_uncached_stats_across_seeds(monkeypatch):
         single_shot_stats(NoiseModel(), K, n + 1, np.random.default_rng(0), cache)
 
 
+def test_single_shot_stats_stops_on_its_running_tally():
+    # A wide pixel sigma puts many detections outside the pixel gate. After
+    # each sample the predicate sees the tally so far; the call returns the
+    # tally where it said stop, a prefix of the full one, whether its samples
+    # are drawn, replayed (no flips) or observed again from a cached view.
+    n, stop_at = 120, 50
+    for model in (NoiseModel(pixel_sigma=15.0, detect_prob=0.8), NoiseModel(pixel_sigma=15.0, flip_prob=0.5)):
+        full = single_shot_stats(model, K, n, np.random.default_rng(9))
+        cache = SampleCache(n, K)
+        for cached in (None, cache, cache):
+            seen = []
+
+            def stop(within, opportunities, left):
+                seen.append((within, opportunities, left))
+                return left == n - stop_at
+
+            got = single_shot_stats(model, K, n, np.random.default_rng(9), cached, stop=stop)
+            assert [left for *_, left in seen] == list(range(n, n - stop_at - 1, -1))
+            assert seen[-1][:2] == (got.detections_within_px, got.opportunities)
+            assert got.detections_within_px < len(got.px_errors)
+            for name in ("px_errors", "trans_errors", "rot_errors"):
+                assert getattr(got, name) == getattr(full, name)[: len(got.px_errors)]
+
+
 def test_sample_cache_reuses_only_an_identical_state(monkeypatch):
     calls = _counted(monkeypatch, "sample_viewpoint", "observe_with_truth")
     cache = SampleCache(1, K)
