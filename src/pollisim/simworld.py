@@ -19,6 +19,7 @@ import numpy as np
 from .camera import CameraPose, Intrinsics, PixelObs, look_at, project, to_world, uplift
 from .configfields import check_fields, fields_to_json, json_number, json_numbers, write_json
 from .so3 import (
+    I3,
     Pose,
     candidate_pairs,
     cross3,
@@ -454,6 +455,47 @@ def _pcg64_state(key: int) -> dict:
     }
 
 
+def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of two (n, 3) arrays, each with the bits of
+    a[i].dot(b[i]) (a (1,3) @ (3,1) matmul; (a * b).sum(axis=1) rounds
+    differently)."""
+    return (a[:, None, :] @ b[:, :, None]).ravel()
+
+
+def _position_errors(
+    draws: np.ndarray, cam_pos: np.ndarray, cam_rot: np.ndarray, k: Intrinsics, noise: NoiseModel
+) -> np.ndarray:
+    """The pixel and position errors, (n, 2), that `_noisy_position` gives
+    for n detections of a flower at the origin, each from its SampleCache
+    draws row and its camera pose. The same operations in the same order on
+    stacked arrays give the same bits; the pixel error stays math.hypot,
+    which numpy's hypot need not match."""
+    u0, v0, d0, _, z_u, z_v, z_d = draws[:, :7].T
+    u = u0 + (0.0 + noise.pixel_sigma * z_u)
+    v = v0 + (0.0 + noise.pixel_sigma * z_v)
+    lo, hi = noise.reliable_range
+    sigma_d = np.where((lo <= d0) & (d0 <= hi), noise.depth_sigma_near, noise.depth_sigma_far)
+    depth = np.maximum(d0 + (0.0 + sigma_d * z_d), 1e-6)
+    ray = np.stack([(u - k.cx) / k.fx, (v - k.cy) / k.fy, np.ones_like(u)], axis=1)
+    x_cam = depth[:, None] * ray / np.sqrt(_dots(ray, ray))[:, None]
+    pos_world = (cam_rot @ x_cam[:, :, None])[:, :, 0] + cam_pos
+    px = [math.hypot(du, dv) for du, dv in zip((u - u0).tolist(), (v - v0).tolist())]
+    return np.column_stack([px, np.sqrt(_dots(pos_world, pos_world))])
+
+
+def _rotation_errors(flower_rot: np.ndarray, axis: np.ndarray, z_a: np.ndarray, rot_sigma: float) -> np.ndarray:
+    """zaxis_angle between `_noisy_rotation` of each of n flower rotations
+    and that rotation, (n,): from_axis_angle's Rodrigues form on stacked
+    arrays, with the same bits (see _position_errors)."""
+    angle = np.abs(0.0 + math.radians(rot_sigma) * z_a)
+    x, y, z = (axis / np.sqrt(_dots(axis, axis))[:, None]).T
+    zero = np.zeros_like(x)
+    hat = np.stack([zero, -z, y, z, zero, -x, -y, x, zero], axis=1).reshape(-1, 3, 3)
+    turn = I3 + np.sin(angle)[:, None, None] * hat + (1.0 - np.cos(angle))[:, None, None] * (hat @ hat)
+    c = np.minimum(np.maximum(_dots((turn @ flower_rot)[:, :, 2], flower_rot[:, :, 2]), -1.0), 1.0)
+    return np.degrees(np.arccos(c))
+
+
 class SampleCache:
     """The calibration samples `single_shot_stats` drew, one slot per sample
     index, so that a later call reaching the same generator state replays
@@ -471,8 +513,10 @@ class SampleCache:
     rot_sigma, and recomputes a part only when its own settings change.
 
     The projected pixel depends on the intrinsics, so a cache serves one
-    `Intrinsics`. Floats sit in preallocated arrays and each state in one
-    packed int: about 600 bytes a slot.
+    `Intrinsics`. Floats sit in preallocated arrays (328 bytes a slot) and
+    each of the four states in one packed int (72 bytes with its list
+    entry): about 600 bytes a slot. A replay reads them as one batch (see
+    replay_run), which adds no per-slot state.
     """
 
     def __init__(self, n_slots: int, k: Intrinsics) -> None:
@@ -512,31 +556,67 @@ class SampleCache:
         self.hit_end[i] = _pcg64_key(g)
         self.draws[i] = (obs.u, obs.v, obs.ray_depth, r, z_u, z_v, z_d, *axis.tolist(), z_a)
 
-    def replay(self, i: int, noise: NoiseModel, stats: SingleShotStats) -> int:
-        """Tally slot i's observation under `noise`, a model without flips,
-        from the slot's draws; the state in which the oracle would leave the
-        generator."""
-        if self.hit_end[i] is None:
-            self._record(i)
-        u, v, depth, r, z_u, z_v, z_d, ax, ay, az, z_a = self.draws[i].tolist()
-        if math.isnan(depth):
-            return self.after[i]
-        if r >= noise.detect_prob:
-            stats.add([ShotRecord(0, 0, 0, False, float("nan"), float("nan"), float("nan"))])
-            return self.miss_end[i]
-        pos = self.pos[i].tolist()
+    def _refresh(self, rows: np.ndarray, noise: NoiseModel) -> None:
+        """Recompute the error parts of detection slots `rows` whose settings
+        differ from `noise`'s."""
         knobs = [noise.pixel_sigma, noise.depth_sigma_near, noise.depth_sigma_far, *noise.reliable_range]
-        if pos[:5] != knobs:
-            cam = Pose(self.cam_pos[i], self.cam_rot[i])
-            errors = _noisy_position(PixelObs(u, v, depth), np.zeros(3), cam, self.k, noise, z_u, z_v, z_d)[2:]
-            self.pos[i] = pos = [*knobs, *errors]
-        rot = self.rot[i].tolist()
-        if rot[0] != noise.rot_sigma:
-            flower_rot = self.flower_rot[i]
-            noisy = _noisy_rotation(flower_rot, np.array([ax, ay, az]), z_a, noise.rot_sigma)
-            self.rot[i] = rot = [noise.rot_sigma, zaxis_angle(noisy, flower_rot)]
-        stats.add([ShotRecord(0, 0, 0, True, pos[5], pos[6], rot[1])])
-        return self.hit_end[i]
+        stale = rows[(self.pos[rows, :5] != knobs).any(axis=1)]
+        self.pos[stale, :5] = knobs
+        self.pos[stale, 5:] = _position_errors(
+            self.draws[stale], self.cam_pos[stale], self.cam_rot[stale], self.k, noise
+        )
+        stale = rows[self.rot[rows, 0] != noise.rot_sigma]
+        self.rot[stale, 0] = noise.rot_sigma
+        self.rot[stale, 1] = _rotation_errors(
+            self.flower_rot[stale], self.draws[stale, 7:10], self.draws[stale, 10], noise.rot_sigma
+        )
+
+    def replay_run(
+        self, i: int, n: int, state: int, noise: NoiseModel, stats: SingleShotStats,
+        stop: Callable[[int, int, int], bool] | None, within: int,
+    ) -> tuple[int, int, bool]:
+        """Tally into `stats`, under `noise`, a model without flips, the run
+        of samples from i < n on whose slots the oracle would start: slot i
+        starts in `state`, and each later slot in the state that the sample
+        before it ends in. Return the index of the first sample not tallied,
+        the generator state before it and whether `stop` ended the run there.
+
+        The run is walked in Python, recording each slot on its first reuse.
+        Then the errors of its detections are brought up to `noise` as arrays
+        and appended in slot order. `stop` is asked before each sample with
+        the same tally as if the samples came one at a time; `within` counts
+        the detections within DETECT_SUCCESS_PX before sample i. Slots walked
+        or recomputed past a stop do no harm: what a slot holds depends on
+        the slot alone.
+        """
+        states = [state]
+        r = self.draws[:, 3]  # NaN out of view, where both ends are the after-view state
+        j = i
+        while j < n and self.start[j] == state:
+            if self.hit_end[j] is None:
+                self._record(j)
+            state = self.hit_end[j] if r[j] < noise.detect_prob else self.miss_end[j]
+            states.append(state)
+            j += 1
+        visible = ~np.isnan(self.draws[i:j, 2])
+        hit = r[i:j] < noise.detect_prob
+        self._refresh(i + np.flatnonzero(hit), noise)
+        m = j - i
+        if stop is not None:
+            opportunities = stats.opportunities
+            good = hit & (self.pos[i:j, 5] <= DETECT_SUCCESS_PX)
+            for s, (seen, counts) in enumerate(zip(visible.tolist(), good.tolist())):
+                if stop(within, opportunities, n - i - s):
+                    m = s
+                    break
+                opportunities += seen
+                within += counts
+        rows = i + np.flatnonzero(hit[:m])
+        stats.opportunities += int(np.count_nonzero(visible[:m]))
+        stats.px_errors.extend(self.pos[rows, 5].tolist())
+        stats.trans_errors.extend(self.pos[rows, 6].tolist())
+        stats.rot_errors.extend(self.rot[rows, 1].tolist())
+        return i + m, states[m], m < j - i
 
 
 def single_shot_stats(
@@ -553,13 +633,14 @@ def single_shot_stats(
 
     Each sample draws a flower rotation and a viewpoint, then observes. With
     `cache`, sample i whose start state is slot i's reuses that slot: a model
-    without flips replays the slot's recorded draws (see SampleCache), one
-    with flips observes from the slot's view. Every draw reads nothing but
-    the generator, so the same start state gives the same bits and the same
-    end state: the result, and rng's state afterwards, equal the uncached
-    call's. The loop tracks the state as a packed int and moves rng to it
-    only before a fresh draw and at the end. This pays off under common
-    random numbers, where calibration re-seeds every evaluation.
+    without flips replays the run of such samples from their recorded draws
+    as one batch (SampleCache.replay_run), one with flips observes from the
+    slot's view. Every draw reads nothing but the generator, so the same
+    start state gives the same bits and the same end state: the result, and
+    rng's state afterwards, equal the uncached call's. The loop tracks the
+    state as a packed int and moves rng to it only before a fresh draw and
+    at the end. This pays off under common random numbers, where calibration
+    re-seeds every evaluation.
 
     With `stop`, sampling ends early once stop(within, opportunities, left)
     is true before a sample: `within` counts the detections within
@@ -579,18 +660,22 @@ def single_shot_stats(
     flower = FlowerGT(id=0, pose=Pose(np.zeros(3), np.eye(3)))
     live = True  # rng is in `state`
     within = counted = 0  # the detections within DETECT_SUCCESS_PX among px_errors[:counted]
-    for i in range(n_samples):
+    i = 0
+    while i < n_samples:
         if stop is not None:
-            if counted < len(stats.px_errors):  # a sample adds at most one detection
-                within += stats.px_errors[counted] <= DETECT_SUCCESS_PX
-                counted += 1
-            if stop(within, stats.opportunities, n_samples - i):
+            new = stats.px_errors[counted:]
+            within += sum(e <= DETECT_SUCCESS_PX for e in new)
+            counted += len(new)
+        reuse = cache is not None and cache.start[i] == state
+        if reuse and noise.flip_prob == 0.0:
+            i, state, stopped = cache.replay_run(i, n_samples, state, noise, stats, stop, within)
+            live = False
+            if stopped:
                 break
-        if cache is not None and cache.start[i] == state:
-            if noise.flip_prob == 0.0:
-                state = cache.replay(i, noise, stats)
-                live = False
-                continue
+            continue
+        if stop is not None and stop(within, stats.opportunities, n_samples - i):
+            break
+        if reuse:
             flower.pose = Pose(np.zeros(3), cache.flower_rot[i])
             cam = Pose(cache.cam_pos[i], cache.cam_rot[i])
             rng.bit_generator.state = _pcg64_state(cache.after[i])
@@ -606,6 +691,7 @@ def single_shot_stats(
         if cache is not None:
             state = _pcg64_key(rng)
         live = True
+        i += 1
     if not live:
         rng.bit_generator.state = _pcg64_state(state)
     return stats

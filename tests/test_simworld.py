@@ -10,7 +10,7 @@ from numpy.testing import assert_allclose
 
 from helpers import assert_json_form, ks_uniform_pvalue
 from pollisim import simworld
-from pollisim.camera import Intrinsics, look_at, project, to_world, uplift
+from pollisim.camera import Intrinsics, PixelObs, look_at, project, to_world, uplift
 from pollisim.simworld import (
     SURVEY_ELEVATION_RANGE,
     SURVEY_RADIUS_RANGE,
@@ -29,7 +29,7 @@ from pollisim.simworld import (
     save_scene,
     single_shot_stats,
 )
-from pollisim.so3 import Pose, is_rotation, random_rotation, rotation_to_list
+from pollisim.so3 import Pose, is_rotation, random_rotation, random_rotations, rotation_to_list, zaxis_angle
 
 K = Intrinsics.default()
 
@@ -393,28 +393,42 @@ def test_sample_cache_gives_the_uncached_stats_across_seeds(monkeypatch):
         single_shot_stats(NoiseModel(), K, n + 1, np.random.default_rng(0), cache)
 
 
-def test_single_shot_stats_stops_on_its_running_tally():
-    # A wide pixel sigma puts many detections outside the pixel gate. After
+@pytest.mark.parametrize("stop_at", [0, 1, 50, 119])
+def test_single_shot_stats_stops_on_its_running_tally(stop_at):
+    # A wide pixel sigma puts many detections outside the pixel gate. Before
     # each sample the predicate sees the tally so far; the call returns the
-    # tally where it said stop, a prefix of the full one, whether its samples
-    # are drawn, replayed (no flips) or observed again from a cached view.
-    n, stop_at = 120, 50
+    # tally where it said stop, a prefix of the full one, and leaves rng where
+    # the uncached call leaves it, whether its samples are drawn, replayed (no
+    # flips) or observed again from a cached view.
+    n = 120
     for model in (NoiseModel(pixel_sigma=15.0, detect_prob=0.8), NoiseModel(pixel_sigma=15.0, flip_prob=0.5)):
         full = single_shot_stats(model, K, n, np.random.default_rng(9))
-        cache = SampleCache(n, K)
-        for cached in (None, cache, cache):
+        assert full.detections_within_px < len(full.px_errors)
+
+        def stopped(cached):
             seen = []
 
             def stop(within, opportunities, left):
                 seen.append((within, opportunities, left))
                 return left == n - stop_at
 
-            got = single_shot_stats(model, K, n, np.random.default_rng(9), cached, stop=stop)
+            rng = np.random.default_rng(9)
+            got = single_shot_stats(model, K, n, rng, cached, stop=stop)
             assert [left for *_, left in seen] == list(range(n, n - stop_at - 1, -1))
             assert seen[-1][:2] == (got.detections_within_px, got.opportunities)
-            assert got.detections_within_px < len(got.px_errors)
             for name in ("px_errors", "trans_errors", "rot_errors"):
                 assert getattr(got, name) == getattr(full, name)[: len(got.px_errors)]
+            return rng.bit_generator.state
+
+        want = stopped(None)
+        cache = SampleCache(n, K)
+        assert stopped(cache) == want  # draws the samples before the stop
+        single_shot_stats(model, K, n, np.random.default_rng(9), cache)  # and the rest
+        # Now the replayed run reaches past the stop: the first call records
+        # every slot it walks, the second replays them from the memo.
+        assert stopped(cache) == want
+        assert (cache.hit_end[n - 1] is not None) == (model.flip_prob == 0.0)
+        assert stopped(cache) == want
 
 
 def test_sample_cache_reuses_only_an_identical_state(monkeypatch):
@@ -462,7 +476,16 @@ def test_sample_cache_replays_a_calibration_shaped_search(monkeypatch):
     depth = [replace(rot[-1], depth_sigma_near=x, depth_sigma_far=20.0 * x) for x in (0.005, 0.0025, 0.00375)]
     zero = replace(depth[-1], pixel_sigma=0.0, depth_sigma_near=0.0, depth_sigma_far=0.0, rot_sigma=0.0)
     models = detect + rot + depth + [rot[0], zero]
-    calls = _counted(monkeypatch, "sample_viewpoint", "observe_with_truth", "_noisy_position", "_noisy_rotation")
+    calls = _counted(monkeypatch, "sample_viewpoint", "observe_with_truth")
+    # The rows that the replay's batch recomputes, per error part
+    for name in ("_position_errors", "_rotation_errors"):
+        calls[name] = 0
+
+        def rows(*args, _name=name, _real=getattr(simworld, name)):
+            calls[_name] += len(args[0])
+            return _real(*args)
+
+        monkeypatch.setattr(simworld, name, rows)
     counts = []
     for model in models:
         want, want_state = _uncached(monkeypatch, model, n, seed)
@@ -478,14 +501,71 @@ def test_sample_cache_replays_a_calibration_shaped_search(monkeypatch):
             assert counts[i]["observe_with_truth"] == counts[i]["sample_viewpoint"] == 0
     # rot[0] is the first replay of detect[-1]'s samples: it computes both parts.
     for c in counts[len(detect) + 1:len(detect) + len(rot)]:
-        assert c["_noisy_position"] == 0 and c["_noisy_rotation"] > 0
+        assert c["_position_errors"] == 0 and c["_rotation_errors"] > 0
     for c in counts[len(detect) + len(rot):len(detect) + len(rot) + len(depth)]:
-        assert c["_noisy_rotation"] == 0 and c["_noisy_position"] > 0
+        assert c["_rotation_errors"] == 0 and c["_position_errors"] > 0
     # rot[0] again differs from depth[-1] in both parts, and so does the
     # zero model: each detection recomputes both.
     for c in counts[-2:]:
-        assert c["_noisy_rotation"] == c["_noisy_position"] > 0
+        assert c["_rotation_errors"] == c["_position_errors"] > 0
     assert got.mean_trans < 1e-9 and got.mean_rot < 1e-5
+
+
+def _tally_bytes(stats):
+    return stats.opportunities, np.array([stats.px_errors, stats.trans_errors, stats.rot_errors]).tobytes()
+
+
+def test_batched_replay_matches_the_scalar_oracle_bitwise():
+    # 12,000 made-up slots replayed as one run. Each detection's errors must
+    # have the bits that the scalar _noisy_position, _noisy_rotation and
+    # zaxis_angle give on the same draws, and misses and out-of-view slots
+    # must count as the oracle counts them. Among the slots: depths on both
+    # reliable_range edges, depth draws under the 1e-6 clamp, and the stock
+    # sigmas as well as zero pixel, depth and rotation sigmas.
+    n = 12_000
+    rng = np.random.default_rng(31)
+    stock = NoiseModel()
+    zero = replace(stock, pixel_sigma=0.0, depth_sigma_near=0.0, depth_sigma_far=0.0, rot_sigma=0.0)
+    depth = rng.uniform(0.05, 0.9, n)
+    depth[::7], depth[1::7] = stock.reliable_range
+    z = rng.standard_normal((n, 3))
+    z[2::11, 2] = -1e3
+    axis = rng.standard_normal((n, 3))
+    axis /= np.linalg.norm(axis, axis=1, keepdims=True)
+    cache = SampleCache(n, K)
+    cache.draws[:] = np.column_stack([
+        rng.uniform(0.0, K.width, n), rng.uniform(0.0, K.height, n), depth, rng.random(n), z, axis,
+        rng.standard_normal(n),
+    ])
+    cache.draws[3::13] = np.nan  # out of view
+    cache.flower_rot[:], cache.cam_rot[:] = random_rotations(rng, n), random_rotations(rng, n)
+    cache.cam_pos[:] = rng.normal(0.0, 0.4, (n, 3))
+    cache.pos[:] = cache.rot[:] = np.nan
+    # Slot i starts in state i and ends in state i + 1: one run of n samples.
+    cache.start[:] = range(n)
+    cache.after[:] = cache.miss_end[:] = cache.hit_end[:] = range(1, n + 1)
+    clamped = 0
+    for noise in (stock, zero, stock):
+        got = SingleShotStats()
+        assert cache.replay_run(0, n, 0, noise, got, None, 0) == (n, n, False)
+        want = SingleShotStats()
+        for i, (u, v, d, r, z_u, z_v, z_d, *ax, z_a) in enumerate(cache.draws.tolist()):
+            if math.isnan(d):
+                continue
+            if r >= noise.detect_prob:
+                want.add([ShotRecord(0, 0, 0, False, math.nan, math.nan, math.nan)])
+                continue
+            cam = Pose(cache.cam_pos[i], cache.cam_rot[i])
+            pixel, _, px, trans = simworld._noisy_position(
+                PixelObs(u, v, d), np.zeros(3), cam, K, noise, z_u, z_v, z_d
+            )
+            clamped += pixel.ray_depth == 1e-6
+            flower_rot = cache.flower_rot[i]
+            rot = zaxis_angle(simworld._noisy_rotation(flower_rot, np.array(ax), z_a, noise.rot_sigma), flower_rot)
+            want.add([ShotRecord(0, 0, 0, True, px, trans, rot)])
+        assert _tally_bytes(got) == _tally_bytes(want)
+        assert len(want.px_errors) < want.opportunities < n  # misses and out-of-view slots among them
+    assert clamped > 1000
 
 
 def _pack_floats(h, *values):

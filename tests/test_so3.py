@@ -374,6 +374,30 @@ def test_det3_matches_np_linalg_det_bitwise():
         assert type(det3(mats[0])) is type(np.linalg.det(mats[0])) is np.float64
 
 
+def test_stacked_numpy_calls_match_per_item_calls_bitwise():
+    """The batched calibration replay (simworld._position_errors and
+    _rotation_errors) gives the scalar oracle's bits only while these numpy
+    rules hold; a numpy release that breaks one fails here by name."""
+    rng = np.random.default_rng(78)
+    n = 20_000
+    a, b = rng.normal(size=(n, 3, 3)), rng.normal(size=(n, 3, 3))
+    x, y = rng.normal(size=(n, 3)), rng.normal(size=(n, 3)) * 10.0 ** rng.uniform(-8, 8, size=(n, 1))
+
+    def same(stacked, per_item):
+        return np.asarray(stacked).tobytes() == np.array(per_item).tobytes()
+
+    assert same(a @ b, [a[i] @ b[i] for i in range(n)])
+    assert same((a @ x[..., None])[..., 0], [a[i] @ x[i] for i in range(n)])
+    # A 3-vector dot as a (1,3) @ (3,1) matmul, on rows and on strided columns
+    assert same((x[:, None, :] @ x[:, :, None]).ravel(), [x[i].dot(x[i]) for i in range(n)])
+    assert same((x[:, None, :] @ y[:, :, None]).ravel(), [x[i].dot(y[i]) for i in range(n)])
+    assert same((a[:, :, 2][:, None, :] @ b[:, :, 2][:, :, None]).ravel(), [a[i][:, 2] @ b[i][:, 2] for i in range(n)])
+    angles = np.concatenate([rng.uniform(-4.0, 4.0, n), np.abs(rng.normal(0.0, 0.85, n)), [0.0, np.pi]])
+    cosines = np.concatenate([rng.uniform(-1.0, 1.0, n), [-1.0, 0.0, 1.0]])
+    for f, values in ((np.sin, angles), (np.cos, angles), (np.degrees, angles), (np.arccos, cosines)):
+        assert same(f(values), [f(float(v)) for v in values]), f.__name__
+
+
 def test_is_rotation_matches_reference_on_non_finite_entries():
     rng = np.random.default_rng(77)
     cases = [np.full((3, 3), v) for v in (np.nan, np.inf, -np.inf)]
