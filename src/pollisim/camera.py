@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .configfields import fields_to_json
+from .configfields import check_fields, fields_to_json
 from .so3 import EX, EZ, Pose, aligning_rotation, cross3, require_rotation, vnorm
 
 # A camera pose is a rigid pose of the camera in the world frame: columns of
@@ -35,8 +35,7 @@ class Intrinsics:
     height: int
 
     def __post_init__(self) -> None:
-        if not (self.fx > 0 and self.fy > 0):
-            raise ValueError("focal lengths must be positive")
+        check_fields(self, positive=("fx", "fy"), counts=(("width", 1), ("height", 1)))
         if not (0 <= self.cx < self.width and 0 <= self.cy < self.height):
             raise ValueError("principal point must lie inside the image")
 

@@ -297,13 +297,13 @@ def survey_run(noise: NoiseModel, tparams: TrackerParams, k: Intrinsics, n_views
 
 
 # Calibration: bisection per knob. Each evaluation restarts one stream from the
-# same seed, and `SampleCache` replays the samples whose start state recurs:
-# once detect_prob is fixed, every sample of every later evaluation. The
-# statistics are not smooth or monotone in a knob: a sample draws its view and
-# its observation from that one stream and a missed detection skips draws, so
-# one detection flip shifts every later sample's view and noise. Such a flip
-# also keeps most of a detect_prob evaluation from replaying, so those
-# evaluations stop sampling once their verdict is settled (_verdict_settled).
+# same seed, and `SampleCache` holds the last evaluation that drew all its
+# samples: once detect_prob is fixed, every later evaluation replays it whole.
+# The statistics are not smooth or monotone in a knob: a sample draws its view
+# and its observation from that one stream and a missed detection skips draws,
+# so one detection flip shifts every later sample's view and noise. A
+# detect_prob evaluation therefore draws all its samples afresh, and stops
+# sampling once its verdict is settled (_verdict_settled).
 _CAL_RNG_TAG = 7
 
 
@@ -395,11 +395,13 @@ def calibrate_noise(
     error is dominated by depth noise at survey ranges.
 
     Every evaluation restarts the same stream, so evaluations share one
-    SampleCache: a sample whose stream state an earlier evaluation already
-    drew from replays that sample's draws, and of its errors recomputes only
-    the part whose settings changed (see single_shot_stats). For the same
-    reason a model's statistics depend on the model alone, and each model is
-    evaluated once.
+    SampleCache: an evaluation with the detect_prob of the last one that
+    drew all its samples replays that one's draws, and of its errors
+    recomputes only the part whose settings changed (see single_shot_stats).
+    The accepted detect_prob evaluation reads inside the window, so it
+    never stops, and every later evaluation replays it. For the same
+    reason a model's statistics depend on the model alone, and each model
+    is evaluated once.
 
     A detect_prob evaluation stops sampling as soon as every way its
     remaining samples could fall gives the bisection the same verdict

@@ -497,26 +497,29 @@ def _rotation_errors(flower_rot: np.ndarray, axis: np.ndarray, z_a: np.ndarray, 
 
 
 class SampleCache:
-    """The calibration samples `single_shot_stats` drew, one slot per sample
-    index, so that a later call reaching the same generator state replays
-    them instead of drawing again.
+    """The samples of one whole `single_shot_stats` call, so that a later
+    call that would draw them all again replays them instead.
 
-    A slot holds the generator state at the start of the sample, the flower
-    rotation and camera pose drawn from it, and the state those two draws
-    left behind. When a later call first reuses the view, the slot also
-    records, on a scratch generator, what the oracle draws from there: the
-    detection uniform, the `_pose_draws`, the state after the uniform (where
-    a miss ends) and the state after the last draw (where a detection ends).
-    A detection's errors are then a function of those draws and the model:
+    The cache holds the last call without flips that ran all its samples,
+    keyed by its start state, detect_prob and sample count, with the state
+    it left. Every draw reads nothing but the generator, and of the model
+    only detect_prob decides which draws a sample makes (clutter is off and
+    the sigmas only scale the draws), so a call under the same key draws the
+    same views and the same detections.
+
+    A slot holds a sample's flower rotation and camera pose and the state
+    those two draws left behind. The first replay of a held call records
+    every slot: its projection and, on a scratch generator, what the oracle
+    draws from that state, the detection uniform and the `_pose_draws`. A
+    detection's errors are then a function of those draws and the model:
     the slot keeps its position errors with the pixel and depth sigmas and
     reliable_range that gave them, and its rotation error with its
     rot_sigma, and recomputes a part only when its own settings change.
 
     The projected pixel depends on the intrinsics, so a cache serves one
     `Intrinsics`. Floats sit in preallocated arrays (328 bytes a slot) and
-    each of the four states in one packed int (72 bytes with its list
-    entry): about 600 bytes a slot. A replay reads them as one batch (see
-    replay_run), which adds no per-slot state.
+    the after-view state in one packed int (72 bytes with its list entry):
+    about 400 bytes a slot.
     """
 
     def __init__(self, n_slots: int, k: Intrinsics) -> None:
@@ -524,37 +527,36 @@ class SampleCache:
         self.flower_rot = np.empty((n_slots, 3, 3))
         self.cam_pos = np.empty((n_slots, 3))
         self.cam_rot = np.empty((n_slots, 3, 3))
-        self.start: list[int | None] = [None] * n_slots
         self.after: list[int] = [0] * n_slots
         # Projected u, v and ray depth (NaN out of view), the detection
         # uniform, the pixel and depth normals, the axis, the angle normal.
         self.draws = np.empty((n_slots, 11))
-        self.miss_end: list[int] = [0] * n_slots
-        self.hit_end: list[int | None] = [None] * n_slots  # None: not recorded
         # Each error part after the settings that gave it; NaN matches none.
         self.pos = np.empty((n_slots, 7))  # pixel, near, far sigma, band lo, hi | px, trans error
         self.rot = np.empty((n_slots, 2))  # rot_sigma | rotation error
+        self.key: tuple[int, float, int] | None = None  # the held call's start state, detect_prob, n_samples
+        self.end = 0  # the state the held call left
+        self.recorded = False
         self._scratch = np.random.Generator(np.random.PCG64())
 
     def __len__(self) -> int:
-        return len(self.start)
+        return len(self.after)
 
-    def _record(self, i: int) -> None:
-        """Slot i's projection and the oracle's draws from its after-view state."""
-        cam = Pose(self.cam_pos[i], self.cam_rot[i])
-        obs = project(np.zeros(3), cam, self.k)
-        self.pos[i] = self.rot[i] = np.nan
-        self.miss_end[i] = self.hit_end[i] = self.after[i]
-        if obs is None:  # out of view: the oracle draws nothing
-            self.draws[i] = np.nan
-            return
+    def _record(self, n: int) -> None:
+        """The first n slots' projections and the oracle's draws from their
+        after-view states, with every error part reset."""
+        self.pos[:n] = self.rot[:n] = np.nan
         g = self._scratch
-        g.bit_generator.state = _pcg64_state(self.after[i])
-        r = g.random()
-        self.miss_end[i] = _pcg64_key(g)
-        z_u, z_v, z_d, axis, z_a = _pose_draws(g)
-        self.hit_end[i] = _pcg64_key(g)
-        self.draws[i] = (obs.u, obs.v, obs.ray_depth, r, z_u, z_v, z_d, *axis.tolist(), z_a)
+        for i in range(n):
+            obs = project(np.zeros(3), Pose(self.cam_pos[i], self.cam_rot[i]), self.k)
+            if obs is None:  # out of view: the oracle draws nothing
+                self.draws[i] = np.nan
+                continue
+            g.bit_generator.state = _pcg64_state(self.after[i])
+            r = g.random()
+            z_u, z_v, z_d, axis, z_a = _pose_draws(g)
+            self.draws[i] = (obs.u, obs.v, obs.ray_depth, r, z_u, z_v, z_d, *axis.tolist(), z_a)
+        self.recorded = True
 
     def _refresh(self, rows: np.ndarray, noise: NoiseModel) -> None:
         """Recompute the error parts of detection slots `rows` whose settings
@@ -571,52 +573,19 @@ class SampleCache:
             self.flower_rot[stale], self.draws[stale, 7:10], self.draws[stale, 10], noise.rot_sigma
         )
 
-    def replay_run(
-        self, i: int, n: int, state: int, noise: NoiseModel, stats: SingleShotStats,
-        stop: Callable[[int, int, int], bool] | None, within: int,
-    ) -> tuple[int, int, bool]:
-        """Tally into `stats`, under `noise`, a model without flips, the run
-        of samples from i < n on whose slots the oracle would start: slot i
-        starts in `state`, and each later slot in the state that the sample
-        before it ends in. Return the index of the first sample not tallied,
-        the generator state before it and whether `stop` ended the run there.
-
-        The run is walked in Python, recording each slot on its first reuse.
-        Then the errors of its detections are brought up to `noise` as arrays
-        and appended in slot order. `stop` is asked before each sample with
-        the same tally as if the samples came one at a time; `within` counts
-        the detections within DETECT_SUCCESS_PX before sample i. Slots walked
-        or recomputed past a stop do no harm: what a slot holds depends on
-        the slot alone.
-        """
-        states = [state]
-        r = self.draws[:, 3]  # NaN out of view, where both ends are the after-view state
-        j = i
-        while j < n and self.start[j] == state:
-            if self.hit_end[j] is None:
-                self._record(j)
-            state = self.hit_end[j] if r[j] < noise.detect_prob else self.miss_end[j]
-            states.append(state)
-            j += 1
-        visible = ~np.isnan(self.draws[i:j, 2])
-        hit = r[i:j] < noise.detect_prob
-        self._refresh(i + np.flatnonzero(hit), noise)
-        m = j - i
-        if stop is not None:
-            opportunities = stats.opportunities
-            good = hit & (self.pos[i:j, 5] <= DETECT_SUCCESS_PX)
-            for s, (seen, counts) in enumerate(zip(visible.tolist(), good.tolist())):
-                if stop(within, opportunities, n - i - s):
-                    m = s
-                    break
-                opportunities += seen
-                within += counts
-        rows = i + np.flatnonzero(hit[:m])
-        stats.opportunities += int(np.count_nonzero(visible[:m]))
-        stats.px_errors.extend(self.pos[rows, 5].tolist())
-        stats.trans_errors.extend(self.pos[rows, 6].tolist())
-        stats.rot_errors.extend(self.rot[rows, 1].tolist())
-        return i + m, states[m], m < j - i
+    def replay(self, noise: NoiseModel) -> SingleShotStats:
+        """The held call's tally under `noise`, a model with its key's
+        detect_prob: its detections' errors, brought up to `noise` as
+        arrays, in slot order."""
+        n = self.key[2]
+        if not self.recorded:
+            self._record(n)
+        hit = np.flatnonzero(self.draws[:n, 3] < noise.detect_prob)  # NaN out of view
+        self._refresh(hit, noise)
+        return SingleShotStats(
+            int(np.count_nonzero(~np.isnan(self.draws[:n, 2]))),
+            self.pos[hit, 5].tolist(), self.pos[hit, 6].tolist(), self.rot[hit, 1].tolist(),
+        )
 
 
 def single_shot_stats(
@@ -631,16 +600,15 @@ def single_shot_stats(
     """Sample one flower from n_samples independent viewpoints and collect
     the oracle's single-shot error statistics (clutter excluded).
 
-    Each sample draws a flower rotation and a viewpoint, then observes. With
-    `cache`, sample i whose start state is slot i's reuses that slot: a model
-    without flips replays the run of such samples from their recorded draws
-    as one batch (SampleCache.replay_run), one with flips observes from the
-    slot's view. Every draw reads nothing but the generator, so the same
+    Each sample draws a flower rotation and a viewpoint, then observes.
+    With `cache`, which refuses a model with flips, a call without `stop`
+    that has the held call's start state, detect_prob and n_samples replays
+    it (SampleCache.replay) and moves rng to the state it left. Any other
+    call draws every sample and, if it runs to the end, becomes the held
+    call. Every draw reads nothing but the generator, so the same
     start state gives the same bits and the same end state: the result, and
-    rng's state afterwards, equal the uncached call's. The loop tracks the
-    state as a packed int and moves rng to it only before a fresh draw and
-    at the end. This pays off under common random numbers, where calibration
-    re-seeds every evaluation.
+    rng's state afterwards, equal the uncached call's. This pays off under
+    common random numbers, where calibration re-seeds every evaluation.
 
     With `stop`, sampling ends early once stop(within, opportunities, left)
     is true before a sample: `within` counts the detections within
@@ -648,50 +616,32 @@ def single_shot_stats(
     `left` the samples still to take. The tally returned is then that
     partial one, and rng is left where it stopped.
     """
-    state = None
     if cache is not None:
         if len(cache) < n_samples:
             raise ValueError(f"SampleCache has {len(cache)} slots for {n_samples} samples")
         if cache.k != k:
             raise ValueError(f"SampleCache holds projections for {cache.k}, not {k}")
-        state = _pcg64_key(rng)
+        if noise.flip_prob > 0.0:
+            raise ValueError(f"SampleCache replays models without flips, not flip_prob={noise.flip_prob}")
+        key = (_pcg64_key(rng), noise.detect_prob, n_samples)
+        if stop is None and cache.key == key:
+            rng.bit_generator.state = _pcg64_state(cache.end)
+            return cache.replay(noise)
+        cache.key = None  # the loop overwrites the held samples
     stats = SingleShotStats()
     quiet = replace(noise, clutter_rate=0.0)
     flower = FlowerGT(id=0, pose=Pose(np.zeros(3), np.eye(3)))
-    live = True  # rng is in `state`
-    within = counted = 0  # the detections within DETECT_SUCCESS_PX among px_errors[:counted]
-    i = 0
-    while i < n_samples:
-        if stop is not None:
-            new = stats.px_errors[counted:]
-            within += sum(e <= DETECT_SUCCESS_PX for e in new)
-            counted += len(new)
-        reuse = cache is not None and cache.start[i] == state
-        if reuse and noise.flip_prob == 0.0:
-            i, state, stopped = cache.replay_run(i, n_samples, state, noise, stats, stop, within)
-            live = False
-            if stopped:
-                break
-            continue
+    within = 0
+    for i in range(n_samples):
         if stop is not None and stop(within, stats.opportunities, n_samples - i):
-            break
-        if reuse:
-            flower.pose = Pose(np.zeros(3), cache.flower_rot[i])
-            cam = Pose(cache.cam_pos[i], cache.cam_rot[i])
-            rng.bit_generator.state = _pcg64_state(cache.after[i])
-        else:
-            if not live:
-                rng.bit_generator.state = _pcg64_state(state)
-            flower.pose, cam = _draw_view(rng)
-            if cache is not None:
-                cache.flower_rot[i], cache.cam_pos[i] = flower.pose.rotation, cam.position
-                cache.cam_rot[i] = cam.rotation
-                cache.start[i], cache.after[i], cache.hit_end[i] = state, _pcg64_key(rng), None
-        stats.add(observe_with_truth([flower], cam, k, quiet, rng)[1])
+            return stats
+        flower.pose, cam = _draw_view(rng)
         if cache is not None:
-            state = _pcg64_key(rng)
-        live = True
-        i += 1
-    if not live:
-        rng.bit_generator.state = _pcg64_state(state)
+            cache.flower_rot[i], cache.cam_pos[i], cache.cam_rot[i] = flower.pose.rotation, cam.position, cam.rotation
+            cache.after[i] = _pcg64_key(rng)
+        records = observe_with_truth([flower], cam, k, quiet, rng)[1]
+        stats.add(records)
+        within += sum(rec.detected and rec.px_err <= DETECT_SUCCESS_PX for rec in records)
+    if cache is not None:
+        cache.key, cache.end, cache.recorded = key, _pcg64_key(rng), False
     return stats

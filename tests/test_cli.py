@@ -263,6 +263,11 @@ def test_config_error_names_field(tmp_path, capsys):
     assert main(["simulate", "--config", str(cfg_path), "--out", str(out_dir), "--quiet"]) == 2
     assert "'step_budjet'" in capsys.readouterr().err
     assert not out_dir.exists()
+    # an infinite focal length (JSON 1e400 reads as one) would leave every flower out of view
+    _write_config(cfg_path, camera={**Intrinsics.default().to_json(), "fx": float("inf")})
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(out_dir), "--quiet"]) == 2
+    assert "'camera': fx" in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 def test_config_error_variants(tmp_path):
@@ -302,6 +307,8 @@ def test_config_error_variants(tmp_path):
         ({"commander": {"arm_id": 1}}, "'commander': arm_id"),
         ({"step_budget": True}, "'step_budget'"),
         ({"camera": {**camera, "width": 1280.5}}, "'camera': width"),
+        ({"camera": {**camera, "fx": float("inf")}}, "'camera': fx"),
+        ({"camera": {**camera, "cy": float("inf")}}, "'camera': cy"),
         # one parse rule for every section: bools are not numbers, unknown keys are refused
         ({"commander": {"gain": True}}, "'commander': gain"),
         ({"noise": {"detect_prob": True}}, "'noise': detect_prob"),

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from helpers import make_measurement
-from pollisim import runner
+from pollisim import runner, simworld
 from pollisim.artifacts import read_run_logs
 from pollisim.camera import Intrinsics
 from pollisim.simworld import NoiseModel, SceneGenParams
@@ -138,6 +138,31 @@ def test_calibration_with_reused_views_equals_the_uncached_one(monkeypatch, targ
     # NaN statistics (no detection at all) compare equal through repr
     assert repr(cached) == repr(uncached)
     assert len(cached[0]) >= 1
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_calibration_replays_every_evaluation_without_stop(monkeypatch, seed):
+    # The accepted detect_prob evaluation runs to the end, as its rate reads
+    # inside the window, so the cache holds its samples; every later
+    # evaluation shares its seed, detect_prob and sample count and replays
+    # them without drawing a view.
+    views = []
+    real_view = simworld.sample_viewpoint
+    monkeypatch.setattr(simworld, "sample_viewpoint", lambda *args: views.append(1) or real_view(*args))
+    drawn = []
+    inner = runner.single_shot_stats
+
+    def counted(noise, k, n_samples, rng, cache, stop=None):
+        before = len(views)
+        s = inner(noise, k, n_samples, rng, cache, stop=stop)
+        if stop is None:
+            drawn.append(len(views) - before)
+        return s
+
+    monkeypatch.setattr(runner, "single_shot_stats", counted)
+    runner.calibrate_noise(CLI_TARGETS, seed=seed, n_samples=250)
+    assert len(drawn) >= 2
+    assert drawn == [0] * len(drawn)
 
 
 @pytest.mark.parametrize("seed", range(10))

@@ -370,13 +370,13 @@ def _counted(monkeypatch, *names):
 
 def test_sample_cache_gives_the_uncached_stats_across_seeds(monkeypatch):
     # Two streams fed through one cache in alternation: a call finds the
-    # slots holding the other seed's samples, or its own where they are still
-    # there. Each call must equal the uncached one, rng state afterwards too.
+    # cache holding the other seed's call, or its own when it made the last
+    # one. Each call must equal the uncached one, rng state afterwards too.
     n = 150
     cache = SampleCache(n, K)
     calls = _counted(monkeypatch, "sample_viewpoint")
     drawn = []
-    for model in (NoiseModel(), NoiseModel(detect_prob=0.6, rot_sigma=10.0), NoiseModel(flip_prob=0.5)):
+    for model in (NoiseModel(), NoiseModel(detect_prob=0.6, rot_sigma=10.0)):
         for seed in (3, 4, 3, 3, 4):
             want, want_state = _uncached(monkeypatch, model, n, seed)
             got_rng = np.random.default_rng([seed, 7])
@@ -388,21 +388,27 @@ def test_sample_cache_gives_the_uncached_stats_across_seeds(monkeypatch):
             assert len(cache) == n
     # A seed after the other one redraws every view; a seed repeated with
     # the same model redraws none.
-    assert drawn == [n, n, n, 0, n] * 3
+    assert drawn == [n, n, n, 0, n] * 2
+    # A model with flips draws extra numbers after a detection: the cache refuses it.
+    with pytest.raises(ValueError, match="flip"):
+        single_shot_stats(NoiseModel(flip_prob=0.5), K, n, np.random.default_rng([4, 7]), cache)
     with pytest.raises(ValueError, match="slots"):
         single_shot_stats(NoiseModel(), K, n + 1, np.random.default_rng(0), cache)
 
 
 @pytest.mark.parametrize("stop_at", [0, 1, 50, 119])
-def test_single_shot_stats_stops_on_its_running_tally(stop_at):
+def test_single_shot_stats_stops_on_its_running_tally(monkeypatch, stop_at):
     # A wide pixel sigma puts many detections outside the pixel gate. Before
     # each sample the predicate sees the tally so far; the call returns the
     # tally where it said stop, a prefix of the full one, and leaves rng where
-    # the uncached call leaves it, whether its samples are drawn, replayed (no
-    # flips) or observed again from a cached view.
+    # the uncached call leaves it. A stopped call holds nothing; a call with
+    # `stop` that runs to the end holds its samples like any other.
     n = 120
+    calls = _counted(monkeypatch, "sample_viewpoint")
     for model in (NoiseModel(pixel_sigma=15.0, detect_prob=0.8), NoiseModel(pixel_sigma=15.0, flip_prob=0.5)):
-        full = single_shot_stats(model, K, n, np.random.default_rng(9))
+        rng = np.random.default_rng(9)
+        full = single_shot_stats(model, K, n, rng)
+        full_state = rng.bit_generator.state
         assert full.detections_within_px < len(full.px_errors)
 
         def stopped(cached):
@@ -420,15 +426,50 @@ def test_single_shot_stats_stops_on_its_running_tally(stop_at):
                 assert getattr(got, name) == getattr(full, name)[: len(got.px_errors)]
             return rng.bit_generator.state
 
+        def drawn(**stop):
+            """The views a call through `cache` draws; it gives the full tally."""
+            rng = np.random.default_rng(9)
+            before = calls["sample_viewpoint"]
+            got = single_shot_stats(model, K, n, rng, cache, **stop)
+            assert _stats_bits(got) == _stats_bits(full)
+            assert rng.bit_generator.state == full_state
+            return calls["sample_viewpoint"] - before
+
         want = stopped(None)
         cache = SampleCache(n, K)
+        if model.flip_prob > 0.0:
+            with pytest.raises(ValueError, match="flip"):
+                stopped(cache)
+            continue
         assert stopped(cache) == want  # draws the samples before the stop
-        single_shot_stats(model, K, n, np.random.default_rng(9), cache)  # and the rest
-        # Now the replayed run reaches past the stop: the first call records
-        # every slot it walks, the second replays them from the memo.
-        assert stopped(cache) == want
-        assert (cache.hit_end[n - 1] is not None) == (model.flip_prob == 0.0)
-        assert stopped(cache) == want
+        assert drawn() == n  # and holds none of them
+        assert stopped(cache) == want  # a call with stop never replays the held call
+        assert drawn() == n  # and drops it
+        assert drawn(stop=lambda *tally: False) == n  # runs to the end, so holds its samples
+        assert drawn() == 0
+
+
+@pytest.mark.parametrize("model, samples, seed", [
+    (NoiseModel(detect_prob=0.8), 100, 6),
+    (NoiseModel(detect_prob=0.7), 100, 5),
+    (NoiseModel(detect_prob=0.8), 99, 5),
+], ids=["start-state", "detect_prob", "n_samples"])
+def test_a_held_call_replays_only_under_its_whole_key(monkeypatch, model, samples, seed):
+    # The cache holds a 100-sample call at seed 5 and detect_prob 0.8. A call
+    # that differs in one part of that key alone draws all its samples; the
+    # n_samples case shares every view with the held call, and the
+    # detect_prob case the views up to its first changed detection.
+    n = 100
+    cache = SampleCache(n, K)
+    calls = _counted(monkeypatch, "sample_viewpoint")
+    single_shot_stats(NoiseModel(detect_prob=0.8), K, n, np.random.default_rng([5, 7]), cache)
+    want, want_state = _uncached(monkeypatch, model, samples, seed)
+    rng = np.random.default_rng([seed, 7])
+    before = calls["sample_viewpoint"]
+    got = single_shot_stats(model, K, samples, rng, cache)
+    assert calls["sample_viewpoint"] - before == samples
+    assert _stats_bits(got) == _stats_bits(want)
+    assert rng.bit_generator.state == want_state
 
 
 def test_sample_cache_reuses_only_an_identical_state(monkeypatch):
@@ -516,8 +557,8 @@ def _tally_bytes(stats):
 
 
 def test_batched_replay_matches_the_scalar_oracle_bitwise():
-    # 12,000 made-up slots replayed as one run. Each detection's errors must
-    # have the bits that the scalar _noisy_position, _noisy_rotation and
+    # 12,000 made-up slots replayed as one held call. Each detection's errors
+    # must have the bits that the scalar _noisy_position, _noisy_rotation and
     # zaxis_angle give on the same draws, and misses and out-of-view slots
     # must count as the oracle counts them. Among the slots: depths on both
     # reliable_range edges, depth draws under the 1e-6 clamp, and the stock
@@ -541,13 +582,15 @@ def test_batched_replay_matches_the_scalar_oracle_bitwise():
     cache.flower_rot[:], cache.cam_rot[:] = random_rotations(rng, n), random_rotations(rng, n)
     cache.cam_pos[:] = rng.normal(0.0, 0.4, (n, 3))
     cache.pos[:] = cache.rot[:] = np.nan
-    # Slot i starts in state i and ends in state i + 1: one run of n samples.
-    cache.start[:] = range(n)
-    cache.after[:] = cache.miss_end[:] = cache.hit_end[:] = range(1, n + 1)
+    # Held as one recorded call of n samples that starts in seed 0's state
+    # and ends in seed 1's; stock and zero share its detect_prob.
+    cache.key = (simworld._pcg64_key(np.random.default_rng(0)), stock.detect_prob, n)
+    cache.end, cache.recorded = simworld._pcg64_key(np.random.default_rng(1)), True
     clamped = 0
     for noise in (stock, zero, stock):
-        got = SingleShotStats()
-        assert cache.replay_run(0, n, 0, noise, got, None, 0) == (n, n, False)
+        held = np.random.default_rng(0)
+        got = single_shot_stats(noise, K, n, held, cache)
+        assert held.bit_generator.state == np.random.default_rng(1).bit_generator.state
         want = SingleShotStats()
         for i, (u, v, d, r, z_u, z_v, z_d, *ax, z_a) in enumerate(cache.draws.tolist()):
             if math.isnan(d):
