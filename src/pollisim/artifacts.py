@@ -9,6 +9,7 @@ recomputed report is byte-identical to the one the run emitted.
 from __future__ import annotations
 
 import json
+import math
 import os
 
 import numpy as np
@@ -28,13 +29,15 @@ from .metrics import (
     summary_table,
 )
 from .simworld import ShotRecord, SingleShotStats, load_scene, save_scene
-from .so3 import require_rotation
+from .so3 import is_rotation
 from .tracker import Track
 
 TRACKS_HEADER = "tick,track_id,x,y,z,r00,r01,r02,r10,r11,r12,r20,r21,r22,cov_trace,rot_cov,hits,pollinated"
 COMMANDS_HEADER = "tick,arm_id,mode,command_kind,target_id,tip_x,tip_y,tip_z"
 ATTEMPTS_HEADER = "tick,arm_id,track_id,flower_id,success"
 SHOTS_HEADER = "tick,camera_id,flower_id,detected,px_err,trans_err_m,rot_err_deg"
+_TRACK_FLOATS = TRACKS_HEADER.split(",")[2:16]
+_SHOT_ERRORS = SHOTS_HEADER.split(",")[4:]
 # Version 2: tracks.csv holds the final track table, not a row per track per tick.
 ARTIFACT_SCHEMA_VERSION = 2
 
@@ -155,6 +158,35 @@ def _read_csv(path: str, header: str, kinds: str, fault=lambda row: None) -> lis
     return rows
 
 
+def _nonfinite(names: list[str], values: list[float]) -> str | None:
+    """What is wrong with the first non-finite value of a row's float
+    cells `values`, named in order by `names`, or None."""
+    for name, value in zip(names, values):
+        if not math.isfinite(value):
+            return f"non-finite {name} {value!r}"
+    return None
+
+
+def _track_fault(row: list, last_tick: int) -> str | None:
+    """What is wrong with a tracks.csv row whose cells read, or None: it must
+    hold the last tick, finite floats and a rotation."""
+    if row[0] != last_tick:
+        return f"tick {row[0]}, expected the last tick {last_tick}"
+    if (msg := _nonfinite(_TRACK_FLOATS, row[2:16])) is not None:
+        return msg
+    return None if is_rotation(np.array(row[5:14]).reshape(3, 3), tol=1e-8) else "r00..r22 is not a rotation"
+
+
+def _shot_fault(row: list) -> str | None:
+    """What is wrong with a shots.csv row whose cells read, or None: a
+    px_err is never negative, and a detected flower has finite errors."""
+    if row[4] < 0:
+        return f"negative px_err {row[4]!r}"
+    if row[2] >= 0 and row[3]:
+        return _nonfinite(_SHOT_ERRORS, row[4:])
+    return None
+
+
 def _whole_number(value) -> int:
     return json_number("value", "int", value)
 
@@ -182,8 +214,10 @@ def read_run_logs(out_dir: str) -> RunLogs:
     """Rebuild the run logs from a run directory.
 
     Reads tracks.csv (the final track table), shots.csv, attempts.csv,
-    meta.json and scene.json. A track row must hold the last tick, a track
-    id may appear once, and an attempt must name a flower of the scene.
+    meta.json and scene.json. A track row must hold the last tick, finite
+    floats and a rotation, and a track id may appear once. A detected
+    flower's shot must have finite errors, and an attempt must name a
+    flower of the scene. These are the rows `simulate` writes.
     """
     meta_path = os.path.join(out_dir, "meta.json")
     try:
@@ -203,8 +237,7 @@ def read_run_logs(out_dir: str) -> RunLogs:
     tracks_path = os.path.join(out_dir, "tracks.csv")
     final_tracks: dict[int, Track] = {}
     for idx, (_, track_id, *vals, hits, pollinated) in enumerate(_read_csv(
-        tracks_path, TRACKS_HEADER, "ii" + "f" * 14 + "ib",
-        lambda r: None if r[0] == n_ticks - 1 else f"tick {r[0]}, expected the last tick {n_ticks - 1}",
+        tracks_path, TRACKS_HEADER, "ii" + "f" * 14 + "ib", lambda r: _track_fault(r, n_ticks - 1),
     ), start=2):
         if track_id in final_tracks:
             raise SchemaMismatch(f"{tracks_path}: row {idx}: repeated track_id {track_id}")
@@ -212,7 +245,7 @@ def read_run_logs(out_dir: str) -> RunLogs:
             id=track_id,
             pos_mean=np.array(vals[0:3]),
             pos_cov=np.eye(3) * vals[12] / 3.0,
-            rot_mean=require_rotation(np.array(vals[3:12]).reshape(3, 3), tol=1e-8),
+            rot_mean=np.array(vals[3:12]).reshape(3, 3),
             rot_cov=vals[13],
             hits=hits,
             pollinated=pollinated,
@@ -220,8 +253,7 @@ def read_run_logs(out_dir: str) -> RunLogs:
 
     shots = SingleShotStats()
     shots.add([ShotRecord(*r) for r in _read_csv(
-        os.path.join(out_dir, "shots.csv"), SHOTS_HEADER, "iiibfff",
-        lambda r: f"negative px_err {r[4]!r}" if r[4] < 0 else None,
+        os.path.join(out_dir, "shots.csv"), SHOTS_HEADER, "iiibfff", _shot_fault,
     )])
     flower_ids = {f.id for f in scene}
 

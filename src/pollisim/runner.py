@@ -305,6 +305,12 @@ def survey_run(noise: NoiseModel, tparams: TrackerParams, k: Intrinsics, n_views
 # detect_prob evaluation therefore draws all its samples afresh, and stops
 # sampling once its verdict is settled (_verdict_settled).
 _CAL_RNG_TAG = 7
+# The relative tolerance of calibration's final check. The bisections run
+# tighter, so that boundary hits survive the re-evaluation with all knobs in
+# place, and each takes at most CAL_MAX_ITER steps.
+CAL_REL_TOL = 0.05
+CAL_INNER_TOL = 0.4 * CAL_REL_TOL
+CAL_MAX_ITER = 100
 
 
 def _stat_for(
@@ -347,22 +353,23 @@ def _verdict_settled(within: int, opportunities: int, left: int, target: float, 
     return low != 0 and low == _verdict((within + left) / n, target, tol)
 
 
-def _bisect(eval_fn, target: float, lo: float, hi: float, rel_tol: float, max_iter: int, label: str) -> float:
-    """Find x with eval_fn(x) ~= target, assuming eval_fn is increasing.
+def _bisect(eval_fn, target: float, lo: float, hi: float, label: str) -> float:
+    """Find x with eval_fn(x) within CAL_INNER_TOL of target, assuming
+    eval_fn is increasing.
 
     Of a value outside the window only its _verdict matters, so eval_fn may
     return in its place any value with the same verdict."""
-    tol = rel_tol * abs(target)
+    tol = CAL_INNER_TOL * abs(target)
     val_hi = eval_fn(hi)
     iters = 0
-    while val_hi < target and iters < max_iter:
+    while val_hi < target and iters < CAL_MAX_ITER:
         hi *= 2.0
         val_hi = eval_fn(hi)
         iters += 1
     if val_hi < target:
         raise NoConvergence(f"{label}: upper bound never reaches target {target}")
     x = hi
-    for _ in range(max_iter - iters):
+    for _ in range(CAL_MAX_ITER - iters):
         x = 0.5 * (lo + hi)
         verdict = _verdict(eval_fn(x), target, tol)
         if verdict == 0:
@@ -371,7 +378,7 @@ def _bisect(eval_fn, target: float, lo: float, hi: float, rel_tol: float, max_it
             lo = x
         else:
             hi = x
-    raise NoConvergence(f"{label}: no convergence within {max_iter} iterations")
+    raise NoConvergence(f"{label}: no convergence within {CAL_MAX_ITER} iterations")
 
 
 DEPTH_FAR_RATIO = 20.0
@@ -381,13 +388,11 @@ def calibrate_noise(
     targets: dict,
     seed: int = 0,
     n_samples: int = 10000,
-    rel_tol: float = 0.05,
-    max_iter: int = 100,
     k: Intrinsics | None = None,
 ) -> NoiseModel:
     """Tune detect_prob, rot_sigma and the depth sigmas so the empirical
     single-shot means over n_samples viewpoints match the targets within
-    rel_tol. targets keys: trans_cm, rot_deg, det_rate.
+    CAL_REL_TOL. targets keys: trans_cm, rot_deg, det_rate.
 
     The far-band depth sigma is held at DEPTH_FAR_RATIO times the near-band
     sigma, so zero targets yield exactly zero noise. pixel_sigma keeps its
@@ -398,6 +403,7 @@ def calibrate_noise(
     SampleCache: an evaluation with the detect_prob of the last one that
     drew all its samples replays that one's draws, and of its errors
     recomputes only the part whose settings changed (see single_shot_stats).
+    The cache holds one evaluation, about 360 bytes a sample.
     The accepted detect_prob evaluation reads inside the window, so it
     never stops, and every later evaluation replays it. For the same
     reason a model's statistics depend on the model alone, and each model
@@ -408,12 +414,7 @@ def calibrate_noise(
     outside the window (see _verdict_settled), a curtailed sequential test.
     Its partial detection rate gets that verdict too, so the search, the
     number of evaluations and the result are those of full evaluations.
-    rel_tol must be finite and > 0, max_iter >= 1.
     """
-    if not (math.isfinite(rel_tol) and rel_tol > 0):
-        raise ConfigError("rel_tol", "must be a finite number > 0")
-    if max_iter < 1:
-        raise ConfigError("max_iter", "must be >= 1")
     for key in ("trans_cm", "rot_deg", "det_rate"):
         if key not in targets:
             raise ConfigError(f"targets.{key}", "missing")
@@ -428,10 +429,7 @@ def calibrate_noise(
     trans_target = float(targets["trans_cm"]) / 100.0
     rot_target = float(targets["rot_deg"])
     det_target = float(targets["det_rate"])
-    # Inner searches run tighter than the joint verification so boundary hits
-    # survive the re-evaluation with all knobs in place.
-    inner_tol = 0.4 * rel_tol
-    cache = SampleCache(n_samples, k)
+    cache = SampleCache()
     memo: dict[NoiseModel, tuple[float, float, float]] = {}
 
     def stat(model: NoiseModel, stop=None) -> tuple[float, float, float]:
@@ -444,7 +442,7 @@ def calibrate_noise(
     if det_target >= 1.0:
         noise = replace(noise, detect_prob=1.0)
     else:
-        settled = partial(_verdict_settled, target=det_target, tol=inner_tol * abs(det_target))
+        settled = partial(_verdict_settled, target=det_target, tol=CAL_INNER_TOL * abs(det_target))
 
         # A stopped evaluation memoizes a partial tally, of which only the
         # detection rate's verdict is exact. Nothing reads more of it: its
@@ -458,7 +456,7 @@ def calibrate_noise(
         hi_rate = det_stat(1.0)
         if hi_rate < det_target:
             raise NoConvergence("det_rate: unreachable even with detect_prob=1 (pixel tail)")
-        noise = replace(noise, detect_prob=_bisect(det_stat, det_target, 0.0, 1.0, inner_tol, max_iter, "detect_prob"))
+        noise = replace(noise, detect_prob=_bisect(det_stat, det_target, 0.0, 1.0, "detect_prob"))
 
     if rot_target == 0.0:
         noise = replace(noise, rot_sigma=0.0)
@@ -466,7 +464,7 @@ def calibrate_noise(
         def rot_stat(x: float) -> float:
             return stat(replace(noise, rot_sigma=x))[1]
 
-        noise = replace(noise, rot_sigma=_bisect(rot_stat, rot_target, 0.0, 60.0, inner_tol, max_iter, "rot_sigma"))
+        noise = replace(noise, rot_sigma=_bisect(rot_stat, rot_target, 0.0, 60.0, "rot_sigma"))
 
     if trans_target == 0.0:
         noise = replace(noise, pixel_sigma=0.0, depth_sigma_near=0.0, depth_sigma_far=0.0)
@@ -475,17 +473,17 @@ def calibrate_noise(
             trial = replace(noise, depth_sigma_near=x, depth_sigma_far=DEPTH_FAR_RATIO * x)
             return stat(trial)[0]
 
-        near = _bisect(trans_stat, trans_target, 0.0, 0.01, inner_tol, max_iter, "depth_sigma_near")
+        near = _bisect(trans_stat, trans_target, 0.0, 0.01, "depth_sigma_near")
         noise = replace(noise, depth_sigma_near=near, depth_sigma_far=DEPTH_FAR_RATIO * near)
 
     trans, rot, det = stat(noise)
     checks = []
     if trans_target > 0:
-        checks.append(abs(trans - trans_target) <= rel_tol * trans_target)
+        checks.append(abs(trans - trans_target) <= CAL_REL_TOL * trans_target)
     if rot_target > 0:
-        checks.append(abs(rot - rot_target) <= rel_tol * rot_target)
+        checks.append(abs(rot - rot_target) <= CAL_REL_TOL * rot_target)
     if det_target > 0:
-        checks.append(abs(det - det_target) <= rel_tol * det_target)
+        checks.append(abs(det - det_target) <= CAL_REL_TOL * det_target)
     if not all(checks):
         raise NoConvergence(
             f"final verification failed: got trans={trans:.4f} m, rot={rot:.2f} deg, det={det:.4f}"

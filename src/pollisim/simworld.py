@@ -501,90 +501,85 @@ class SampleCache:
     call that would draw them all again replays them instead.
 
     The cache holds the last call without flips that ran all its samples,
-    keyed by its start state, detect_prob and sample count, with the state
-    it left. Every draw reads nothing but the generator, and of the model
-    only detect_prob decides which draws a sample makes (clutter is off and
-    the sigmas only scale the draws), so a call under the same key draws the
-    same views and the same detections.
+    keyed by everything its draws depend on: its start state, detect_prob,
+    sample count and intrinsics, with the state it left. Every draw reads
+    nothing but the generator, and of the model only detect_prob decides
+    which draws a sample makes (clutter is off and the sigmas only scale the
+    draws), so a call under the same key draws the same views and the same
+    detections.
 
     A slot holds a sample's flower rotation and camera pose and the state
     those two draws left behind. The first replay of a held call records
     every slot: its projection and, on a scratch generator, what the oracle
-    draws from that state, the detection uniform and the `_pose_draws`. A
-    detection's errors are then a function of those draws and the model:
-    the slot keeps its position errors with the pixel and depth sigmas and
-    reliable_range that gave them, and its rotation error with its
-    rot_sigma, and recomputes a part only when its own settings change.
+    draws from that state, the detection uniform and the `_pose_draws`; it
+    then fixes the call's detections and opportunities. A detection's
+    errors are a function of those draws and the model. The cache keeps the
+    position errors of all detections with the one pixel and depth sigmas
+    and reliable_range that gave them, and their rotation errors with the
+    one rot_sigma, and recomputes a part only when its settings change.
 
-    The projected pixel depends on the intrinsics, so a cache serves one
-    `Intrinsics`. Floats sit in preallocated arrays (328 bytes a slot) and
-    the after-view state in one packed int (72 bytes with its list entry):
-    about 400 bytes a slot.
+    The slot arrays are sized to the held call: 256 bytes of floats a slot
+    and the after-view state in one packed int (72 bytes with its list
+    entry), then 32 bytes a detection for its index and errors, about 360
+    bytes a slot.
     """
 
-    def __init__(self, n_slots: int, k: Intrinsics) -> None:
-        self.k = k
-        self.flower_rot = np.empty((n_slots, 3, 3))
-        self.cam_pos = np.empty((n_slots, 3))
-        self.cam_rot = np.empty((n_slots, 3, 3))
-        self.after: list[int] = [0] * n_slots
-        # Projected u, v and ray depth (NaN out of view), the detection
-        # uniform, the pixel and depth normals, the axis, the angle normal.
-        self.draws = np.empty((n_slots, 11))
-        # Each error part after the settings that gave it; NaN matches none.
-        self.pos = np.empty((n_slots, 7))  # pixel, near, far sigma, band lo, hi | px, trans error
-        self.rot = np.empty((n_slots, 2))  # rot_sigma | rotation error
-        self.key: tuple[int, float, int] | None = None  # the held call's start state, detect_prob, n_samples
+    def __init__(self) -> None:
         self.end = 0  # the state the held call left
-        self.recorded = False
         self._scratch = np.random.Generator(np.random.PCG64())
+        self.clear(0)
 
-    def __len__(self) -> int:
-        return len(self.after)
+    def clear(self, n: int) -> None:
+        """Drop the held call and make room for the n samples of the next."""
+        self.key: tuple[int, float, int, Intrinsics] | None = None  # start state, detect_prob, n_samples, k
+        self.flower_rot = np.empty((n, 3, 3))
+        self.cam_pos = np.empty((n, 3))
+        self.cam_rot = np.empty((n, 3, 3))
+        self.after: list[int] = [0] * n
+        # Once recorded: per slot the projected u, v and ray depth (NaN out
+        # of view), the detection uniform, the pixel and depth normals, the
+        # axis and the angle normal; the detection slots; the visible ones.
+        self.draws = np.empty((n, 11))
+        self.hit: np.ndarray | None = None
+        self.opportunities = 0
+        # The settings that gave each error part of the detections, replay's
+        # pos (px, trans error) and rot (rotation error).
+        self.pos_knobs: tuple | None = None  # pixel, near, far sigma, band lo, hi
+        self.rot_sigma: float | None = None
 
-    def _record(self, n: int) -> None:
-        """The first n slots' projections and the oracle's draws from their
-        after-view states, with every error part reset."""
-        self.pos[:n] = self.rot[:n] = np.nan
+    def _record(self) -> None:
+        """Every slot's projection and the oracle's draws from its after-view state."""
         g = self._scratch
-        for i in range(n):
-            obs = project(np.zeros(3), Pose(self.cam_pos[i], self.cam_rot[i]), self.k)
+        for i, after in enumerate(self.after):
+            obs = project(np.zeros(3), Pose(self.cam_pos[i], self.cam_rot[i]), self.key[3])
             if obs is None:  # out of view: the oracle draws nothing
                 self.draws[i] = np.nan
                 continue
-            g.bit_generator.state = _pcg64_state(self.after[i])
+            g.bit_generator.state = _pcg64_state(after)
             r = g.random()
             z_u, z_v, z_d, axis, z_a = _pose_draws(g)
             self.draws[i] = (obs.u, obs.v, obs.ray_depth, r, z_u, z_v, z_d, *axis.tolist(), z_a)
-        self.recorded = True
-
-    def _refresh(self, rows: np.ndarray, noise: NoiseModel) -> None:
-        """Recompute the error parts of detection slots `rows` whose settings
-        differ from `noise`'s."""
-        knobs = [noise.pixel_sigma, noise.depth_sigma_near, noise.depth_sigma_far, *noise.reliable_range]
-        stale = rows[(self.pos[rows, :5] != knobs).any(axis=1)]
-        self.pos[stale, :5] = knobs
-        self.pos[stale, 5:] = _position_errors(
-            self.draws[stale], self.cam_pos[stale], self.cam_rot[stale], self.k, noise
-        )
-        stale = rows[self.rot[rows, 0] != noise.rot_sigma]
-        self.rot[stale, 0] = noise.rot_sigma
-        self.rot[stale, 1] = _rotation_errors(
-            self.flower_rot[stale], self.draws[stale, 7:10], self.draws[stale, 10], noise.rot_sigma
-        )
 
     def replay(self, noise: NoiseModel) -> SingleShotStats:
         """The held call's tally under `noise`, a model with its key's
         detect_prob: its detections' errors, brought up to `noise` as
         arrays, in slot order."""
-        n = self.key[2]
-        if not self.recorded:
-            self._record(n)
-        hit = np.flatnonzero(self.draws[:n, 3] < noise.detect_prob)  # NaN out of view
-        self._refresh(hit, noise)
+        if self.hit is None:
+            self._record()
+            self.hit = np.flatnonzero(self.draws[:, 3] < noise.detect_prob)  # NaN out of view
+            self.opportunities = int(np.count_nonzero(~np.isnan(self.draws[:, 2])))
+        hit = self.hit
+        knobs = (noise.pixel_sigma, noise.depth_sigma_near, noise.depth_sigma_far, *noise.reliable_range)
+        if knobs != self.pos_knobs:
+            self.pos_knobs = knobs
+            self.pos = _position_errors(self.draws[hit], self.cam_pos[hit], self.cam_rot[hit], self.key[3], noise)
+        if noise.rot_sigma != self.rot_sigma:
+            self.rot_sigma = noise.rot_sigma
+            self.rot = _rotation_errors(
+                self.flower_rot[hit], self.draws[hit, 7:10], self.draws[hit, 10], noise.rot_sigma
+            )
         return SingleShotStats(
-            int(np.count_nonzero(~np.isnan(self.draws[:n, 2]))),
-            self.pos[hit, 5].tolist(), self.pos[hit, 6].tolist(), self.rot[hit, 1].tolist(),
+            self.opportunities, self.pos[:, 0].tolist(), self.pos[:, 1].tolist(), self.rot.tolist()
         )
 
 
@@ -602,13 +597,14 @@ def single_shot_stats(
 
     Each sample draws a flower rotation and a viewpoint, then observes.
     With `cache`, which refuses a model with flips, a call without `stop`
-    that has the held call's start state, detect_prob and n_samples replays
-    it (SampleCache.replay) and moves rng to the state it left. Any other
-    call draws every sample and, if it runs to the end, becomes the held
-    call. Every draw reads nothing but the generator, so the same
-    start state gives the same bits and the same end state: the result, and
-    rng's state afterwards, equal the uncached call's. This pays off under
-    common random numbers, where calibration re-seeds every evaluation.
+    that has the held call's start state, detect_prob, n_samples and
+    intrinsics replays it (SampleCache.replay) and moves rng to the state
+    it left. Any other call draws every sample and, if it runs to the end,
+    becomes the held call. Every draw reads nothing but the generator, so
+    the same start state gives the same bits and the same end state: the
+    result, and rng's state afterwards, equal the uncached call's. This
+    pays off under common random numbers, where calibration re-seeds every
+    evaluation.
 
     With `stop`, sampling ends early once stop(within, opportunities, left)
     is true before a sample: `within` counts the detections within
@@ -617,17 +613,13 @@ def single_shot_stats(
     partial one, and rng is left where it stopped.
     """
     if cache is not None:
-        if len(cache) < n_samples:
-            raise ValueError(f"SampleCache has {len(cache)} slots for {n_samples} samples")
-        if cache.k != k:
-            raise ValueError(f"SampleCache holds projections for {cache.k}, not {k}")
         if noise.flip_prob > 0.0:
             raise ValueError(f"SampleCache replays models without flips, not flip_prob={noise.flip_prob}")
-        key = (_pcg64_key(rng), noise.detect_prob, n_samples)
+        key = (_pcg64_key(rng), noise.detect_prob, n_samples, k)
         if stop is None and cache.key == key:
             rng.bit_generator.state = _pcg64_state(cache.end)
             return cache.replay(noise)
-        cache.key = None  # the loop overwrites the held samples
+        cache.clear(max(n_samples, 0))  # the loop overwrites the held samples; range(-1) draws none
     stats = SingleShotStats()
     quiet = replace(noise, clutter_rate=0.0)
     flower = FlowerGT(id=0, pose=Pose(np.zeros(3), np.eye(3)))
@@ -643,5 +635,5 @@ def single_shot_stats(
         stats.add(records)
         within += sum(rec.detected and rec.px_err <= DETECT_SUCCESS_PX for rec in records)
     if cache is not None:
-        cache.key, cache.end, cache.recorded = key, _pcg64_key(rng), False
+        cache.key, cache.end = key, _pcg64_key(rng)
     return stats

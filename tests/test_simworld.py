@@ -344,14 +344,14 @@ def _stats_bits(stats):
     return (stats.opportunities, stats.detections_within_px, stats.trans_errors, stats.rot_errors)
 
 
-def _uncached(monkeypatch, model, n, seed):
+def _uncached(monkeypatch, model, n, seed, k=K):
     """single_shot_stats without a cache, through the real oracle, and the
     generator it leaves."""
     rng = np.random.default_rng([seed, 7])
     with monkeypatch.context() as m:
         m.setattr(simworld, "sample_viewpoint", sample_viewpoint)
         m.setattr(simworld, "observe_with_truth", observe_with_truth)
-        return single_shot_stats(model, K, n, rng), rng.bit_generator.state
+        return single_shot_stats(model, k, n, rng), rng.bit_generator.state
 
 
 def _counted(monkeypatch, *names):
@@ -373,7 +373,7 @@ def test_sample_cache_gives_the_uncached_stats_across_seeds(monkeypatch):
     # cache holding the other seed's call, or its own when it made the last
     # one. Each call must equal the uncached one, rng state afterwards too.
     n = 150
-    cache = SampleCache(n, K)
+    cache = SampleCache()
     calls = _counted(monkeypatch, "sample_viewpoint")
     drawn = []
     for model in (NoiseModel(), NoiseModel(detect_prob=0.6, rot_sigma=10.0)):
@@ -385,15 +385,22 @@ def test_sample_cache_gives_the_uncached_stats_across_seeds(monkeypatch):
             drawn.append(calls["sample_viewpoint"] - before)
             assert _stats_bits(got) == _stats_bits(want)
             assert got_rng.bit_generator.state == want_state
-            assert len(cache) == n
     # A seed after the other one redraws every view; a seed repeated with
     # the same model redraws none.
     assert drawn == [n, n, n, 0, n] * 2
     # A model with flips draws extra numbers after a detection: the cache refuses it.
     with pytest.raises(ValueError, match="flip"):
         single_shot_stats(NoiseModel(flip_prob=0.5), K, n, np.random.default_rng([4, 7]), cache)
-    with pytest.raises(ValueError, match="slots"):
-        single_shot_stats(NoiseModel(), K, n + 1, np.random.default_rng(0), cache)
+    # More samples than the held call's draw them all, and a negative count
+    # draws none, as the uncached call does.
+    for samples in (n + 1, -1):
+        want, want_state = _uncached(monkeypatch, model, samples, 4)
+        got_rng = np.random.default_rng([4, 7])
+        before = calls["sample_viewpoint"]
+        got = single_shot_stats(model, K, samples, got_rng, cache)
+        assert calls["sample_viewpoint"] - before == max(samples, 0)
+        assert _stats_bits(got) == _stats_bits(want)
+        assert got_rng.bit_generator.state == want_state
 
 
 @pytest.mark.parametrize("stop_at", [0, 1, 50, 119])
@@ -436,7 +443,7 @@ def test_single_shot_stats_stops_on_its_running_tally(monkeypatch, stop_at):
             return calls["sample_viewpoint"] - before
 
         want = stopped(None)
-        cache = SampleCache(n, K)
+        cache = SampleCache()
         if model.flip_prob > 0.0:
             with pytest.raises(ValueError, match="flip"):
                 stopped(cache)
@@ -449,32 +456,58 @@ def test_single_shot_stats_stops_on_its_running_tally(monkeypatch, stop_at):
         assert drawn() == 0
 
 
-@pytest.mark.parametrize("model, samples, seed", [
-    (NoiseModel(detect_prob=0.8), 100, 6),
-    (NoiseModel(detect_prob=0.7), 100, 5),
-    (NoiseModel(detect_prob=0.8), 99, 5),
-], ids=["start-state", "detect_prob", "n_samples"])
-def test_a_held_call_replays_only_under_its_whole_key(monkeypatch, model, samples, seed):
-    # The cache holds a 100-sample call at seed 5 and detect_prob 0.8. A call
-    # that differs in one part of that key alone draws all its samples; the
-    # n_samples case shares every view with the held call, and the
-    # detect_prob case the views up to its first changed detection.
+NARROW = Intrinsics(fx=600.0, fy=600.0, cx=640.0, cy=360.0, width=1280, height=720)
+
+
+@pytest.mark.parametrize("model, samples, seed, k", [
+    (NoiseModel(detect_prob=0.8), 100, 6, K),
+    (NoiseModel(detect_prob=0.7), 100, 5, K),
+    (NoiseModel(detect_prob=0.8), 99, 5, K),
+    (NoiseModel(detect_prob=0.8), 100, 5, NARROW),
+], ids=["start-state", "detect_prob", "n_samples", "intrinsics"])
+def test_a_held_call_replays_only_under_its_whole_key(monkeypatch, model, samples, seed, k):
+    # The cache holds a 100-sample call at seed 5, detect_prob 0.8 and
+    # intrinsics K. A call that differs in one part of that key alone draws
+    # all its samples; the n_samples and intrinsics cases share every view
+    # and detection with the held call, and the detect_prob case the views
+    # up to its first changed detection.
     n = 100
-    cache = SampleCache(n, K)
+    cache = SampleCache()
     calls = _counted(monkeypatch, "sample_viewpoint")
     single_shot_stats(NoiseModel(detect_prob=0.8), K, n, np.random.default_rng([5, 7]), cache)
-    want, want_state = _uncached(monkeypatch, model, samples, seed)
+    want, want_state = _uncached(monkeypatch, model, samples, seed, k)
     rng = np.random.default_rng([seed, 7])
     before = calls["sample_viewpoint"]
-    got = single_shot_stats(model, K, samples, rng, cache)
+    got = single_shot_stats(model, k, samples, rng, cache)
     assert calls["sample_viewpoint"] - before == samples
     assert _stats_bits(got) == _stats_bits(want)
     assert rng.bit_generator.state == want_state
 
 
+@pytest.mark.parametrize("setting, value", [
+    ("pixel_sigma", 9.0), ("depth_sigma_near", 0.02), ("depth_sigma_far", 0.01), ("reliable_range", (0.2, 0.4)),
+    ("rot_sigma", 5.0),
+])
+def test_a_replay_follows_each_error_setting_alone(monkeypatch, setting, value):
+    # The held call's errors are kept with the one settings record that gave
+    # them. After a replay has computed them, a model that changes any one
+    # setting alone replays the held views and draws and gets the uncached
+    # call's errors.
+    n, seed = 100, 8
+    cache = SampleCache()
+    calls = _counted(monkeypatch, "sample_viewpoint")
+    for model in (NoiseModel(), NoiseModel(), replace(NoiseModel(), **{setting: value})):
+        want, want_state = _uncached(monkeypatch, model, n, seed)
+        rng = np.random.default_rng([seed, 7])
+        got = single_shot_stats(model, K, n, rng, cache)
+        assert _stats_bits(got) == _stats_bits(want)
+        assert rng.bit_generator.state == want_state
+    assert calls["sample_viewpoint"] == n
+
+
 def test_sample_cache_reuses_only_an_identical_state(monkeypatch):
     calls = _counted(monkeypatch, "sample_viewpoint", "observe_with_truth")
-    cache = SampleCache(1, K)
+    cache = SampleCache()
     model = NoiseModel(detect_prob=1.0)
     rng = np.random.default_rng(5)
     first = single_shot_stats(model, K, 1, rng, cache)
@@ -498,9 +531,6 @@ def test_sample_cache_reuses_only_an_identical_state(monkeypatch):
     assert calls == {"sample_viewpoint": 3, "observe_with_truth": 3}
     with pytest.raises(TypeError, match="PCG64"):
         single_shot_stats(model, K, 1, np.random.Generator(np.random.MT19937(0)), cache)
-    other = Intrinsics(fx=600.0, fy=600.0, cx=640.0, cy=360.0, width=1280, height=720)
-    with pytest.raises(ValueError, match="projections"):
-        single_shot_stats(model, other, 1, np.random.default_rng(5), cache)
 
 
 def test_sample_cache_replays_a_calibration_shaped_search(monkeypatch):
@@ -510,7 +540,7 @@ def test_sample_cache_replays_a_calibration_shaped_search(monkeypatch):
     # nothing: every sample replays, and recomputes only the error part
     # whose settings changed.
     n, seed = 200, 11
-    cache = SampleCache(n, K)
+    cache = SampleCache()
     detect = [replace(NoiseModel(), detect_prob=p) for p in (1.0, 0.5, 0.75, 0.875, 0.8125)]
     fixed = detect[-1]
     rot = [replace(fixed, rot_sigma=x) for x in (30.0, 45.0, 37.5)]
@@ -556,7 +586,7 @@ def _tally_bytes(stats):
     return stats.opportunities, np.array([stats.px_errors, stats.trans_errors, stats.rot_errors]).tobytes()
 
 
-def test_batched_replay_matches_the_scalar_oracle_bitwise():
+def test_batched_replay_matches_the_scalar_oracle_bitwise(monkeypatch):
     # 12,000 made-up slots replayed as one held call. Each detection's errors
     # must have the bits that the scalar _noisy_position, _noisy_rotation and
     # zaxis_angle give on the same draws, and misses and out-of-view slots
@@ -573,7 +603,8 @@ def test_batched_replay_matches_the_scalar_oracle_bitwise():
     z[2::11, 2] = -1e3
     axis = rng.standard_normal((n, 3))
     axis /= np.linalg.norm(axis, axis=1, keepdims=True)
-    cache = SampleCache(n, K)
+    cache = SampleCache()
+    cache.clear(n)
     cache.draws[:] = np.column_stack([
         rng.uniform(0.0, K.width, n), rng.uniform(0.0, K.height, n), depth, rng.random(n), z, axis,
         rng.standard_normal(n),
@@ -581,11 +612,12 @@ def test_batched_replay_matches_the_scalar_oracle_bitwise():
     cache.draws[3::13] = np.nan  # out of view
     cache.flower_rot[:], cache.cam_rot[:] = random_rotations(rng, n), random_rotations(rng, n)
     cache.cam_pos[:] = rng.normal(0.0, 0.4, (n, 3))
-    cache.pos[:] = cache.rot[:] = np.nan
-    # Held as one recorded call of n samples that starts in seed 0's state
-    # and ends in seed 1's; stock and zero share its detect_prob.
-    cache.key = (simworld._pcg64_key(np.random.default_rng(0)), stock.detect_prob, n)
-    cache.end, cache.recorded = simworld._pcg64_key(np.random.default_rng(1)), True
+    # Held as one call of n samples under K that starts in seed 0's state
+    # and ends in seed 1's; stock and zero share its detect_prob. Its slots
+    # hold made-up draws in place of recorded ones.
+    cache.key = (simworld._pcg64_key(np.random.default_rng(0)), stock.detect_prob, n, K)
+    cache.end = simworld._pcg64_key(np.random.default_rng(1))
+    monkeypatch.setattr(cache, "_record", lambda: None)
     clamped = 0
     for noise in (stock, zero, stock):
         held = np.random.default_rng(0)
