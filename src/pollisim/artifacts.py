@@ -87,10 +87,10 @@ def write_artifacts(
     last_tick = logs.n_ticks - 1
     os.makedirs(out_dir, exist_ok=True)
     _write_csv(os.path.join(out_dir, "tracks.csv"), TRACKS_HEADER, (
-        f"{last_tick},{t.id},{_fmt(t.pos_mean[0])},{_fmt(t.pos_mean[1])},{_fmt(t.pos_mean[2])},"
+        f"{last_tick},{tid},{_fmt(t.pos_mean[0])},{_fmt(t.pos_mean[1])},{_fmt(t.pos_mean[2])},"
         + ",".join(_fmt(v) for v in t.rot_mean.reshape(9))
         + f",{_fmt(np.trace(t.pos_cov))},{_fmt(t.rot_cov)},{t.hits},{int(t.pollinated)}"
-        for t in logs.final_tracks
+        for tid, t in logs.final_tracks.items()
     ))
     _write_csv(os.path.join(out_dir, "commands.csv"), COMMANDS_HEADER, (
         f"{tick},{arm_id},{_MODE_NAMES[mode]},{_COMMAND_NAMES[kind]},"
@@ -187,8 +187,14 @@ def _shot_fault(row: list) -> str | None:
     return None
 
 
-def _whole_number(value) -> int:
-    return json_number("value", "int", value)
+def _whole_number(least: int):
+    """Reader of a meta.json whole number that `simulate` writes as at least
+    `least`: a config seed is >= 0, and a run takes at least one tick."""
+    def read(value) -> int:
+        if (number := json_number("value", "int", value)) < least:
+            raise ValueError(f"value must be >= {least}")
+        return number
+    return read
 
 
 def _commander_field(key: str):
@@ -232,7 +238,7 @@ def read_run_logs(out_dir: str) -> RunLogs:
         raise SchemaMismatch(f"{meta_path}: schema_version {version!r}, expected {ARTIFACT_SCHEMA_VERSION}")
 
     scene = load_scene(os.path.join(out_dir, "scene.json"))
-    n_ticks = _meta_value(meta_path, meta, "n_ticks", _whole_number)
+    n_ticks = _meta_value(meta_path, meta, "n_ticks", _whole_number(1))
 
     tracks_path = os.path.join(out_dir, "tracks.csv")
     final_tracks: dict[int, Track] = {}
@@ -242,7 +248,6 @@ def read_run_logs(out_dir: str) -> RunLogs:
         if track_id in final_tracks:
             raise SchemaMismatch(f"{tracks_path}: row {idx}: repeated track_id {track_id}")
         final_tracks[track_id] = Track(
-            id=track_id,
             pos_mean=np.array(vals[0:3]),
             pos_cov=np.eye(3) * vals[12] / 3.0,
             rot_mean=np.array(vals[3:12]).reshape(3, 3),
@@ -259,7 +264,7 @@ def read_run_logs(out_dir: str) -> RunLogs:
 
     return RunLogs(
         scene=scene,
-        final_tracks=list(final_tracks.values()),
+        final_tracks=final_tracks,
         n_ticks=n_ticks,
         shots=shots,
         attempts=[AttemptRecord(*r) for r in _read_csv(
@@ -271,6 +276,6 @@ def read_run_logs(out_dir: str) -> RunLogs:
             _meta_value(meta_path, meta, "workspace_center", _commander_field("workspace_center")),
             _meta_value(meta_path, meta, "workspace_radius", _commander_field("workspace_radius")),
         ),
-        seed=_meta_value(meta_path, meta, "seed", _whole_number),
+        seed=_meta_value(meta_path, meta, "seed", _whole_number(0)),
         config_digest=_meta_value(meta_path, meta, "config_digest", _text),
     )

@@ -19,7 +19,7 @@ import numpy as np
 from .camera import CameraPose
 from .configfields import check_fields, fields_to_json
 from .so3 import Pose, aligning_rotation, cross3, from_axis_angle, random_unit_vector, vnorm
-from .tracker import GlobalState, Track, TrackerParams, get_track, is_confident, remove_track
+from .tracker import GlobalState, Track, TrackerParams, is_confident, remove_track
 from .simworld import FlowerGT
 
 
@@ -197,16 +197,19 @@ def servo_delta(tip: Pose, target: Pose, gain: float, max_step: float) -> MoveDe
     return MoveDelta(dpos=dpos, drot=drot)
 
 
-def _eligible_targets(gs: GlobalState, cfg: CommanderConfig, tparams: TrackerParams, taken: set[int]) -> list[Track]:
-    """Confident, unpollinated tracks in reach whose ids are not in `taken`."""
+def _eligible_targets(
+    gs: GlobalState, cfg: CommanderConfig, tparams: TrackerParams, taken: set[int]
+) -> list[tuple[int, Track]]:
+    """(id, track) of the confident, unpollinated tracks in reach whose ids
+    are not in `taken`."""
     out = []
     center = np.asarray(cfg.workspace_center, dtype=float)
-    for t in gs.tracks:
-        if t.pollinated or t.id in taken or not is_confident(t, tparams):
+    for tid, t in gs.tracks.items():
+        if t.pollinated or tid in taken or not is_confident(t, tparams):
             continue
         if np.linalg.norm(t.pos_mean - center) > cfg.workspace_radius + cfg.standoff:
             continue
-        out.append(t)
+        out.append((tid, t))
     return out
 
 
@@ -237,19 +240,19 @@ def step(
     if isinstance(mode, Searching):
         targets = _eligible_targets(gs, cfg, tparams, taken)
         if targets:
-            nearest = min(
+            nearest_id, nearest = min(
                 targets,
-                key=lambda t: (float(np.linalg.norm(t.pos_mean - tip.position)), t.id),
+                key=lambda target: (float(np.linalg.norm(target[1].pos_mean - tip.position)), target[0]),
             )
             goal = standoff_pose(Pose(nearest.pos_mean, nearest.rot_mean), cfg.standoff)
-            return MoveTo(goal), RoughLocalization(nearest.id, mode.steps)
+            return MoveTo(goal), RoughLocalization(nearest_id, mode.steps)
         # Done waits for every target, including those other arms approach.
         if mode.steps >= cfg.search_patience and not _eligible_targets(gs, cfg, tparams, set()):
             return Explore(tuple(random_unit_vector(rng))), Done()
         return Explore(tuple(random_unit_vector(rng))), Searching(mode.steps + 1)
 
     if isinstance(mode, RoughLocalization):
-        t = get_track(gs, mode.target_id)
+        t = gs.tracks.get(mode.target_id)
         if t is None or t.pollinated:
             return _lost(rng, mode.search_steps)
         goal = standoff_pose(Pose(t.pos_mean, t.rot_mean), cfg.standoff)
@@ -262,7 +265,7 @@ def step(
         return MoveTo(goal), RoughLocalization(mode.target_id, mode.search_steps)
 
     # VisualServo
-    t = get_track(gs, mode.target_id)
+    t = gs.tracks.get(mode.target_id)
     if t is None or t.pollinated:
         return _lost(rng, mode.search_steps)
     if t.last_meas is None or gs.tick - t.last_meas.tick > cfg.servo_patience:

@@ -116,10 +116,11 @@ class AttemptRecord:
 
 @dataclass(eq=False)
 class RunLogs:
-    """Everything aggregate() needs from one completed run."""
+    """Everything aggregate() needs from one completed run. `final_tracks`
+    is keyed by track id, as `GlobalState.tracks` is."""
 
     scene: list[FlowerGT]
-    final_tracks: list[Track]
+    final_tracks: dict[int, Track]
     n_ticks: int
     shots: SingleShotStats = field(default_factory=SingleShotStats)
     attempts: list[AttemptRecord] = field(default_factory=list)
@@ -161,7 +162,7 @@ class RunReport:
         return fields_to_json(self)
 
 
-def match_tracks_to_flowers(tracks: list[Track], flowers: list[FlowerGT]) -> dict[int, int]:
+def match_tracks_to_flowers(tracks: dict[int, Track], flowers: list[FlowerGT]) -> dict[int, int]:
     """Greedy nearest matching flower_id -> track_id within TRANS_SUCCESS_M.
 
     Same greedy pass as the online association, applied between filtered
@@ -169,7 +170,7 @@ def match_tracks_to_flowers(tracks: list[Track], flowers: list[FlowerGT]) -> dic
     lower track id.
     """
     return dict(greedy_pairs(
-        [(f.id, f.pose.position) for f in flowers], [(t.id, t.pos_mean) for t in tracks], TRANS_SUCCESS_M
+        [(f.id, f.pose.position) for f in flowers], [(tid, t.pos_mean) for tid, t in tracks.items()], TRANS_SUCCESS_M
     ))
 
 
@@ -185,7 +186,6 @@ def aggregate(logs: RunLogs) -> RunReport:
     if logs.n_ticks <= 0:
         raise EmptyRun("run executed no ticks")
 
-    by_id = {t.id: t for t in logs.final_tracks}
     flowers = sorted(logs.scene, key=lambda f: f.id)
     matches = match_tracks_to_flowers(logs.final_tracks, flowers)
     errors: list[PoseError] = []
@@ -194,7 +194,7 @@ def aggregate(logs: RunLogs) -> RunReport:
         tid = matches.get(f.id)
         if tid is None:
             continue
-        t = by_id[tid]
+        t = logs.final_tracks[tid]
         e = pose_error(Pose(t.pos_mean, t.rot_mean), f.pose)
         errors.append(e)
         if pose_success(e):

@@ -71,7 +71,7 @@ from .so3 import (
     svd_project,
     zaxis_angle,
 )
-from .tracker import GlobalState, TrackerParams, get_track, ingest
+from .tracker import GlobalState, Track, TrackerParams, ingest
 
 log = logging.getLogger("pollisim")
 
@@ -149,7 +149,7 @@ def _arm_homes(center: np.ndarray, radius: float, n: int) -> list[np.ndarray]:
     return homes
 
 
-def _failed_rotation_audit(tracks, verdicts: dict[int, tuple[bytes, bool]]) -> list[int]:
+def _failed_rotation_audit(tracks: dict[int, Track], verdicts: dict[int, tuple[bytes, bool]]) -> list[int]:
     """Ids of the tracks whose rotation mean fails the SO(3) audit.
 
     `verdicts` maps a track id to the bytes of the rot_mean last audited and
@@ -157,13 +157,13 @@ def _failed_rotation_audit(tracks, verdicts: dict[int, tuple[bytes, bool]]) -> l
     still has them keeps its verdict, however the mean was changed.
     """
     failed = []
-    for t in tracks:
+    for tid, t in tracks.items():
         key = t.rot_mean.tobytes()
-        seen = verdicts.get(t.id)
+        seen = verdicts.get(tid)
         if seen is None or seen[0] != key:
-            seen = verdicts[t.id] = (key, is_rotation(t.rot_mean, tol=1e-9))
+            seen = verdicts[tid] = (key, is_rotation(t.rot_mean, tol=1e-9))
         if not seen[1]:
-            failed.append(t.id)
+            failed.append(tid)
     return failed
 
 
@@ -235,7 +235,7 @@ def simulate_run(
     tally.add(shots)
     logs = RunLogs(
         scene=scene,
-        final_tracks=list(gs.tracks),
+        final_tracks=gs.tracks,
         n_ticks=n_ticks,
         shots=tally,
         attempts=attempts,
@@ -287,7 +287,7 @@ def survey_run(noise: NoiseModel, tparams: TrackerParams, k: Intrinsics, n_views
     final_trans = final_rot = None
     matches = match_tracks_to_flowers(gs.tracks, [flower])
     if matches:
-        best = get_track(gs, matches[flower.id])
+        best = gs.tracks[matches[flower.id]]
         final_trans = float(np.linalg.norm(best.pos_mean - flower.pose.position))
         final_rot = zaxis_angle(best.rot_mean, flower.pose.rotation)
     return SurveyTrial(

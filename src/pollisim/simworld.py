@@ -21,9 +21,9 @@ from .configfields import check_fields, fields_to_json, json_number, json_number
 from .so3 import (
     I3,
     Pose,
-    candidate_pairs,
     cross3,
     from_axis_angle,
+    pairs_within,
     random_rotation,
     random_unit_vector,
     rot_z,
@@ -347,8 +347,10 @@ def generate_scene(rng: np.random.Generator, params: SceneGenParams) -> list[Flo
     """Random scene: clustered positions with a minimum separation, facing
     directions within a cone of world-up, random twist about the facing axis.
 
-    A draw is rejected when vnorm(p - q) < min_sep for an accepted q;
-    `so3.candidate_pairs` leaves only the q that could be that close.
+    A draw is rejected when vnorm(p - q) < min_sep for an accepted q, by
+    the distances of `so3.pairs_within`. That query skips a pair at NaN
+    distance, which cannot arise here: `SceneGenParams` refuses a non-finite
+    center or spread.
     """
     count, spread, min_sep = params.count, params.spread, params.min_sep
     center = np.asarray(params.center, dtype=float)
@@ -357,8 +359,7 @@ def generate_scene(rng: np.random.Generator, params: SceneGenParams) -> list[Flo
     attempts = 0
     while len(positions) < count:
         p = center + rng.normal(0.0, spread, size=3)
-        near, _ = candidate_pairs(accepted[: len(positions)], [p], min_sep)
-        if all(vnorm(p - positions[i]) >= min_sep for i in near):
+        if not any(d < min_sep for _, _, d in pairs_within(accepted[: len(positions)], [p], min_sep)):
             accepted[len(positions)] = p
             positions.append(p)
         attempts += 1
@@ -592,8 +593,8 @@ def single_shot_stats(
     *,
     stop: Callable[[int, int, int], bool] | None = None,
 ) -> SingleShotStats:
-    """Sample one flower from n_samples independent viewpoints and collect
-    the oracle's single-shot error statistics (clutter excluded).
+    """Sample one flower from n_samples (>= 1) independent viewpoints and
+    collect the oracle's single-shot error statistics (clutter excluded).
 
     Each sample draws a flower rotation and a viewpoint, then observes.
     With `cache`, which refuses a model with flips, a call without `stop`
@@ -612,6 +613,8 @@ def single_shot_stats(
     `left` the samples still to take. The tally returned is then that
     partial one, and rng is left where it stopped.
     """
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be >= 1, not {n_samples}")
     if cache is not None:
         if noise.flip_prob > 0.0:
             raise ValueError(f"SampleCache replays models without flips, not flip_prob={noise.flip_prob}")
@@ -619,7 +622,7 @@ def single_shot_stats(
         if stop is None and cache.key == key:
             rng.bit_generator.state = _pcg64_state(cache.end)
             return cache.replay(noise)
-        cache.clear(max(n_samples, 0))  # the loop overwrites the held samples; range(-1) draws none
+        cache.clear(n_samples)  # the loop overwrites the held samples
     stats = SingleShotStats()
     quiet = replace(noise, clutter_rate=0.0)
     flower = FlowerGT(id=0, pose=Pose(np.zeros(3), np.eye(3)))

@@ -1,7 +1,7 @@
 """Rotation-manifold geometry: nearest-rotation projection, shortest-arc and
 axis-angle rotations, facing-axis distance for radially symmetric targets, the
-JSON form of rotations, and the broadcast distance prefilter that association
-and scene generation share.
+JSON form of rotations, and the within-radius pair query that association,
+spawn suppression and scene generation share.
 
 The helpers `cross3`, `vnorm`, `det3` and the identity `I3` return the same
 bits as `np.cross`, `np.linalg.norm`, `np.linalg.det` and `np.eye(3)` without
@@ -218,20 +218,16 @@ def random_rotations(rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 def candidate_pairs(a, b, radius: float) -> tuple[list[int], list[int]]:
-    """Prefilter for "distance within radius" tests between two sequences of
-    3-D points.
+    """Prefilter of `pairs_within`: a superset of its pairs, as index lists.
 
     Returns the index pairs (i, j) of points a[i], b[j] whose squared distance,
     computed in one broadcast, is within radius * (1 + 1e-9); pairs with a
     NaN distance stay too. The broadcast sum can differ from a per-pair
-    np.linalg.norm in the last bit, so callers recompute each candidate's
-    distance exactly and apply their own <= or < test; the slack only makes
-    sure that no pair dropped here could have passed that test.
+    np.linalg.norm in the last bit; the slack only makes sure that no pair
+    dropped here could pass the exact test.
 
     With at most ALL_PAIRS_MAX pairs in all, every pair is returned without
-    the broadcast. That is exact for the same reason: a caller's own test
-    drops each extra pair just as the prefilter would have. Pairs come in
-    row-major order either way.
+    the broadcast. Pairs come in row-major order either way.
     """
     na, nb = len(a), len(b)
     if na * nb <= ALL_PAIRS_MAX:
@@ -244,6 +240,19 @@ def candidate_pairs(a, b, radius: float) -> tuple[list[int], list[int]]:
     # limit * |limit| is negative for a negative radius, which no distance is within.
     ia, ib = np.nonzero(~(sq.sum(axis=2) > limit * abs(limit)))
     return ia.tolist(), ib.tolist()
+
+
+def pairs_within(a, b, radius: float) -> list[tuple[int, int, float]]:
+    """The pairs of 3-D points a[i], b[j] (float64 arrays) with
+    vnorm(b[j] - a[i]) <= radius, as (i, j, that distance) in row-major order.
+
+    The distance has the bits of np.linalg.norm(b[j] - a[i]), so a caller
+    that sorts or compares these distances sees what a per-pair loop would.
+    A pair with a NaN distance is not within any radius. `candidate_pairs`
+    drops the pairs that are certainly out of range first.
+    """
+    ia, ib = candidate_pairs(a, b, radius)
+    return [(i, j, d) for i, j in zip(ia, ib) if (d := vnorm(b[j] - a[i])) <= radius]
 
 
 def rotation_to_list(r: np.ndarray) -> list[float]:

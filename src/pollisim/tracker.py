@@ -17,7 +17,7 @@ import numpy as np
 
 from .configfields import check_fields, fields_to_json
 from .simworld import Measurement, NoiseModel
-from .so3 import I3, candidate_pairs, svd_project, vnorm
+from .so3 import I3, pairs_within, svd_project
 
 # for_noise expresses the pixel sigma in meters at a reference range (m),
 # through the default camera's focal length (pixels).
@@ -99,10 +99,9 @@ class Track:
     SO(3) after every update, so it always satisfies rotation invariants.
     last_meas is the most recent fused raw measurement (used by visual
     servoing, which deliberately bypasses the filtered estimate); its tick is
-    the track's last hit.
+    the track's last hit. A track's id is its key in `GlobalState.tracks`.
     """
 
-    id: int
     pos_mean: np.ndarray
     pos_cov: np.ndarray
     rot_mean: np.ndarray
@@ -114,10 +113,14 @@ class Track:
 
 @dataclass(eq=False)
 class GlobalState:
-    """All tracks plus id allocation and the current tick. Ids are never
-    reused, so an id names one track for the whole run."""
+    """All tracks, keyed by id, plus id allocation and the current tick.
 
-    tracks: list[Track] = field(default_factory=list)
+    Ids are never reused, so an id names one track for the whole run. Ids
+    are allocated in increasing order and a track is inserted when it
+    spawns, so `tracks` iterates in increasing id order.
+    """
+
+    tracks: dict[int, Track] = field(default_factory=dict)
     next_id: int = 0
     tick: int = 0
 
@@ -143,21 +146,11 @@ def greedy_pairs(
     (inclusive) among pairs whose keys are both still free. Ties break on
     the lower key of `a`, then the lower key of `b`. Returns (key_a, key_b).
 
-    One broadcast over all pairs (`so3.candidate_pairs`) drops the pairs
-    that are certainly out of range; each remaining pair's distance is then
-    recomputed exactly as vnorm(pb - pa), the bits of np.linalg.norm, and
-    gated with `<=`, so the distances, and hence the commit order, are those
-    of a per-pair loop. At most `so3.ALL_PAIRS_MAX` pairs skip the broadcast
-    and are all recomputed; the `<=` gate drops the same pairs either way.
+    The distances are `so3.pairs_within`'s, the bits of np.linalg.norm, so
+    the commit order is that of a per-pair loop.
     """
-    ia, ib = candidate_pairs([p for _, p in a], [p for _, p in b], threshold)
-    candidates: list[tuple[float, int, int]] = []
-    for i, j in zip(ia, ib):
-        ka, pa = a[i]
-        kb, pb = b[j]
-        d = vnorm(pb - pa)
-        if d <= threshold:
-            candidates.append((d, ka, kb))
+    within = pairs_within([p for _, p in a], [p for _, p in b], threshold)
+    candidates = [(d, a[i][0], b[j][0]) for i, j, d in within]
     candidates.sort()
     used_a: set[int] = set()
     used_b: set[int] = set()
@@ -181,8 +174,8 @@ def associate(ms: list[Measurement], gs: GlobalState, threshold: float) -> Assig
     """
     if threshold <= 0:
         raise ValueError("threshold must be > 0")
-    tracks = [(t.id, t.pos_mean) for t in gs.tracks]
-    pairs = greedy_pairs(tracks, list(enumerate(m.position_world for m in ms)), threshold)
+    tracks = [(tid, t.pos_mean) for tid, t in gs.tracks.items()]
+    pairs = greedy_pairs(tracks, [(mi, m.position_world) for mi, m in enumerate(ms)], threshold)
     used_m = {mi for _, mi in pairs}
     spawns = [mi for mi in range(len(ms)) if mi not in used_m]
     return Assignment(pairs=[(mi, tid) for tid, mi in pairs], spawns=spawns)
@@ -228,25 +221,17 @@ def is_confident(t: Track, params: TrackerParams) -> bool:
     return float(np.trace(t.pos_cov)) < params.confident_trace and t.hits >= params.confident_hits
 
 
-def get_track(gs: GlobalState, track_id: int) -> Track | None:
-    for t in gs.tracks:
-        if t.id == track_id:
-            return t
-    return None
-
-
 def remove_track(gs: GlobalState, track_id: int) -> None:
     """Drop a track outright (used when direct observation refutes it).
 
     A real flower re-seeds a fresh track within a few ticks; a clutter-born
     phantom stays gone instead of being re-targeted forever.
     """
-    gs.tracks = [t for t in gs.tracks if t.id != track_id]
+    gs.tracks.pop(track_id, None)
 
 
-def _spawn(gs: GlobalState, m: Measurement, params: TrackerParams) -> Track:
-    t = Track(
-        id=gs.next_id,
+def _spawn(m: Measurement, params: TrackerParams) -> Track:
+    return Track(
         pos_mean=np.asarray(m.position_world, dtype=float).copy(),
         pos_cov=params.init_pos_cov * I3,
         rot_mean=np.asarray(m.rotation, dtype=float).copy(),
@@ -254,8 +239,6 @@ def _spawn(gs: GlobalState, m: Measurement, params: TrackerParams) -> Track:
         hits=1,
         last_meas=m,
     )
-    gs.next_id += 1
-    return t
 
 
 def ingest(gs: GlobalState, ms: list[Measurement], params: TrackerParams) -> GlobalState:
@@ -267,8 +250,8 @@ def ingest(gs: GlobalState, ms: list[Measurement], params: TrackerParams) -> Glo
     returns gs.
 
     An unassigned measurement spawns only if no track (as updated by this
-    batch, spawns excluded) lies within the association gate. That test uses
-    the same broadcast prefilter and exact per-pair recheck as association.
+    batch, spawns excluded) lies within the association gate, by the same
+    `so3.pairs_within` distances as association. A spawn takes the next id.
     """
     if not ms:
         return gs
@@ -276,41 +259,40 @@ def ingest(gs: GlobalState, ms: list[Measurement], params: TrackerParams) -> Glo
     if any(m.tick != batch_tick for m in ms):
         raise ValueError("measurement batch must come from a single tick")
     dt = max(0, batch_tick - gs.tick)
-    for t in gs.tracks:
+    for t in gs.tracks.values():
         predict(t, dt, params.q_pos, params.q_rot)
     gs.tick = max(gs.tick, batch_tick)
 
     asg = associate(ms, gs, params.assoc_threshold)
-    by_id = {t.id: t for t in gs.tracks}
     lo, hi = params.reliable_range
     for mi, tid in asg.pairs:
         m = ms[mi]
         r_pos = params.r_pos_near if lo <= m.pixel.ray_depth <= hi else params.r_pos_far
-        t = by_id[tid]
+        t = gs.tracks[tid]
         update_position(t, m.position_world, r_pos)
         update_rotation(t, m.rotation, params.r_rot)
         t.hits += 1
         t.last_meas = m
     spawn_ms = [ms[mi] for mi in asg.spawns]
     suppressed: set[int] = set()
-    if spawn_ms and gs.tracks:
+    if spawn_ms and asg.pairs:
         # Duplicate suppression: an unassigned measurement still inside the
         # association gate of some (already taken) track must not seed a
         # twin next to it. Measurements farther than the threshold from
-        # every track always spawn.
-        means = [t.pos_mean for t in gs.tracks]
+        # every track always spawn. Without a pair, association found no
+        # track within the gate and no track has moved since, so there is
+        # nothing to suppress.
+        means = [t.pos_mean for t in gs.tracks.values()]
         positions = [m.position_world for m in spawn_ms]
-        ti, si = candidate_pairs(means, positions, params.assoc_threshold)
-        suppressed = {
-            j for i, j in zip(ti, si)
-            if vnorm(positions[j] - means[i]) <= params.assoc_threshold
-        }
+        suppressed = {j for _, j, _ in pairs_within(means, positions, params.assoc_threshold)}
     for j, m in enumerate(spawn_ms):
         if j not in suppressed:
-            gs.tracks.append(_spawn(gs, m, params))
+            gs.tracks[gs.next_id] = _spawn(m, params)
+            gs.next_id += 1
 
-    gs.tracks = [
-        t for t in gs.tracks
-        if gs.tick - t.last_meas.tick <= params.stale_ticks or t.hits >= params.stale_min_hits
-    ]
+    for tid in [
+        tid for tid, t in gs.tracks.items()
+        if gs.tick - t.last_meas.tick > params.stale_ticks and t.hits < params.stale_min_hits
+    ]:
+        del gs.tracks[tid]
     return gs

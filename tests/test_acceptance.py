@@ -167,13 +167,13 @@ def test_a6_association_oracle():
         m_pos = rng.integers(0, 11, size=(nm, 3)) * 0.01
         t_pos = rng.integers(0, 11, size=(nt, 3)) * 0.01
         gs = GlobalState(
-            tracks=[
-                Track(
-                    id=j, pos_mean=t_pos[j], pos_cov=np.eye(3) * 1e-4,
+            tracks={
+                j: Track(
+                    pos_mean=t_pos[j], pos_cov=np.eye(3) * 1e-4,
                     rot_mean=np.eye(3), rot_cov=0.1, hits=1,
                 )
                 for j in range(nt)
-            ],
+            },
             next_id=nt,
         )
         ms = [make_measurement(p) for p in m_pos]

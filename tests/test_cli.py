@@ -183,6 +183,7 @@ def test_eval_refuses_a_damaged_cell_naming_file_and_row(tmp_path, capsys, name,
     ("n_ticks", None), ("n_ticks", 3.7), ("seed", [1]), ("workspace_center", [0.0, 0.0]),
     ("workspace_radius", "0.5"), ("workspace_radius", 0.0), ("workspace_radius", float("nan")),
     ("workspace_center", [True, "0", 0]), ("workspace_center", [0.0, 0.0, float("inf")]), ("config_digest", 12),
+    ("seed", -4), ("n_ticks", 0),
 ])
 def test_eval_refuses_a_missing_or_malformed_meta_key(tmp_path, capsys, key, value):
     out_dir = _simulated_run(tmp_path)

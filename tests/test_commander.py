@@ -29,9 +29,8 @@ CFG = CommanderConfig()
 TP = TrackerParams()
 
 
-def _confident_track(tid=0, pos=(0.1, 0.0, 0.2), rot=None, tick=0, with_meas=True):
+def _confident_track(pos=(0.1, 0.0, 0.2), rot=None, tick=0, with_meas=True):
     t = Track(
-        id=tid,
         pos_mean=np.asarray(pos, float),
         pos_cov=1e-5 * np.eye(3),
         rot_mean=np.eye(3) if rot is None else rot,
@@ -60,8 +59,8 @@ def test_searching_without_targets_explores():
 def test_searching_transitions_to_rough_localization():
     rng = np.random.default_rng(1)
     zf = rot_x(np.radians(25.0))
-    track = _confident_track(tid=3, rot=zf)
-    gs = GlobalState(tracks=[track], next_id=4)
+    track = _confident_track(rot=zf)
+    gs = GlobalState(tracks={3: track}, next_id=4)
     cmd, mode = step(Searching(), gs, _arm(), CFG, TP, rng, set())
     assert isinstance(cmd, MoveTo)
     assert mode == RoughLocalization(3, 0)
@@ -82,8 +81,8 @@ def test_standoff_pose_hand_case():
 
 def test_rough_localization_approaches_then_servos():
     rng = np.random.default_rng(2)
-    track = _confident_track(tid=1)
-    gs = GlobalState(tracks=[track], next_id=2)
+    track = _confident_track()
+    gs = GlobalState(tracks={1: track}, next_id=2)
     far_arm = _arm(tip=(0.4, 0.2, 0.4))
     cmd, mode = step(RoughLocalization(1, 7), gs, far_arm, CFG, TP, rng, set())
     assert isinstance(cmd, MoveTo)
@@ -104,18 +103,18 @@ def test_target_lost_returns_to_searching():
 
 def test_servo_stale_measurement_refutes_track():
     rng = np.random.default_rng(4)
-    track = _confident_track(tid=2, tick=0)
-    gs = GlobalState(tracks=[track], next_id=3, tick=100)  # long since last seen
+    track = _confident_track(tick=0)
+    gs = GlobalState(tracks={2: track}, next_id=3, tick=100)  # long since last seen
     cmd, mode = step(VisualServo(2, 5), gs, _arm(), CFG, TP, rng, set())
     assert mode == Searching(5)
-    assert gs.tracks == []  # refuted, not merely released
+    assert gs.tracks == {}  # refuted, not merely released
 
 
 def test_servo_aligned_triggers_and_marks():
     rng = np.random.default_rng(5)
     zf = np.eye(3)
-    track = _confident_track(tid=8, pos=(0.1, 0.0, 0.2), rot=zf, tick=0)
-    gs = GlobalState(tracks=[track], next_id=9, tick=1)
+    track = _confident_track(pos=(0.1, 0.0, 0.2), rot=zf, tick=0)
+    gs = GlobalState(tracks={8: track}, next_id=9, tick=1)
     tip = Pose(track.pos_mean.copy(), rot_x(np.pi))  # tip -z == flower +z
     cmd, mode = step(VisualServo(8, 4), gs, ArmState(tip_pose=tip), CFG, TP, rng, set())
     assert cmd == TriggerPollinate(8)
@@ -125,8 +124,8 @@ def test_servo_aligned_triggers_and_marks():
 
 def test_servo_misaligned_issues_clamped_delta():
     rng = np.random.default_rng(6)
-    track = _confident_track(tid=1, pos=(0.1, 0.0, 0.2))
-    gs = GlobalState(tracks=[track], next_id=2, tick=0)
+    track = _confident_track(pos=(0.1, 0.0, 0.2))
+    gs = GlobalState(tracks={1: track}, next_id=2, tick=0)
     arm = _arm(tip=(0.4, 0.0, 0.2))
     cmd, mode = step(VisualServo(1, 2), gs, arm, CFG, TP, rng, set())
     assert isinstance(cmd, MoveDelta)
@@ -144,8 +143,8 @@ def test_done_when_search_budget_exhausted():
 
 def test_claimed_track_not_targeted_by_other_arm():
     rng = np.random.default_rng(8)
-    track = _confident_track(tid=0)
-    gs = GlobalState(tracks=[track], next_id=1)
+    track = _confident_track()
+    gs = GlobalState(tracks={0: track}, next_id=1)
     # arm 1 approaches track 0, so arm 0 finds it taken
     cmd, mode = step(Searching(), gs, _arm(), CFG, TP, rng, taken={0})
     assert isinstance(cmd, Explore)
@@ -160,7 +159,7 @@ def test_not_done_while_another_arm_approaches_the_last_target():
     # The search budget is spent and the only confident track is taken: the
     # arm keeps exploring, because that approach may still lose its target.
     rng = np.random.default_rng(9)
-    gs = GlobalState(tracks=[_confident_track(tid=0)], next_id=1)
+    gs = GlobalState(tracks={0: _confident_track()}, next_id=1)
     cmd, mode = step(Searching(CFG.search_patience), gs, _arm(), CFG, TP, rng, taken={0})
     assert isinstance(cmd, Explore)
     assert mode == Searching(CFG.search_patience + 1)

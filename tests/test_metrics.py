@@ -111,8 +111,8 @@ def test_pollination_rates_validation():
 
 
 def _track_at(tid, pos, rot=None, hits=5):
-    return Track(
-        id=tid,
+    """A track table entry: (id, track)."""
+    return tid, Track(
         pos_mean=np.asarray(pos, float),
         pos_cov=1e-5 * np.eye(3),
         rot_mean=np.eye(3) if rot is None else rot,
@@ -127,20 +127,20 @@ def _flower_at(fid, pos, rot=None):
 
 def test_match_tracks_to_flowers_greedy():
     flowers = [_flower_at(0, [0, 0, 0]), _flower_at(1, [0.2, 0, 0])]
-    tracks = [_track_at(10, [0.01, 0, 0]), _track_at(11, [0.21, 0, 0]), _track_at(12, [5, 5, 5])]
+    tracks = dict([_track_at(10, [0.01, 0, 0]), _track_at(11, [0.21, 0, 0]), _track_at(12, [5, 5, 5])])
     m = match_tracks_to_flowers(tracks, flowers)
     assert m == {0: 10, 1: 11}
     # Equal distances commit the lower flower id first, then the lower track id.
     one_track = match_tracks_to_flowers(
-        [_track_at(5, [0, 0, 0])], [_flower_at(1, [0.02, 0, 0]), _flower_at(0, [-0.02, 0, 0])]
+        dict([_track_at(5, [0, 0, 0])]), [_flower_at(1, [0.02, 0, 0]), _flower_at(0, [-0.02, 0, 0])]
     )
     assert one_track == {0: 5}
     one_flower = match_tracks_to_flowers(
-        [_track_at(7, [0.02, 0, 0]), _track_at(3, [-0.02, 0, 0])], [_flower_at(0, [0, 0, 0])]
+        dict([_track_at(7, [0.02, 0, 0]), _track_at(3, [-0.02, 0, 0])]), [_flower_at(0, [0, 0, 0])]
     )
     assert one_flower == {0: 3}
     all_tied = match_tracks_to_flowers(
-        [_track_at(7, [0, 0, 0]), _track_at(3, [0, 0, 0])],
+        dict([_track_at(7, [0, 0, 0]), _track_at(3, [0, 0, 0])]),
         [_flower_at(1, [0.02, 0, 0]), _flower_at(0, [-0.02, 0, 0])],
     )
     assert list(all_tied.items()) == [(0, 3), (1, 7)]
@@ -151,7 +151,7 @@ def test_aggregate_simple_run():
     tracks = [_track_at(3, [0.004, 0, 0])]
     logs = RunLogs(
         scene=flowers,
-        final_tracks=tracks,
+        final_tracks=dict(tracks),
         n_ticks=10,
         shots=SingleShotStats(opportunities=10, px_errors=[5.0] * 9),
         attempts=[AttemptRecord(5, 0, 3, 0, True)],
@@ -170,7 +170,7 @@ def test_aggregate_simple_run():
 def test_aggregate_unmatched_flower_counts_against_success():
     flowers = [_flower_at(0, [0, 0, 0]), _flower_at(1, [1, 1, 1])]
     tracks = [_track_at(3, [0.004, 0, 0])]
-    logs = RunLogs(scene=flowers, final_tracks=tracks, n_ticks=5, reachable_ids=[0, 1])
+    logs = RunLogs(scene=flowers, final_tracks=dict(tracks), n_ticks=5, reachable_ids=[0, 1])
     rep = aggregate(logs)
     assert rep.pose_success_rate == 0.5
     assert rep.n_matched == 1
@@ -182,7 +182,7 @@ def test_aggregate_mean_over_successes_only_option():
     flowers = [_flower_at(0, [0, 0, 0]), _flower_at(1, [0.2, 0, 0])]
     # second track matched in position but fails the 60 degree gate
     tracks = [_track_at(3, [0.004, 0, 0]), _track_at(4, [0.22, 0, 0], rot=rot_x(np.radians(170)))]
-    logs = RunLogs(scene=flowers, final_tracks=tracks, n_ticks=5, reachable_ids=[0, 1])
+    logs = RunLogs(scene=flowers, final_tracks=dict(tracks), n_ticks=5, reachable_ids=[0, 1])
     rep = aggregate(logs)
     assert rep.n_matched == 2
     assert rep.pose_success_rate == 0.5
@@ -192,9 +192,9 @@ def test_aggregate_mean_over_successes_only_option():
 
 def test_aggregate_empty_run_errors():
     with pytest.raises(EmptyRun):
-        aggregate(RunLogs(scene=[], final_tracks=[], n_ticks=5))
+        aggregate(RunLogs(scene=[], final_tracks={}, n_ticks=5))
     with pytest.raises(EmptyRun):
-        aggregate(RunLogs(scene=[_flower_at(0, [0, 0, 0])], final_tracks=[], n_ticks=0))
+        aggregate(RunLogs(scene=[_flower_at(0, [0, 0, 0])], final_tracks={}, n_ticks=0))
 
 
 def test_aggregate_permutation_invariant():
@@ -202,10 +202,10 @@ def test_aggregate_permutation_invariant():
     flowers = [_flower_at(i, rng.uniform(0, 0.3, 3)) for i in range(5)]
     tracks = [_track_at(10 + i, f.pose.position + rng.normal(0, 0.002, 3)) for i, f in enumerate(flowers)]
     attempts = [AttemptRecord(t, 0, 10 + i, i, i % 2 == 0) for i, t in enumerate(range(5))]
-    logs_a = RunLogs(scene=list(flowers), final_tracks=list(tracks), n_ticks=9,
+    logs_a = RunLogs(scene=list(flowers), final_tracks=dict(tracks), n_ticks=9,
                      shots=SingleShotStats(opportunities=4, px_errors=[1.0, 2.0, 3.0, 4.0]),
                      attempts=list(attempts), reachable_ids=[0, 1, 2, 3, 4])
-    logs_b = RunLogs(scene=flowers[::-1], final_tracks=tracks[::-1], n_ticks=9,
+    logs_b = RunLogs(scene=flowers[::-1], final_tracks=dict(tracks[::-1]), n_ticks=9,
                      shots=SingleShotStats(opportunities=4, px_errors=[4.0, 3.0, 2.0, 1.0]),
                      attempts=attempts[::-1], reachable_ids=[4, 3, 2, 1, 0])
     assert aggregate(logs_a).to_json() == aggregate(logs_b).to_json()
@@ -214,7 +214,7 @@ def test_aggregate_permutation_invariant():
 def test_report_formatting():
     flowers = [_flower_at(0, [0, 0, 0])]
     tracks = [_track_at(3, [0.004, 0, 0])]
-    logs = RunLogs(scene=flowers, final_tracks=tracks, n_ticks=10,
+    logs = RunLogs(scene=flowers, final_tracks=dict(tracks), n_ticks=10,
                    shots=SingleShotStats(opportunities=10, px_errors=[5.0] * 9),
                    attempts=[AttemptRecord(5, 0, 3, 0, True)], reachable_ids=[0],
                    seed=1, config_digest="d")

@@ -79,6 +79,10 @@ def _run_digests(cfg, out_dir) -> dict[str, str]:
 
 def test_run_directory_bytes_are_pinned(tmp_path):
     assert _run_digests(PINNED_RUN, tmp_path) == PINNED_RUN_SHA256
+    # the track table iterates in increasing id order, and tracks.csv with it
+    with open(tmp_path / "tracks.csv", encoding="utf-8") as fh:
+        ids = [int(row["track_id"]) for row in csv.DictReader(fh)]
+    assert len(ids) > 1 and all(a < b for a, b in zip(ids, ids[1:]))
 
 
 def test_three_arm_run_is_pinned_and_targets_are_exclusive(tmp_path):
@@ -178,7 +182,7 @@ def test_settled_detect_evaluations_give_the_full_search(monkeypatch, seed):
             full = _calibration_record(monkeypatch, targets, seed, cached=True)
         assert settled[1] == full[1]
         assert len(settled[0]) == len(full[0])
-        tol = 0.4 * 0.05 * targets["det_rate"]
+        tol = runner.CAL_INNER_TOL * targets["det_rate"]
         for got, want in zip(settled[0], full[0]):
             if repr(got) != repr(want):
                 stopped += 1
@@ -189,8 +193,8 @@ def test_settled_detect_evaluations_give_the_full_search(monkeypatch, seed):
 
 
 @pytest.mark.parametrize("target, tol", [
-    (0.0, 0.0), (0.5, 0.25), (0.5, 0.01), (0.9301, 0.4 * 0.05 * 0.9301), (0.97, 0.05 * 0.97),
-    (0.999, 0.4 * 0.05 * 0.999), (1.0, 0.0), (1.0, 0.02),
+    (0.0, 0.0), (0.5, 0.25), (0.5, 0.01), (0.9301, runner.CAL_INNER_TOL * 0.9301), (0.97, 0.05 * 0.97),
+    (0.999, runner.CAL_INNER_TOL * 0.999), (1.0, 0.0), (1.0, 0.02),
 ])
 def test_a_settled_tally_has_one_verdict_for_every_completion(target, tol):
     # Enumerate every small tally (within <= opportunities, left samples to
@@ -255,7 +259,8 @@ def _bad_rotation_ingest(monkeypatch, views):
         state["gs"] = real_ingest(gs if state["gs"] is None else state["gs"], ms, tparams)
         tracks = state["gs"].tracks
         if state["view"] in views and tracks:
-            return replace(state["gs"], tracks=[replace(tracks[0], rot_mean=bad), *tracks[1:]])
+            first = next(iter(tracks))
+            return replace(state["gs"], tracks={**tracks, first: replace(tracks[first], rot_mean=bad)})
         return state["gs"]
 
     monkeypatch.setattr(runner, "ingest", ingest)
@@ -317,6 +322,6 @@ def test_rotation_audit_sees_a_mean_written_in_place():
     assert runner._failed_rotation_audit(gs.tracks, verdicts) == []
     t = gs.tracks[1]
     t.rot_mean[0, 0] = 2.0  # the same array, no longer a rotation
-    assert runner._failed_rotation_audit(gs.tracks, verdicts) == [t.id]
+    assert runner._failed_rotation_audit(gs.tracks, verdicts) == [1]
     t.rot_mean[0, 0] = 1.0  # written back: the verdict follows the value
     assert runner._failed_rotation_audit(gs.tracks, verdicts) == []

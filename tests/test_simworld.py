@@ -391,16 +391,26 @@ def test_sample_cache_gives_the_uncached_stats_across_seeds(monkeypatch):
     # A model with flips draws extra numbers after a detection: the cache refuses it.
     with pytest.raises(ValueError, match="flip"):
         single_shot_stats(NoiseModel(flip_prob=0.5), K, n, np.random.default_rng([4, 7]), cache)
-    # More samples than the held call's draw them all, and a negative count
-    # draws none, as the uncached call does.
-    for samples in (n + 1, -1):
-        want, want_state = _uncached(monkeypatch, model, samples, 4)
-        got_rng = np.random.default_rng([4, 7])
-        before = calls["sample_viewpoint"]
-        got = single_shot_stats(model, K, samples, got_rng, cache)
-        assert calls["sample_viewpoint"] - before == max(samples, 0)
-        assert _stats_bits(got) == _stats_bits(want)
-        assert got_rng.bit_generator.state == want_state
+    # More samples than the held call's draw them all, as the uncached call does.
+    want, want_state = _uncached(monkeypatch, model, n + 1, 4)
+    got_rng = np.random.default_rng([4, 7])
+    before = calls["sample_viewpoint"]
+    got = single_shot_stats(model, K, n + 1, got_rng, cache)
+    assert calls["sample_viewpoint"] - before == n + 1
+    assert _stats_bits(got) == _stats_bits(want)
+    assert got_rng.bit_generator.state == want_state
+
+
+@pytest.mark.parametrize("samples", [0, -3])
+@pytest.mark.parametrize("cached", [False, True])
+def test_single_shot_stats_refuses_a_sample_count_below_one(samples, cached):
+    cache = SampleCache() if cached else None
+    rng = np.random.default_rng(4)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="n_samples"):
+        single_shot_stats(NoiseModel(), K, samples, rng, cache)
+    assert rng.bit_generator.state == state  # nothing drawn
+    assert cache is None or cache.key is None  # nothing held
 
 
 @pytest.mark.parametrize("stop_at", [0, 1, 50, 119])

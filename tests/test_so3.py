@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from pollisim import runner, simworld, tracker
+from pollisim import runner, so3, tracker
 from pollisim.camera import Intrinsics
 from pollisim.simworld import NoiseModel, SceneGenParams, generate_scene
 from pollisim.so3 import (
@@ -21,6 +21,7 @@ from pollisim.so3 import (
     flatten,
     from_axis_angle,
     is_rotation,
+    pairs_within,
     random_rotation,
     random_rotations,
     rot_x,
@@ -470,6 +471,10 @@ def test_candidate_pairs_keeps_every_pair_within_the_radius():
                 assert len(got) == na * nb
             else:
                 assert (ia, ib) == _reference_candidate_pairs(a, b, radius)
+            # the exact query: the brute-force pairs and distances, bit for bit
+            assert pairs_within(a, b, radius) == [
+                (i, j, d) for i in range(na) for j in range(nb) if (d := vnorm(b[j] - a[i])) <= radius
+            ]
 
 
 def test_small_inputs_leave_association_and_scenes_unchanged(monkeypatch):
@@ -494,10 +499,8 @@ def test_small_inputs_leave_association_and_scenes_unchanged(monkeypatch):
         small_pairs.append(len(a) * len(b) <= ALL_PAIRS_MAX)
         return real(a, b, radius)
 
-    for module in (tracker, simworld):
-        monkeypatch.setattr(module, "candidate_pairs", counted)
+    monkeypatch.setattr(so3, "candidate_pairs", counted)
     got = outputs()
     assert 0 < sum(small_pairs) < len(small_pairs)
-    for module in (tracker, simworld):
-        monkeypatch.setattr(module, "candidate_pairs", _reference_candidate_pairs)
+    monkeypatch.setattr(so3, "candidate_pairs", _reference_candidate_pairs)
     assert got == outputs()

@@ -13,7 +13,6 @@ from pollisim.tracker import (
     Track,
     TrackerParams,
     associate,
-    get_track,
     greedy_pairs,
     ingest,
     is_confident,
@@ -24,9 +23,8 @@ from pollisim.tracker import (
 )
 
 
-def _track(tid=0, pos=(0, 0, 0), pos_cov=1e-4, rot=None, rot_cov=0.1, hits=1):
+def _track(pos=(0, 0, 0), pos_cov=1e-4, rot=None, rot_cov=0.1, hits=1):
     return Track(
-        id=tid,
         pos_mean=np.asarray(pos, float),
         pos_cov=pos_cov * np.eye(3),
         rot_mean=np.eye(3) if rot is None else rot,
@@ -35,8 +33,8 @@ def _track(tid=0, pos=(0, 0, 0), pos_cov=1e-4, rot=None, rot_cov=0.1, hits=1):
     )
 
 
-def _state(tracks):
-    return GlobalState(tracks=tracks, next_id=max((t.id for t in tracks), default=-1) + 1)
+def _state(tracks: dict[int, Track]) -> GlobalState:
+    return GlobalState(tracks=tracks, next_id=max(tracks, default=-1) + 1)
 
 
 def test_associate_all_spawn_when_no_tracks():
@@ -47,14 +45,14 @@ def test_associate_all_spawn_when_no_tracks():
 
 
 def test_associate_simple_match():
-    gs = _state([_track(tid=5, pos=(0, 0, 0))])
+    gs = _state({5: _track(pos=(0, 0, 0))})
     asg = associate([make_measurement([0.02, 0, 0])], gs, 0.05)
     assert asg.pairs == [(0, 5)]
     assert asg.spawns == []
 
 
 def test_associate_closest_wins():
-    gs = _state([_track(tid=0, pos=(0, 0, 0))])
+    gs = _state({0: _track(pos=(0, 0, 0))})
     ms = [make_measurement([0.01, 0, 0]), make_measurement([0.02, 0, 0])]
     asg = associate(ms, gs, 0.05)
     assert asg.pairs == [(0, 0)]
@@ -74,7 +72,7 @@ def test_associate_matches_brute_force_on_small_instances():
         nm, nt = int(rng.integers(0, 5)), int(rng.integers(0, 5))
         m_pos = rng.integers(0, 11, size=(nm, 3)) * 0.01
         t_pos = rng.integers(0, 11, size=(nt, 3)) * 0.01
-        gs = _state([_track(tid=j, pos=t_pos[j]) for j in range(nt)])
+        gs = _state({j: _track(pos=t_pos[j]) for j in range(nt)})
         ms = [make_measurement(p) for p in m_pos]
         asg = associate(ms, gs, 0.05)
         greedy_cost = sum(
@@ -92,7 +90,7 @@ def test_associate_permutation_stable():
     rng = np.random.default_rng(1)
     t_pos = rng.uniform(0, 0.1, size=(4, 3))
     m_pos = rng.uniform(0, 0.1, size=(4, 3))
-    gs = _state([_track(tid=j, pos=t_pos[j]) for j in range(4)])
+    gs = _state({j: _track(pos=t_pos[j]) for j in range(4)})
     ms = [make_measurement(p) for p in m_pos]
     base = associate(ms, gs, 0.05)
     base_set = {(tuple(np.round(m_pos[mi], 9)), ti) for mi, ti in base.pairs}
@@ -104,7 +102,7 @@ def test_associate_permutation_stable():
 
 
 def test_associate_tie_breaks_deterministic():
-    gs = _state([_track(tid=0, pos=(0.02, 0, 0)), _track(tid=1, pos=(-0.02, 0, 0))])
+    gs = _state({0: _track(pos=(0.02, 0, 0)), 1: _track(pos=(-0.02, 0, 0))})
     asg = associate([make_measurement([0, 0, 0])], gs, 0.05)
     assert asg.pairs == [(0, 0)]  # equal distance, lower track id wins
 
@@ -174,7 +172,7 @@ def test_associate_pairs_invariant_under_measurement_permutation(t_pos, m_pos, d
     # only inputs without one are permutation-invariant
     dists = [float(np.linalg.norm(np.subtract(m, t))) for m in m_pos for t in t_pos]
     assume(len(set(dists)) == len(dists))
-    gs = _state([_track(tid=j, pos=p) for j, p in enumerate(t_pos)])
+    gs = _state({j: _track(pos=p) for j, p in enumerate(t_pos)})
     ms = [make_measurement(p) for p in m_pos]
     perm = data.draw(st.permutations(range(len(ms))))
     base = associate(ms, gs, 0.05)
@@ -353,7 +351,7 @@ def test_ingest_spawn_from_empty():
     gs = GlobalState()
     m = make_measurement([0.1, 0.2, 0.3], rotation=rot_x(0.5), tick=3)
     gs = ingest(gs, [m], TrackerParams())
-    assert len(gs.tracks) == 1
+    assert list(gs.tracks) == [0] and gs.next_id == 1  # ingest allocates the id
     t = gs.tracks[0]
     assert t.hits == 1 and t.last_meas.tick == 3 and gs.tick == 3
     assert_allclose(t.pos_mean, [0.1, 0.2, 0.3], atol=0)
@@ -366,7 +364,7 @@ def test_ingest_far_measurements_always_spawn():
     gs = ingest(GlobalState(), [make_measurement([0, 0, 0])], params)
     m_far = make_measurement([1.0, 1.0, 1.0], tick=1)
     gs = ingest(gs, [m_far], params)
-    assert len(gs.tracks) == 2
+    assert list(gs.tracks) == [0, 1]
     assert_allclose(gs.tracks[0].pos_mean, [0, 0, 0], atol=0)  # untouched
 
 
@@ -393,13 +391,13 @@ def test_ingest_twin_suppression_inside_gate():
 def test_ingest_no_spawn_exactly_at_gate():
     # the leftover measurement is exactly assoc_threshold from the taken
     # track: inside the inclusive gate, so it must not seed a twin
-    gs = _state([_track(tid=0, pos=(0, 0, 0))])
+    gs = _state({0: _track(pos=(0, 0, 0))})
     ms = [make_measurement([0, 0, 0], tick=1), make_measurement([0.05, 0, 0], tick=1)]
     assert float(np.linalg.norm(ms[1].position_world - gs.tracks[0].pos_mean)) == 0.05
     gs = ingest(gs, ms, TrackerParams(assoc_threshold=0.05))
     assert len(gs.tracks) == 1 and gs.tracks[0].hits == 2
     # one ulp tighter, the same leftover spawns
-    gs = _state([_track(tid=0, pos=(0, 0, 0))])
+    gs = _state({0: _track(pos=(0, 0, 0))})
     gs = ingest(gs, ms, TrackerParams(assoc_threshold=float(np.nextafter(0.05, 0.0))))
     assert len(gs.tracks) == 2
 
@@ -419,8 +417,8 @@ def test_ingest_deterministic():
     ms = [make_measurement(rng.uniform(0, 0.2, 3), rotation=random_rotation(rng), tick=0) for _ in range(6)]
     a = ingest(GlobalState(), list(ms), TrackerParams())
     b = ingest(GlobalState(), list(ms), TrackerParams())
-    assert [t.id for t in a.tracks] == [t.id for t in b.tracks]
-    for ta, tb in zip(a.tracks, b.tracks):
+    assert list(a.tracks) == list(b.tracks)
+    for ta, tb in zip(a.tracks.values(), b.tracks.values()):
         assert_allclose(ta.pos_mean, tb.pos_mean, atol=0)
         assert_allclose(ta.rot_mean, tb.rot_mean, atol=0)
 
@@ -458,8 +456,8 @@ def test_ingest_prunes_stale_low_support_tracks():
     gs = ingest(GlobalState(), [make_measurement([0, 0, 0], tick=0)], params)
     gs = ingest(gs, [make_measurement([1.0, 0, 0], tick=11)], params)
     # first track: 1 hit, unseen for 11 > 10 ticks -> pruned
-    assert [t.hits for t in gs.tracks] == [1]
-    assert_allclose(gs.tracks[0].pos_mean, [1.0, 0, 0], atol=0)
+    assert list(gs.tracks) == [1] and gs.tracks[1].hits == 1
+    assert_allclose(gs.tracks[1].pos_mean, [1.0, 0, 0], atol=0)
 
 
 def test_confidence_gate():
@@ -471,9 +469,11 @@ def test_confidence_gate():
 
 
 def test_remove_track():
-    gs = _state([_track(tid=4)])
+    gs = _state({3: _track(), 4: _track(), 5: _track()})
     remove_track(gs, 4)
-    assert gs.tracks == [] and get_track(gs, 4) is None
+    assert list(gs.tracks) == [3, 5]
+    remove_track(gs, 4)  # an id already gone is no error
+    assert list(gs.tracks) == [3, 5]
 
 
 def test_tracker_params_json_roundtrip():
@@ -500,7 +500,7 @@ def test_assignment_partition_property():
     rng = np.random.default_rng(7)
     for _ in range(50):
         nm, nt = int(rng.integers(0, 6)), int(rng.integers(0, 6))
-        gs = _state([_track(tid=j, pos=rng.uniform(0, 0.1, 3)) for j in range(nt)])
+        gs = _state({j: _track(pos=rng.uniform(0, 0.1, 3)) for j in range(nt)})
         ms = [make_measurement(rng.uniform(0, 0.1, 3)) for _ in range(nm)]
         asg: Assignment = associate(ms, gs, 0.05)
         seen = sorted([mi for mi, _ in asg.pairs] + asg.spawns)
