@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .configfields import check_fields, fields_to_json
-from .so3 import EX, EZ, Pose, aligning_rotation, cross3, require_rotation, vnorm
+from .so3 import EX, EZ, Pose, aligning_rotation, cross3, is_rotation, vnorm
 
 # A camera pose is a rigid pose of the camera in the world frame: columns of
 # rotation are the camera axes (x right, y down, z forward / viewing).
@@ -96,7 +96,7 @@ def look_at(position: np.ndarray, target: np.ndarray) -> CameraPose:
     Falls back to the world x-axis as the up reference when the viewing
     direction is within about 1e-6 rad of world z. Closer than that, `down`
     keeps too few correct digits after cancellation to give a `y` orthogonal
-    to `z` within require_rotation's 1e-8.
+    to `z` within the 1e-8 rotation check.
     """
     position = np.asarray(position, dtype=float)
     fwd = np.asarray(target, dtype=float) - position
@@ -112,7 +112,9 @@ def look_at(position: np.ndarray, target: np.ndarray) -> CameraPose:
     y = down / dn
     # columns x, y, z, in C order like np.column_stack
     axes = np.array([cross3(y, z), y, z]).T.copy()
-    return Pose(position, require_rotation(axes, tol=1e-8))
+    if not is_rotation(axes, 1e-8):
+        raise ValueError("matrix is not a rotation: R^T R != I or det != +1")
+    return Pose(position, axes)
 
 
 def aim_pose(position: np.ndarray, target: np.ndarray) -> Pose:

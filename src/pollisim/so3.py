@@ -3,10 +3,12 @@ axis-angle rotations, facing-axis distance for radially symmetric targets, the
 JSON form of rotations, and the within-radius pair query that association,
 spawn suppression and scene generation share.
 
-The helpers `cross3`, `vnorm`, `det3` and the identity `I3` return the same
-bits as `np.cross`, `np.linalg.norm`, `np.linalg.det` and `np.eye(3)` without
-their per-call overhead, which dominated the oracle, camera and filter
-geometry at the few points per call that they see.
+The helpers `cross3`, `vnorm`, `det3`, `inv3` and the identity `I3` return
+the same bits as `np.cross`, `np.linalg.norm`, `np.linalg.det`,
+`np.linalg.inv` and `np.eye(3)` without their per-call overhead, which
+dominated the oracle, camera and filter geometry at the few points per call
+that they see. `svd_project` calls the LAPACK SVD gufunc behind
+`np.linalg.svd` directly, for the same reason.
 
 Rotations are plain 3x3 float64 numpy arrays (row-major direction cosines),
 orthonormal with det = +1 within ORTHO_TOL. Angles are radians internally;
@@ -61,14 +63,31 @@ def det3(m: np.ndarray) -> np.floating:
     return _umath_linalg.det(m, signature="d->d")
 
 
+def _raise_svd_nonconvergence(err, flag):
+    raise np.linalg.LinAlgError("SVD did not converge")
+
+
+def _raise_singular(err, flag):
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
+def inv3(m: np.ndarray) -> np.ndarray:
+    """np.linalg.inv of a 3x3 float64 array: the LAPACK gufunc that it calls,
+    under the same error state, so the same bits and the same LinAlgError
+    ("Singular matrix") on singular or non-finite input."""
+    with np.errstate(call=_raise_singular, invalid="call", over="ignore", divide="ignore", under="ignore"):
+        return _umath_linalg.inv(m, signature="d->d")
+
+
 def is_rotation(m: np.ndarray, tol: float = ORTHO_TOL) -> bool:
     """True if m is orthonormal with det +1 within tol."""
     m = np.asarray(m, dtype=float)
     if m.shape != (3, 3):
         return False
-    # all(), not max(): a NaN entry must fail, and Python's max() can skip it
+    # all(), not max(): a NaN entry must fail, and Python's max() can skip it.
+    # float(tol): int.__ge__ of a float is NotImplemented, which is truthy.
     return (
-        all(abs(e) <= tol for row in (m.T @ m - I3).tolist() for e in row)
+        all(map(float(tol).__ge__, map(abs, (m.T @ m - I3).ravel().tolist())))
         and abs(det3(m) - 1.0) <= tol
     )
 
@@ -91,10 +110,17 @@ def svd_project(x: np.ndarray) -> np.ndarray:
 
     Returns R = U diag(1, 1, det(UV^T)) V^T for M = U S V^T, which maximizes
     trace(R^T M) over SO(3). Raises DegenerateInput when rank(M) < 2, where
-    the maximizer is not unique.
+    the maximizer is not unique, and ValueError on a non-finite entry, on
+    which LAPACK can return NaN singular values or never return.
+
+    The SVD is the gufunc np.linalg.svd runs for a float64 3x3, under the same
+    error state, so the same bits and the same LinAlgError.
     """
     m = np.asarray(x, dtype=float).reshape(3, 3)
-    u, s, vt = np.linalg.svd(m)
+    if not all(map(math.isfinite, m.ravel().tolist())):
+        raise ValueError("cannot project a matrix with a non-finite entry")
+    with np.errstate(call=_raise_svd_nonconvergence, invalid="call", over="ignore", divide="ignore", under="ignore"):
+        u, s, vt = _umath_linalg.svd_f(m, signature="d->ddd")
     if s[1] <= ORTHO_TOL:
         raise DegenerateInput("second singular value ~0: nearest rotation not unique")
     flip = I3.copy()

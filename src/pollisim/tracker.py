@@ -17,7 +17,7 @@ import numpy as np
 
 from .configfields import check_fields, fields_to_json
 from .simworld import Measurement, NoiseModel
-from .so3 import I3, pairs_within, svd_project
+from .so3 import I3, inv3, pairs_within, svd_project
 
 # for_noise expresses the pixel sigma in meters at a reference range (m),
 # through the default camera's focal length (pixels).
@@ -192,10 +192,10 @@ def predict(t: Track, ticks: int, q_pos: float, q_rot: float) -> None:
 
 def update_position(t: Track, z: np.ndarray, r_meas: float) -> None:
     """Linear Kalman update with identity observation model on position."""
-    if r_meas <= 0:
+    if not r_meas > 0:  # NaN too
         raise ValueError("r_meas must be > 0")
     p = t.pos_cov
-    kgain = p @ np.linalg.inv(p + r_meas * I3)
+    kgain = p @ inv3(p + r_meas * I3)
     t.pos_mean = t.pos_mean + kgain @ (np.asarray(z, dtype=float) - t.pos_mean)
     cov = (I3 - kgain) @ p
     t.pos_cov = 0.5 * (cov + cov.T)  # symmetrize against round-off
@@ -208,7 +208,7 @@ def update_rotation(t: Track, z: np.ndarray, r_meas: float) -> None:
     projected back to the nearest rotation so the track always stays on the
     manifold.
     """
-    if r_meas <= 0:
+    if not r_meas > 0:  # NaN too
         raise ValueError("r_meas must be > 0")
     kgain = t.rot_cov / (t.rot_cov + r_meas)
     s = t.rot_mean  # blended as 3x3: the same elementwise arithmetic as on the 9-vector

@@ -6,6 +6,7 @@ import dataclasses
 import itertools
 import json
 import math
+import os
 
 import numpy as np
 
@@ -13,6 +14,9 @@ from pollisim.camera import PixelObs
 from pollisim.configfields import fields_from_json
 from pollisim.simworld import Measurement
 from pollisim.so3 import axis_angle_of, from_axis_angle
+
+# The benchmark's recorded output digests, per workload and benchmark seed.
+BENCH_DIGESTS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench", "digests.json")
 
 
 def assert_json_form(obj) -> None:

@@ -2,6 +2,7 @@
 measured numbers (run with -s or read the captured output).
 """
 
+import hashlib
 import json
 import os
 import time
@@ -9,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from helpers import brute_force_assignment, make_measurement
+from helpers import BENCH_DIGESTS, brute_force_assignment, make_measurement
 from pollisim.camera import Intrinsics, PixelObs, look_at, project, to_world, uplift
 from pollisim.cli import main
 from pollisim.metrics import BinaryMask, dice
@@ -123,6 +124,22 @@ def test_a3_filter_convergence_targets(survey_results):
         f"filtered {100*mean_trans:.2f}cm<=1.0, {mean_rot:.2f}deg<=20.0, "
         f"success {100*success_rate:.2f}%>=72% ({elapsed:.0f}s < 120s)"
     )
+
+
+def test_survey_gives_its_recorded_benchmark_digest(survey_results):
+    # survey_results is the survey_1000 workload at benchmark seed 0 (seeds
+    # 0-999, stock noise, tracker and intrinsics, 20 views), so every byte of
+    # its trials must match the digest the benchmark recorded.
+    trials, _ = survey_results
+    with open(BENCH_DIGESTS, encoding="utf-8") as fh:
+        want = json.load(fh)["survey_1000"]["0"]
+    rows = [
+        [t.single_trans, t.single_rot, t.opportunities, t.detections_within_px,
+         t.final_trans, t.final_rot, t.rotation_violations]
+        for t in trials
+    ]
+    got = hashlib.sha256(json.dumps(rows, sort_keys=True, separators=(",", ":")).encode("utf-8")).hexdigest()
+    assert [got] == want
 
 
 def test_a4_filtered_beats_single_shot(survey_results):

@@ -1,8 +1,10 @@
 """The benchmark's tracer (perfbench/benchtrace.py) times each layer by
-patching names in the `pollisim.runner` and `pollisim.simworld` namespaces. A
-call that stops going through one of those names reads as zero calls there
-and fails nothing else, so this pins that a run, its eval, a survey, the
-single-shot statistics and a calibration still reach every one of them.
+patching names in the `pollisim.runner`, `pollisim.tracker` and
+`pollisim.simworld` namespaces. A call that stops going through one of those
+names reads as zero calls there and fails nothing else, so this pins that a
+run, its eval, a survey, the single-shot statistics and a calibration still
+reach every one of them, and that the survey alone reaches each filter step
+and the camera's look_at.
 """
 
 import os
@@ -28,6 +30,15 @@ ORACLE_POINTS = [
     "pollisim.simworld.project",
     "pollisim.simworld.observe_with_truth",
 ]
+# The filter and camera calls the survey reaches through tracker and simworld.
+SURVEY_POINTS = [
+    "pollisim.tracker.associate",
+    "pollisim.tracker.predict",
+    "pollisim.tracker.update_position",
+    "pollisim.tracker.update_rotation",
+    "pollisim.tracker.svd_project",
+    "pollisim.simworld.look_at",
+]
 CAL_TARGETS = {"trans_cm": 3.03, "rot_deg": 29.88, "det_rate": 0.9301}
 CAL_SAMPLES = 150
 
@@ -40,7 +51,9 @@ def test_runner_patch_points_fire(tmp_path):
     with tracer.installed():
         report = runner.simulate_run(cfg, out_dir=str(tmp_path / "run"))
         assert runner.evaluate_run_dir(str(tmp_path / "run")).to_json() == report.to_json()
+        fired_before = {p: tracer.fired[p] for p in SURVEY_POINTS}
         runner.survey_run(NoiseModel(), TrackerParams(), Intrinsics.default(), 5, 0)
+        survey_silent = [p for p in SURVEY_POINTS if tracer.fired[p] == fired_before[p]]
         runner.single_shot_stats(NoiseModel(), Intrinsics.default(), 20, np.random.default_rng(0))
         views_before = tracer.stats["simworld.sample_viewpoint"][0]
         evals_before = tracer.stats["simworld.single_shot_stats"][0]
@@ -49,6 +62,7 @@ def test_runner_patch_points_fire(tmp_path):
     points = {f"{mod}.{attr}" for mod, attr, _ in benchtrace.PATCHES if mod == "pollisim.runner"}
     silent = sorted(p for p in points | set(ORACLE_POINTS) if tracer.fired[p] == 0)
     assert silent == []
+    assert survey_silent == []
     assert tracer.fired["pollisim.runner.aggregate"] == 2
     # every viewpoint is built by one look_at call through simworld's own name
     assert views_before == 5 + 20

@@ -12,7 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from helpers import make_measurement
+from helpers import BENCH_DIGESTS, make_measurement
 from pollisim import runner, simworld
 from pollisim.artifacts import read_run_logs
 from pollisim.camera import Intrinsics
@@ -216,9 +216,6 @@ def test_a_settled_tally_has_one_verdict_for_every_completion(target, tol):
                 }
                 assert finals == {verdict}
     assert settles > 0
-
-
-BENCH_DIGESTS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench", "digests.json")
 
 
 def test_benchmark_calibration_gives_its_recorded_models():

@@ -20,6 +20,7 @@ from pollisim.so3 import (
     det3,
     flatten,
     from_axis_angle,
+    inv3,
     is_rotation,
     pairs_within,
     random_rotation,
@@ -415,6 +416,8 @@ def test_is_rotation_matches_reference_on_non_finite_entries():
 
 def _reference_svd_project(x):
     m = np.asarray(x, dtype=float).reshape(3, 3)
+    if not np.isfinite(m).all():  # before the SVD, which can hang on inf
+        raise ValueError("cannot project a matrix with a non-finite entry")
     u, s, vt = np.linalg.svd(m)
     if s[1] <= ORTHO_TOL:
         raise DegenerateInput("second singular value ~0: nearest rotation not unique")
@@ -429,10 +432,39 @@ def test_svd_project_matches_reference_bitwise():
     inputs += [-random_rotation(rng) for _ in range(500)]  # det(U V^T) = -1
     inputs += [np.diag([1.0, 1.0, 0.0]), np.zeros((3, 3)), np.ones((3, 3))]
     inputs += [np.full((3, 3), np.nan), np.full((3, 3), np.inf)]
+    inf_22 = rng.normal(size=(3, 3))
+    inf_22[2, 2] = np.inf  # np.linalg.svd gives NaN singular values here
+    inputs += [np.diag([np.inf, 1.0, 1.0]), inf_22]  # np.linalg.svd never returns on the diagonal one
     for x in inputs:
         assert _with_warnings(svd_project, x) == _with_warnings(_reference_svd_project, x)
-    with pytest.raises(np.linalg.LinAlgError):  # NaN input still fails in the SVD
-        svd_project(np.full((3, 3), np.nan))
+    for x in inputs[-4:]:  # non-finite input is refused before the SVD
+        with pytest.raises(ValueError, match="non-finite"):
+            svd_project(x)
+
+
+def test_inv3_matches_np_linalg_inv_bitwise():
+    """inv3 calls numpy's private `numpy.linalg._umath_linalg.inv`; this is
+    the test that catches a numpy release moving or changing it."""
+    rng = np.random.default_rng(79)
+    mats = list(rng.normal(size=(5_000, 3, 3)))
+    mats += list(rng.normal(size=(2_000, 3, 3)) * 10.0 ** rng.uniform(-100, 100, size=(2_000, 1, 1)))
+    mats += [random_rotation(rng) for _ in range(2_000)]
+    spd = rng.normal(size=(2_000, 3, 3))
+    mats += list(spd @ spd.transpose(0, 2, 1) + rng.uniform(1e-8, 1.0, size=(2_000, 1, 1)) * np.eye(3))
+    for _ in range(500):  # singular: one row a combination of the others
+        m = rng.normal(size=(3, 3))
+        m[2] = m[0] * rng.normal() + m[1] * rng.normal()
+        mats.append(m)
+    mats += [np.zeros((3, 3)), np.ones((3, 3)), np.eye(3)[[0, 0, 1]]]
+    mats += list(rng.choice(SPECIALS, size=(3_000, 3, 3)))  # inf, -inf and NaN entries among them
+    failed = 0
+    for m in mats:
+        got = _with_warnings(inv3, m)
+        assert got == _with_warnings(np.linalg.inv, m)
+        failed += isinstance(got[0], str)
+    assert failed > 100  # singular and non-finite input give "Singular matrix" in both
+    assert _with_warnings(inv3, np.zeros((3, 3)))[0] == repr(np.linalg.LinAlgError("Singular matrix"))
+    assert type(inv3(mats[0])) is type(np.linalg.inv(mats[0])) is np.ndarray
 
 
 def _reference_candidate_pairs(a, b, radius):

@@ -264,6 +264,18 @@ def test_update_rotation_stays_on_manifold():
         update_rotation(t, np.eye(3), 0.0)
 
 
+@pytest.mark.parametrize("r_meas", [0.0, float("nan")])
+@pytest.mark.parametrize("update", [update_position, update_rotation])
+def test_updates_refuse_a_measurement_variance_that_is_not_positive(update, r_meas):
+    # NaN fails r_meas <= 0 as well as r_meas > 0, so it needs its own case
+    t = _track(pos=(0.1, 0.2, 0.3), rot=rot_x(0.3))
+    before = {k: np.copy(v) for k, v in t.__dict__.items()}
+    z = np.array([0.0, 1.0, 0.0]) if update is update_position else np.eye(3)
+    with pytest.raises(ValueError, match="r_meas"):
+        update(t, z, r_meas)
+    assert all(np.array_equal(before[k], v) for k, v in t.__dict__.items())
+
+
 # The filter steps as they were when each returned a fresh Track, kept
 # verbatim as the reference for the in-place ones.
 def _evolve(t: Track, **changes) -> Track:
