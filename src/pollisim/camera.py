@@ -7,12 +7,13 @@ uplift normalizes the back-projected ray direction before scaling.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .configfields import check_fields, fields_to_json
-from .so3 import EX, EZ, Pose, aligning_rotation, cross3, is_rotation, vnorm
+from .so3 import EZ, Pose, aligning_rotation, is_rotation, vnorm
 
 # A camera pose is a rigid pose of the camera in the world frame: columns of
 # rotation are the camera axes (x right, y down, z forward / viewing).
@@ -64,8 +65,13 @@ def uplift(obs: PixelObs, k: Intrinsics) -> np.ndarray:
     """
     if not (obs.ray_depth > 0):
         raise NonPositiveDepth(f"ray_depth must be > 0, got {obs.ray_depth}")
-    ray = np.array([(obs.u - k.cx) / k.fx, (obs.v - k.cy) / k.fy, 1.0])
-    return obs.ray_depth * ray / vnorm(ray)
+    d, rx, ry = obs.ray_depth, (obs.u - k.cx) / k.fx, (obs.v - k.cy) / k.fy
+    ray = np.array([rx, ry, 1.0])
+    n = vnorm(ray)
+    x, y, z = d * rx / n, d * ry / n, d * 1.0 / n
+    if math.isfinite(x + y + z):
+        return np.array([x, y, z])
+    return d * ray / n  # numpy's form, for its overflow and invalid warnings
 
 
 def to_world(x_cam: np.ndarray, cam: CameraPose) -> np.ndarray:
@@ -104,14 +110,22 @@ def look_at(position: np.ndarray, target: np.ndarray) -> CameraPose:
     if n <= 1e-12:
         raise ValueError("camera position coincides with the look-at target")
     z = fwd / n
-    down = -(EZ - (EZ @ z) * z)
-    dn = vnorm(down)
+    c = float(EZ @ z)
+    z0, z1, z2 = z.tolist()
+    # -(EZ - c * z) and -(EX - z0 * z), entry by entry. z is a unit vector,
+    # zero (n inf) or NaN, so none of this overflows and dn is never 0.
+    down = [-(0.0 - c * z0), -(0.0 - c * z1), -(1.0 - c * z2)]
+    dn = vnorm(np.array(down))
     if dn <= 1e-6:
-        down = -(EX - z[0] * z)
-        dn = vnorm(down)
-    y = down / dn
-    # columns x, y, z, in C order like np.column_stack
-    axes = np.array([cross3(y, z), y, z]).T.copy()
+        down = [-(1.0 - z0 * z0), -(0.0 - z0 * z1), -(0.0 - z0 * z2)]
+        dn = vnorm(np.array(down))
+    y0, y1, y2 = down[0] / dn, down[1] / dn, down[2] / dn
+    # columns x = cross3(y, z), y, z
+    axes = np.array([
+        [y1 * z2 - y2 * z1, y0, z0],
+        [y2 * z0 - y0 * z2, y1, z1],
+        [y0 * z1 - y1 * z0, y2, z2],
+    ])
     if not is_rotation(axes, 1e-8):
         raise ValueError("matrix is not a rotation: R^T R != I or det != +1")
     return Pose(position, axes)

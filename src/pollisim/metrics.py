@@ -170,7 +170,8 @@ def match_tracks_to_flowers(tracks: dict[int, Track], flowers: list[FlowerGT]) -
     lower track id.
     """
     return dict(greedy_pairs(
-        [(f.id, f.pose.position) for f in flowers], [(tid, t.pos_mean) for tid, t in tracks.items()], TRANS_SUCCESS_M
+        [f.pose.position for f in flowers], [t.pos_mean for t in tracks.values()], TRANS_SUCCESS_M,
+        [f.id for f in flowers], list(tracks),
     ))
 
 

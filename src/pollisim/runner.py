@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import logging
 import math
+import time
 from collections.abc import Callable
 from dataclasses import dataclass, replace
 from functools import partial
@@ -74,6 +75,11 @@ from .so3 import (
 from .tracker import GlobalState, Track, TrackerParams, ingest
 
 log = logging.getLogger("pollisim")
+
+# The layers whose seconds simulate_run logs at INFO once a run ends; the rest
+# of its wall time is the residual.
+RUN_LAYERS = ("oracle", "ingest", "audit", "commander", "arm", "writer")
+_LAYER_LOG = "layer seconds: " + ", ".join(f"{name} %.6f" for name in RUN_LAYERS) + ", residual %.6f, wall %.6f"
 
 
 class NoConvergence(RuntimeError):
@@ -178,7 +184,13 @@ def simulate_run(
     once every arm reports Done. With validate_rotations, every track's
     rotation mean is checked against the SO(3) invariants after every ingest
     and a violation raises immediately.
+
+    Logs one INFO line with the seconds spent in each of RUN_LAYERS, the
+    residual and the wall time of the whole call.
     """
+    clock = time.perf_counter
+    start = clock()
+    spent = dict.fromkeys(RUN_LAYERS, 0.0)
     digest = config_digest(cfg)
     rng_scene = np.random.default_rng([cfg.seed, 0])
     if cfg.scene_path is not None:
@@ -208,13 +220,19 @@ def simulate_run(
     for tick in range(cfg.step_budget):
         n_ticks = tick + 1
         for i in range(cfg.arm_count):
+            t0 = clock()
             ms, recs = observe_with_truth(
                 scene, arms[i].camera, cfg.camera, cfg.noise, cam_rngs[i], camera_id=i, tick=tick
             )
-            shots.extend(recs)
+            t1 = clock()
             gs = ingest(gs, ms, tparams)
+            t2 = clock()
+            spent["oracle"] += t1 - t0
+            spent["ingest"] += t2 - t1
+            shots.extend(recs)
             if validate_rotations:
                 failed = _failed_rotation_audit(gs.tracks, verdicts)
+                spent["audit"] += clock() - t2
                 if failed:
                     raise AssertionError(f"track {failed[0]} rotation left SO(3) at tick {tick}")
             # The other arms' approach targets, as their modes stand now: an
@@ -223,8 +241,13 @@ def simulate_run(
                 m.target_id for j, m in enumerate(modes)
                 if j != i and isinstance(m, (RoughLocalization, VisualServo))
             }
+            t0 = clock()
             cmd, modes[i] = commander_step(modes[i], gs, arms[i], cmdr, tparams, cmd_rngs[i], taken)
+            t1 = clock()
             _apply_command(arms[i], cmd, cmdr, scene, tick, attempts)
+            t2 = clock()
+            spent["commander"] += t1 - t0
+            spent["arm"] += t2 - t1
             target_id = getattr(cmd, "track_id", getattr(modes[i], "target_id", -1))
             commands.append((tick, i, type(modes[i]), type(cmd), target_id, arms[i].tip_pose.position))
         if all(isinstance(m, Done) for m in modes):
@@ -245,7 +268,11 @@ def simulate_run(
     )
     report = aggregate(logs)
     if out_dir is not None:
+        t0 = clock()
         _write_artifacts(out_dir, cfg, logs, shots, commands, report)
+        spent["writer"] += clock() - t0
+    wall = clock() - start
+    log.info(_LAYER_LOG, *spent.values(), wall - sum(spent.values()), wall)
     return report
 
 

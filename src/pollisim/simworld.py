@@ -157,10 +157,12 @@ def sample_viewpoint(
     r = rmin + (rmax - rmin) * ur
     elev = math.radians(elo + (ehi - elo) * ue)
     azim = 2.0 * math.pi * ua  # low 0 drops out exactly: u >= 0
-    offset = r * np.array(
-        [math.cos(elev) * math.cos(azim), math.cos(elev) * math.sin(azim), math.sin(elev)]
-    )
-    return look_at(center + offset, center)
+    ox, oy, oz = math.cos(elev) * math.cos(azim), math.cos(elev) * math.sin(azim), math.sin(elev)
+    cx, cy, cz = center.tolist()
+    x, y, z = cx + r * ox, cy + r * oy, cz + r * oz
+    if math.isfinite(x + y + z):
+        return look_at(np.array([x, y, z]), center)
+    return look_at(center + r * np.array([ox, oy, oz]), center)  # numpy's overflow warning
 
 
 def _in_band(depth: float, band: tuple[float, float]) -> bool:

@@ -10,6 +10,16 @@ dominated the oracle, camera and filter geometry at the few points per call
 that they see. `svd_project` calls the LAPACK SVD gufunc behind
 `np.linalg.svd` directly, for the same reason.
 
+One rule keeps these shortcuts, and the geometry of the survey's view path,
+bit-identical to the numpy forms they replace: elementwise arithmetic (+, -,
+*, / and sqrt) may run on Python floats, in the same order, because IEEE 754
+rounds each of those operations correctly wherever it runs; every reduction
+(dot, @, det3, inv3, svd_project) stays one numpy call, because OpenBLAS
+picks its summation order and fuses multiply-adds, and those decide the bits
+of a reduction. Python floats raise no floating-point warnings, so a float
+chain that can overflow or meet an infinity keeps numpy's form for the
+inputs that make it non-finite.
+
 Rotations are plain 3x3 float64 numpy arrays (row-major direction cosines),
 orthonormal with det = +1 within ORTHO_TOL. Angles are radians internally;
 functions that report angles to callers return degrees.
@@ -84,10 +94,13 @@ def is_rotation(m: np.ndarray, tol: float = ORTHO_TOL) -> bool:
     m = np.asarray(m, dtype=float)
     if m.shape != (3, 3):
         return False
-    # all(), not max(): a NaN entry must fail, and Python's max() can skip it.
-    # float(tol): int.__ge__ of a float is NotImplemented, which is truthy.
+    # The entries of m.T @ m - I3, row by row; g - 0.0 is g exactly, so it is
+    # left out. A NaN entry fails its comparison, as it must.
+    (g00, g01, g02), (g10, g11, g12), (g20, g21, g22) = (m.T @ m).tolist()
     return (
-        all(map(float(tol).__ge__, map(abs, (m.T @ m - I3).ravel().tolist())))
+        abs(g00 - 1.0) <= tol and abs(g01) <= tol and abs(g02) <= tol
+        and abs(g10) <= tol and abs(g11 - 1.0) <= tol and abs(g12) <= tol
+        and abs(g20) <= tol and abs(g21) <= tol and abs(g22 - 1.0) <= tol
         and abs(det3(m) - 1.0) <= tol
     )
 
@@ -164,7 +177,9 @@ def from_axis_angle(axis: np.ndarray, angle: float) -> np.ndarray:
     n = vnorm(axis)
     if n <= ORTHO_TOL:
         raise ValueError("axis is ~0")
-    k = _hat((axis / n).tolist())
+    x, y, z = axis.tolist()
+    # numpy's division, when n is not finite, for the warning of an inf entry
+    k = _hat((x / n, y / n, z / n) if n < math.inf else (axis / n).tolist())
     return I3 + np.sin(angle) * k + (1.0 - np.cos(angle)) * (k @ k)
 
 

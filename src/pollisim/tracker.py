@@ -11,6 +11,7 @@ a Kalman filter in the extended tradition.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -138,20 +139,23 @@ class Assignment:
 
 
 def greedy_pairs(
-    a: list[tuple[int, np.ndarray]], b: list[tuple[int, np.ndarray]], threshold: float
+    a: list[np.ndarray], b: list[np.ndarray], threshold: float,
+    a_keys: list[int] | None = None, b_keys: list[int] | None = None,
 ) -> list[tuple[int, int]]:
-    """Greedy closest-pair matching of keyed points, in commit order.
+    """Greedy closest-pair matching of points a[i] and b[j], in commit order.
 
     Repeatedly commits the smallest Euclidean distance within `threshold`
-    (inclusive) among pairs whose keys are both still free. Ties break on
-    the lower key of `a`, then the lower key of `b`. Returns (key_a, key_b).
+    (inclusive) among pairs whose keys are both still free. A point's key is
+    its entry in `a_keys` (`b_keys`), or its index when those are None. Ties
+    break on the lower key of `a`, then the lower key of `b`. Returns
+    (key_a, key_b).
 
     The distances are `so3.pairs_within`'s, the bits of np.linalg.norm, so
     the commit order is that of a per-pair loop.
     """
-    within = pairs_within([p for _, p in a], [p for _, p in b], threshold)
-    candidates = [(d, a[i][0], b[j][0]) for i, j, d in within]
-    candidates.sort()
+    a_keys = range(len(a)) if a_keys is None else a_keys
+    b_keys = range(len(b)) if b_keys is None else b_keys
+    candidates = sorted((d, a_keys[i], b_keys[j]) for i, j, d in pairs_within(a, b, threshold))
     used_a: set[int] = set()
     used_b: set[int] = set()
     pairs: list[tuple[int, int]] = []
@@ -174,19 +178,39 @@ def associate(ms: list[Measurement], gs: GlobalState, threshold: float) -> Assig
     """
     if threshold <= 0:
         raise ValueError("threshold must be > 0")
-    tracks = [(tid, t.pos_mean) for tid, t in gs.tracks.items()]
-    pairs = greedy_pairs(tracks, [(mi, m.position_world) for mi, m in enumerate(ms)], threshold)
+    pairs = greedy_pairs(
+        [t.pos_mean for t in gs.tracks.values()], [m.position_world for m in ms], threshold, list(gs.tracks)
+    )
     used_m = {mi for _, mi in pairs}
     spawns = [mi for mi in range(len(ms)) if mi not in used_m]
     return Assignment(pairs=[(mi, tid) for tid, mi in pairs], spawns=spawns)
 
 
+# predict's last (ticks, q_pos, increment). It holds both objects, so their
+# identity names their values, and the array is read only, so no caller can
+# change what the next one adds.
+_held_increment: tuple = (None, None, None)
+
+
 def predict(t: Track, ticks: int, q_pos: float, q_rot: float) -> None:
-    """Static-state prediction: means unchanged, covariance inflated."""
+    """Static-state prediction: means unchanged, covariance inflated.
+
+    The position increment ticks * q_pos * I3 is built once and reused, read
+    only, for as long as calls pass the same two objects, as every track of
+    one ingest does. A non-finite increment is built on every call, so that
+    each call warns as numpy does.
+    """
+    global _held_increment
     if ticks < 0:
         raise ValueError("ticks must be >= 0")
     if ticks:
-        t.pos_cov = t.pos_cov + ticks * q_pos * I3
+        held_ticks, held_q, inc = _held_increment
+        if held_ticks is not ticks or held_q is not q_pos:
+            inc = ticks * q_pos * I3
+            if math.isfinite(ticks * q_pos):
+                inc.flags.writeable = False
+                _held_increment = (ticks, q_pos, inc)
+        t.pos_cov = t.pos_cov + inc
         t.rot_cov = t.rot_cov + ticks * q_rot
 
 
@@ -211,8 +235,12 @@ def update_rotation(t: Track, z: np.ndarray, r_meas: float) -> None:
     if not r_meas > 0:  # NaN too
         raise ValueError("r_meas must be > 0")
     kgain = t.rot_cov / (t.rot_cov + r_meas)
-    s = t.rot_mean  # blended as 3x3: the same elementwise arithmetic as on the 9-vector
-    t.rot_mean = svd_project(s + kgain * (np.asarray(z, dtype=float) - s))
+    # s + kgain * (z - s), blended as 3x3 and in place on the difference:
+    # IEEE addition and multiplication commute, so the same bits.
+    d = np.asarray(z, dtype=float) - t.rot_mean
+    d *= kgain
+    d += t.rot_mean
+    t.rot_mean = svd_project(d)
     t.rot_cov = (1.0 - kgain) * t.rot_cov
 
 

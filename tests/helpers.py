@@ -7,13 +7,14 @@ import itertools
 import json
 import math
 import os
+import warnings
 
 import numpy as np
 
 from pollisim.camera import PixelObs
 from pollisim.configfields import fields_from_json
 from pollisim.simworld import Measurement
-from pollisim.so3 import axis_angle_of, from_axis_angle
+from pollisim.so3 import Pose, axis_angle_of, from_axis_angle
 
 # The benchmark's recorded output digests, per workload and benchmark seed.
 BENCH_DIGESTS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench", "digests.json")
@@ -60,6 +61,21 @@ def brute_force_assignment(
         if best_cost is not None:
             return k, best_cost, best_pairs
     return 0, 0.0, set()
+
+
+def outcome_with_warnings(fn, *args):
+    """(the float64 bytes of what fn returns, of a Pose's position and
+    rotation for a Pose, or the ValueError it raises; the warnings it emits)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            out = fn(*args)
+            if isinstance(out, Pose):
+                out = np.concatenate([out.position, out.rotation.ravel()])
+            out = np.asarray(out, dtype=float).tobytes()
+        except ValueError as exc:  # np.linalg.LinAlgError too
+            out = repr(exc)
+    return out, [(w.category, str(w.message)) for w in caught]
 
 
 def ks_uniform_pvalue(samples: np.ndarray, lo: float, hi: float) -> float:

@@ -126,13 +126,19 @@ def test_a3_filter_convergence_targets(survey_results):
     )
 
 
-def test_survey_gives_its_recorded_benchmark_digest(survey_results):
-    # survey_results is the survey_1000 workload at benchmark seed 0 (seeds
-    # 0-999, stock noise, tracker and intrinsics, 20 views), so every byte of
-    # its trials must match the digest the benchmark recorded.
-    trials, _ = survey_results
+@pytest.mark.parametrize("bench_seed", [0, 7])
+def test_survey_gives_its_recorded_benchmark_digest(bench_seed, request):
+    # The survey_1000 workload at benchmark seed s runs trials 1000 s to
+    # 1000 s + 999 (stock noise, tracker and intrinsics, 20 views), so every
+    # byte of its trials must match the digest the benchmark recorded. Seed
+    # 0 is the survey_results fixture; seed 7 costs one more pass.
+    if bench_seed == 0:
+        trials, _ = request.getfixturevalue("survey_results")
+    else:
+        seeds = range(1000 * bench_seed, 1000 * bench_seed + 1000)
+        trials = [survey_run(NoiseModel(), TrackerParams(), K, 20, seed) for seed in seeds]
     with open(BENCH_DIGESTS, encoding="utf-8") as fh:
-        want = json.load(fh)["survey_1000"]["0"]
+        want = json.load(fh)["survey_1000"][str(bench_seed)]
     rows = [
         [t.single_trans, t.single_rot, t.opportunities, t.detections_within_px,
          t.final_trans, t.final_rot, t.rotation_violations]

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from helpers import assert_json_form
+from helpers import assert_json_form, outcome_with_warnings
 from pollisim.camera import (
     Intrinsics,
     NonPositiveDepth,
@@ -224,6 +224,13 @@ def test_uplift_matches_reference_bitwise():
             obs = PixelObs(float(rng.uniform(-200.0, 1500.0)), float(rng.uniform(-200.0, 900.0)),
                            float(rng.uniform(1e-6, 2.0)))
             assert uplift(obs, k).tobytes() == _reference_uplift(obs, k).tobytes()
+    # an infinite depth on the optical axis (inf * 0) and an overflowing one:
+    # the same bits and the same numpy warnings
+    k = Intrinsics.default()
+    for obs in (PixelObs(k.cx, 100.0, np.inf), PixelObs(1e6, 100.0, 1e308), PixelObs(1e6, 100.0, 0.5)):
+        got = outcome_with_warnings(uplift, obs, k)
+        assert got == outcome_with_warnings(_reference_uplift, obs, k)
+        assert len(got[1]) == (obs.ray_depth > 1.0)
 
 
 def test_project_matches_reference_bitwise():

@@ -322,3 +322,23 @@ def test_rotation_audit_sees_a_mean_written_in_place():
     assert runner._failed_rotation_audit(gs.tracks, verdicts) == [1]
     t.rot_mean[0, 0] = 1.0  # written back: the verdict follows the value
     assert runner._failed_rotation_audit(gs.tracks, verdicts) == []
+
+
+def test_a_run_logs_the_seconds_of_each_layer(tmp_path, caplog):
+    cfg = runner.ExperimentConfig(seed=2, scene_gen=SceneGenParams(count=3), arm_count=2, step_budget=40)
+    with caplog.at_level("INFO", logger="pollisim"):
+        report = runner.simulate_run(cfg, out_dir=str(tmp_path), validate_rotations=True)
+    assert report.to_json() == runner.simulate_run(cfg).to_json()
+    lines = [r for r in caplog.records if r.getMessage().startswith("layer seconds:")]
+    assert len(lines) == 1
+    text, values = lines[0].getMessage(), lines[0].args
+    for name in (*runner.RUN_LAYERS, "residual", "wall"):
+        assert f" {name} " in text
+    *layers, residual, wall = values
+    assert len(layers) == len(runner.RUN_LAYERS)
+    assert all(v > 0.0 for v in layers)  # every layer ran, the writer and the audit included
+    assert sum(layers) <= wall and residual == wall - sum(layers)
+    # nothing of it reaches the run directory
+    for name in os.listdir(tmp_path):
+        with open(tmp_path / name, encoding="utf-8") as fh:
+            assert "layer seconds" not in fh.read()

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from helpers import assert_json_form, ks_uniform_pvalue
+from helpers import assert_json_form, ks_uniform_pvalue, outcome_with_warnings
 from pollisim import simworld
 from pollisim.camera import Intrinsics, PixelObs, look_at, project, to_world, uplift
 from pollisim.simworld import (
@@ -102,6 +102,13 @@ def test_sample_viewpoint_matches_three_uniform_draws_bitwise():
         assert got.rotation.tobytes() == want.rotation.tobytes()
     assert a.bit_generator.state == b.bit_generator.state
     assert a.random() == b.random()
+    # a camera position that overflows: the same error and numpy warnings
+    center = np.full(3, 1.7e308)
+    got = outcome_with_warnings(sample_viewpoint, np.random.default_rng(6), center, (1e308, 1e308), (80, 80))
+    assert got == outcome_with_warnings(
+        _reference_sample_viewpoint, np.random.default_rng(6), center, (1e308, 1e308), (80, 80)
+    )
+    assert "overflow encountered in add" in got[1][0][1]
 
 
 def test_observe_noiseless_exact():

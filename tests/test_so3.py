@@ -1,10 +1,10 @@
 import struct
-import warnings
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from helpers import outcome_with_warnings
 from pollisim import runner, so3, tracker
 from pollisim.camera import Intrinsics
 from pollisim.simworld import NoiseModel, SceneGenParams, generate_scene
@@ -262,6 +262,12 @@ def test_from_axis_angle_matches_reference_bitwise():
         raised += isinstance(got, str)
     assert 0 < raised < 2_000  # the tiny axes of _random_vectors raise "axis is ~0" in both
     assert _bits(from_axis_angle(axes[0], np.pi)) == _bits(_reference_from_axis_angle(axes[0], np.pi))
+    # non-finite norms: an infinite entry (inf / inf warns), an overflowing
+    # dot and a NaN (no warning), with the same bits and the same warnings
+    for axis in ([np.inf, 1.0, 0.0], [1e200, 1e200, 0.0], [np.nan, 1.0, 0.0]):
+        got = outcome_with_warnings(from_axis_angle, np.array(axis), 0.5)
+        assert got == outcome_with_warnings(_reference_from_axis_angle, np.array(axis), 0.5)
+        assert bool(got[1]) != np.isnan(axis[0])
 
 
 def _reference_is_rotation(m, tol=ORTHO_TOL):
@@ -305,6 +311,25 @@ def test_is_rotation_verdicts_at_the_tolerance_edge():
             assert is_rotation(m, tol) == _reference_is_rotation(m, tol)
         flips += is_rotation(inside, tol) and not is_rotation(outside, tol)
     assert flips == 60
+    # is_rotation compares the Gram entries one by one: directions that move
+    # one diagonal entry, (r (I + s e_k e_k^T))^T (...) = I + (2s + s^2) e_k e_k^T,
+    # or, to first order, one off-diagonal pair, r (I + s e_i e_j^T) with det 1
+    for k, (i, j) in enumerate([(0, 0), (1, 1), (2, 2), (0, 1), (1, 2), (2, 0), (1, 0)]):
+        r = random_rotation(rng)
+        unit = np.zeros((3, 3))
+        unit[i, j] = 1.0
+        for tol in (ORTHO_TOL, 1e-8):
+            inside, outside = _edge_pair(r, r @ unit, tol)
+            for m in (inside, outside):
+                assert is_rotation(m, tol) == _reference_is_rotation(m, tol)
+            assert is_rotation(inside, tol) and not is_rotation(outside, tol)
+    # signed zeros: -0.0 entries, whose Gram residuals and det residual are
+    # all exactly zero, at a tolerance of 0.0 and of -0.0
+    m = np.array([[0.0, -1.0, -0.0], [1.0, -0.0, 0.0], [-0.0, 0.0, 1.0]])
+    assert not np.any(m.T @ m - np.eye(3)) and np.linalg.det(m) == 1.0
+    for tol in (ORTHO_TOL, 0.0, -0.0):
+        assert is_rotation(m, tol) and _reference_is_rotation(m, tol)
+        assert not is_rotation(-m, tol) and not _reference_is_rotation(-m, tol)
 
 
 def _reference_zaxis_angle(a, b):
@@ -342,17 +367,6 @@ def test_random_rotation_matches_reference_bitwise():
         assert _bits(random_rotation(a)) == _bits(_reference_random_rotation(b))
 
 
-def _with_warnings(fn, *args):
-    """(the bits fn returns, or the error it raises; the warnings it emits)."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        try:
-            out = _bits(fn(*args))
-        except (ValueError, np.linalg.LinAlgError) as exc:
-            out = repr(exc)
-    return out, [(w.category, str(w.message)) for w in caught]
-
-
 def test_det3_matches_np_linalg_det_bitwise():
     """det3 calls numpy's private `numpy.linalg._umath_linalg.det`; this is
     the test that catches a numpy release moving or changing it."""
@@ -368,8 +382,8 @@ def test_det3_matches_np_linalg_det_bitwise():
     mats += list(rng.choice(SPECIALS, size=(3_000, 3, 3)))  # inf, -inf and NaN entries among them
     warned = 0
     for m in mats:
-        got = _with_warnings(det3, m)
-        assert got == _with_warnings(np.linalg.det, m)
+        got = outcome_with_warnings(det3, m)
+        assert got == outcome_with_warnings(np.linalg.det, m)
         warned += bool(got[1])
     assert warned > 100  # NaN input gives "invalid value encountered in det" in both
     with np.errstate(invalid="ignore"):
@@ -409,8 +423,8 @@ def test_is_rotation_matches_reference_on_non_finite_entries():
         cases.append(m)
     cases += list(rng.choice(SPECIALS, size=(300, 3, 3)))
     for m in cases:
-        got = _with_warnings(is_rotation, m)
-        assert got == _with_warnings(_reference_is_rotation, m)
+        got = outcome_with_warnings(is_rotation, m)
+        assert got == outcome_with_warnings(_reference_is_rotation, m)
         assert got[0] == _bits(False)
 
 
@@ -436,7 +450,7 @@ def test_svd_project_matches_reference_bitwise():
     inf_22[2, 2] = np.inf  # np.linalg.svd gives NaN singular values here
     inputs += [np.diag([np.inf, 1.0, 1.0]), inf_22]  # np.linalg.svd never returns on the diagonal one
     for x in inputs:
-        assert _with_warnings(svd_project, x) == _with_warnings(_reference_svd_project, x)
+        assert outcome_with_warnings(svd_project, x) == outcome_with_warnings(_reference_svd_project, x)
     for x in inputs[-4:]:  # non-finite input is refused before the SVD
         with pytest.raises(ValueError, match="non-finite"):
             svd_project(x)
@@ -459,11 +473,11 @@ def test_inv3_matches_np_linalg_inv_bitwise():
     mats += list(rng.choice(SPECIALS, size=(3_000, 3, 3)))  # inf, -inf and NaN entries among them
     failed = 0
     for m in mats:
-        got = _with_warnings(inv3, m)
-        assert got == _with_warnings(np.linalg.inv, m)
+        got = outcome_with_warnings(inv3, m)
+        assert got == outcome_with_warnings(np.linalg.inv, m)
         failed += isinstance(got[0], str)
     assert failed > 100  # singular and non-finite input give "Singular matrix" in both
-    assert _with_warnings(inv3, np.zeros((3, 3)))[0] == repr(np.linalg.LinAlgError("Singular matrix"))
+    assert outcome_with_warnings(inv3, np.zeros((3, 3)))[0] == repr(np.linalg.LinAlgError("Singular matrix"))
     assert type(inv3(mats[0])) is type(np.linalg.inv(mats[0])) is np.ndarray
 
 

@@ -125,6 +125,11 @@ def _reference_greedy_pairs(a, b, threshold):
     return pairs
 
 
+def _greedy_keyed(a, b, threshold):
+    """greedy_pairs on (key, point) lists, the reference's input form."""
+    return greedy_pairs([p for _, p in a], [p for _, p in b], threshold, [k for k, _ in a], [k for k, _ in b])
+
+
 def test_greedy_pairs_matches_per_pair_loop_on_grid():
     # A6-style instances: multiples of 0.01 give exact distance ties and
     # distances of exactly 0.05, where a last-bit difference would flip `<=`
@@ -134,7 +139,8 @@ def test_greedy_pairs_matches_per_pair_loop_on_grid():
         na, nb = i % 5, (i // 5) % 5
         a = list(enumerate(rng.integers(0, 11, size=(na, 3)) * 0.01))
         b = list(enumerate(rng.integers(0, 11, size=(nb, 3)) * 0.01))
-        assert greedy_pairs(a, b, 0.05) == _reference_greedy_pairs(a, b, 0.05)
+        # enumerate keys are the indices, greedy_pairs' keys when none are given
+        assert greedy_pairs([p for _, p in a], [p for _, p in b], 0.05) == _reference_greedy_pairs(a, b, 0.05)
         at_threshold += sum(float(np.linalg.norm(pb - pa)) == 0.05 for _, pb in b for _, pa in a)
     assert at_threshold > 100
 
@@ -154,8 +160,8 @@ def test_greedy_pairs_matches_per_pair_loop_on_random_floats():
             # a pair exactly at the threshold, as the per-pair norm computes it
             (_, pa), (_, pb) = a[int(rng.integers(na))], b[int(rng.integers(nb))]
             threshold = float(np.linalg.norm(pb - pa))
-        assert greedy_pairs(a, b, threshold) == _reference_greedy_pairs(a, b, threshold)
-    assert greedy_pairs([(0, np.zeros(3))], [(0, np.zeros(3))], -1.0) == []
+        assert _greedy_keyed(a, b, threshold) == _reference_greedy_pairs(a, b, threshold)
+    assert greedy_pairs([np.zeros(3)], [np.zeros(3)], -1.0) == []
 
 
 _coords = st.tuples(*[st.floats(-0.1, 0.1, allow_nan=False)] * 3)
@@ -192,6 +198,18 @@ def test_predict_identity_and_additive():
     assert t.pos_mean is pos_mean and t.rot_mean is rot_mean
     with pytest.raises(ValueError):
         predict(t, -1, 1e-6, 1e-4)
+    # predict holds the last position increment: interleaved ticks and q_pos
+    # values each get their own, bit for bit, and a track whose covariance
+    # is then written in place cannot change the next track's increment.
+    rng = np.random.default_rng(5)
+    for ticks, q_pos in [(1, 1e-6), (1, 1e-6), (2, 1e-6), (2, 3e-7), (7, 3e-7), (1, 3e-7), (7, 1e-6), (7, 1e-6)]:
+        tracks = [_track(pos_cov=float(v)) for v in rng.uniform(1e-5, 1e-3, size=3)]
+        want = [tr.pos_cov + ticks * q_pos * np.eye(3) for tr in tracks]
+        for tr, w in zip(tracks, want):
+            predict(tr, ticks, q_pos, 1e-4)
+            assert tr.pos_cov.tobytes() == w.tobytes()
+            tr.pos_cov += 1.0
+            tr.pos_cov[0, 1] = 9.0
 
 
 def test_update_position_uninformative_prior():
