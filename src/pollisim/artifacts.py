@@ -187,16 +187,6 @@ def _shot_fault(row: list) -> str | None:
     return None
 
 
-def _whole_number(least: int):
-    """Reader of a meta.json whole number that `simulate` writes as at least
-    `least`: a config seed is >= 0, and a run takes at least one tick."""
-    def read(value) -> int:
-        if (number := json_number("value", "int", value)) < least:
-            raise ValueError(f"value must be >= {least}")
-        return number
-    return read
-
-
 def _commander_field(key: str):
     """Reader of a meta.json key copied from the commander config: the
     config's own rule, which checks it as `simulate` did."""
@@ -238,7 +228,7 @@ def read_run_logs(out_dir: str) -> RunLogs:
         raise SchemaMismatch(f"{meta_path}: schema_version {version!r}, expected {ARTIFACT_SCHEMA_VERSION}")
 
     scene = load_scene(os.path.join(out_dir, "scene.json"))
-    n_ticks = _meta_value(meta_path, meta, "n_ticks", _whole_number(1))
+    n_ticks = _meta_value(meta_path, meta, "n_ticks", lambda v: json_number("n_ticks", "int", v, 1))
 
     tracks_path = os.path.join(out_dir, "tracks.csv")
     final_tracks: dict[int, Track] = {}
@@ -276,6 +266,6 @@ def read_run_logs(out_dir: str) -> RunLogs:
             _meta_value(meta_path, meta, "workspace_center", _commander_field("workspace_center")),
             _meta_value(meta_path, meta, "workspace_radius", _commander_field("workspace_radius")),
         ),
-        seed=_meta_value(meta_path, meta, "seed", _whole_number(0)),
+        seed=_meta_value(meta_path, meta, "seed", lambda v: json_number("seed", "int", v, 0)),
         config_digest=_meta_value(meta_path, meta, "config_digest", _text),
     )

@@ -96,15 +96,12 @@ def _unknown_keys(prefix: str, d: dict, known) -> None:
             raise ConfigError(prefix + key, "not a config field")
 
 
-def _integer(name: str, value, least: int | None = None) -> int:
+def _integer(name: str, value, least: int) -> int:
     """`value` as an int by the sections' rule (`25.0` reads as 25), at least `least`."""
     try:
-        value = json_number(name, "int", value)
-        if least is None or value >= least:
-            return value
+        return json_number(name, "int", value, least)
     except (TypeError, ValueError):
-        pass
-    raise ConfigError(name, "required integer" if least is None else f"must be an integer >= {least}")
+        raise ConfigError(name, f"must be an integer >= {least}") from None
 
 
 def parse_config(data: dict, config_dir: str = ".") -> ExperimentConfig:

@@ -35,9 +35,10 @@ def fields_to_json(obj) -> dict:
     return out
 
 
-def json_number(name: str, kind: str, value):
+def json_number(name: str, kind: str, value, least: int | None = None):
     """`value` read as a `kind` ("float" or "int") field: a float field
-    takes any number, an int field a whole number; bools are refused."""
+    takes any number, an int field a whole number, at least `least` when
+    that is given; bools are refused."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise TypeError(f"{name} must be a number")
     if kind == "float":
@@ -46,6 +47,8 @@ def json_number(name: str, kind: str, value):
         except OverflowError:  # an integer literal beyond the float range
             raise ValueError(f"{name} must be finite") from None
     if kind == "int" and (isinstance(value, int) or value.is_integer()):
+        if least is not None and value < least:
+            raise ValueError(f"{name} must be an integer >= {least}")
         return int(value)
     raise ValueError(f"{name} must be a whole number")
 

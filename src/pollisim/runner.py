@@ -45,6 +45,7 @@ from .metrics import (
     RunReport,
     aggregate,
     match_tracks_to_flowers,
+    pose_error,
     reachable_flowers,
 )
 from .simworld import (
@@ -70,7 +71,6 @@ from .so3 import (
     random_rotation,
     rotation_angle,
     svd_project,
-    zaxis_angle,
 )
 from .tracker import GlobalState, Track, TrackerParams, ingest
 
@@ -315,8 +315,8 @@ def survey_run(noise: NoiseModel, tparams: TrackerParams, k: Intrinsics, n_views
     matches = match_tracks_to_flowers(gs.tracks, [flower])
     if matches:
         best = gs.tracks[matches[flower.id]]
-        final_trans = float(np.linalg.norm(best.pos_mean - flower.pose.position))
-        final_rot = zaxis_angle(best.rot_mean, flower.pose.rotation)
+        err = pose_error(Pose(best.pos_mean, best.rot_mean), flower.pose)
+        final_trans, final_rot = err.trans_err, err.rot_err
     return SurveyTrial(
         shots.trans_errors, shots.rot_errors, shots.opportunities, shots.detections_within_px,
         final_trans, final_rot, violations,

@@ -265,9 +265,8 @@ def _flower_from_json(entry: dict, index: int, path: str) -> FlowerGT:
     if not isinstance(entry, dict):
         raise ParseError(f"{where} must be a JSON object")
     try:
-        fid = json_number(f"{where}.id", "int", entry["id"])
-        if fid < 0:  # negative ids mark clutter in ShotRecord.flower_id
-            raise ValueError(f"{where}.id must be >= 0")
+        # negative ids mark clutter in ShotRecord.flower_id
+        fid = json_number(f"{where}.id", "int", entry["id"], 0)
         position = np.array(json_numbers(f"{where}.position", entry["position"]))
         if position.shape != (3,):
             raise ValueError(f"{where}.position must be three numbers")

@@ -11,7 +11,6 @@ a Kalman filter in the extended tradition.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -186,32 +185,23 @@ def associate(ms: list[Measurement], gs: GlobalState, threshold: float) -> Assig
     return Assignment(pairs=[(mi, tid) for tid, mi in pairs], spawns=spawns)
 
 
-# predict's last (ticks, q_pos, increment). It holds both objects, so their
-# identity names their values, and the array is read only, so no caller can
-# change what the next one adds.
-_held_increment: tuple = (None, None, None)
+def predict(gs: GlobalState, tick: int, q_pos: float, q_rot: float) -> None:
+    """Static-state prediction of the whole table to `tick`: means unchanged,
+    every track's covariance inflated by the process noise of the ticks since
+    `gs.tick`, and the clock moved to `tick`.
 
-
-def predict(t: Track, ticks: int, q_pos: float, q_rot: float) -> None:
-    """Static-state prediction: means unchanged, covariance inflated.
-
-    The position increment ticks * q_pos * I3 is built once and reused, read
-    only, for as long as calls pass the same two objects, as every track of
-    one ingest does. A non-finite increment is built on every call, so that
-    each call warns as numpy does.
+    Each track gets a new pos_cov array. A tick at or before `gs.tick`
+    changes nothing.
     """
-    global _held_increment
-    if ticks < 0:
-        raise ValueError("ticks must be >= 0")
-    if ticks:
-        held_ticks, held_q, inc = _held_increment
-        if held_ticks is not ticks or held_q is not q_pos:
-            inc = ticks * q_pos * I3
-            if math.isfinite(ticks * q_pos):
-                inc.flags.writeable = False
-                _held_increment = (ticks, q_pos, inc)
-        t.pos_cov = t.pos_cov + inc
-        t.rot_cov = t.rot_cov + ticks * q_rot
+    ticks = tick - gs.tick
+    if ticks <= 0:
+        return
+    pos_inc = ticks * q_pos * I3
+    rot_inc = ticks * q_rot
+    for t in gs.tracks.values():
+        t.pos_cov = t.pos_cov + pos_inc
+        t.rot_cov = t.rot_cov + rot_inc
+    gs.tick = tick
 
 
 def update_position(t: Track, z: np.ndarray, r_meas: float) -> None:
@@ -272,10 +262,11 @@ def _spawn(m: Measurement, params: TrackerParams) -> Track:
 def ingest(gs: GlobalState, ms: list[Measurement], params: TrackerParams) -> GlobalState:
     """Apply one measurement batch from a single camera tick.
 
-    Predicts all tracks to the batch tick, associates, runs the position and
-    rotation updates per matched pair, spawns tracks for the rest, and prunes
-    stale low-support tracks. Updates gs and its tracks in place and
-    returns gs.
+    Predicts the table to the batch tick with one `predict` call, which also
+    moves gs.tick, associates, runs the position and rotation updates per
+    matched pair, spawns tracks for the rest, and prunes stale low-support
+    tracks. Updates gs and its tracks in place and returns gs. An empty
+    batch changes nothing, the clock included.
 
     An unassigned measurement spawns only if no track (as updated by this
     batch, spawns excluded) lies within the association gate, by the same
@@ -286,10 +277,7 @@ def ingest(gs: GlobalState, ms: list[Measurement], params: TrackerParams) -> Glo
     batch_tick = ms[0].tick
     if any(m.tick != batch_tick for m in ms):
         raise ValueError("measurement batch must come from a single tick")
-    dt = max(0, batch_tick - gs.tick)
-    for t in gs.tracks.values():
-        predict(t, dt, params.q_pos, params.q_rot)
-    gs.tick = max(gs.tick, batch_tick)
+    predict(gs, batch_tick, params.q_pos, params.q_rot)
 
     asg = associate(ms, gs, params.assoc_threshold)
     lo, hi = params.reliable_range

@@ -53,7 +53,7 @@ def test_runner_patch_points_fire(tmp_path):
         assert runner.evaluate_run_dir(str(tmp_path / "run")).to_json() == report.to_json()
         fired_before = {p: tracer.fired[p] for p in SURVEY_POINTS}
         runner.survey_run(NoiseModel(), TrackerParams(), Intrinsics.default(), 5, 0)
-        survey_silent = [p for p in SURVEY_POINTS if tracer.fired[p] == fired_before[p]]
+        survey_fired = {p: tracer.fired[p] - fired_before[p] for p in SURVEY_POINTS}
         runner.single_shot_stats(NoiseModel(), Intrinsics.default(), 20, np.random.default_rng(0))
         views_before = tracer.stats["simworld.sample_viewpoint"][0]
         evals_before = tracer.stats["simworld.single_shot_stats"][0]
@@ -62,7 +62,9 @@ def test_runner_patch_points_fire(tmp_path):
     points = {f"{mod}.{attr}" for mod, attr, _ in benchtrace.PATCHES if mod == "pollisim.runner"}
     silent = sorted(p for p in points | set(ORACLE_POINTS) if tracer.fired[p] == 0)
     assert silent == []
-    assert survey_silent == []
+    assert [p for p in SURVEY_POINTS if survey_fired[p] == 0] == []
+    # predict advances the whole table once per non-empty batch, as associate runs
+    assert survey_fired["pollisim.tracker.predict"] == survey_fired["pollisim.tracker.associate"]
     assert tracer.fired["pollisim.runner.aggregate"] == 2
     # every viewpoint is built by one look_at call through simworld's own name
     assert views_before == 5 + 20

@@ -1,0 +1,45 @@
+"""Rules about the package source that no behaviour test shows: no module
+keeps state between calls through `global` or `nonlocal`, and the tracker's
+clock moves in one place."""
+
+import ast
+import os
+
+import pollisim
+
+PACKAGE = os.path.dirname(os.path.abspath(pollisim.__file__))
+
+
+def _modules() -> dict[str, ast.Module]:
+    trees = {}
+    for name in sorted(os.listdir(PACKAGE)):
+        if name.endswith(".py"):
+            with open(os.path.join(PACKAGE, name), encoding="utf-8") as fh:
+                trees[name] = ast.parse(fh.read(), filename=name)
+    return trees
+
+
+def test_no_module_rebinds_a_name_outside_its_scope():
+    trees = _modules()
+    assert "tracker.py" in trees and "runner.py" in trees
+    found = [
+        f"{name}:{node.lineno}: {type(node).__name__.lower()} {', '.join(node.names)}"
+        for name, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Global, ast.Nonlocal))
+    ]
+    assert found == []
+
+
+def test_only_predict_moves_the_tracker_clock():
+    writers = sorted(
+        f"{name}:{fn.name}"
+        for name, tree in _modules().items()
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        if isinstance(target, ast.Attribute) and target.attr == "tick"
+    )
+    assert writers == ["tracker.py:predict"]

@@ -189,27 +189,59 @@ def test_associate_pairs_invariant_under_measurement_permutation(t_pos, m_pos, d
 
 def test_predict_identity_and_additive():
     t = _track(pos_cov=1e-4, rot_cov=0.2)
+    gs = _state({0: t})
     pos_mean, pos_cov, rot_mean = t.pos_mean, t.pos_cov, t.rot_mean
-    assert predict(t, 0, 1e-6, 1e-4) is None
-    assert t.pos_cov is pos_cov and t.rot_cov == 0.2
-    assert predict(t, 5, 1e-6, 1e-4) is None
+    assert predict(gs, 0, 1e-6, 1e-4) is None
+    assert t.pos_cov is pos_cov and t.rot_cov == 0.2 and gs.tick == 0
+    assert predict(gs, 5, 1e-6, 1e-4) is None
     assert_allclose(t.pos_cov, 1e-4 * np.eye(3) + 5e-6 * np.eye(3), atol=1e-15)
     assert_allclose(t.rot_cov, 0.2 + 5e-4, atol=1e-15)
     assert t.pos_mean is pos_mean and t.rot_mean is rot_mean
-    with pytest.raises(ValueError):
-        predict(t, -1, 1e-6, 1e-4)
-    # predict holds the last position increment: interleaved ticks and q_pos
-    # values each get their own, bit for bit, and a track whose covariance
-    # is then written in place cannot change the next track's increment.
+    # interleaved tick steps and q_pos values each add their own increment to
+    # every track, bit for bit
     rng = np.random.default_rng(5)
+    pos_vars, rot_vars = rng.uniform(1e-5, 1e-3, size=3), rng.uniform(1e-3, 1e-1, size=3)
+    gs = _state({tid: _track(pos_cov=float(p), rot_cov=float(r)) for tid, (p, r) in enumerate(zip(pos_vars, rot_vars))})
+    q_rot = 1e-4
     for ticks, q_pos in [(1, 1e-6), (1, 1e-6), (2, 1e-6), (2, 3e-7), (7, 3e-7), (1, 3e-7), (7, 1e-6), (7, 1e-6)]:
-        tracks = [_track(pos_cov=float(v)) for v in rng.uniform(1e-5, 1e-3, size=3)]
-        want = [tr.pos_cov + ticks * q_pos * np.eye(3) for tr in tracks]
-        for tr, w in zip(tracks, want):
-            predict(tr, ticks, q_pos, 1e-4)
-            assert tr.pos_cov.tobytes() == w.tobytes()
-            tr.pos_cov += 1.0
-            tr.pos_cov[0, 1] = 9.0
+        want = {
+            tid: (tr.pos_cov + ticks * q_pos * np.eye(3), tr.rot_cov + ticks * q_rot) for tid, tr in gs.tracks.items()
+        }
+        predict(gs, gs.tick + ticks, q_pos, q_rot)
+        for tid, tr in gs.tracks.items():
+            assert tr.pos_cov.tobytes() == want[tid][0].tobytes()
+            assert repr(tr.rot_cov) == repr(want[tid][1])
+
+
+def test_predict_gives_each_track_its_own_covariance():
+    # an in-place write to one track's pos_cov reaches no other track and
+    # not the increment of the next call
+    gs = _state({tid: _track(pos_cov=1e-4) for tid in range(3)})
+    predict(gs, 2, 1e-6, 1e-4)
+    covs = [tr.pos_cov for tr in gs.tracks.values()]
+    assert len({id(c) for c in covs}) == 3
+    want = covs[1].copy()
+    covs[0] += 1.0
+    covs[0][0, 1] = 9.0
+    assert gs.tracks[1].pos_cov.tobytes() == want.tobytes()
+    predict(gs, 5, 1e-6, 1e-4)
+    assert gs.tracks[1].pos_cov.tobytes() == (want + 3 * 1e-6 * np.eye(3)).tobytes()
+    assert gs.tracks[2].pos_cov.tobytes() == gs.tracks[1].pos_cov.tobytes()
+
+
+def test_predict_moves_the_clock_forward_only():
+    gs = _state({0: _track(pos_cov=1e-4, rot_cov=0.2)})
+    predict(gs, 4, 1e-6, 1e-4)
+    assert gs.tick == 4
+    t = gs.tracks[0]
+    pos_cov, rot_cov = t.pos_cov, t.rot_cov
+    for tick in (4, 3, 0, -2):  # an equal or earlier tick changes nothing
+        predict(gs, tick, 1e-6, 1e-4)
+        assert gs.tick == 4
+        assert t.pos_cov is pos_cov and t.rot_cov == rot_cov
+    empty = GlobalState()
+    predict(empty, 9, 1e-6, 1e-4)
+    assert empty.tick == 9 and empty.tracks == {}
 
 
 def test_update_position_uninformative_prior():
@@ -358,10 +390,11 @@ _filter_step = st.one_of(
 )
 def test_in_place_filter_steps_match_the_copying_reference_bitwise(pos, pos_var, rot_seed, rot_var, steps):
     t = _track(pos=pos, pos_cov=pos_var, rot=random_rotation(np.random.default_rng(rot_seed)), rot_cov=rot_var)
+    gs = _state({0: t})
     ref = _track(pos=pos, pos_cov=pos_var, rot=t.rot_mean.copy(), rot_cov=rot_var)
     for kind, a, b, *c in steps:
         if kind == "predict":
-            assert predict(t, a, b, c[0]) is None
+            assert predict(gs, gs.tick + a, b, c[0]) is None
             ref = _reference_predict(ref, a, b, c[0])
         elif kind == "position":
             assert update_position(t, np.asarray(a), b) is None
