@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .configfields import check_fields, fields_to_json
-from .so3 import EZ, Pose, aligning_rotation, is_rotation, vnorm
+from .so3 import Pose, aligning_rotation, is_rotation, vnorm
 
 # A camera pose is a rigid pose of the camera in the world frame: columns of
 # rotation are the camera axes (x right, y down, z forward / viewing).
@@ -110,11 +110,13 @@ def look_at(position: np.ndarray, target: np.ndarray) -> CameraPose:
     if n <= 1e-12:
         raise ValueError("camera position coincides with the look-at target")
     z = fwd / n
-    c = float(EZ @ z)
     z0, z1, z2 = z.tolist()
-    # -(EZ - c * z) and -(EX - z0 * z), entry by entry. z is a unit vector,
-    # zero (n inf) or NaN, so none of this overflows and dn is never 0.
-    down = [-(0.0 - c * z0), -(0.0 - c * z1), -(1.0 - c * z2)]
+    # -(EZ - (EZ @ z) * z) and -(EX - z0 * z), entry by entry. For a finite z,
+    # EZ @ z adds two exact zeros to z2, so it is z2 up to the sign of a zero,
+    # which down drops; a z with a NaN entry fails the rotation check either
+    # way. z is a unit vector, zero (n inf) or holds a NaN, so none of this
+    # overflows and dn is never 0.
+    down = [-(0.0 - z2 * z0), -(0.0 - z2 * z1), -(1.0 - z2 * z2)]
     dn = vnorm(np.array(down))
     if dn <= 1e-6:
         down = [-(1.0 - z0 * z0), -(0.0 - z0 * z1), -(0.0 - z0 * z2)]

@@ -12,7 +12,7 @@ import numpy as np
 
 from .configfields import fields_to_json
 from .simworld import FlowerGT, SingleShotStats
-from .so3 import Pose, zaxis_angle
+from .so3 import Pose, vnorm, zaxis_angle
 from .tracker import Track, greedy_pairs
 
 # Pose success thresholds (boundaries inclusive); the detection one is
@@ -48,7 +48,7 @@ def pose_error(est: Pose, gt: Pose) -> PoseError:
     about the flower axis.
     """
     return PoseError(
-        trans_err=float(np.linalg.norm(est.position - gt.position)),
+        trans_err=vnorm(est.position - gt.position),
         rot_err=zaxis_angle(est.rotation, gt.rotation),
     )
 

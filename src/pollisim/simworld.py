@@ -173,10 +173,24 @@ def _pose_draws(rng: np.random.Generator) -> tuple[float, float, float, np.ndarr
     """A detection's draws in stream order: the standard normals of pixel u,
     pixel v and ray depth, the rotation axis, then the angle's standard
     normal. Scaled as 0.0 + sigma * z, each is what rng.normal(0.0, sigma)
-    returns for the same draw."""
-    z_u, z_v, z_d = rng.standard_normal(3).tolist()
-    axis = random_unit_vector(rng)
-    return z_u, z_v, z_d, axis, rng.standard_normal()
+    returns for the same draw.
+
+    One standard_normal(7) call draws all seven. The axis is what
+    random_unit_vector returns for the same stream: 0.0 + z is what
+    rng.normal(size=3) returns, and its redraw of a degenerate axis goes on
+    down the stream, so the seventh normal opens the redraw and the angle's
+    normal comes after it."""
+    z_u, z_v, z_d, x, y, z, z_a = rng.standard_normal(7).tolist()
+    axis = np.array([0.0 + x, 0.0 + y, 0.0 + z])
+    n = vnorm(axis)
+    if n <= 1e-12:  # astronomically unlikely
+        axis = np.array([0.0 + z_a, *(0.0 + w for w in rng.standard_normal(2).tolist())])
+        n = vnorm(axis)
+        while n <= 1e-12:
+            axis = rng.normal(size=3)
+            n = vnorm(axis)
+        z_a = rng.standard_normal()
+    return z_u, z_v, z_d, axis / n, z_a
 
 
 def _noisy_position(
@@ -336,7 +350,7 @@ class SceneGenParams:
     max_tilt_deg: float = 45.0
 
     def __post_init__(self) -> None:
-        check_fields(self, positive=("spread",), nonnegative=("min_sep",), counts=(("count", 1),))
+        check_fields(self, positive=("spread",), nonnegative=("min_sep", "max_tilt_deg"), counts=(("count", 1),))
         if len(self.center) != 3:
             raise ValueError("center must be three numbers")
 

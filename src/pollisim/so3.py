@@ -20,6 +20,15 @@ of a reduction. Python floats raise no floating-point warnings, so a float
 chain that can overflow or meet an infinity keeps numpy's form for the
 inputs that make it non-finite.
 
+Two cases keep the output bits without that rule. A dot with a basis vector
+may be read off the other vector: its other products are exact zeros, so
+every summation order returns that entry, up to the sign of a zero result.
+And a verdict may be decided by a floating-point filter (Shewchuk, Adaptive
+Precision Floating-Point Arithmetic and Fast Robust Geometric Predicates,
+1997): a float form whose error bound, with the numpy form's, puts it clear
+of the threshold returns the verdict, and the numpy form decides the rest,
+as in `is_rotation`.
+
 Rotations are plain 3x3 float64 numpy arrays (row-major direction cosines),
 orthonormal with det = +1 within ORTHO_TOL. Angles are radians internally;
 functions that report angles to callers return degrees.
@@ -42,6 +51,10 @@ EZ = np.array([0.0, 0.0, 1.0])
 I3 = np.eye(3)
 for _shared in (EX, EZ, I3):
     _shared.flags.writeable = False
+
+# is_rotation's filter leaves a verdict to numpy when a residual lies within
+# this distance of tol; its docstring derives the bound the margin covers.
+_FILTER_MARGIN = 1e-10
 
 # candidate_pairs returns every pair when there are at most this many: below
 # it, one exact distance per pair costs less than the broadcast prefilter.
@@ -81,19 +94,75 @@ def _raise_singular(err, flag):
     raise np.linalg.LinAlgError("Singular matrix")
 
 
+@np.errstate(call=_raise_singular, invalid="call", over="ignore", divide="ignore", under="ignore")
 def inv3(m: np.ndarray) -> np.ndarray:
     """np.linalg.inv of a 3x3 float64 array: the LAPACK gufunc that it calls,
     under the same error state, so the same bits and the same LinAlgError
     ("Singular matrix") on singular or non-finite input."""
-    with np.errstate(call=_raise_singular, invalid="call", over="ignore", divide="ignore", under="ignore"):
-        return _umath_linalg.inv(m, signature="d->d")
+    return _umath_linalg.inv(m, signature="d->d")
+
+
+@np.errstate(call=_raise_svd_nonconvergence, invalid="call", over="ignore", divide="ignore", under="ignore")
+def _svd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(u, s, vt) of a 3x3 float64 array: the LAPACK gufunc that np.linalg.svd
+    calls, under the same error state, so the same bits and the same
+    LinAlgError ("SVD did not converge")."""
+    return _umath_linalg.svd_f(m, signature="d->ddd")
 
 
 def is_rotation(m: np.ndarray, tol: float = ORTHO_TOL) -> bool:
-    """True if m is orthonormal with det +1 within tol."""
+    """True if m is orthonormal with det +1 within tol: every entry of
+    m.T @ m - I3, and det3(m) - 1, within tol in absolute value, as numpy
+    computes them.
+
+    A floating-point filter decides most calls without numpy. It computes the
+    same residuals, |g_ii - 1|, |g_ij| and |det - 1|, from the six distinct
+    Gram entries and the cofactor determinant on Python floats, and returns
+    a verdict when their largest, q, is at most tol - _FILTER_MARGIN (True)
+    or above tol + _FILTER_MARGIN (False). That is numpy's verdict whenever
+    the two forms' residuals differ by less than the margin, which this
+    bound (u = 2**-53, gamma_k = k u / (1 - k u)) shows for a float64 tol
+    in [0, 1] and computed diagonal residuals of at most 1. Those keep
+    every entry finite and |m_ij| <= 1.5, and under numpy's default error
+    state numpy's form then warns of nothing.
+
+    - A Gram entry, a sum of three products in any order with or without
+      FMA, as in BLAS gemm, syrk or a plain loop, is within
+      gamma_3 * sum_k |m_ki m_kj| <= 2.0001 gamma_3 < 7e-16 of its exact
+      value, on either path.
+    - The cofactor expansion, five roundings deep, is within
+      gamma_5 * per(|m|) <= gamma_5 * 6 * 1.5**3 < 1.2e-14 of det(m).
+    - numpy's det is sign * exp(sum log|u_ii|) of LAPACK's LU with partial
+      pivoting. With |l_ij| <= 1 and |u_ij| <= 4 * 1.5, LU is exact for
+      m + E with |E_ij| <= gamma_3 * 18 < 6.1e-15 (Higham, Accuracy and
+      Stability of Numerical Algorithms, Thm 9.3), so
+      |det(m + E) - det(m)| <= 6 ((1.5 + 6.1e-15)**3 - 1.5**3) < 2.5e-13.
+      Each |log|u_ii|| is at most 745, so with log and exp within 1 ulp the
+      log sum is off by less than 8e-13 and the result, of magnitude at
+      most 20.3, by less than 1.7e-11.
+    - Subtracting 1.0 rounds a residual by less than 2e-15 on either path,
+      and rounding tol -/+ _FILTER_MARGIN moves each limit by at most 2u.
+
+    The sum, under 2e-11, leaves the margin of 1e-10 a factor of 5 to cover
+    log and exp errors of a few ulp. Any other input, and any q within the
+    margin of tol, is decided by numpy's form.
+    """
     m = np.asarray(m, dtype=float)
     if m.shape != (3, 3):
         return False
+    (a, b, c), (d, e, f), (g, h, i) = m.tolist()
+    q0, q1, q2 = abs(a * a + d * d + g * g - 1.0), abs(b * b + e * e + h * h - 1.0), abs(c * c + f * f + i * i - 1.0)
+    # A float32 tol would round both limits and compare in float32; NaN fails
+    # a comparison, and an infinite entry the bound.
+    if isinstance(tol, float) and 0.0 <= tol <= 1.0 and q0 <= 1.0 and q1 <= 1.0 and q2 <= 1.0:
+        q = max(
+            q0, q1, q2, abs(a * b + d * e + g * h), abs(a * c + d * f + g * i), abs(b * c + e * f + h * i),
+            abs(a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g) - 1.0),
+        )
+        if q <= tol - _FILTER_MARGIN:
+            return True
+        if q > tol + _FILTER_MARGIN:
+            return False
     # The entries of m.T @ m - I3, row by row; g - 0.0 is g exactly, so it is
     # left out. A NaN entry fails its comparison, as it must.
     (g00, g01, g02), (g10, g11, g12), (g20, g21, g22) = (m.T @ m).tolist()
@@ -132,8 +201,7 @@ def svd_project(x: np.ndarray) -> np.ndarray:
     m = np.asarray(x, dtype=float).reshape(3, 3)
     if not all(map(math.isfinite, m.ravel().tolist())):
         raise ValueError("cannot project a matrix with a non-finite entry")
-    with np.errstate(call=_raise_svd_nonconvergence, invalid="call", over="ignore", divide="ignore", under="ignore"):
-        u, s, vt = _umath_linalg.svd_f(m, signature="d->ddd")
+    u, s, vt = _svd(m)
     if s[1] <= ORTHO_TOL:
         raise DegenerateInput("second singular value ~0: nearest rotation not unique")
     flip = I3.copy()
@@ -149,7 +217,7 @@ def zaxis_angle(a: np.ndarray, b: np.ndarray) -> float:
     """
     # max before min, each with the dot first, passes NaN through as np.clip does
     c = float(min(max(np.asarray(a)[:, 2] @ np.asarray(b)[:, 2], -1.0), 1.0))
-    return float(np.degrees(np.arccos(c)))
+    return math.degrees(np.arccos(c))  # the x * (180 / pi) of np.degrees
 
 
 def aligning_rotation(b: np.ndarray) -> np.ndarray:

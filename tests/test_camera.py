@@ -194,6 +194,12 @@ def test_look_at_matches_reference_bitwise():
             offset = np.array([0.0, 0.0, rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 1.0)])
             offset[:2] = rng.normal(size=2) * 10.0 ** rng.uniform(-18, -6)
         cases.append((target + offset, target))
+    # level views, whose z2 is exactly +0.0 (equal heights) or -0.0 (a camera
+    # at height 0.0 aimed at height -0.0), with either sign on z0 and z1: look_at
+    # reads the dot with e_z off z2, the reference takes the numpy dot
+    for x, y in ((0.3, 0.4), (-0.3, 0.4), (0.3, -0.4), (-0.3, -0.4), (0.0, 0.5), (-0.0, -0.5)):
+        cases.append((np.array([x, y, 0.25]), np.array([0.0, 0.0, 0.25])))
+        cases.append((np.array([x, y, 0.0]), np.array([0.0, 0.0, -0.0])))
     cases += [(np.zeros(3), np.zeros(3)), (np.full(3, np.nan), np.zeros(3))]
     outcomes = [_pose_outcome(look_at, *c) for c in cases]
     # The coincident and the NaN camera raise; every other view gives a pose.

@@ -49,12 +49,22 @@ def test_gen_scene_and_load(tmp_path):
     ("--spread", "-1", "spread"),
     ("--min-sep", "nan", "min_sep"),
     ("--max-tilt-deg", "nan", "max_tilt_deg"),
+    ("--max-tilt-deg", "-30", "max_tilt_deg"),
 ])
 def test_gen_scene_bad_count(tmp_path, capsys, option, value, field_name):
     # the options build a SceneGenParams, so they are refused as the config section is
     assert main(["gen-scene", option, value, "--out", str(tmp_path / "s.json")]) == 2
     assert field_name in capsys.readouterr().err
     assert not (tmp_path / "s.json").exists()
+
+
+def test_negative_max_tilt_in_a_config_exits_2(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    _write_config(cfg_path, scene={"generate": {"count": 2, "max_tilt_deg": -30}})
+    out_dir = tmp_path / "run"
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(out_dir), "--quiet"]) == 2
+    assert "'scene.generate': max_tilt_deg must be >= 0" in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 def test_simulate_minimal_noiseless(tmp_path, capsys):

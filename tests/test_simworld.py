@@ -29,7 +29,15 @@ from pollisim.simworld import (
     save_scene,
     single_shot_stats,
 )
-from pollisim.so3 import Pose, is_rotation, random_rotation, random_rotations, rotation_to_list, zaxis_angle
+from pollisim.so3 import (
+    Pose,
+    is_rotation,
+    random_rotation,
+    random_rotations,
+    random_unit_vector,
+    rotation_to_list,
+    zaxis_angle,
+)
 
 K = Intrinsics.default()
 
@@ -109,6 +117,58 @@ def test_sample_viewpoint_matches_three_uniform_draws_bitwise():
         _reference_sample_viewpoint, np.random.default_rng(6), center, (1e308, 1e308), (80, 80)
     )
     assert "overflow encountered in add" in got[1][0][1]
+
+
+def _reference_pose_draws(rng):
+    z_u, z_v, z_d = rng.standard_normal(3).tolist()
+    axis = random_unit_vector(rng)
+    return z_u, z_v, z_d, axis, rng.standard_normal()
+
+
+def _draw_bits(draws):
+    z_u, z_v, z_d, axis, z_a = draws
+    return struct.pack("<4d", z_u, z_v, z_d, z_a) + axis.tobytes()
+
+
+def test_pose_draws_match_the_three_call_form_bitwise():
+    """One standard_normal(7) gives the values and the generator state of
+    standard_normal(3), random_unit_vector and standard_normal()."""
+    for seed in range(2_000):
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(3):
+            assert _draw_bits(simworld._pose_draws(a)) == _draw_bits(_reference_pose_draws(b))
+        assert a.bit_generator.state == b.bit_generator.state
+
+
+class _ScriptedNormals:
+    """A generator stand-in that hands out scripted standard normals in order
+    and counts them; normal(size=3) is 0.0 + z, as Generator.normal."""
+
+    def __init__(self, values):
+        self.values, self.used = list(values), 0
+
+    def standard_normal(self, size=None):
+        n = 1 if size is None else size
+        out = self.values[self.used:self.used + n]
+        self.used += n
+        return out[0] if size is None else np.array(out)
+
+    def normal(self, size):
+        return 0.0 + self.standard_normal(size)
+
+
+@pytest.mark.parametrize("script", [
+    # the axis, then a first redraw that opens with the seventh normal
+    [0.1, -0.2, 0.3, 0.0, -0.0, 1e-13, 0.6, -0.8, 0.0, 0.7, 9.0],
+    # two redraws, the second one whole; -0.0 entries become 0.0
+    [0.1, -0.2, 0.3, 0.0, 0.0, 0.0, -0.0, 1e-14, 0.0, 0.5, -0.5, 0.25, -1.2, 9.0],
+    # no redraw, an axis just past the threshold
+    [0.1, -0.2, 0.3, 0.0, -2e-12, 0.0, 0.7, 9.0],
+])
+def test_pose_draws_redraw_a_degenerate_axis_down_the_stream(script):
+    new, old = _ScriptedNormals(script), _ScriptedNormals(script)
+    assert _draw_bits(simworld._pose_draws(new)) == _draw_bits(_reference_pose_draws(old))
+    assert new.used == old.used == len(script) - 1
 
 
 def test_observe_noiseless_exact():

@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 
 from helpers import outcome_with_warnings
 from pollisim import runner, so3, tracker
-from pollisim.camera import Intrinsics
+from pollisim.camera import Intrinsics, look_at
 from pollisim.simworld import NoiseModel, SceneGenParams, generate_scene
 from pollisim.so3 import (
     ALL_PAIRS_MAX,
@@ -330,6 +330,64 @@ def test_is_rotation_verdicts_at_the_tolerance_edge():
     for tol in (ORTHO_TOL, 0.0, -0.0):
         assert is_rotation(m, tol) and _reference_is_rotation(m, tol)
         assert not is_rotation(-m, tol) and not _reference_is_rotation(-m, tol)
+
+
+def test_is_rotation_filter_matches_reference_on_near_rotations():
+    rng = np.random.default_rng(79)
+    verdicts = set()
+    for i in range(20_000):
+        r = random_rotation(rng)
+        scale = 10.0 ** rng.uniform(-17.0, -6.0)
+        m = r + rng.normal(size=(3, 3)) * scale if i % 2 else r * (1.0 + rng.normal() * scale)
+        for tol in (ORTHO_TOL, 1e-8):
+            got = is_rotation(m, tol)
+            assert got == _reference_is_rotation(m, tol)
+            verdicts.add(got)
+    assert verdicts == {True, False}
+    # tolerances the filter's bound does not cover take numpy's form
+    m = random_rotation(rng)
+    for tol in (2.0, -1e-9, np.nan, np.inf, 0.0, -0.0, 0, np.float32(1e-8), np.float64(1e-8)):
+        for x in (m, m * (1.0 + 1e-6), 2.0 * m):
+            assert is_rotation(x, tol) == _reference_is_rotation(x, tol)
+
+
+def _counting_det3(monkeypatch):
+    calls, det3 = [], so3.det3
+    monkeypatch.setattr(so3, "det3", lambda m: calls.append(m) or det3(m))
+    return calls
+
+
+def test_is_rotation_leaves_residuals_within_the_margin_to_numpy(monkeypatch):
+    """A residual within the filter's margin of tol takes numpy's form, which
+    calls det3 once its Gram entries pass."""
+    calls = _counting_det3(monkeypatch)
+    rng = np.random.default_rng(81)
+    for i in range(40):
+        r = random_rotation(rng)
+        tol = (ORTHO_TOL, 1e-8)[i % 2]
+        direction = rng.normal(size=(3, 3)) * 1e-9 if i % 3 else r * 1e-9
+        inside, outside = _edge_pair(r, direction, tol)
+        del calls[:]
+        assert is_rotation(inside, tol)
+        assert len(calls) == 1
+        if i % 3 == 0:
+            # a uniform scaling fails on its det residual alone
+            del calls[:]
+            assert not is_rotation(outside, tol)
+            assert len(calls) == 1
+    del calls[:]
+    assert is_rotation(np.eye(3), 0.0) and len(calls) == 1
+
+
+def test_look_at_frames_never_call_det3(monkeypatch):
+    """The filter decides every view frame, so the survey's look_at pays for
+    no LAPACK determinant."""
+    calls = _counting_det3(monkeypatch)
+    rng = np.random.default_rng(82)
+    for _ in range(10_000):
+        target = rng.normal(0.0, 0.2, size=3)
+        look_at(target + rng.normal(size=3) * rng.uniform(0.05, 1.0), target)
+    assert calls == []
 
 
 def _reference_zaxis_angle(a, b):
