@@ -5,6 +5,14 @@ around a scene, projects ground-truth flowers, and emits noisy single-shot
 pose measurements whose error statistics are calibrated against reference
 single-shot accuracy targets (see NoiseModel). No rendering is performed,
 only geometry.
+
+The oracle works in two passes: it takes a tick's draws in stream order
+first, then does the detections' arithmetic, on arrays when the tick holds
+at least BATCH_MIN detections. A flip's redraw reads its detection's noisy
+rotation mid-stream, so a model with flips keeps each detection's
+arithmetic inside the draw pass. The array helpers, `_position_errors` and
+`_rotation_errors`, also serve calibration's replay (SampleCache): the loop
+and calibration share one copy of that math.
 """
 
 from __future__ import annotations
@@ -213,6 +221,93 @@ def _noisy_rotation(rotation: np.ndarray, axis: np.ndarray, z_a: float, rot_sigm
     return from_axis_angle(axis, abs(0.0 + math.radians(rot_sigma) * z_a)) @ rotation
 
 
+# From this many detections on, a tick does its arithmetic on arrays. Below
+# it numpy's per-call cost outweighs the per-detection helpers: on a 2-core
+# x86-64 host, a whole oracle call with the batch took 1.72x the time of one
+# with those helpers at 2 detections, 1.12x at 4, 1.00x at 5, 0.93x at 6
+# and 0.69x at 12.
+BATCH_MIN = 5
+
+# A detection whose arithmetic waits for the draw pass to end: its record's
+# slot, the flower, its projection, detection uniform and `_pose_draws`.
+_Held = tuple[int, FlowerGT, PixelObs, float, tuple]
+
+
+def _detection(
+    flower: FlowerGT, obs: PixelObs, draws: tuple, cam: CameraPose, k: Intrinsics, noise: NoiseModel,
+    rng: np.random.Generator, camera_id: int, tick: int,
+) -> tuple[Measurement, ShotRecord]:
+    """One detection's measurement and record from its `_pose_draws`. With
+    flips on, it draws the flip from `rng`, and the flip's redraw reads the
+    noisy rotation."""
+    z_u, z_v, z_d, axis, z_a = draws
+    noisy_pixel, pos_world, px_err, trans_err = _noisy_position(
+        obs, flower.pose.position, cam, k, noise, z_u, z_v, z_d
+    )
+    rot = _noisy_rotation(flower.pose.rotation, axis, z_a, noise.rot_sigma)
+    if noise.flip_prob > 0.0 and rng.random() < noise.flip_prob:
+        # Ambiguous-appearance failure mode: facing direction flips about
+        # a random axis orthogonal to it.
+        z = rot[:, 2]
+        perp = cross3(z, random_unit_vector(rng))
+        while vnorm(perp) <= 1e-9:
+            perp = cross3(z, random_unit_vector(rng))
+        rot = from_axis_angle(perp, math.pi) @ rot
+    return (
+        Measurement(noisy_pixel, pos_world, rot, tick),
+        ShotRecord(tick, camera_id, flower.id, True, px_err, trans_err, zaxis_angle(rot, flower.pose.rotation)),
+    )
+
+
+@np.errstate(all="raise")
+def _batched_detections(
+    held: list[_Held], cam: CameraPose, k: Intrinsics, noise: NoiseModel, camera_id: int, tick: int
+) -> list[tuple[Measurement, ShotRecord]]:
+    """What `_detection` gives for each held detection of a model without
+    flips, computed on arrays with the same bits. A measurement's position
+    and rotation are rows of the batch's arrays.
+
+    Any floating-point flag raises FloatingPointError: numpy's warning
+    names the function that set the flag (matmul here, dot in the
+    per-detection helpers), so such a tick is left to those helpers."""
+    flowers = [f for _, f, _, _, _ in held]
+    draws = np.array([
+        (o.u, o.v, o.ray_depth, r, z_u, z_v, z_d, *axis.tolist(), z_a)
+        for _, _, o, r, (z_u, z_v, z_d, axis, z_a) in held
+    ])
+    pixels, pos_world, pos_err = _position_errors(
+        draws, cam.position, cam.rotation, k, noise, np.array([f.pose.position for f in flowers])
+    )
+    rots, rot_err = _rotation_errors(
+        np.array([f.pose.rotation for f in flowers]), draws[:, 7:10], draws[:, 10], noise.rot_sigma
+    )
+    return [
+        (
+            Measurement(PixelObs(u, v, d), pos, rot, tick),
+            ShotRecord(tick, camera_id, f.id, True, px, trans, facing),
+        )
+        for f, (u, v, d), pos, rot, (px, trans), facing in zip(
+            flowers, pixels.tolist(), pos_world, rots, pos_err.tolist(), rot_err.tolist()
+        )
+    ]
+
+
+def _held_detections(
+    held: list[_Held], cam: CameraPose, k: Intrinsics, noise: NoiseModel, rng: np.random.Generator,
+    camera_id: int, tick: int,
+) -> list[tuple[Measurement, ShotRecord]]:
+    """The arithmetic pass over a tick's held detections: on arrays from
+    BATCH_MIN detections on, else by the per-detection helpers. A batch that
+    sets a floating-point flag is done again by those helpers, which warn
+    (or raise, under the caller's errstate) as numpy does there."""
+    if len(held) >= BATCH_MIN:
+        try:
+            return _batched_detections(held, cam, k, noise, camera_id, tick)
+        except FloatingPointError:
+            pass
+    return [_detection(f, obs, draws, cam, k, noise, rng, camera_id, tick) for _, f, obs, _, draws in held]
+
+
 def observe_with_truth(
     scene: list[FlowerGT],
     cam: CameraPose,
@@ -231,33 +326,41 @@ def observe_with_truth(
     pixel/depth through uplift + to_world. Clutter measurements (Poisson) are
     appended at uniform image positions. Draw order is fixed, so identical
     (scene, camera, rng state) gives identical streams.
+
+    Two passes give every draw and bit of one flower-by-flower loop. The
+    draw pass takes, flower by flower, the projection, the detection uniform
+    and the `_pose_draws`. The arithmetic pass (`_held_detections`) then
+    turns each detection's draws into its measurement and record, on arrays
+    when the tick holds at least BATCH_MIN detections. With flips on, each
+    detection's arithmetic runs inside the draw pass instead, because a
+    flip's redraw reads that detection's noisy rotation mid-stream; so does
+    a scene of fewer than BATCH_MIN flowers, which cannot fill a batch.
+    Clutter is drawn after both passes.
     """
     measurements: list[Measurement] = []
-    records: list[ShotRecord] = []
+    records: list[ShotRecord | None] = []
+    held: list[_Held] = []
+    inline = noise.flip_prob > 0.0 or len(scene) < BATCH_MIN
     for flower in scene:
         obs = project(flower.pose.position, cam, k)
         if obs is None:
             continue
-        if rng.random() >= noise.detect_prob:
+        r = rng.random()
+        if r >= noise.detect_prob:
             records.append(ShotRecord(tick, camera_id, flower.id, False, float("nan"), float("nan"), float("nan")))
             continue
-        z_u, z_v, z_d, axis, z_a = _pose_draws(rng)
-        noisy_pixel, pos_world, px_err, trans_err = _noisy_position(
-            obs, flower.pose.position, cam, k, noise, z_u, z_v, z_d
-        )
-        rot = _noisy_rotation(flower.pose.rotation, axis, z_a, noise.rot_sigma)
-        if noise.flip_prob > 0.0 and rng.random() < noise.flip_prob:
-            # Ambiguous-appearance failure mode: facing direction flips about
-            # a random axis orthogonal to it.
-            z = rot[:, 2]
-            perp = cross3(z, random_unit_vector(rng))
-            while vnorm(perp) <= 1e-9:
-                perp = cross3(z, random_unit_vector(rng))
-            rot = from_axis_angle(perp, math.pi) @ rot
-        measurements.append(Measurement(noisy_pixel, pos_world, rot, tick))
-        records.append(
-            ShotRecord(tick, camera_id, flower.id, True, px_err, trans_err, zaxis_angle(rot, flower.pose.rotation))
-        )
+        draws = _pose_draws(rng)
+        if inline:
+            m, rec = _detection(flower, obs, draws, cam, k, noise, rng, camera_id, tick)
+            measurements.append(m)
+            records.append(rec)
+        else:
+            held.append((len(records), flower, obs, r, draws))
+            records.append(None)  # filled by the arithmetic pass
+    if held:
+        for (slot, *_), (m, rec) in zip(held, _held_detections(held, cam, k, noise, rng, camera_id, tick)):
+            measurements.append(m)
+            records[slot] = rec
     n_clutter = int(rng.poisson(noise.clutter_rate)) if noise.clutter_rate > 0 else 0
     for _ in range(n_clutter):
         u = rng.uniform(0.0, k.width)
@@ -479,37 +582,53 @@ def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _position_errors(
-    draws: np.ndarray, cam_pos: np.ndarray, cam_rot: np.ndarray, k: Intrinsics, noise: NoiseModel
-) -> np.ndarray:
-    """The pixel and position errors, (n, 2), that `_noisy_position` gives
-    for n detections of a flower at the origin, each from its SampleCache
-    draws row and its camera pose. The same operations in the same order on
-    stacked arrays give the same bits; the pixel error stays math.hypot,
-    which numpy's hypot need not match."""
+    draws: np.ndarray, cam_pos: np.ndarray, cam_rot: np.ndarray, k: Intrinsics, noise: NoiseModel, flower_pos: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """What `_noisy_position` gives for n detections, each from its draws
+    row in SampleCache.draws' layout: the noisy pixels and depths (n, 3),
+    the world positions (n, 3), and the pixel and position errors (n, 2).
+
+    The camera is one pose broadcast over the rows or one pose per row, and
+    `flower_pos` one position per row or the origin, where x - 0.0 is x.
+    The same operations in the same order on stacked arrays give the same
+    bits; the pixel error stays math.hypot, which numpy's hypot need not
+    match. The oracle's batched ticks and calibration's replay both run
+    here."""
+    n = len(draws)
     u0, v0, d0, _, z_u, z_v, z_d = draws[:, :7].T
-    u = u0 + (0.0 + noise.pixel_sigma * z_u)
-    v = v0 + (0.0 + noise.pixel_sigma * z_v)
+    pixels, ray, errors = np.empty((n, 3)), np.ones((n, 3)), np.empty((n, 2))
+    pixels[:, 0] = u = u0 + (0.0 + noise.pixel_sigma * z_u)
+    pixels[:, 1] = v = v0 + (0.0 + noise.pixel_sigma * z_v)
     lo, hi = noise.reliable_range
     sigma_d = np.where((lo <= d0) & (d0 <= hi), noise.depth_sigma_near, noise.depth_sigma_far)
-    depth = np.maximum(d0 + (0.0 + sigma_d * z_d), 1e-6)
-    ray = np.stack([(u - k.cx) / k.fx, (v - k.cy) / k.fy, np.ones_like(u)], axis=1)
+    pixels[:, 2] = depth = np.maximum(d0 + (0.0 + sigma_d * z_d), 1e-6)
+    ray[:, 0] = (u - k.cx) / k.fx
+    ray[:, 1] = (v - k.cy) / k.fy
     x_cam = depth[:, None] * ray / np.sqrt(_dots(ray, ray))[:, None]
     pos_world = (cam_rot @ x_cam[:, :, None])[:, :, 0] + cam_pos
-    px = [math.hypot(du, dv) for du, dv in zip((u - u0).tolist(), (v - v0).tolist())]
-    return np.column_stack([px, np.sqrt(_dots(pos_world, pos_world))])
+    errors[:, 0] = [math.hypot(du, dv) for du, dv in zip((u - u0).tolist(), (v - v0).tolist())]
+    off = pos_world - flower_pos
+    errors[:, 1] = np.sqrt(_dots(off, off))
+    return pixels, pos_world, errors
 
 
-def _rotation_errors(flower_rot: np.ndarray, axis: np.ndarray, z_a: np.ndarray, rot_sigma: float) -> np.ndarray:
-    """zaxis_angle between `_noisy_rotation` of each of n flower rotations
-    and that rotation, (n,): from_axis_angle's Rodrigues form on stacked
-    arrays, with the same bits (see _position_errors)."""
+def _rotation_errors(
+    flower_rot: np.ndarray, axis: np.ndarray, z_a: np.ndarray, rot_sigma: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """`_noisy_rotation` of each of n flower rotations, (n, 3, 3), and the
+    zaxis_angle between it and that rotation, (n,): from_axis_angle's
+    Rodrigues form on stacked arrays, with the same bits (see
+    _position_errors, which serves the same two callers)."""
     angle = np.abs(0.0 + math.radians(rot_sigma) * z_a)
     x, y, z = (axis / np.sqrt(_dots(axis, axis))[:, None]).T
-    zero = np.zeros_like(x)
-    hat = np.stack([zero, -z, y, z, zero, -x, -y, x, zero], axis=1).reshape(-1, 3, 3)
+    hat = np.zeros((len(axis), 3, 3))
+    hat[:, 0, 1], hat[:, 0, 2] = -z, y
+    hat[:, 1, 0], hat[:, 1, 2] = z, -x
+    hat[:, 2, 0], hat[:, 2, 1] = -y, x
     turn = I3 + np.sin(angle)[:, None, None] * hat + (1.0 - np.cos(angle))[:, None, None] * (hat @ hat)
-    c = np.minimum(np.maximum(_dots((turn @ flower_rot)[:, :, 2], flower_rot[:, :, 2]), -1.0), 1.0)
-    return np.degrees(np.arccos(c))
+    rot = turn @ flower_rot
+    c = np.minimum(np.maximum(_dots(rot[:, :, 2], flower_rot[:, :, 2]), -1.0), 1.0)
+    return rot, np.degrees(np.arccos(c))
 
 
 class SampleCache:
@@ -588,12 +707,14 @@ class SampleCache:
         knobs = (noise.pixel_sigma, noise.depth_sigma_near, noise.depth_sigma_far, *noise.reliable_range)
         if knobs != self.pos_knobs:
             self.pos_knobs = knobs
-            self.pos = _position_errors(self.draws[hit], self.cam_pos[hit], self.cam_rot[hit], self.key[3], noise)
+            self.pos = _position_errors(
+                self.draws[hit], self.cam_pos[hit], self.cam_rot[hit], self.key[3], noise, np.zeros(3)
+            )[2]
         if noise.rot_sigma != self.rot_sigma:
             self.rot_sigma = noise.rot_sigma
             self.rot = _rotation_errors(
                 self.flower_rot[hit], self.draws[hit, 7:10], self.draws[hit, 10], noise.rot_sigma
-            )
+            )[1]
         return SingleShotStats(
             self.opportunities, self.pos[:, 0].tolist(), self.pos[:, 1].tolist(), self.rot.tolist()
         )

@@ -12,7 +12,7 @@ import sys
 
 import numpy as np
 
-from pollisim import runner
+from pollisim import runner, simworld
 from pollisim.camera import Intrinsics
 from pollisim.simworld import NoiseModel, SceneGenParams
 from pollisim.tracker import TrackerParams
@@ -43,7 +43,7 @@ CAL_TARGETS = {"trans_cm": 3.03, "rot_deg": 29.88, "det_rate": 0.9301}
 CAL_SAMPLES = 150
 
 
-def test_runner_patch_points_fire(tmp_path):
+def test_runner_patch_points_fire(tmp_path, monkeypatch):
     cfg = runner.ExperimentConfig(
         seed=42, scene_gen=SceneGenParams(count=1), noise=NoiseModel.noiseless(), step_budget=200
     )
@@ -74,6 +74,22 @@ def test_runner_patch_points_fire(tmp_path):
     cal_views = tracer.stats["simworld.sample_viewpoint"][0] - views_before
     assert cal_evals > 1
     assert CAL_SAMPLES <= cal_views < cal_evals * CAL_SAMPLES
+    # A dense loop, whose ticks hold enough detections for the oracle's
+    # batched arithmetic, still projects through simworld's own name, once
+    # per flower per tick.
+    batches = []
+
+    def batched(*args, _real=simworld._batched_detections):
+        batches.append(len(args[0]))
+        return _real(*args)
+
+    monkeypatch.setattr(simworld, "_batched_detections", batched)
+    dense = runner.ExperimentConfig(seed=42, scene_gen=SceneGenParams(count=20), step_budget=10)
+    tracer = benchtrace.Tracer()
+    with tracer.installed():
+        runner.simulate_run(dense, out_dir=str(tmp_path / "dense"))
+    assert tracer.fired["pollisim.simworld.project"] == 20 * 10
+    assert batches and min(batches) >= simworld.BATCH_MIN
 
 
 def test_calibration_keeps_its_evaluation_count():

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import struct
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -239,6 +240,69 @@ def test_observe_bimodal_flip():
     _, recs = observe_with_truth([_flower()], cam, K, noise, rng)
     assert recs[0].detected
     assert recs[0].rot_err_deg > 179.9  # facing direction flipped
+
+
+def _observed_bits(scene, cams, noise, seed):
+    """Every bit and type that observe_with_truth returns over `cams`, or
+    the error it raises; the warnings it emits; the generator's end state;
+    and the depths read."""
+    rng = np.random.default_rng(seed)
+    out, depths = [], []
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for tick, cam in enumerate(cams):
+            try:
+                ms, recs = observe_with_truth(scene, cam, K, noise, rng, camera_id=tick % 2, tick=tick)
+            except ValueError as exc:
+                out.append(repr(exc))
+                continue
+            for m in ms:
+                pixel = (m.pixel.u, m.pixel.v, m.pixel.ray_depth)
+                depths.append(m.pixel.ray_depth)
+                out.append((m.tick, *map(type, pixel), struct.pack("<3d", *pixel)))
+                out += [(type(a), a.dtype, a.shape, a.tobytes()) for a in (m.position_world, m.rotation)]
+            for r in recs:
+                errors = (r.px_err, r.trans_err, r.rot_err_deg)
+                out.append((r.tick, r.camera_id, r.flower_id, r.detected, *map(type, errors), struct.pack("<3d", *errors)))
+    return out, [(w.category, str(w.message)) for w in caught], rng.bit_generator.state, depths
+
+
+# Depth sigmas wide enough that some readings clamp at 1e-6; then each
+# sigma at an extreme finite value. Extreme pixel and depth sigmas overflow,
+# and the per-detection helpers must then report numpy's own warnings; an
+# extreme rotation sigma only makes the angles huge.
+WIDE = NoiseModel(depth_sigma_near=0.05, depth_sigma_far=0.3, clutter_rate=2.0)
+
+
+@pytest.mark.parametrize("noise, overflows", [
+    (WIDE, False),
+    (replace(WIDE, pixel_sigma=1e300), True),
+    (replace(WIDE, depth_sigma_near=1e300, depth_sigma_far=1e300), True),
+    (replace(WIDE, rot_sigma=1e300), False),
+], ids=["wide", "pixel", "depth", "rot"])
+def test_batched_oracle_matches_the_per_detection_path_bitwise(monkeypatch, noise, overflows):
+    scene = generate_scene(np.random.default_rng(21), SceneGenParams(count=60))
+    rng = np.random.default_rng(22)
+    cams = [sample_viewpoint(rng, np.zeros(3), SURVEY_RADIUS_RANGE, SURVEY_ELEVATION_RANGE) for _ in range(30)]
+    monkeypatch.setattr(simworld, "BATCH_MIN", 10**9)
+    want = _observed_bits(scene, cams, noise, 23)
+    batches = []  # the ticks that the arrays gave, by their detection counts
+
+    def counted(*args, _real=simworld._batched_detections):
+        done = _real(*args)
+        batches.append(len(done))
+        return done
+
+    monkeypatch.setattr(simworld, "BATCH_MIN", 1)
+    monkeypatch.setattr(simworld, "_batched_detections", counted)
+    got = _observed_bits(scene, cams, noise, 23)
+    assert got == want
+    _, caught, _, depths = want
+    assert (caught != []) == overflows
+    assert (len(batches) < len(cams)) == overflows  # a flag sends its tick down the per-detection path
+    if noise is WIDE:
+        lo, hi = noise.reliable_range
+        assert 1e-6 in depths and any(lo <= d <= hi for d in depths) and any(d > hi for d in depths)
 
 
 def test_scene_roundtrip(tmp_path):
@@ -724,12 +788,14 @@ def _pack_floats(h, *values):
     h.update(struct.pack(f"<{len(values)}d", *values))
 
 
-def _oracle_stream_digest(seed: int) -> str:
-    """sha256 of everything the oracle returns over a camera sweep, with
-    the flip branch and clutter both frequent, then of single_shot_stats."""
+FLIPPING = NoiseModel(flip_prob=0.5, clutter_rate=2.0)
+
+
+def _oracle_stream_digest(seed: int, count: int = 12, noise: NoiseModel = FLIPPING) -> str:
+    """sha256 of everything the oracle returns over a camera sweep of a
+    `count`-flower scene under `noise`, then of single_shot_stats."""
     rng = np.random.default_rng(seed)
-    scene = generate_scene(rng, SceneGenParams(count=12))
-    noise = NoiseModel(flip_prob=0.5, clutter_rate=2.0)
+    scene = generate_scene(rng, SceneGenParams(count=count))
     center = np.zeros(3)
     # views straight down and straight up the up axis take look_at's fallback branch
     cams = [look_at(center + [0.0, 0.0, 0.35], center), look_at(center - [0.0, 0.0, 0.35], center)]
@@ -774,3 +840,19 @@ ORACLE_STREAM_DIGESTS = {
 @pytest.mark.parametrize("seed", sorted(ORACLE_STREAM_DIGESTS))
 def test_oracle_stream_matches_recorded_digest(seed):
     assert _oracle_stream_digest(seed) == ORACLE_STREAM_DIGESTS[seed]
+
+
+# A 40-flower sweep without flips, recorded before the oracle did a tick's
+# arithmetic on arrays: each of its 63 views holds 13 or more detections,
+# so every one of them takes the batched path.
+BATCHED_STREAM_DIGESTS = {
+    0: "c33512c2a3c5b0ec740861175302178855a8515c406aa4fa6590f9ba9aa9d633",
+    1: "db4779568606c195e98235d0977ee294eede10eb098e34cdcd095e295667aa95",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(BATCHED_STREAM_DIGESTS))
+def test_batched_oracle_stream_matches_recorded_digest(monkeypatch, seed):
+    calls = _counted(monkeypatch, "_batched_detections")
+    assert _oracle_stream_digest(seed, 40, NoiseModel(clutter_rate=2.0)) == BATCHED_STREAM_DIGESTS[seed]
+    assert calls["_batched_detections"] == 63

@@ -449,9 +449,9 @@ def test_det3_matches_np_linalg_det_bitwise():
 
 
 def test_stacked_numpy_calls_match_per_item_calls_bitwise():
-    """The batched calibration replay (simworld._position_errors and
-    _rotation_errors) gives the scalar oracle's bits only while these numpy
-    rules hold; a numpy release that breaks one fails here by name."""
+    """The batched oracle and calibration replay (simworld._position_errors
+    and _rotation_errors) give the scalar oracle's bits only while these
+    numpy rules hold; a numpy release that breaks one fails here by name."""
     rng = np.random.default_rng(78)
     n = 20_000
     a, b = rng.normal(size=(n, 3, 3)), rng.normal(size=(n, 3, 3))
@@ -462,6 +462,8 @@ def test_stacked_numpy_calls_match_per_item_calls_bitwise():
 
     assert same(a @ b, [a[i] @ b[i] for i in range(n)])
     assert same((a @ x[..., None])[..., 0], [a[i] @ x[i] for i in range(n)])
+    # one 3x3 broadcast over the stack, as the oracle's batched tick applies its camera
+    assert same((a[0] @ y[..., None])[..., 0], [a[0] @ y[i] for i in range(n)])
     # A 3-vector dot as a (1,3) @ (3,1) matmul, on rows and on strided columns
     assert same((x[:, None, :] @ x[:, :, None]).ravel(), [x[i].dot(x[i]) for i in range(n)])
     assert same((x[:, None, :] @ y[:, :, None]).ravel(), [x[i].dot(y[i]) for i in range(n)])
