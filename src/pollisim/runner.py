@@ -13,9 +13,7 @@ from __future__ import annotations
 import logging
 import math
 import time
-from collections.abc import Callable
 from dataclasses import dataclass, replace
-from functools import partial
 
 import numpy as np
 
@@ -53,10 +51,11 @@ from .simworld import (
     SURVEY_RADIUS_RANGE,
     FlowerGT,
     NoiseModel,
-    SampleCache,
+    SampleDraws,
     SceneGenParams,  # re-exported: perfbench and the acceptance tests import it from runner
     ShotRecord,
     SingleShotStats,
+    draw_samples,
     generate_scene,
     load_scene,
     observe_with_truth,
@@ -323,14 +322,12 @@ def survey_run(noise: NoiseModel, tparams: TrackerParams, k: Intrinsics, n_views
     )
 
 
-# Calibration: bisection per knob. Each evaluation restarts one stream from the
-# same seed, and `SampleCache` holds the last evaluation that drew all its
-# samples: once detect_prob is fixed, every later evaluation replays it whole.
+# Calibration: bisection per knob. Every evaluation tallies the samples of one
+# stream from the same seed; which draws that stream makes depends on
+# detect_prob alone, so they are taken once per detect_prob (draw_samples).
 # The statistics are not smooth or monotone in a knob: a sample draws its view
 # and its observation from that one stream and a missed detection skips draws,
-# so one detection flip shifts every later sample's view and noise. A
-# detect_prob evaluation therefore draws all its samples afresh, and stops
-# sampling once its verdict is settled (_verdict_settled).
+# so one detection flip shifts every later sample's view and noise.
 _CAL_RNG_TAG = 7
 # The relative tolerance of calibration's final check. The bisections run
 # tighter, so that boundary hits survive the re-evaluation with all knobs in
@@ -338,19 +335,6 @@ _CAL_RNG_TAG = 7
 CAL_REL_TOL = 0.05
 CAL_INNER_TOL = 0.4 * CAL_REL_TOL
 CAL_MAX_ITER = 100
-
-
-def _stat_for(
-    noise: NoiseModel,
-    k: Intrinsics,
-    n_samples: int,
-    seed: int,
-    cache: SampleCache | None = None,
-    stop: Callable[[int, int, int], bool] | None = None,
-) -> "tuple[float, float, float]":
-    rng = np.random.default_rng([seed, _CAL_RNG_TAG])
-    s = single_shot_stats(noise, k, n_samples, rng, cache, stop=stop)
-    return s.mean_trans, s.mean_rot, s.detection_rate
 
 
 def _verdict(v: float, target: float, tol: float) -> int:
@@ -361,31 +345,9 @@ def _verdict(v: float, target: float, tol: float) -> int:
     return -1 if v < target else 1
 
 
-def _verdict_settled(within: int, opportunities: int, left: int, target: float, tol: float) -> bool:
-    """Whether every completion of a detection tally gets one and the same
-    verdict outside the window.
-
-    With `left` samples to go, each adding at most one opportunity, the final
-    rate (within + a) / (opportunities + b), 0 <= a <= b <= left, lies between
-    within / n and (within + left) / n, n = opportunities + left. Rounded
-    division and _verdict are both monotone, so when those two ends read the
-    same, every completion reads that way, and so does the partial rate
-    within / opportunities, which lies between them. With no opportunity yet
-    the final rate could still be NaN.
-    """
-    if opportunities == 0:
-        return False
-    n = opportunities + left
-    low = _verdict(within / n, target, tol)
-    return low != 0 and low == _verdict((within + left) / n, target, tol)
-
-
 def _bisect(eval_fn, target: float, lo: float, hi: float, label: str) -> float:
     """Find x with eval_fn(x) within CAL_INNER_TOL of target, assuming
-    eval_fn is increasing.
-
-    Of a value outside the window only its _verdict matters, so eval_fn may
-    return in its place any value with the same verdict."""
+    eval_fn is increasing."""
     tol = CAL_INNER_TOL * abs(target)
     val_hi = eval_fn(hi)
     iters = 0
@@ -426,21 +388,16 @@ def calibrate_noise(
     NoiseModel default and is not searched: its contribution to translational
     error is dominated by depth noise at survey ranges.
 
-    Every evaluation restarts the same stream, so evaluations share one
-    SampleCache: an evaluation with the detect_prob of the last one that
-    drew all its samples replays that one's draws, and of its errors
-    recomputes only the part whose settings changed (see single_shot_stats).
-    The cache holds one evaluation, about 360 bytes a sample.
-    The accepted detect_prob evaluation reads inside the window, so it
-    never stops, and every later evaluation replays it. For the same
-    reason a model's statistics depend on the model alone, and each model
-    is evaluated once.
+    Every evaluation is one single_shot_stats call over the samples of one
+    stream, restarted from the same seed. Which draws that stream makes
+    depends on detect_prob alone, so the samples of a detect_prob are drawn
+    once (draw_samples), and every model with it is tallied on those draws
+    as arrays, with the oracle's bits. The draws of the last detect_prob are
+    held, 256 bytes a sample. A model's statistics depend on the model
+    alone, so each model is evaluated once.
 
-    A detect_prob evaluation stops sampling as soon as every way its
-    remaining samples could fall gives the bisection the same verdict
-    outside the window (see _verdict_settled), a curtailed sequential test.
-    Its partial detection rate gets that verdict too, so the search, the
-    number of evaluations and the result are those of full evaluations.
+    A zero det_rate with a nonzero trans_cm or rot_deg raises ConfigError:
+    without a detection there is no error to fit.
     """
     for key in ("trans_cm", "rot_deg", "det_rate"):
         if key not in targets:
@@ -449,6 +406,8 @@ def calibrate_noise(
             raise ConfigError(f"targets.{key}", "must be a finite number >= 0")
     if targets["det_rate"] > 1:
         raise ConfigError("targets.det_rate", "must be <= 1")
+    if targets["det_rate"] == 0 and (targets["trans_cm"] > 0 or targets["rot_deg"] > 0):
+        raise ConfigError("targets.det_rate", "must be > 0 when trans_cm or rot_deg is: no detection, no error to fit")
     if n_samples < 1:
         raise ConfigError("n_samples", "must be >= 1")
     k = k or Intrinsics.default()
@@ -456,12 +415,17 @@ def calibrate_noise(
     trans_target = float(targets["trans_cm"]) / 100.0
     rot_target = float(targets["rot_deg"])
     det_target = float(targets["det_rate"])
-    cache = SampleCache()
+    draws: dict[float, SampleDraws] = {}  # the last detect_prob's only
     memo: dict[NoiseModel, tuple[float, float, float]] = {}
 
-    def stat(model: NoiseModel, stop=None) -> tuple[float, float, float]:
+    def stat(model: NoiseModel) -> tuple[float, float, float]:
         if model not in memo:
-            memo[model] = _stat_for(model, k, n_samples, seed, cache, stop)
+            if model.detect_prob not in draws:
+                draws.clear()
+                rng = np.random.default_rng([seed, _CAL_RNG_TAG])
+                draws[model.detect_prob] = draw_samples(model.detect_prob, k, n_samples, rng)
+            s = single_shot_stats(model, k, n_samples, draws[model.detect_prob])
+            memo[model] = s.mean_trans, s.mean_rot, s.detection_rate
         return memo[model]
 
     # detect_prob first: skipped detections change the downstream RNG draw
@@ -469,16 +433,8 @@ def calibrate_noise(
     if det_target >= 1.0:
         noise = replace(noise, detect_prob=1.0)
     else:
-        settled = partial(_verdict_settled, target=det_target, tol=CAL_INNER_TOL * abs(det_target))
-
-        # A stopped evaluation memoizes a partial tally, of which only the
-        # detection rate's verdict is exact. Nothing reads more of it: its
-        # rate reads outside the window, the model the bisection returns reads
-        # inside it, and every later model carries that model's detect_prob.
-        # The check against hi_rate below reads a verdict too: a settled tally
-        # is below the target exactly when its full one is.
         def det_stat(x: float) -> float:
-            return stat(replace(noise, detect_prob=x), settled)[2]
+            return stat(replace(noise, detect_prob=x))[2]
 
         hi_rate = det_stat(1.0)
         if hi_rate < det_target:

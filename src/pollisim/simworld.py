@@ -11,15 +11,16 @@ first, then does the detections' arithmetic, on arrays when the tick holds
 at least BATCH_MIN detections. A flip's redraw reads its detection's noisy
 rotation mid-stream, so a model with flips keeps each detection's
 arithmetic inside the draw pass. The array helpers, `_position_errors` and
-`_rotation_errors`, also serve calibration's replay (SampleCache): the loop
-and calibration share one copy of that math.
+`_rotation_errors`, also tally calibration's samples (SampleDraws, taken
+once per detect_prob by `draw_samples`): the loop and calibration share one
+copy of that math.
 """
 
 from __future__ import annotations
 
+import copy
 import json
 import math
-from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -552,28 +553,6 @@ def _draw_view(rng: np.random.Generator) -> tuple[Pose, CameraPose]:
     return flower_pose, sample_viewpoint(rng, flower_pose.position, SURVEY_RADIUS_RANGE, SURVEY_ELEVATION_RANGE)
 
 
-_MASK128 = (1 << 128) - 1
-
-
-def _pcg64_key(rng: np.random.Generator) -> int:
-    """The generator's whole PCG64 state (state, inc, has_uint32, uinteger) packed into one int."""
-    st = rng.bit_generator.state
-    if st["bit_generator"] != "PCG64":
-        raise TypeError(f"SampleCache keys on PCG64 states, not {st['bit_generator']}")
-    inner = st["state"]
-    return (((inner["state"] << 128) | inner["inc"]) << 33) | (st["has_uint32"] << 32) | st["uinteger"]
-
-
-def _pcg64_state(key: int) -> dict:
-    """Inverse of `_pcg64_key`: the state dict that `bit_generator.state` accepts."""
-    return {
-        "bit_generator": "PCG64",
-        "state": {"state": key >> 161, "inc": (key >> 33) & _MASK128},
-        "has_uint32": (key >> 32) & 1,
-        "uinteger": key & 0xFFFFFFFF,
-    }
-
-
 def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row-wise dot products of two (n, 3) arrays, each with the bits of
     a[i].dot(b[i]) (a (1,3) @ (3,1) matmul; (a * b).sum(axis=1) rounds
@@ -585,14 +564,14 @@ def _position_errors(
     draws: np.ndarray, cam_pos: np.ndarray, cam_rot: np.ndarray, k: Intrinsics, noise: NoiseModel, flower_pos: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """What `_noisy_position` gives for n detections, each from its draws
-    row in SampleCache.draws' layout: the noisy pixels and depths (n, 3),
+    row in SampleDraws.rows' layout: the noisy pixels and depths (n, 3),
     the world positions (n, 3), and the pixel and position errors (n, 2).
 
     The camera is one pose broadcast over the rows or one pose per row, and
     `flower_pos` one position per row or the origin, where x - 0.0 is x.
     The same operations in the same order on stacked arrays give the same
     bits; the pixel error stays math.hypot, which numpy's hypot need not
-    match. The oracle's batched ticks and calibration's replay both run
+    match. The oracle's batched ticks and calibration's tally both run
     here."""
     n = len(draws)
     u0, v0, d0, _, z_u, z_v, z_d = draws[:, :7].T
@@ -631,148 +610,100 @@ def _rotation_errors(
     return rot, np.degrees(np.arccos(c))
 
 
-class SampleCache:
-    """The samples of one whole `single_shot_stats` call, so that a later
-    call that would draw them all again replays them instead.
 
-    The cache holds the last call without flips that ran all its samples,
-    keyed by everything its draws depend on: its start state, detect_prob,
-    sample count and intrinsics, with the state it left. Every draw reads
-    nothing but the generator, and of the model only detect_prob decides
-    which draws a sample makes (clutter is off and the sigmas only scale the
-    draws), so a call under the same key draws the same views and the same
-    detections.
 
-    A slot holds a sample's flower rotation and camera pose and the state
-    those two draws left behind. The first replay of a held call records
-    every slot: its projection and, on a scratch generator, what the oracle
-    draws from that state, the detection uniform and the `_pose_draws`; it
-    then fixes the call's detections and opportunities. A detection's
-    errors are a function of those draws and the model. The cache keeps the
-    position errors of all detections with the one pixel and depth sigmas
-    and reliable_range that gave them, and their rotation errors with the
-    one rot_sigma, and recomputes a part only when its settings change.
+@dataclass(frozen=True, eq=False)
+class SampleDraws:
+    """The draws of one single_shot_stats oracle call, taken once by
+    `draw_samples` under one detect_prob and intrinsics, so that every model
+    with that detect_prob and without flips is tallied on them.
 
-    The slot arrays are sized to the held call: 256 bytes of floats a slot
-    and the after-view state in one packed int (72 bytes with its list
-    entry), then 32 bytes a detection for its index and errors, about 360
-    bytes a slot.
+    Per sample: the flower rotation, the camera pose, and a row of the
+    projected u, v and ray depth, the detection uniform, the pixel and depth
+    normals, the axis and the angle normal. A row is NaN out of view, and
+    from its pixel normal on for a miss.
     """
 
-    def __init__(self) -> None:
-        self.end = 0  # the state the held call left
-        self._scratch = np.random.Generator(np.random.PCG64())
-        self.clear(0)
+    detect_prob: float
+    k: Intrinsics
+    flower_rot: np.ndarray  # (n, 3, 3)
+    cam_pos: np.ndarray  # (n, 3)
+    cam_rot: np.ndarray  # (n, 3, 3)
+    rows: np.ndarray  # (n, 11)
 
-    def clear(self, n: int) -> None:
-        """Drop the held call and make room for the n samples of the next."""
-        self.key: tuple[int, float, int, Intrinsics] | None = None  # start state, detect_prob, n_samples, k
-        self.flower_rot = np.empty((n, 3, 3))
-        self.cam_pos = np.empty((n, 3))
-        self.cam_rot = np.empty((n, 3, 3))
-        self.after: list[int] = [0] * n
-        # Once recorded: per slot the projected u, v and ray depth (NaN out
-        # of view), the detection uniform, the pixel and depth normals, the
-        # axis and the angle normal; the detection slots; the visible ones.
-        self.draws = np.empty((n, 11))
-        self.hit: np.ndarray | None = None
-        self.opportunities = 0
-        # The settings that gave each error part of the detections, replay's
-        # pos (px, trans error) and rot (rotation error).
-        self.pos_knobs: tuple | None = None  # pixel, near, far sigma, band lo, hi
-        self.rot_sigma: float | None = None
+    def tally(self, noise: NoiseModel, k: Intrinsics, n_samples: int) -> SingleShotStats:
+        """The oracle call's tally under `noise`: its detections' errors as
+        arrays, in sample order. A setting the draws were not taken under, or
+        a model with flips, which draws more, raises ValueError."""
+        if noise.flip_prob > 0.0:
+            raise ValueError(f"held draws tally models without flips, not flip_prob={noise.flip_prob}")
+        for name, got, held in (
+            ("detect_prob", noise.detect_prob, self.detect_prob), ("k", k, self.k),
+            ("n_samples", n_samples, len(self.rows)),
+        ):
+            if got != held:
+                raise ValueError(f"draws taken at {name}={held!r} cannot tally {name}={got!r}")
+        hit = np.flatnonzero(self.rows[:, 3] < self.detect_prob)  # NaN out of view
+        pos = _position_errors(self.rows[hit], self.cam_pos[hit], self.cam_rot[hit], k, noise, np.zeros(3))[2]
+        rot = _rotation_errors(self.flower_rot[hit], self.rows[hit, 7:10], self.rows[hit, 10], noise.rot_sigma)[1]
+        opportunities = int(np.count_nonzero(~np.isnan(self.rows[:, 2])))
+        return SingleShotStats(opportunities, pos[:, 0].tolist(), pos[:, 1].tolist(), rot.tolist())
 
-    def _record(self) -> None:
-        """Every slot's projection and the oracle's draws from its after-view state."""
-        g = self._scratch
-        for i, after in enumerate(self.after):
-            obs = project(np.zeros(3), Pose(self.cam_pos[i], self.cam_rot[i]), self.key[3])
-            if obs is None:  # out of view: the oracle draws nothing
-                self.draws[i] = np.nan
-                continue
-            g.bit_generator.state = _pcg64_state(after)
-            r = g.random()
-            z_u, z_v, z_d, axis, z_a = _pose_draws(g)
-            self.draws[i] = (obs.u, obs.v, obs.ray_depth, r, z_u, z_v, z_d, *axis.tolist(), z_a)
 
-    def replay(self, noise: NoiseModel) -> SingleShotStats:
-        """The held call's tally under `noise`, a model with its key's
-        detect_prob: its detections' errors, brought up to `noise` as
-        arrays, in slot order."""
-        if self.hit is None:
-            self._record()
-            self.hit = np.flatnonzero(self.draws[:, 3] < noise.detect_prob)  # NaN out of view
-            self.opportunities = int(np.count_nonzero(~np.isnan(self.draws[:, 2])))
-        hit = self.hit
-        knobs = (noise.pixel_sigma, noise.depth_sigma_near, noise.depth_sigma_far, *noise.reliable_range)
-        if knobs != self.pos_knobs:
-            self.pos_knobs = knobs
-            self.pos = _position_errors(
-                self.draws[hit], self.cam_pos[hit], self.cam_rot[hit], self.key[3], noise, np.zeros(3)
-            )[2]
-        if noise.rot_sigma != self.rot_sigma:
-            self.rot_sigma = noise.rot_sigma
-            self.rot = _rotation_errors(
-                self.flower_rot[hit], self.draws[hit, 7:10], self.draws[hit, 10], noise.rot_sigma
-            )[1]
-        return SingleShotStats(
-            self.opportunities, self.pos[:, 0].tolist(), self.pos[:, 1].tolist(), self.rot.tolist()
-        )
+def draw_samples(detect_prob: float, k: Intrinsics, n_samples: int, rng: np.random.Generator) -> SampleDraws:
+    """The draws that single_shot_stats' oracle call takes from `rng` under
+    any model with this detect_prob and without flips, in the oracle's
+    order: per sample `_draw_view`, then for a visible flower the detection
+    uniform, and for a detection `_pose_draws`. rng ends where that call
+    leaves it.
+
+    The first visible sample is also observed by observe_with_truth, on a
+    copy of rng. If its detection or the copy's end state differs from these
+    draws', the two have drifted apart, and this raises AssertionError.
+    """
+    n = n_samples
+    flower_rot, cam_pos, cam_rot = np.empty((n, 3, 3)), np.empty((n, 3)), np.empty((n, 3, 3))
+    rows = np.full((n, 11), np.nan)
+    probe = None
+    for i in range(n):
+        pose, cam = _draw_view(rng)
+        flower_rot[i], cam_pos[i], cam_rot[i] = pose.rotation, cam.position, cam.rotation
+        obs = project(pose.position, cam, k)
+        if obs is None:
+            continue
+        first = probe is None
+        if first:
+            probe = copy.deepcopy(rng)
+            quiet = NoiseModel(detect_prob=detect_prob, clutter_rate=0.0)
+            detected = observe_with_truth([FlowerGT(0, pose)], cam, k, quiet, probe)[1][0].detected
+        r = rng.random()
+        rows[i, :4] = obs.u, obs.v, obs.ray_depth, r
+        if r < detect_prob:
+            z_u, z_v, z_d, axis, z_a = _pose_draws(rng)
+            rows[i, 4:] = z_u, z_v, z_d, *axis.tolist(), z_a
+        if first and (detected != (r < detect_prob) or probe.bit_generator.state != rng.bit_generator.state):
+            raise AssertionError(f"sample {i}: observe_with_truth draws differently from draw_samples")
+    return SampleDraws(detect_prob, k, flower_rot, cam_pos, cam_rot, rows)
 
 
 def single_shot_stats(
-    noise: NoiseModel,
-    k: Intrinsics,
-    n_samples: int,
-    rng: np.random.Generator,
-    cache: SampleCache | None = None,
-    *,
-    stop: Callable[[int, int, int], bool] | None = None,
+    noise: NoiseModel, k: Intrinsics, n_samples: int, source: np.random.Generator | SampleDraws
 ) -> SingleShotStats:
     """Sample one flower from n_samples (>= 1) independent viewpoints and
     collect the oracle's single-shot error statistics (clutter excluded).
 
-    Each sample draws a flower rotation and a viewpoint, then observes.
-    With `cache`, which refuses a model with flips, a call without `stop`
-    that has the held call's start state, detect_prob, n_samples and
-    intrinsics replays it (SampleCache.replay) and moves rng to the state
-    it left. Any other call draws every sample and, if it runs to the end,
-    becomes the held call. Every draw reads nothing but the generator, so
-    the same start state gives the same bits and the same end state: the
-    result, and rng's state afterwards, equal the uncached call's. This
-    pays off under common random numbers, where calibration re-seeds every
-    evaluation.
-
-    With `stop`, sampling ends early once stop(within, opportunities, left)
-    is true before a sample: `within` counts the detections within
-    DETECT_SUCCESS_PX so far, `opportunities` the visible flowers so far,
-    `left` the samples still to take. The tally returned is then that
-    partial one, and rng is left where it stopped.
+    From a generator, each sample draws a flower rotation and a viewpoint,
+    then observes. From the SampleDraws of those settings, it tallies them
+    instead (SampleDraws.tally): the same bits, without an oracle call.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, not {n_samples}")
-    if cache is not None:
-        if noise.flip_prob > 0.0:
-            raise ValueError(f"SampleCache replays models without flips, not flip_prob={noise.flip_prob}")
-        key = (_pcg64_key(rng), noise.detect_prob, n_samples, k)
-        if stop is None and cache.key == key:
-            rng.bit_generator.state = _pcg64_state(cache.end)
-            return cache.replay(noise)
-        cache.clear(n_samples)  # the loop overwrites the held samples
+    if isinstance(source, SampleDraws):
+        return source.tally(noise, k, n_samples)
     stats = SingleShotStats()
     quiet = replace(noise, clutter_rate=0.0)
     flower = FlowerGT(id=0, pose=Pose(np.zeros(3), np.eye(3)))
-    within = 0
-    for i in range(n_samples):
-        if stop is not None and stop(within, stats.opportunities, n_samples - i):
-            return stats
-        flower.pose, cam = _draw_view(rng)
-        if cache is not None:
-            cache.flower_rot[i], cache.cam_pos[i], cache.cam_rot[i] = flower.pose.rotation, cam.position, cam.rotation
-            cache.after[i] = _pcg64_key(rng)
-        records = observe_with_truth([flower], cam, k, quiet, rng)[1]
-        stats.add(records)
-        within += sum(rec.detected and rec.px_err <= DETECT_SUCCESS_PX for rec in records)
-    if cache is not None:
-        cache.key, cache.end = key, _pcg64_key(rng)
+    for _ in range(n_samples):
+        flower.pose, cam = _draw_view(source)
+        stats.add(observe_with_truth([flower], cam, k, quiet, source)[1])
     return stats

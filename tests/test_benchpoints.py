@@ -93,9 +93,9 @@ def test_runner_patch_points_fire(tmp_path, monkeypatch):
 
 
 def test_calibration_keeps_its_evaluation_count():
-    # The calibrate workload's items are evaluations x samples: a detect_prob
-    # evaluation that stops sampling early still counts as one call, and the
-    # search makes as many as when every evaluation drew all its samples.
+    # The calibrate workload's items are evaluations x samples: an evaluation
+    # on held draws still counts as one call, and the search makes as many as
+    # when every evaluation called the oracle.
     tracer = benchtrace.Tracer()
     with tracer.installed():
         runner.calibrate_noise(CAL_TARGETS, seed=0, n_samples=CAL_SAMPLES)

@@ -406,6 +406,14 @@ def test_calibrate_noiseless_targets(tmp_path, capsys):
     assert model["detect_prob"] == 1.0
 
 
+def test_calibrate_all_zero_targets_fit(capsys):
+    # a zero det_rate is refused only beside a nonzero error target
+    assert main(["calibrate-noise", "--trans-cm", "0", "--rot-deg", "0", "--det-rate", "0", "--samples", "300"]) == 0
+    model = json.loads(capsys.readouterr().out)
+    assert (model["depth_sigma_near"], model["rot_sigma"]) == (0.0, 0.0)
+    assert 0.0 < model["detect_prob"] < 0.01
+
+
 @pytest.mark.parametrize("option, value", [
     ("--trans-cm", "-1"),
     ("--trans-cm", "nan"),
@@ -413,6 +421,7 @@ def test_calibrate_noiseless_targets(tmp_path, capsys):
     ("--rot-deg", "inf"),
     ("--det-rate", "nan"),
     ("--det-rate", "1.5"),
+    ("--det-rate", "0"),  # no detection leaves no error to fit
 ])
 def test_calibrate_negative_target_rejected(capsys, option, value):
     # refused before any bisection runs, naming the target
@@ -462,11 +471,13 @@ def test_calibrate_reproducible_under_fixed_seed():
 
 def test_calibrate_reference_targets_resimulate_within_10pct():
     from pollisim.camera import Intrinsics
-    from pollisim.runner import _stat_for, calibrate_noise
+    from pollisim.runner import calibrate_noise
+    from pollisim.simworld import single_shot_stats
 
     noise = calibrate_noise({"trans_cm": 3.03, "rot_deg": 29.88, "det_rate": 0.9301},
                             seed=2, n_samples=2500)
-    trans, rot, det = _stat_for(noise, Intrinsics.default(), 8000, seed=77)
+    stats = single_shot_stats(noise, Intrinsics.default(), 8000, np.random.default_rng([77, 7]))
+    trans, rot, det = stats.mean_trans, stats.mean_rot, stats.detection_rate
     assert abs(trans - 0.0303) <= 0.10 * 0.0303
     assert abs(rot - 29.88) <= 0.10 * 29.88
     assert abs(det - 0.9301) <= 0.10 * 0.9301

@@ -1,7 +1,8 @@
 """The runner's outputs, pinned: every byte of one run directory, and the
 work the runner skips because its result is already known (calibration's
-replayed samples and the rotation audit's reused verdicts), which must leave
-every result exactly as the full computation gives it."""
+samples, drawn once per detect_prob, and the rotation audit's reused
+verdicts), which must leave every result exactly as the full computation
+gives it."""
 
 import csv
 import hashlib
@@ -115,13 +116,17 @@ def test_read_run_logs_rebuilds_the_loops_shot_tally(monkeypatch, tmp_path):
         assert np.array(getattr(read, name)).tobytes() == np.array(getattr(loop, name)).tobytes()
 
 
-def _calibration_record(monkeypatch, targets, seed, cached):
-    """Every evaluation's (trans, rot, det), then the model or the failure."""
+def _calibration_record(monkeypatch, targets, seed, oracle):
+    """Every evaluation's (trans, rot, det), then the model or the failure.
+    With `oracle`, each evaluation is what the oracle's single_shot_stats
+    gives for its model on a fresh generator of calibration's stream."""
     evals = []
     inner = runner.single_shot_stats
 
-    def recorded(noise, k, n_samples, rng, *views, **stop):
-        s = inner(noise, k, n_samples, rng, *(views if cached else ()), **stop)
+    def recorded(noise, k, n_samples, draws):
+        if oracle:
+            draws = np.random.default_rng([seed, 7])
+        s = inner(noise, k, n_samples, draws)
         evals.append((s.mean_trans, s.mean_rot, s.detection_rate))
         return s
 
@@ -137,85 +142,32 @@ def _calibration_record(monkeypatch, targets, seed, cached):
 @pytest.mark.parametrize("targets", [CLI_TARGETS, NOISELESS_TARGETS, PERFECT_DETECTION_TARGETS])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_calibration_with_reused_views_equals_the_uncached_one(monkeypatch, targets, seed):
-    cached = _calibration_record(monkeypatch, targets, seed, cached=True)
-    uncached = _calibration_record(monkeypatch, targets, seed, cached=False)
+    held = _calibration_record(monkeypatch, targets, seed, oracle=False)
+    uncached = _calibration_record(monkeypatch, targets, seed, oracle=True)
     # NaN statistics (no detection at all) compare equal through repr
-    assert repr(cached) == repr(uncached)
-    assert len(cached[0]) >= 1
+    assert repr(held) == repr(uncached)
+    assert len(held[0]) >= 1
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_calibration_replays_every_evaluation_without_stop(monkeypatch, seed):
-    # The accepted detect_prob evaluation runs to the end, as its rate reads
-    # inside the window, so the cache holds its samples; every later
-    # evaluation shares its seed, detect_prob and sample count and replays
-    # them without drawing a view.
-    views = []
-    real_view = simworld.sample_viewpoint
-    monkeypatch.setattr(simworld, "sample_viewpoint", lambda *args: views.append(1) or real_view(*args))
-    drawn = []
+def test_calibration_draws_each_detect_prob_once(monkeypatch, seed):
+    # One draw pass per detect_prob evaluated: n views each, and one oracle
+    # call, the draw pass's parity check. No evaluation calls the oracle.
+    n = 250
+    calls = dict.fromkeys(("sample_viewpoint", "observe_with_truth"), 0)
+    for name in calls:
+        def counted(*args, _name=name, _real=getattr(simworld, name)):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(simworld, name, counted)
+    models = []
     inner = runner.single_shot_stats
-
-    def counted(noise, k, n_samples, rng, cache, stop=None):
-        before = len(views)
-        s = inner(noise, k, n_samples, rng, cache, stop=stop)
-        if stop is None:
-            drawn.append(len(views) - before)
-        return s
-
-    monkeypatch.setattr(runner, "single_shot_stats", counted)
-    runner.calibrate_noise(CLI_TARGETS, seed=seed, n_samples=250)
-    assert len(drawn) >= 2
-    assert drawn == [0] * len(drawn)
-
-
-@pytest.mark.parametrize("seed", range(10))
-def test_settled_detect_evaluations_give_the_full_search(monkeypatch, seed):
-    # Against a reference whose detect_prob evaluations never stop early:
-    # the same number of evaluations, each with the same verdict, and the
-    # same model or failure.
-    stopped = 0
-    for targets in (CLI_TARGETS, NOISELESS_TARGETS, PERFECT_DETECTION_TARGETS):
-        settled = _calibration_record(monkeypatch, targets, seed, cached=True)
-        with monkeypatch.context() as m:
-            m.setattr(runner, "_verdict_settled", lambda *args, **kwargs: False)
-            full = _calibration_record(monkeypatch, targets, seed, cached=True)
-        assert settled[1] == full[1]
-        assert len(settled[0]) == len(full[0])
-        tol = runner.CAL_INNER_TOL * targets["det_rate"]
-        for got, want in zip(settled[0], full[0]):
-            if repr(got) != repr(want):
-                stopped += 1
-                assert runner._verdict(got[2], targets["det_rate"], tol) == runner._verdict(
-                    want[2], targets["det_rate"], tol
-                ) != 0
-    assert stopped > 0  # at the CLI targets some evaluations do stop early
-
-
-@pytest.mark.parametrize("target, tol", [
-    (0.0, 0.0), (0.5, 0.25), (0.5, 0.01), (0.9301, runner.CAL_INNER_TOL * 0.9301), (0.97, 0.05 * 0.97),
-    (0.999, runner.CAL_INNER_TOL * 0.999), (1.0, 0.0), (1.0, 0.02),
-])
-def test_a_settled_tally_has_one_verdict_for_every_completion(target, tol):
-    # Enumerate every small tally (within <= opportunities, left samples to
-    # go) and every completion: a samples of the b <= left visible ones detected.
-    settles = 0
-    for n in range(1, 13):
-        for opportunities in range(n + 1):
-            left = n - opportunities
-            for within in range(opportunities + 1):
-                if not runner._verdict_settled(within, opportunities, left, target, tol):
-                    continue
-                settles += 1
-                assert opportunities > 0
-                verdict = runner._verdict(within / opportunities, target, tol)
-                assert verdict != 0
-                finals = {
-                    runner._verdict((within + a) / (opportunities + b), target, tol)
-                    for b in range(left + 1) for a in range(b + 1)
-                }
-                assert finals == {verdict}
-    assert settles > 0
+    monkeypatch.setattr(runner, "single_shot_stats", lambda noise, *rest: models.append(noise) or inner(noise, *rest))
+    runner.calibrate_noise(CLI_TARGETS, seed=seed, n_samples=n)
+    passes = len({model.detect_prob for model in models})
+    assert passes >= 2 and len(models) > passes
+    assert calls == {"sample_viewpoint": n * passes, "observe_with_truth": passes}
 
 
 def test_benchmark_calibration_gives_its_recorded_models():

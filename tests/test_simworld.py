@@ -19,10 +19,11 @@ from pollisim.simworld import (
     InvariantViolation,
     NoiseModel,
     ParseError,
-    SampleCache,
+    SampleDraws,
     SceneGenParams,
     ShotRecord,
     SingleShotStats,
+    draw_samples,
     generate_scene,
     load_scene,
     observe_with_truth,
@@ -475,16 +476,6 @@ def _stats_bits(stats):
     return (stats.opportunities, stats.detections_within_px, stats.trans_errors, stats.rot_errors)
 
 
-def _uncached(monkeypatch, model, n, seed, k=K):
-    """single_shot_stats without a cache, through the real oracle, and the
-    generator it leaves."""
-    rng = np.random.default_rng([seed, 7])
-    with monkeypatch.context() as m:
-        m.setattr(simworld, "sample_viewpoint", sample_viewpoint)
-        m.setattr(simworld, "observe_with_truth", observe_with_truth)
-        return single_shot_stats(model, k, n, rng), rng.bit_generator.state
-
-
 def _counted(monkeypatch, *names):
     """Count the calls of simworld's functions `names` from here on."""
     calls = {name: 0 for name in names}
@@ -499,239 +490,99 @@ def _counted(monkeypatch, *names):
     return calls
 
 
-def test_sample_cache_gives_the_uncached_stats_across_seeds(monkeypatch):
-    # Two streams fed through one cache in alternation: a call finds the
-    # cache holding the other seed's call, or its own when it made the last
-    # one. Each call must equal the uncached one, rng state afterwards too.
-    n = 150
-    cache = SampleCache()
-    calls = _counted(monkeypatch, "sample_viewpoint")
-    drawn = []
-    for model in (NoiseModel(), NoiseModel(detect_prob=0.6, rot_sigma=10.0)):
-        for seed in (3, 4, 3, 3, 4):
-            want, want_state = _uncached(monkeypatch, model, n, seed)
-            got_rng = np.random.default_rng([seed, 7])
-            before = calls["sample_viewpoint"]
-            got = single_shot_stats(model, K, n, got_rng, cache)
-            drawn.append(calls["sample_viewpoint"] - before)
-            assert _stats_bits(got) == _stats_bits(want)
-            assert got_rng.bit_generator.state == want_state
-    # A seed after the other one redraws every view; a seed repeated with
-    # the same model redraws none.
-    assert drawn == [n, n, n, 0, n] * 2
-    # A model with flips draws extra numbers after a detection: the cache refuses it.
-    with pytest.raises(ValueError, match="flip"):
-        single_shot_stats(NoiseModel(flip_prob=0.5), K, n, np.random.default_rng([4, 7]), cache)
-    # More samples than the held call's draw them all, as the uncached call does.
-    want, want_state = _uncached(monkeypatch, model, n + 1, 4)
-    got_rng = np.random.default_rng([4, 7])
-    before = calls["sample_viewpoint"]
-    got = single_shot_stats(model, K, n + 1, got_rng, cache)
-    assert calls["sample_viewpoint"] - before == n + 1
-    assert _stats_bits(got) == _stats_bits(want)
-    assert got_rng.bit_generator.state == want_state
-
-
 @pytest.mark.parametrize("samples", [0, -3])
-@pytest.mark.parametrize("cached", [False, True])
-def test_single_shot_stats_refuses_a_sample_count_below_one(samples, cached):
-    cache = SampleCache() if cached else None
+def test_single_shot_stats_refuses_a_sample_count_below_one(samples):
     rng = np.random.default_rng(4)
     state = rng.bit_generator.state
     with pytest.raises(ValueError, match="n_samples"):
-        single_shot_stats(NoiseModel(), K, samples, rng, cache)
+        single_shot_stats(NoiseModel(), K, samples, rng)
     assert rng.bit_generator.state == state  # nothing drawn
-    assert cache is None or cache.key is None  # nothing held
-
-
-@pytest.mark.parametrize("stop_at", [0, 1, 50, 119])
-def test_single_shot_stats_stops_on_its_running_tally(monkeypatch, stop_at):
-    # A wide pixel sigma puts many detections outside the pixel gate. Before
-    # each sample the predicate sees the tally so far; the call returns the
-    # tally where it said stop, a prefix of the full one, and leaves rng where
-    # the uncached call leaves it. A stopped call holds nothing; a call with
-    # `stop` that runs to the end holds its samples like any other.
-    n = 120
-    calls = _counted(monkeypatch, "sample_viewpoint")
-    for model in (NoiseModel(pixel_sigma=15.0, detect_prob=0.8), NoiseModel(pixel_sigma=15.0, flip_prob=0.5)):
-        rng = np.random.default_rng(9)
-        full = single_shot_stats(model, K, n, rng)
-        full_state = rng.bit_generator.state
-        assert full.detections_within_px < len(full.px_errors)
-
-        def stopped(cached):
-            seen = []
-
-            def stop(within, opportunities, left):
-                seen.append((within, opportunities, left))
-                return left == n - stop_at
-
-            rng = np.random.default_rng(9)
-            got = single_shot_stats(model, K, n, rng, cached, stop=stop)
-            assert [left for *_, left in seen] == list(range(n, n - stop_at - 1, -1))
-            assert seen[-1][:2] == (got.detections_within_px, got.opportunities)
-            for name in ("px_errors", "trans_errors", "rot_errors"):
-                assert getattr(got, name) == getattr(full, name)[: len(got.px_errors)]
-            return rng.bit_generator.state
-
-        def drawn(**stop):
-            """The views a call through `cache` draws; it gives the full tally."""
-            rng = np.random.default_rng(9)
-            before = calls["sample_viewpoint"]
-            got = single_shot_stats(model, K, n, rng, cache, **stop)
-            assert _stats_bits(got) == _stats_bits(full)
-            assert rng.bit_generator.state == full_state
-            return calls["sample_viewpoint"] - before
-
-        want = stopped(None)
-        cache = SampleCache()
-        if model.flip_prob > 0.0:
-            with pytest.raises(ValueError, match="flip"):
-                stopped(cache)
-            continue
-        assert stopped(cache) == want  # draws the samples before the stop
-        assert drawn() == n  # and holds none of them
-        assert stopped(cache) == want  # a call with stop never replays the held call
-        assert drawn() == n  # and drops it
-        assert drawn(stop=lambda *tally: False) == n  # runs to the end, so holds its samples
-        assert drawn() == 0
 
 
 NARROW = Intrinsics(fx=600.0, fy=600.0, cx=640.0, cy=360.0, width=1280, height=720)
 
 
 @pytest.mark.parametrize("model, samples, seed, k", [
-    (NoiseModel(detect_prob=0.8), 100, 6, K),
-    (NoiseModel(detect_prob=0.7), 100, 5, K),
-    (NoiseModel(detect_prob=0.8), 99, 5, K),
+    (NoiseModel(), 150, 3, K),
+    (NoiseModel(detect_prob=0.6, rot_sigma=10.0), 150, 4, K),
+    (NoiseModel(detect_prob=0.0), 40, 5, K),
+    (NoiseModel.noiseless(), 1, 5, K),
     (NoiseModel(detect_prob=0.8), 100, 5, NARROW),
-], ids=["start-state", "detect_prob", "n_samples", "intrinsics"])
-def test_a_held_call_replays_only_under_its_whole_key(monkeypatch, model, samples, seed, k):
-    # The cache holds a 100-sample call at seed 5, detect_prob 0.8 and
-    # intrinsics K. A call that differs in one part of that key alone draws
-    # all its samples; the n_samples and intrinsics cases share every view
-    # and detection with the held call, and the detect_prob case the views
-    # up to its first changed detection.
-    n = 100
-    cache = SampleCache()
-    calls = _counted(monkeypatch, "sample_viewpoint")
-    single_shot_stats(NoiseModel(detect_prob=0.8), K, n, np.random.default_rng([5, 7]), cache)
-    want, want_state = _uncached(monkeypatch, model, samples, seed, k)
-    rng = np.random.default_rng([seed, 7])
-    before = calls["sample_viewpoint"]
-    got = single_shot_stats(model, k, samples, rng, cache)
-    assert calls["sample_viewpoint"] - before == samples
-    assert _stats_bits(got) == _stats_bits(want)
-    assert rng.bit_generator.state == want_state
+], ids=["stock", "detect_prob", "no-detection", "one-sample", "intrinsics"])
+def test_held_draws_give_the_oracle_call_and_its_end_state(model, samples, seed, k):
+    # draw_samples takes from its generator what the oracle call takes, and
+    # the tally of its draws has the oracle call's bits.
+    want_rng, got_rng = np.random.default_rng([seed, 7]), np.random.default_rng([seed, 7])
+    want = single_shot_stats(model, k, samples, want_rng)
+    draws = draw_samples(model.detect_prob, k, samples, got_rng)
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+    assert _stats_bits(single_shot_stats(model, k, samples, draws)) == _stats_bits(want)
+    assert want.opportunities > 0
 
 
 @pytest.mark.parametrize("setting, value", [
     ("pixel_sigma", 9.0), ("depth_sigma_near", 0.02), ("depth_sigma_far", 0.01), ("reliable_range", (0.2, 0.4)),
     ("rot_sigma", 5.0),
 ])
-def test_a_replay_follows_each_error_setting_alone(monkeypatch, setting, value):
-    # The held call's errors are kept with the one settings record that gave
-    # them. After a replay has computed them, a model that changes any one
-    # setting alone replays the held views and draws and gets the uncached
-    # call's errors.
+def test_held_draws_tally_each_error_setting_as_the_oracle_does(monkeypatch, setting, value):
+    # One draw pass serves every model with its detect_prob: a model that
+    # changes one error setting alone is tallied on the same draws, without
+    # another view or oracle call, and gets the oracle call's bits.
     n, seed = 100, 8
-    cache = SampleCache()
-    calls = _counted(monkeypatch, "sample_viewpoint")
-    for model in (NoiseModel(), NoiseModel(), replace(NoiseModel(), **{setting: value})):
-        want, want_state = _uncached(monkeypatch, model, n, seed)
-        rng = np.random.default_rng([seed, 7])
-        got = single_shot_stats(model, K, n, rng, cache)
-        assert _stats_bits(got) == _stats_bits(want)
-        assert rng.bit_generator.state == want_state
-    assert calls["sample_viewpoint"] == n
-
-
-def test_sample_cache_reuses_only_an_identical_state(monkeypatch):
+    models = (NoiseModel(), replace(NoiseModel(), **{setting: value}))
+    want = [single_shot_stats(model, K, n, np.random.default_rng([seed, 7])) for model in models]
     calls = _counted(monkeypatch, "sample_viewpoint", "observe_with_truth")
-    cache = SampleCache()
-    model = NoiseModel(detect_prob=1.0)
-    rng = np.random.default_rng(5)
-    first = single_shot_stats(model, K, 1, rng, cache)
-    after = rng.bit_generator.state
-    rng = np.random.default_rng(5)
-    again = single_shot_stats(model, K, 1, rng, cache)
-    assert calls == {"sample_viewpoint": 1, "observe_with_truth": 1}
-    assert rng.bit_generator.state == after
-    assert _stats_bits(again) == _stats_bits(first) and again.opportunities == 1
-    # The same 128-bit state and increment with a buffered 32-bit half is
-    # another state: the slot is redrawn, and then the first state misses.
-    # A replay from the buffered state keeps the buffered half.
-    buffered = dict(np.random.default_rng(5).bit_generator.state, has_uint32=1, uinteger=12345)
-    for _ in range(2):
-        rng = np.random.default_rng(5)
-        rng.bit_generator.state = buffered
-        single_shot_stats(model, K, 1, rng, cache)
-        assert (rng.bit_generator.state["has_uint32"], rng.bit_generator.state["uinteger"]) == (1, 12345)
-        assert rng.bit_generator.state["state"] == after["state"]
-    single_shot_stats(model, K, 1, np.random.default_rng(5), cache)
-    assert calls == {"sample_viewpoint": 3, "observe_with_truth": 3}
-    with pytest.raises(TypeError, match="PCG64"):
-        single_shot_stats(model, K, 1, np.random.Generator(np.random.MT19937(0)), cache)
+    draws = draw_samples(NoiseModel().detect_prob, K, n, np.random.default_rng([seed, 7]))
+    got = [single_shot_stats(model, K, n, draws) for model in models]
+    assert calls == {"sample_viewpoint": n, "observe_with_truth": 1}
+    assert [_stats_bits(g) for g in got] == [_stats_bits(w) for w in want]
 
 
-def test_sample_cache_replays_a_calibration_shaped_search(monkeypatch):
-    # The order calibrate_noise evaluates in: detect_prob steps, then
-    # rot_sigma steps, then depth-sigma steps, an earlier model again, and
-    # all sigmas zero. Once detect_prob is fixed, a repeated seed observes
-    # nothing: every sample replays, and recomputes only the error part
-    # whose settings changed.
-    n, seed = 200, 11
-    cache = SampleCache()
-    detect = [replace(NoiseModel(), detect_prob=p) for p in (1.0, 0.5, 0.75, 0.875, 0.8125)]
-    fixed = detect[-1]
-    rot = [replace(fixed, rot_sigma=x) for x in (30.0, 45.0, 37.5)]
-    depth = [replace(rot[-1], depth_sigma_near=x, depth_sigma_far=20.0 * x) for x in (0.005, 0.0025, 0.00375)]
-    zero = replace(depth[-1], pixel_sigma=0.0, depth_sigma_near=0.0, depth_sigma_far=0.0, rot_sigma=0.0)
-    models = detect + rot + depth + [rot[0], zero]
-    calls = _counted(monkeypatch, "sample_viewpoint", "observe_with_truth")
-    # The rows that the replay's batch recomputes, per error part
-    for name in ("_position_errors", "_rotation_errors"):
-        calls[name] = 0
+@pytest.mark.parametrize("model, k, samples, error", [
+    (NoiseModel(detect_prob=0.7), K, 30, "at detect_prob=0.8 cannot tally detect_prob=0.7"),
+    (NoiseModel(detect_prob=0.8), NARROW, 30, "at k="),
+    (NoiseModel(detect_prob=0.8), K, 29, "at n_samples=30 cannot tally n_samples=29"),
+    (NoiseModel(detect_prob=0.8, flip_prob=0.1), K, 30, "without flips, not flip_prob=0.1"),
+], ids=["detect_prob", "intrinsics", "n_samples", "flips"])
+def test_held_draws_refuse_a_setting_they_were_not_taken_under(model, k, samples, error):
+    draws = draw_samples(0.8, K, 30, np.random.default_rng(2))
+    single_shot_stats(NoiseModel(detect_prob=0.8), K, 30, draws)
+    with pytest.raises(ValueError, match=error):
+        single_shot_stats(model, k, samples, draws)
 
-        def rows(*args, _name=name, _real=getattr(simworld, name)):
-            calls[_name] += len(args[0])
-            return _real(*args)
 
-        monkeypatch.setattr(simworld, name, rows)
-    counts = []
-    for model in models:
-        want, want_state = _uncached(monkeypatch, model, n, seed)
-        rng = np.random.default_rng([seed, 7])
-        before = dict(calls)
-        got = single_shot_stats(model, K, n, rng, cache)
-        assert _stats_bits(got) == _stats_bits(want)
-        assert rng.bit_generator.state == want_state
-        counts.append({name: calls[name] - before[name] for name in calls})
-    assert counts[0]["observe_with_truth"] == n
-    for i, model in enumerate(models[1:], 1):
-        if model.detect_prob == models[i - 1].detect_prob:
-            assert counts[i]["observe_with_truth"] == counts[i]["sample_viewpoint"] == 0
-    # rot[0] is the first replay of detect[-1]'s samples: it computes both parts.
-    for c in counts[len(detect) + 1:len(detect) + len(rot)]:
-        assert c["_position_errors"] == 0 and c["_rotation_errors"] > 0
-    for c in counts[len(detect) + len(rot):len(detect) + len(rot) + len(depth)]:
-        assert c["_rotation_errors"] == 0 and c["_position_errors"] > 0
-    # rot[0] again differs from depth[-1] in both parts, and so does the
-    # zero model: each detection recomputes both.
-    for c in counts[-2:]:
-        assert c["_rotation_errors"] == c["_position_errors"] > 0
-    assert got.mean_trans < 1e-9 and got.mean_rot < 1e-5
+@pytest.mark.parametrize("drift", ["extra-draw", "detected-flag"])
+def test_draw_samples_raises_when_the_oracle_draws_differently(monkeypatch, drift):
+    # The first visible sample is observed by the oracle on a copy of the
+    # generator; an oracle that draws one number more, or reports another
+    # detection, no longer matches the draws.
+    real = simworld.observe_with_truth
+    calls = _counted(monkeypatch, "observe_with_truth")
+    draw_samples(0.9, K, 50, np.random.default_rng(3))
+    assert calls["observe_with_truth"] == 1
+
+    def drifted(scene, cam, k, noise, rng):
+        ms, records = real(scene, cam, k, noise, rng)
+        if drift == "extra-draw":
+            rng.random()
+        else:
+            records = [replace(r, detected=not r.detected) for r in records]
+        return ms, records
+
+    monkeypatch.setattr(simworld, "observe_with_truth", drifted)
+    with pytest.raises(AssertionError, match="observe_with_truth"):
+        draw_samples(0.9, K, 50, np.random.default_rng(3))
 
 
 def _tally_bytes(stats):
     return stats.opportunities, np.array([stats.px_errors, stats.trans_errors, stats.rot_errors]).tobytes()
 
 
-def test_batched_replay_matches_the_scalar_oracle_bitwise(monkeypatch):
-    # 12,000 made-up slots replayed as one held call. Each detection's errors
+def test_batched_replay_matches_the_scalar_oracle_bitwise():
+    # 12,000 made-up samples held as one draw pass. Each detection's errors
     # must have the bits that the scalar _noisy_position, _noisy_rotation and
-    # zaxis_angle give on the same draws, and misses and out-of-view slots
-    # must count as the oracle counts them. Among the slots: depths on both
+    # zaxis_angle give on the same draws, and misses and out-of-view samples
+    # must count as the oracle counts them. Among the samples: depths on both
     # reliable_range edges, depth draws under the 1e-6 clamp, and the stock
     # sigmas as well as zero pixel, depth and rotation sigmas.
     n = 12_000
@@ -744,43 +595,35 @@ def test_batched_replay_matches_the_scalar_oracle_bitwise(monkeypatch):
     z[2::11, 2] = -1e3
     axis = rng.standard_normal((n, 3))
     axis /= np.linalg.norm(axis, axis=1, keepdims=True)
-    cache = SampleCache()
-    cache.clear(n)
-    cache.draws[:] = np.column_stack([
+    rows = np.column_stack([
         rng.uniform(0.0, K.width, n), rng.uniform(0.0, K.height, n), depth, rng.random(n), z, axis,
         rng.standard_normal(n),
     ])
-    cache.draws[3::13] = np.nan  # out of view
-    cache.flower_rot[:], cache.cam_rot[:] = random_rotations(rng, n), random_rotations(rng, n)
-    cache.cam_pos[:] = rng.normal(0.0, 0.4, (n, 3))
-    # Held as one call of n samples under K that starts in seed 0's state
-    # and ends in seed 1's; stock and zero share its detect_prob. Its slots
-    # hold made-up draws in place of recorded ones.
-    cache.key = (simworld._pcg64_key(np.random.default_rng(0)), stock.detect_prob, n, K)
-    cache.end = simworld._pcg64_key(np.random.default_rng(1))
-    monkeypatch.setattr(cache, "_record", lambda: None)
+    rows[3::13] = np.nan  # out of view
+    # Held as one pass of n samples under K and the stock detect_prob, which
+    # zero shares; made-up rows in place of drawn ones.
+    flower_rot, cam_rot = random_rotations(rng, n), random_rotations(rng, n)
+    draws = SampleDraws(stock.detect_prob, K, flower_rot, rng.normal(0.0, 0.4, (n, 3)), cam_rot, rows)
     clamped = 0
     for noise in (stock, zero, stock):
-        held = np.random.default_rng(0)
-        got = single_shot_stats(noise, K, n, held, cache)
-        assert held.bit_generator.state == np.random.default_rng(1).bit_generator.state
+        got = single_shot_stats(noise, K, n, draws)
         want = SingleShotStats()
-        for i, (u, v, d, r, z_u, z_v, z_d, *ax, z_a) in enumerate(cache.draws.tolist()):
+        for i, (u, v, d, r, z_u, z_v, z_d, *ax, z_a) in enumerate(draws.rows.tolist()):
             if math.isnan(d):
                 continue
             if r >= noise.detect_prob:
                 want.add([ShotRecord(0, 0, 0, False, math.nan, math.nan, math.nan)])
                 continue
-            cam = Pose(cache.cam_pos[i], cache.cam_rot[i])
+            cam = Pose(draws.cam_pos[i], draws.cam_rot[i])
             pixel, _, px, trans = simworld._noisy_position(
                 PixelObs(u, v, d), np.zeros(3), cam, K, noise, z_u, z_v, z_d
             )
             clamped += pixel.ray_depth == 1e-6
-            flower_rot = cache.flower_rot[i]
+            flower_rot = draws.flower_rot[i]
             rot = zaxis_angle(simworld._noisy_rotation(flower_rot, np.array(ax), z_a, noise.rot_sigma), flower_rot)
             want.add([ShotRecord(0, 0, 0, True, px, trans, rot)])
         assert _tally_bytes(got) == _tally_bytes(want)
-        assert len(want.px_errors) < want.opportunities < n  # misses and out-of-view slots among them
+        assert len(want.px_errors) < want.opportunities < n  # misses and out-of-view samples among them
     assert clamped > 1000
 
 
