@@ -661,6 +661,8 @@ def draw_samples(detect_prob: float, k: Intrinsics, n_samples: int, rng: np.rand
     copy of rng. If its detection or the copy's end state differs from these
     draws', the two have drifted apart, and this raises AssertionError.
     """
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be >= 1, not {n_samples}")
     n = n_samples
     flower_rot, cam_pos, cam_rot = np.empty((n, 3, 3)), np.empty((n, 3)), np.empty((n, 3, 3))
     rows = np.full((n, 11), np.nan)

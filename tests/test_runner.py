@@ -150,7 +150,7 @@ def test_calibration_with_reused_views_equals_the_uncached_one(monkeypatch, targ
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_calibration_draws_each_detect_prob_once(monkeypatch, seed):
+def test_calibration_replays_every_evaluation_without_stop(monkeypatch, seed):
     # One draw pass per detect_prob evaluated: n views each, and one oracle
     # call, the draw pass's parity check. No evaluation calls the oracle.
     n = 250

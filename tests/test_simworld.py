@@ -491,11 +491,17 @@ def _counted(monkeypatch, *names):
 
 
 @pytest.mark.parametrize("samples", [0, -3])
-def test_single_shot_stats_refuses_a_sample_count_below_one(samples):
+@pytest.mark.parametrize("cached", [False, True])
+def test_single_shot_stats_refuses_a_sample_count_below_one(samples, cached):
+    # The oracle call, and the draw pass that held draws are taken by,
+    # refuse the count before drawing anything.
     rng = np.random.default_rng(4)
     state = rng.bit_generator.state
     with pytest.raises(ValueError, match="n_samples"):
-        single_shot_stats(NoiseModel(), K, samples, rng)
+        if cached:
+            single_shot_stats(NoiseModel(), K, samples, draw_samples(NoiseModel().detect_prob, K, samples, rng))
+        else:
+            single_shot_stats(NoiseModel(), K, samples, rng)
     assert rng.bit_generator.state == state  # nothing drawn
 
 
@@ -507,8 +513,7 @@ NARROW = Intrinsics(fx=600.0, fy=600.0, cx=640.0, cy=360.0, width=1280, height=7
     (NoiseModel(detect_prob=0.6, rot_sigma=10.0), 150, 4, K),
     (NoiseModel(detect_prob=0.0), 40, 5, K),
     (NoiseModel.noiseless(), 1, 5, K),
-    (NoiseModel(detect_prob=0.8), 100, 5, NARROW),
-], ids=["stock", "detect_prob", "no-detection", "one-sample", "intrinsics"])
+], ids=["stock", "detect_prob", "no-detection", "one-sample"])
 def test_held_draws_give_the_oracle_call_and_its_end_state(model, samples, seed, k):
     # draw_samples takes from its generator what the oracle call takes, and
     # the tally of its draws has the oracle call's bits.
@@ -520,11 +525,36 @@ def test_held_draws_give_the_oracle_call_and_its_end_state(model, samples, seed,
     assert want.opportunities > 0
 
 
+@pytest.mark.parametrize("model, samples, seed, k, refused", [
+    (NoiseModel(detect_prob=0.8), 100, 6, K, None),
+    (NoiseModel(detect_prob=0.7), 100, 5, K, "at detect_prob=0.8 cannot tally detect_prob=0.7"),
+    (NoiseModel(detect_prob=0.8), 99, 5, K, "at n_samples=100 cannot tally n_samples=99"),
+    (NoiseModel(detect_prob=0.8), 100, 5, NARROW, "at k="),
+], ids=["start-state", "detect_prob", "n_samples", "intrinsics"])
+def test_a_held_call_replays_only_under_its_whole_key(model, samples, seed, k, refused):
+    # Draws held for 100 samples at seed 5, detect_prob 0.8 and intrinsics K
+    # refuse a call that differs from them in one setting alone. They hold no
+    # generator state: a call from another start state gets the draws taken
+    # from that state. Draws taken under the call's whole key give the
+    # oracle call's bits and leave its generator where the oracle leaves it.
+    held = draw_samples(0.8, K, 100, np.random.default_rng([5, 7]))
+    if refused:
+        with pytest.raises(ValueError, match=refused):
+            single_shot_stats(model, k, samples, held)
+    want_rng, got_rng = np.random.default_rng([seed, 7]), np.random.default_rng([seed, 7])
+    want = single_shot_stats(model, k, samples, want_rng)
+    draws = draw_samples(model.detect_prob, k, samples, got_rng)
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+    assert _stats_bits(single_shot_stats(model, k, samples, draws)) == _stats_bits(want)
+    if not refused:
+        assert _stats_bits(single_shot_stats(model, k, samples, held)) != _stats_bits(want)
+
+
 @pytest.mark.parametrize("setting, value", [
     ("pixel_sigma", 9.0), ("depth_sigma_near", 0.02), ("depth_sigma_far", 0.01), ("reliable_range", (0.2, 0.4)),
     ("rot_sigma", 5.0),
 ])
-def test_held_draws_tally_each_error_setting_as_the_oracle_does(monkeypatch, setting, value):
+def test_a_replay_follows_each_error_setting_alone(monkeypatch, setting, value):
     # One draw pass serves every model with its detect_prob: a model that
     # changes one error setting alone is tallied on the same draws, without
     # another view or oracle call, and gets the oracle call's bits.
@@ -538,17 +568,11 @@ def test_held_draws_tally_each_error_setting_as_the_oracle_does(monkeypatch, set
     assert [_stats_bits(g) for g in got] == [_stats_bits(w) for w in want]
 
 
-@pytest.mark.parametrize("model, k, samples, error", [
-    (NoiseModel(detect_prob=0.7), K, 30, "at detect_prob=0.8 cannot tally detect_prob=0.7"),
-    (NoiseModel(detect_prob=0.8), NARROW, 30, "at k="),
-    (NoiseModel(detect_prob=0.8), K, 29, "at n_samples=30 cannot tally n_samples=29"),
-    (NoiseModel(detect_prob=0.8, flip_prob=0.1), K, 30, "without flips, not flip_prob=0.1"),
-], ids=["detect_prob", "intrinsics", "n_samples", "flips"])
-def test_held_draws_refuse_a_setting_they_were_not_taken_under(model, k, samples, error):
+def test_held_draws_refuse_a_model_with_flips():
+    # A flip draws more numbers after a detection than the held draws hold.
     draws = draw_samples(0.8, K, 30, np.random.default_rng(2))
-    single_shot_stats(NoiseModel(detect_prob=0.8), K, 30, draws)
-    with pytest.raises(ValueError, match=error):
-        single_shot_stats(model, k, samples, draws)
+    with pytest.raises(ValueError, match="without flips, not flip_prob=0.1"):
+        single_shot_stats(NoiseModel(detect_prob=0.8, flip_prob=0.1), K, 30, draws)
 
 
 @pytest.mark.parametrize("drift", ["extra-draw", "detected-flag"])
