@@ -396,8 +396,9 @@ def calibrate_noise(
     held, 256 bytes a sample. A model's statistics depend on the model
     alone, so each model is evaluated once.
 
-    A zero det_rate with a nonzero trans_cm or rot_deg raises ConfigError:
-    without a detection there is no error to fit.
+    A det_rate of 0 or 1 sets detect_prob to it without a search. A zero
+    det_rate with a nonzero trans_cm or rot_deg raises ConfigError: without
+    a detection there is no error to fit.
     """
     for key in ("trans_cm", "rot_deg", "det_rate"):
         if key not in targets:
@@ -430,8 +431,8 @@ def calibrate_noise(
 
     # detect_prob first: skipped detections change the downstream RNG draw
     # alignment, so the other statistics are bisected against the final one.
-    if det_target >= 1.0:
-        noise = replace(noise, detect_prob=1.0)
+    if det_target in (0.0, 1.0):
+        noise = replace(noise, detect_prob=det_target)
     else:
         def det_stat(x: float) -> float:
             return stat(replace(noise, detect_prob=x))[2]

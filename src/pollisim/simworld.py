@@ -6,14 +6,14 @@ pose measurements whose error statistics are calibrated against reference
 single-shot accuracy targets (see NoiseModel). No rendering is performed,
 only geometry.
 
-The oracle works in two passes: it takes a tick's draws in stream order
-first, then does the detections' arithmetic, on arrays when the tick holds
-at least BATCH_MIN detections. A flip's redraw reads its detection's noisy
-rotation mid-stream, so a model with flips keeps each detection's
-arithmetic inside the draw pass. The array helpers, `_position_errors` and
-`_rotation_errors`, also tally calibration's samples (SampleDraws, taken
-once per detect_prob by `draw_samples`): the loop and calibration share one
-copy of that math.
+Every oracle call works in two passes: the draw pass, the only code that
+touches the generator, takes a tick's draws in stream order, flips
+included; the arithmetic pass then turns them into measurements, on arrays
+(`_detection_errors`) when the tick holds at least BATCH_MIN detections.
+Calibration takes its samples (SampleDraws, once per detect_prob by
+`draw_samples`) with the draw pass's own step, `_draw_row`, and tallies them
+with the same array kernel: the loop and calibration share one copy of the
+draws and of the math.
 """
 
 from __future__ import annotations
@@ -230,30 +230,50 @@ def _noisy_rotation(rotation: np.ndarray, axis: np.ndarray, z_a: float, rot_sigm
 BATCH_MIN = 5
 
 # A detection whose arithmetic waits for the draw pass to end: its record's
-# slot, the flower, its projection, detection uniform and `_pose_draws`.
-_Held = tuple[int, FlowerGT, PixelObs, float, tuple]
+# slot, the flower, its draws row (`_draw_row`) and its flip's half-turn
+# axis (`_flip_draw`).
+_Held = tuple[int, FlowerGT, list, np.ndarray | None]
+
+
+def _draw_row(obs: PixelObs, detect_prob: float, rng: np.random.Generator) -> list[float]:
+    """A visible flower's draws at projection `obs`, as a row in
+    SampleDraws.rows' layout: the detection uniform, then for a detection
+    `_pose_draws`. A miss's row stops after the uniform (4 entries)."""
+    r = rng.random()
+    row = [obs.u, obs.v, obs.ray_depth, r]
+    if r < detect_prob:
+        z_u, z_v, z_d, axis, z_a = _pose_draws(rng)
+        row += [z_u, z_v, z_d, *axis.tolist(), z_a]
+    return row
+
+
+def _flip_draw(rotation: np.ndarray, row: list, noise: NoiseModel, rng: np.random.Generator) -> np.ndarray | None:
+    """The draws that follow a detection's row: with flips on, the flip
+    uniform, and for a flip (the ambiguous-appearance failure mode) a random
+    axis orthogonal to the noisy facing axis, about which the arithmetic
+    pass turns the noisy rotation half a turn. Returns that axis, or None.
+    The axis's redraw reads the noisy rotation, so a flip computes it here."""
+    if not (noise.flip_prob > 0.0 and rng.random() < noise.flip_prob):
+        return None
+    z = _noisy_rotation(rotation, np.array(row[7:10]), row[10], noise.rot_sigma)[:, 2]
+    perp = cross3(z, random_unit_vector(rng))
+    while vnorm(perp) <= 1e-9:
+        perp = cross3(z, random_unit_vector(rng))
+    return perp
 
 
 def _detection(
-    flower: FlowerGT, obs: PixelObs, draws: tuple, cam: CameraPose, k: Intrinsics, noise: NoiseModel,
-    rng: np.random.Generator, camera_id: int, tick: int,
+    flower: FlowerGT, row: list, flip: np.ndarray | None, cam: CameraPose, k: Intrinsics, noise: NoiseModel,
+    camera_id: int, tick: int,
 ) -> tuple[Measurement, ShotRecord]:
-    """One detection's measurement and record from its `_pose_draws`. With
-    flips on, it draws the flip from `rng`, and the flip's redraw reads the
-    noisy rotation."""
-    z_u, z_v, z_d, axis, z_a = draws
+    """One detection's measurement and record from its draws row and flip."""
+    u, v, d, _, z_u, z_v, z_d, x, y, z, z_a = row
     noisy_pixel, pos_world, px_err, trans_err = _noisy_position(
-        obs, flower.pose.position, cam, k, noise, z_u, z_v, z_d
+        PixelObs(u, v, d), flower.pose.position, cam, k, noise, z_u, z_v, z_d
     )
-    rot = _noisy_rotation(flower.pose.rotation, axis, z_a, noise.rot_sigma)
-    if noise.flip_prob > 0.0 and rng.random() < noise.flip_prob:
-        # Ambiguous-appearance failure mode: facing direction flips about
-        # a random axis orthogonal to it.
-        z = rot[:, 2]
-        perp = cross3(z, random_unit_vector(rng))
-        while vnorm(perp) <= 1e-9:
-            perp = cross3(z, random_unit_vector(rng))
-        rot = from_axis_angle(perp, math.pi) @ rot
+    rot = _noisy_rotation(flower.pose.rotation, np.array((x, y, z)), z_a, noise.rot_sigma)
+    if flip is not None:
+        rot = from_axis_angle(flip, math.pi) @ rot
     return (
         Measurement(noisy_pixel, pos_world, rot, tick),
         ShotRecord(tick, camera_id, flower.id, True, px_err, trans_err, zaxis_angle(rot, flower.pose.rotation)),
@@ -264,38 +284,35 @@ def _detection(
 def _batched_detections(
     held: list[_Held], cam: CameraPose, k: Intrinsics, noise: NoiseModel, camera_id: int, tick: int
 ) -> list[tuple[Measurement, ShotRecord]]:
-    """What `_detection` gives for each held detection of a model without
-    flips, computed on arrays with the same bits. A measurement's position
-    and rotation are rows of the batch's arrays.
+    """What `_detection` gives for each held detection, computed on arrays
+    with the same bits. A measurement's position and rotation are rows of
+    the batch's arrays.
 
     Any floating-point flag raises FloatingPointError: numpy's warning
     names the function that set the flag (matmul here, dot in the
     per-detection helpers), so such a tick is left to those helpers."""
-    flowers = [f for _, f, _, _, _ in held]
-    draws = np.array([
-        (o.u, o.v, o.ray_depth, r, z_u, z_v, z_d, *axis.tolist(), z_a)
-        for _, _, o, r, (z_u, z_v, z_d, axis, z_a) in held
-    ])
-    pixels, pos_world, pos_err = _position_errors(
-        draws, cam.position, cam.rotation, k, noise, np.array([f.pose.position for f in flowers])
+    flowers = [f for _, f, _, _ in held]
+    pixels, pos_world, rots, errors = _detection_errors(
+        np.array([row for _, _, row, _ in held]), cam.position, cam.rotation, k, noise,
+        np.array([f.pose.position for f in flowers]), np.array([f.pose.rotation for f in flowers]),
     )
-    rots, rot_err = _rotation_errors(
-        np.array([f.pose.rotation for f in flowers]), draws[:, 7:10], draws[:, 10], noise.rot_sigma
-    )
+    for i, (_, f, _, flip) in enumerate(held):
+        if flip is not None:
+            rots[i] = from_axis_angle(flip, math.pi) @ rots[i]
+            errors[i, 2] = zaxis_angle(rots[i], f.pose.rotation)
     return [
         (
             Measurement(PixelObs(u, v, d), pos, rot, tick),
             ShotRecord(tick, camera_id, f.id, True, px, trans, facing),
         )
-        for f, (u, v, d), pos, rot, (px, trans), facing in zip(
-            flowers, pixels.tolist(), pos_world, rots, pos_err.tolist(), rot_err.tolist()
+        for f, (u, v, d), pos, rot, (px, trans, facing) in zip(
+            flowers, pixels.tolist(), pos_world, rots, errors.tolist()
         )
     ]
 
 
 def _held_detections(
-    held: list[_Held], cam: CameraPose, k: Intrinsics, noise: NoiseModel, rng: np.random.Generator,
-    camera_id: int, tick: int,
+    held: list[_Held], cam: CameraPose, k: Intrinsics, noise: NoiseModel, camera_id: int, tick: int
 ) -> list[tuple[Measurement, ShotRecord]]:
     """The arithmetic pass over a tick's held detections: on arrays from
     BATCH_MIN detections on, else by the per-detection helpers. A batch that
@@ -306,7 +323,7 @@ def _held_detections(
             return _batched_detections(held, cam, k, noise, camera_id, tick)
         except FloatingPointError:
             pass
-    return [_detection(f, obs, draws, cam, k, noise, rng, camera_id, tick) for _, f, obs, _, draws in held]
+    return [_detection(f, row, flip, cam, k, noise, camera_id, tick) for _, f, row, flip in held]
 
 
 def observe_with_truth(
@@ -323,45 +340,35 @@ def observe_with_truth(
     For each flower whose projection is visible: detect with probability
     detect_prob; perturb the pixel isotropically, the ray depth with the
     range-dependent sigma, and the rotation by a random axis-angle whose
-    angle is folded Gaussian. The world position is recomputed from the noisy
-    pixel/depth through uplift + to_world. Clutter measurements (Poisson) are
-    appended at uniform image positions. Draw order is fixed, so identical
-    (scene, camera, rng state) gives identical streams.
+    angle is folded Gaussian; with flips on, turn the facing axis half a
+    turn with probability flip_prob. The world position is recomputed from
+    the noisy pixel/depth through uplift + to_world. Clutter measurements
+    (Poisson) are appended at uniform image positions. Draw order is fixed,
+    so identical (scene, camera, rng state) gives identical streams.
 
     Two passes give every draw and bit of one flower-by-flower loop. The
-    draw pass takes, flower by flower, the projection, the detection uniform
-    and the `_pose_draws`. The arithmetic pass (`_held_detections`) then
-    turns each detection's draws into its measurement and record, on arrays
-    when the tick holds at least BATCH_MIN detections. With flips on, each
-    detection's arithmetic runs inside the draw pass instead, because a
-    flip's redraw reads that detection's noisy rotation mid-stream; so does
-    a scene of fewer than BATCH_MIN flowers, which cannot fill a batch.
-    Clutter is drawn after both passes.
+    draw pass, the only code that draws, takes flower by flower the
+    projection, the draws row (`_draw_row`) and the flip (`_flip_draw`).
+    The arithmetic pass (`_held_detections`) then turns each detection's
+    draws into its measurement and record, on arrays when the tick holds at
+    least BATCH_MIN detections. Clutter is drawn after both passes.
     """
     measurements: list[Measurement] = []
     records: list[ShotRecord | None] = []
     held: list[_Held] = []
-    inline = noise.flip_prob > 0.0 or len(scene) < BATCH_MIN
     for flower in scene:
         obs = project(flower.pose.position, cam, k)
         if obs is None:
             continue
-        r = rng.random()
-        if r >= noise.detect_prob:
+        row = _draw_row(obs, noise.detect_prob, rng)
+        if len(row) == 4:  # a miss
             records.append(ShotRecord(tick, camera_id, flower.id, False, float("nan"), float("nan"), float("nan")))
             continue
-        draws = _pose_draws(rng)
-        if inline:
-            m, rec = _detection(flower, obs, draws, cam, k, noise, rng, camera_id, tick)
-            measurements.append(m)
-            records.append(rec)
-        else:
-            held.append((len(records), flower, obs, r, draws))
-            records.append(None)  # filled by the arithmetic pass
-    if held:
-        for (slot, *_), (m, rec) in zip(held, _held_detections(held, cam, k, noise, rng, camera_id, tick)):
-            measurements.append(m)
-            records[slot] = rec
+        held.append((len(records), flower, row, _flip_draw(flower.pose.rotation, row, noise, rng)))
+        records.append(None)  # filled by the arithmetic pass
+    for (slot, _, _, _), (m, rec) in zip(held, _held_detections(held, cam, k, noise, camera_id, tick)):
+        measurements.append(m)
+        records[slot] = rec
     n_clutter = int(rng.poisson(noise.clutter_rate)) if noise.clutter_rate > 0 else 0
     for _ in range(n_clutter):
         u = rng.uniform(0.0, k.width)
@@ -560,22 +567,24 @@ def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :] @ b[:, :, None]).ravel()
 
 
-def _position_errors(
-    draws: np.ndarray, cam_pos: np.ndarray, cam_rot: np.ndarray, k: Intrinsics, noise: NoiseModel, flower_pos: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """What `_noisy_position` gives for n detections, each from its draws
-    row in SampleDraws.rows' layout: the noisy pixels and depths (n, 3),
-    the world positions (n, 3), and the pixel and position errors (n, 2).
+def _detection_errors(
+    rows: np.ndarray, cam_pos: np.ndarray, cam_rot: np.ndarray, k: Intrinsics, noise: NoiseModel,
+    flower_pos: np.ndarray, flower_rot: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """What `_noisy_position` and `_noisy_rotation` give for n detections,
+    each from its draws row (SampleDraws.rows): the noisy pixels and depths
+    (n, 3), the world positions (n, 3), the rotations (n, 3, 3), and the
+    pixel, position and facing (zaxis_angle) errors (n, 3).
 
     The camera is one pose broadcast over the rows or one pose per row, and
     `flower_pos` one position per row or the origin, where x - 0.0 is x.
     The same operations in the same order on stacked arrays give the same
-    bits; the pixel error stays math.hypot, which numpy's hypot need not
-    match. The oracle's batched ticks and calibration's tally both run
-    here."""
-    n = len(draws)
-    u0, v0, d0, _, z_u, z_v, z_d = draws[:, :7].T
-    pixels, ray, errors = np.empty((n, 3)), np.ones((n, 3)), np.empty((n, 2))
+    bits, from_axis_angle's Rodrigues form included; the pixel error stays
+    math.hypot, which numpy's hypot need not match. The oracle's batched
+    ticks and calibration's tally both run here."""
+    n = len(rows)
+    u0, v0, d0, _, z_u, z_v, z_d = rows[:, :7].T
+    pixels, ray, errors = np.empty((n, 3)), np.ones((n, 3)), np.empty((n, 3))
     pixels[:, 0] = u = u0 + (0.0 + noise.pixel_sigma * z_u)
     pixels[:, 1] = v = v0 + (0.0 + noise.pixel_sigma * z_v)
     lo, hi = noise.reliable_range
@@ -588,28 +597,18 @@ def _position_errors(
     errors[:, 0] = [math.hypot(du, dv) for du, dv in zip((u - u0).tolist(), (v - v0).tolist())]
     off = pos_world - flower_pos
     errors[:, 1] = np.sqrt(_dots(off, off))
-    return pixels, pos_world, errors
-
-
-def _rotation_errors(
-    flower_rot: np.ndarray, axis: np.ndarray, z_a: np.ndarray, rot_sigma: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """`_noisy_rotation` of each of n flower rotations, (n, 3, 3), and the
-    zaxis_angle between it and that rotation, (n,): from_axis_angle's
-    Rodrigues form on stacked arrays, with the same bits (see
-    _position_errors, which serves the same two callers)."""
-    angle = np.abs(0.0 + math.radians(rot_sigma) * z_a)
+    axis = rows[:, 7:10]
+    angle = np.abs(0.0 + math.radians(noise.rot_sigma) * rows[:, 10])
     x, y, z = (axis / np.sqrt(_dots(axis, axis))[:, None]).T
-    hat = np.zeros((len(axis), 3, 3))
+    hat = np.zeros((n, 3, 3))
     hat[:, 0, 1], hat[:, 0, 2] = -z, y
     hat[:, 1, 0], hat[:, 1, 2] = z, -x
     hat[:, 2, 0], hat[:, 2, 1] = -y, x
     turn = I3 + np.sin(angle)[:, None, None] * hat + (1.0 - np.cos(angle))[:, None, None] * (hat @ hat)
-    rot = turn @ flower_rot
-    c = np.minimum(np.maximum(_dots(rot[:, :, 2], flower_rot[:, :, 2]), -1.0), 1.0)
-    return rot, np.degrees(np.arccos(c))
-
-
+    rots = turn @ flower_rot
+    c = np.minimum(np.maximum(_dots(rots[:, :, 2], flower_rot[:, :, 2]), -1.0), 1.0)
+    errors[:, 2] = np.degrees(np.arccos(c))
+    return pixels, pos_world, rots, errors
 
 
 @dataclass(frozen=True, eq=False)
@@ -618,10 +617,11 @@ class SampleDraws:
     `draw_samples` under one detect_prob and intrinsics, so that every model
     with that detect_prob and without flips is tallied on them.
 
-    Per sample: the flower rotation, the camera pose, and a row of the
-    projected u, v and ray depth, the detection uniform, the pixel and depth
-    normals, the axis and the angle normal. A row is NaN out of view, and
-    from its pixel normal on for a miss.
+    Per sample: the flower rotation, the camera pose, and a row of 11
+    numbers, the layout that the oracle's draw pass holds a detection in
+    too: the projected u, v and ray depth, the detection uniform, the pixel
+    and depth normals, the axis (3) and the angle normal. A row is NaN out
+    of view, and from its pixel normal on for a miss.
     """
 
     detect_prob: float
@@ -644,18 +644,18 @@ class SampleDraws:
             if got != held:
                 raise ValueError(f"draws taken at {name}={held!r} cannot tally {name}={got!r}")
         hit = np.flatnonzero(self.rows[:, 3] < self.detect_prob)  # NaN out of view
-        pos = _position_errors(self.rows[hit], self.cam_pos[hit], self.cam_rot[hit], k, noise, np.zeros(3))[2]
-        rot = _rotation_errors(self.flower_rot[hit], self.rows[hit, 7:10], self.rows[hit, 10], noise.rot_sigma)[1]
+        errors = _detection_errors(
+            self.rows[hit], self.cam_pos[hit], self.cam_rot[hit], k, noise, np.zeros(3), self.flower_rot[hit]
+        )[3]
         opportunities = int(np.count_nonzero(~np.isnan(self.rows[:, 2])))
-        return SingleShotStats(opportunities, pos[:, 0].tolist(), pos[:, 1].tolist(), rot.tolist())
+        return SingleShotStats(opportunities, *errors.T.tolist())
 
 
 def draw_samples(detect_prob: float, k: Intrinsics, n_samples: int, rng: np.random.Generator) -> SampleDraws:
     """The draws that single_shot_stats' oracle call takes from `rng` under
-    any model with this detect_prob and without flips, in the oracle's
-    order: per sample `_draw_view`, then for a visible flower the detection
-    uniform, and for a detection `_pose_draws`. rng ends where that call
-    leaves it.
+    any model with this detect_prob and without flips: per sample
+    `_draw_view`, then for a visible flower the oracle's own draw step,
+    `_draw_row`. rng ends where that call leaves it.
 
     The first visible sample is also observed by observe_with_truth, on a
     copy of rng. If its detection or the copy's end state differs from these
@@ -678,12 +678,9 @@ def draw_samples(detect_prob: float, k: Intrinsics, n_samples: int, rng: np.rand
             probe = copy.deepcopy(rng)
             quiet = NoiseModel(detect_prob=detect_prob, clutter_rate=0.0)
             detected = observe_with_truth([FlowerGT(0, pose)], cam, k, quiet, probe)[1][0].detected
-        r = rng.random()
-        rows[i, :4] = obs.u, obs.v, obs.ray_depth, r
-        if r < detect_prob:
-            z_u, z_v, z_d, axis, z_a = _pose_draws(rng)
-            rows[i, 4:] = z_u, z_v, z_d, *axis.tolist(), z_a
-        if first and (detected != (r < detect_prob) or probe.bit_generator.state != rng.bit_generator.state):
+        row = _draw_row(obs, detect_prob, rng)
+        rows[i, : len(row)] = row
+        if first and (detected != (len(row) > 4) or probe.bit_generator.state != rng.bit_generator.state):
             raise AssertionError(f"sample {i}: observe_with_truth draws differently from draw_samples")
     return SampleDraws(detect_prob, k, flower_rot, cam_pos, cam_rot, rows)
 

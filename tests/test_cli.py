@@ -411,7 +411,7 @@ def test_calibrate_all_zero_targets_fit(capsys):
     assert main(["calibrate-noise", "--trans-cm", "0", "--rot-deg", "0", "--det-rate", "0", "--samples", "300"]) == 0
     model = json.loads(capsys.readouterr().out)
     assert (model["depth_sigma_near"], model["rot_sigma"]) == (0.0, 0.0)
-    assert 0.0 < model["detect_prob"] < 0.01
+    assert model["detect_prob"] == 0.0
 
 
 @pytest.mark.parametrize("option, value", [

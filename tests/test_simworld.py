@@ -280,7 +280,8 @@ WIDE = NoiseModel(depth_sigma_near=0.05, depth_sigma_far=0.3, clutter_rate=2.0)
     (replace(WIDE, pixel_sigma=1e300), True),
     (replace(WIDE, depth_sigma_near=1e300, depth_sigma_far=1e300), True),
     (replace(WIDE, rot_sigma=1e300), False),
-], ids=["wide", "pixel", "depth", "rot"])
+    (replace(WIDE, flip_prob=0.5), False),
+], ids=["wide", "pixel", "depth", "rot", "flip"])
 def test_batched_oracle_matches_the_per_detection_path_bitwise(monkeypatch, noise, overflows):
     scene = generate_scene(np.random.default_rng(21), SceneGenParams(count=60))
     rng = np.random.default_rng(22)
@@ -722,4 +723,21 @@ BATCHED_STREAM_DIGESTS = {
 def test_batched_oracle_stream_matches_recorded_digest(monkeypatch, seed):
     calls = _counted(monkeypatch, "_batched_detections")
     assert _oracle_stream_digest(seed, 40, NoiseModel(clutter_rate=2.0)) == BATCHED_STREAM_DIGESTS[seed]
+    assert calls["_batched_detections"] == 63
+
+
+# The same 40-flower sweep with flips, recorded while a model with flips
+# still did each detection's arithmetic inside the draw pass: each of its
+# 63 views holds 12 or more detections and takes the batched path, which
+# applies the flips that the draw pass held.
+FLIP_STREAM_DIGESTS = {
+    0: "5c9565f770577c409dc7fa9a7fa2b4ae7c6a1c23d4c162e68ddfa3b644547348",
+    1: "b7838b577afb4c139c537845d5a3f1bfcb3d7a07493544f3f27cc6027f9aee54",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(FLIP_STREAM_DIGESTS))
+def test_batched_flip_stream_matches_recorded_digest(monkeypatch, seed):
+    calls = _counted(monkeypatch, "_batched_detections")
+    assert _oracle_stream_digest(seed, 40, FLIPPING) == FLIP_STREAM_DIGESTS[seed]
     assert calls["_batched_detections"] == 63

@@ -449,9 +449,9 @@ def test_det3_matches_np_linalg_det_bitwise():
 
 
 def test_stacked_numpy_calls_match_per_item_calls_bitwise():
-    """The batched oracle and calibration's tally (simworld._position_errors
-    and _rotation_errors) give the scalar oracle's bits only while these
-    numpy rules hold; a numpy release that breaks one fails here by name."""
+    """The batched oracle and calibration's tally (simworld._detection_errors)
+    give the scalar oracle's bits only while these numpy rules hold; a numpy
+    release that breaks one fails here by name."""
     rng = np.random.default_rng(78)
     n = 20_000
     a, b = rng.normal(size=(n, 3, 3)), rng.normal(size=(n, 3, 3))

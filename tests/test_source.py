@@ -1,6 +1,6 @@
 """Rules about the package source that no behaviour test shows: no module
-keeps state between calls through `global` or `nonlocal`, and the tracker's
-clock moves in one place."""
+keeps state between calls through `global` or `nonlocal`, the tracker's
+clock moves in one place, and only the oracle's draw pass draws."""
 
 import ast
 import os
@@ -43,3 +43,16 @@ def test_only_predict_moves_the_tracker_clock():
         if isinstance(target, ast.Attribute) and target.attr == "tick"
     )
     assert writers == ["tracker.py:predict"]
+
+
+def test_the_oracle_arithmetic_pass_takes_no_generator():
+    # Its draws are taken before it runs, so it has no generator to draw from.
+    arithmetic = {"_detection", "_held_detections", "_batched_detections", "_detection_errors"}
+    found = {
+        fn.name: [ast.unparse(a) for a in fn.args.args + fn.args.kwonlyargs]
+        for fn in ast.walk(_modules()["simworld.py"])
+        if isinstance(fn, ast.FunctionDef) and fn.name in arithmetic
+    }
+    assert set(found) == arithmetic
+    drawing = [f"{name}({a})" for name, args in sorted(found.items()) for a in args if "rng" in a or "Generator" in a]
+    assert drawing == []
