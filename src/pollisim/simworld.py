@@ -7,13 +7,15 @@ single-shot accuracy targets (see NoiseModel). No rendering is performed,
 only geometry.
 
 Every oracle call works in two passes: the draw pass, the only code that
-touches the generator, takes a tick's draws in stream order, flips
-included; the arithmetic pass then turns them into measurements, on arrays
-(`_detection_errors`) when the tick holds at least BATCH_MIN detections.
-Calibration takes its samples (SampleDraws, once per detect_prob by
-`draw_samples`) with the draw pass's own step, `_draw_row`, and tallies them
-with the same array kernel: the loop and calibration share one copy of the
-draws and of the math.
+touches the generator, projects the scene (one stacked `project` call from
+BATCH_MIN flowers on) and takes a tick's draws in stream order, flips
+included, holding each rotation axis as its three normals as drawn; the
+arithmetic pass then normalizes the axes and turns the draws into
+measurements, on arrays (`_detection_errors`) when the tick holds at least
+BATCH_MIN detections. Calibration takes its samples (SampleDraws, once per
+detect_prob by `draw_samples`) with the draw pass's own step, `_draw_row`,
+and tallies them with the same array kernel: the loop and calibration share
+one copy of the draws and of the math.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from .so3 import (
     I3,
     Pose,
     cross3,
+    dots,
     from_axis_angle,
     pairs_within,
     random_rotation,
@@ -178,28 +181,38 @@ def _in_band(depth: float, band: tuple[float, float]) -> bool:
     return band[0] <= depth <= band[1]
 
 
-def _pose_draws(rng: np.random.Generator) -> tuple[float, float, float, np.ndarray, float]:
-    """A detection's draws in stream order: the standard normals of pixel u,
-    pixel v and ray depth, the rotation axis, then the angle's standard
-    normal. Scaled as 0.0 + sigma * z, each is what rng.normal(0.0, sigma)
-    returns for the same draw.
+def _degenerate(axis: list[float]) -> bool:
+    """random_unit_vector's redraw test, vnorm(axis) <= 1e-12. The Python
+    sum of squares decides it unless it lies within a relative 1e-12 of
+    1e-24, far more than the few ulps by which it and vnorm's dot can differ;
+    there vnorm decides."""
+    x, y, z = axis
+    s = x * x + y * y + z * z
+    if abs(s - 1e-24) > 1e-36:
+        return s < 1e-24
+    return vnorm(np.array(axis)) <= 1e-12
 
-    One standard_normal(7) call draws all seven. The axis is what
-    random_unit_vector returns for the same stream: 0.0 + z is what
-    rng.normal(size=3) returns, and its redraw of a degenerate axis goes on
-    down the stream, so the seventh normal opens the redraw and the angle's
-    normal comes after it."""
+
+def _pose_draws(rng: np.random.Generator) -> tuple[float, float, float, list[float], float]:
+    """A detection's draws in stream order: the standard normals of pixel u,
+    pixel v and ray depth, the rotation axis's three normals as drawn, then
+    the angle's standard normal. Scaled as 0.0 + sigma * z, each is what
+    rng.normal(0.0, sigma) returns for the same draw.
+
+    One standard_normal(7) call draws all seven. The axis divided by its
+    vnorm is what random_unit_vector returns for the same stream: 0.0 + z is
+    what rng.normal(size=3) returns, and its redraw of a degenerate axis goes
+    on down the stream, so the seventh normal opens the redraw and the
+    angle's normal comes after it. The axis is not normalized here; the
+    arithmetic pass does that (`_noisy_rotation`, `_detection_errors`)."""
     z_u, z_v, z_d, x, y, z, z_a = rng.standard_normal(7).tolist()
-    axis = np.array([0.0 + x, 0.0 + y, 0.0 + z])
-    n = vnorm(axis)
-    if n <= 1e-12:  # astronomically unlikely
-        axis = np.array([0.0 + z_a, *(0.0 + w for w in rng.standard_normal(2).tolist())])
-        n = vnorm(axis)
-        while n <= 1e-12:
-            axis = rng.normal(size=3)
-            n = vnorm(axis)
+    axis = [0.0 + x, 0.0 + y, 0.0 + z]
+    if _degenerate(axis):  # astronomically unlikely
+        axis = [0.0 + z_a, *(0.0 + w for w in rng.standard_normal(2).tolist())]
+        while _degenerate(axis):
+            axis = rng.normal(size=3).tolist()
         z_a = rng.standard_normal()
-    return z_u, z_v, z_d, axis / n, z_a
+    return z_u, z_v, z_d, axis, z_a
 
 
 def _noisy_position(
@@ -218,15 +231,21 @@ def _noisy_position(
 
 
 def _noisy_rotation(rotation: np.ndarray, axis: np.ndarray, z_a: float, rot_sigma: float) -> np.ndarray:
-    """`rotation` turned about `axis` by a folded Gaussian angle."""
-    return from_axis_angle(axis, abs(0.0 + math.radians(rot_sigma) * z_a)) @ rotation
+    """`rotation` turned by a folded Gaussian angle about `axis`, the drawn
+    normals (`_pose_draws`) divided by their vnorm. from_axis_angle divides
+    by the norm again; that second division is kept for the bits."""
+    return from_axis_angle(axis / vnorm(axis), abs(0.0 + math.radians(rot_sigma) * z_a)) @ rotation
 
 
 # From this many detections on, a tick does its arithmetic on arrays. Below
 # it numpy's per-call cost outweighs the per-detection helpers: on a 2-core
 # x86-64 host, a whole oracle call with the batch took 1.72x the time of one
 # with those helpers at 2 detections, 1.12x at 4, 1.00x at 5, 0.93x at 6
-# and 0.69x at 12.
+# and 0.69x at 12. From this many flowers on, the draw pass also projects
+# the scene as one stack. Its crossover lies higher: on the same host,
+# stacking the positions and projecting them took 1.5x the time of the
+# per-point calls at 5 flowers, 1.07x at 8, 0.78x at 12 and 0.28x at 60,
+# about 15 us more at 5, a small part of such a call.
 BATCH_MIN = 5
 
 # A detection whose arithmetic waits for the draw pass to end: its record's
@@ -243,7 +262,7 @@ def _draw_row(obs: PixelObs, detect_prob: float, rng: np.random.Generator) -> li
     row = [obs.u, obs.v, obs.ray_depth, r]
     if r < detect_prob:
         z_u, z_v, z_d, axis, z_a = _pose_draws(rng)
-        row += [z_u, z_v, z_d, *axis.tolist(), z_a]
+        row += [z_u, z_v, z_d, *axis, z_a]
     return row
 
 
@@ -347,8 +366,10 @@ def observe_with_truth(
     so identical (scene, camera, rng state) gives identical streams.
 
     Two passes give every draw and bit of one flower-by-flower loop. The
-    draw pass, the only code that draws, takes flower by flower the
-    projection, the draws row (`_draw_row`) and the flip (`_flip_draw`).
+    draw pass, the only code that draws, projects the scene (one stacked
+    `project` call from BATCH_MIN flowers on, which takes no draw), then
+    takes flower by flower the draws row (`_draw_row`) and the flip
+    (`_flip_draw`).
     The arithmetic pass (`_held_detections`) then turns each detection's
     draws into its measurement and record, on arrays when the tick holds at
     least BATCH_MIN detections. Clutter is drawn after both passes.
@@ -356,8 +377,11 @@ def observe_with_truth(
     measurements: list[Measurement] = []
     records: list[ShotRecord | None] = []
     held: list[_Held] = []
-    for flower in scene:
-        obs = project(flower.pose.position, cam, k)
+    if len(scene) >= BATCH_MIN:
+        views = project(np.array([f.pose.position for f in scene]), cam, k)
+    else:
+        views = [project(f.pose.position, cam, k) for f in scene]
+    for flower, obs in zip(scene, views):
         if obs is None:
             continue
         row = _draw_row(obs, noise.detect_prob, rng)
@@ -560,13 +584,6 @@ def _draw_view(rng: np.random.Generator) -> tuple[Pose, CameraPose]:
     return flower_pose, sample_viewpoint(rng, flower_pose.position, SURVEY_RADIUS_RANGE, SURVEY_ELEVATION_RANGE)
 
 
-def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise dot products of two (n, 3) arrays, each with the bits of
-    a[i].dot(b[i]) (a (1,3) @ (3,1) matmul; (a * b).sum(axis=1) rounds
-    differently)."""
-    return (a[:, None, :] @ b[:, :, None]).ravel()
-
-
 def _detection_errors(
     rows: np.ndarray, cam_pos: np.ndarray, cam_rot: np.ndarray, k: Intrinsics, noise: NoiseModel,
     flower_pos: np.ndarray, flower_rot: np.ndarray,
@@ -592,21 +609,22 @@ def _detection_errors(
     pixels[:, 2] = depth = np.maximum(d0 + (0.0 + sigma_d * z_d), 1e-6)
     ray[:, 0] = (u - k.cx) / k.fx
     ray[:, 1] = (v - k.cy) / k.fy
-    x_cam = depth[:, None] * ray / np.sqrt(_dots(ray, ray))[:, None]
+    x_cam = depth[:, None] * ray / np.sqrt(dots(ray, ray))[:, None]
     pos_world = (cam_rot @ x_cam[:, :, None])[:, :, 0] + cam_pos
     errors[:, 0] = [math.hypot(du, dv) for du, dv in zip((u - u0).tolist(), (v - v0).tolist())]
     off = pos_world - flower_pos
-    errors[:, 1] = np.sqrt(_dots(off, off))
+    errors[:, 1] = np.sqrt(dots(off, off))
     axis = rows[:, 7:10]
+    axis = axis / np.sqrt(dots(axis, axis))[:, None]  # the drawn normals to a unit axis, as `_noisy_rotation`
     angle = np.abs(0.0 + math.radians(noise.rot_sigma) * rows[:, 10])
-    x, y, z = (axis / np.sqrt(_dots(axis, axis))[:, None]).T
+    x, y, z = (axis / np.sqrt(dots(axis, axis))[:, None]).T  # from_axis_angle's own division
     hat = np.zeros((n, 3, 3))
     hat[:, 0, 1], hat[:, 0, 2] = -z, y
     hat[:, 1, 0], hat[:, 1, 2] = z, -x
     hat[:, 2, 0], hat[:, 2, 1] = -y, x
     turn = I3 + np.sin(angle)[:, None, None] * hat + (1.0 - np.cos(angle))[:, None, None] * (hat @ hat)
     rots = turn @ flower_rot
-    c = np.minimum(np.maximum(_dots(rots[:, :, 2], flower_rot[:, :, 2]), -1.0), 1.0)
+    c = np.minimum(np.maximum(dots(rots[:, :, 2], flower_rot[:, :, 2]), -1.0), 1.0)
     errors[:, 2] = np.degrees(np.arccos(c))
     return pixels, pos_world, rots, errors
 
@@ -620,8 +638,9 @@ class SampleDraws:
     Per sample: the flower rotation, the camera pose, and a row of 11
     numbers, the layout that the oracle's draw pass holds a detection in
     too: the projected u, v and ray depth, the detection uniform, the pixel
-    and depth normals, the axis (3) and the angle normal. A row is NaN out
-    of view, and from its pixel normal on for a miss.
+    and depth normals, the axis's three normals as drawn (not normalized;
+    `_detection_errors` divides them by their norm) and the angle normal.
+    A row is NaN out of view, and from its pixel normal on for a miss.
     """
 
     detect_prob: float

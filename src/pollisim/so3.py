@@ -79,6 +79,13 @@ def vnorm(v: np.ndarray) -> float:
     return math.sqrt(v.dot(v))
 
 
+def dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of two (n, 3) arrays, each with the bits of
+    a[i].dot(b[i]) (a (1,3) @ (3,1) matmul; (a * b).sum(axis=1) rounds
+    differently), so np.sqrt(dots(a, a)) is vnorm of each row."""
+    return (a[:, None, :] @ b[:, :, None]).ravel()
+
+
 def det3(m: np.ndarray) -> np.floating:
     """np.linalg.det of a 3x3 float64 array: the LAPACK gufunc that it calls,
     without its wrapper, so the same bits and the same RuntimeWarning on

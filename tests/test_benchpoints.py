@@ -75,8 +75,8 @@ def test_runner_patch_points_fire(tmp_path, monkeypatch):
     assert cal_evals > 1
     assert CAL_SAMPLES <= cal_views < cal_evals * CAL_SAMPLES
     # A dense loop, whose ticks hold enough detections for the oracle's
-    # batched arithmetic, still projects through simworld's own name, once
-    # per flower per tick.
+    # batched arithmetic, still projects through simworld's own name: its
+    # 20-flower scene as one stack, one call per tick.
     batches = []
 
     def batched(*args, _real=simworld._batched_detections):
@@ -88,7 +88,7 @@ def test_runner_patch_points_fire(tmp_path, monkeypatch):
     tracer = benchtrace.Tracer()
     with tracer.installed():
         runner.simulate_run(dense, out_dir=str(tmp_path / "dense"))
-    assert tracer.fired["pollisim.simworld.project"] == 20 * 10
+    assert tracer.fired["pollisim.simworld.project"] == 10
     assert batches and min(batches) >= simworld.BATCH_MIN
 
 

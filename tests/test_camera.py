@@ -1,8 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from helpers import assert_json_form, outcome_with_warnings
+from pollisim import camera
 from pollisim.camera import (
     Intrinsics,
     NonPositiveDepth,
@@ -239,17 +242,90 @@ def test_uplift_matches_reference_bitwise():
         assert len(got[1]) == (obs.ray_depth > 1.0)
 
 
+def _obs_bits(obs):
+    if obs is None:
+        return None
+    fields = (obs.u, obs.v, obs.ray_depth)
+    assert all(type(f) is float for f in fields)
+    return np.array(fields).tobytes()
+
+
 def test_project_matches_reference_bitwise():
+    # Each point alone, and each row of the points stacked: the reference's
+    # bits, or None.
     rng = np.random.default_rng(82)
     visible = 0
     for k in (Intrinsics.default(), Intrinsics(fx=500, fy=520, cx=320, cy=240, width=640, height=480)):
         for _ in range(300):
             cam = Pose(rng.normal(0.0, 0.5, size=3), random_rotation(rng))
-            for x in rng.normal(0.0, 0.5, size=(20, 3)):
-                got, want = project(x, cam, k), _reference_project(x, cam, k)
-                assert (got is None) == (want is None)
-                if got is not None:
-                    visible += 1
-                    assert np.array([got.u, got.v, got.ray_depth]).tobytes() == \
-                        np.array([want.u, want.v, want.ray_depth]).tobytes()
+            points = rng.normal(0.0, 0.5, size=(20, 3))
+            stacked = project(points, cam, k)
+            assert len(stacked) == len(points)
+            for x, row in zip(points, stacked):
+                want = _obs_bits(_reference_project(x, cam, k))
+                assert _obs_bits(project(x, cam, k)) == want
+                assert _obs_bits(row) == want
+                visible += want is not None
     assert 1_000 < visible < 11_000  # both the None and the pixel branches ran
+
+
+EDGE_K = Intrinsics(fx=100, fy=100, cx=50, cy=50, width=100, height=100)
+# (point before the identity camera, whether the stacked arithmetic sets a
+# floating-point flag and so is redone point by point)
+EDGE_ROWS = [
+    ([0.1, 0.1, 0.0], False),  # z = 0: not divided by
+    ([0.0, 0.0, 0.0], False),
+    ([0.1, 0.1, -1.0], False),  # behind the camera
+    ([-0.5, 0.1, 1.0], False),  # u = 0 exactly: seen
+    ([0.5, 0.1, 1.0], False),  # u = width exactly: not seen
+    ([0.1, -0.5, 1.0], False),  # v = 0 exactly: seen
+    ([0.1, 0.5, 1.0], False),  # v = height exactly: not seen
+    ([np.nan, 0.0, 1.0], False),
+    ([0.0, 0.0, np.nan], False),
+    ([0.0, 0.0, 1e200], True),  # seen, its ray depth overflows in the dot
+    ([1e308, 1e308, 1e308], True),  # fx * x overflows, which the point's float arithmetic does silently
+    ([np.inf, 0.0, 1.0], True),  # inf * 0 in the matmul
+]
+
+
+def _projections(fn, *args):
+    """The bits of each projection fn returns (one or a list), or the
+    error it raises; the warnings it emits."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            out = fn(*args)
+            out = [_obs_bits(o) for o in out] if isinstance(out, list) else _obs_bits(out)
+        except FloatingPointError as exc:
+            out = repr(exc)
+    return out, [(w.category, str(w.message)) for w in caught]
+
+
+def _point_by_point(points, cam, k):
+    return [project(x, cam, k) for x in points]
+
+
+@pytest.mark.parametrize("row, flags", EDGE_ROWS)
+@pytest.mark.parametrize("errors", ["warn", "raise"])
+def test_project_stack_edge_rows_match_single_points(row, flags, errors):
+    cam = Pose.identity()
+    points = np.array([[0.1, 0.2, 1.0], row, [-0.2, 0.1, 2.0]])
+    with np.errstate(all=errors):
+        got = _projections(project, points, cam, EDGE_K)
+        assert got == _projections(_point_by_point, points, cam, EDGE_K)
+    if errors == "warn":
+        assert got[0][1] == _projections(_reference_project, np.array(row), cam, EDGE_K)[0]
+        assert got[0][0] is not None and got[0][2] is not None
+    # The flagged rows are exactly the ones the stack leaves to the points.
+    raised = _projections(camera._project_rows, points, cam, EDGE_K)[0]
+    assert isinstance(raised, str) == flags
+
+
+def test_project_stack_warns_where_single_points_warn():
+    # Some rows warn when projected alone; the stack warns just as often.
+    cam = Pose.identity()
+    points = np.array([row for row, _ in EDGE_ROWS])
+    got = _projections(project, points, cam, EDGE_K)
+    assert got == _projections(_point_by_point, points, cam, EDGE_K)
+    assert [m for _, m in got[1]] == ["overflow encountered in dot", "invalid value encountered in matmul"]
+    assert project(np.empty((0, 3)), cam, EDGE_K) == []

@@ -38,6 +38,7 @@ from pollisim.so3 import (
     random_rotations,
     random_unit_vector,
     rotation_to_list,
+    vnorm,
     zaxis_angle,
 )
 
@@ -132,13 +133,24 @@ def _draw_bits(draws):
     return struct.pack("<4d", z_u, z_v, z_d, z_a) + axis.tobytes()
 
 
+def _unit_draws(draws):
+    """`_pose_draws`' draws with the axis divided by its vnorm, as the
+    arithmetic pass divides it."""
+    z_u, z_v, z_d, axis, z_a = draws
+    axis = np.array(axis)
+    return z_u, z_v, z_d, axis / vnorm(axis), z_a
+
+
 def test_pose_draws_match_the_three_call_form_bitwise():
     """One standard_normal(7) gives the values and the generator state of
-    standard_normal(3), random_unit_vector and standard_normal()."""
+    standard_normal(3), random_unit_vector and standard_normal(): the axis
+    as drawn, once normalized, is random_unit_vector's."""
     for seed in range(2_000):
         a, b = np.random.default_rng(seed), np.random.default_rng(seed)
         for _ in range(3):
-            assert _draw_bits(simworld._pose_draws(a)) == _draw_bits(_reference_pose_draws(b))
+            got = simworld._pose_draws(a)
+            assert all(type(w) is float for w in got[3])
+            assert _draw_bits(_unit_draws(got)) == _draw_bits(_reference_pose_draws(b))
         assert a.bit_generator.state == b.bit_generator.state
 
 
@@ -159,18 +171,33 @@ class _ScriptedNormals:
         return 0.0 + self.standard_normal(size)
 
 
-@pytest.mark.parametrize("script", [
+# An axis of norm 1e-12 * (1 + eps): inside the prefilter's relative 1e-12
+# margin on the sum of squares, vnorm decides; outside it, the sum does.
+_EDGE = [1e-12 * (1.0 + eps) for eps in (1e-14, 0.0, -1e-14, 1e-11, -1e-11)]
+
+
+@pytest.mark.parametrize("script, vnorm_calls", [
     # the axis, then a first redraw that opens with the seventh normal
-    [0.1, -0.2, 0.3, 0.0, -0.0, 1e-13, 0.6, -0.8, 0.0, 0.7, 9.0],
+    ([0.1, -0.2, 0.3, 0.0, -0.0, 1e-13, 0.6, -0.8, 0.0, 0.7, 9.0], 0),
     # two redraws, the second one whole; -0.0 entries become 0.0
-    [0.1, -0.2, 0.3, 0.0, 0.0, 0.0, -0.0, 1e-14, 0.0, 0.5, -0.5, 0.25, -1.2, 9.0],
+    ([0.1, -0.2, 0.3, 0.0, 0.0, 0.0, -0.0, 1e-14, 0.0, 0.5, -0.5, 0.25, -1.2, 9.0], 0),
     # no redraw, an axis just past the threshold
-    [0.1, -0.2, 0.3, 0.0, -2e-12, 0.0, 0.7, 9.0],
-])
-def test_pose_draws_redraw_a_degenerate_axis_down_the_stream(script):
+    ([0.1, -0.2, 0.3, 0.0, -2e-12, 0.0, 0.7, 9.0], 0),
+    # inside the margin: vnorm keeps an axis a hair over 1e-12
+    ([0.1, -0.2, 0.3, _EDGE[0], 0.0, 0.0, 0.7, 9.0], 1),
+    # ... and redraws one of norm 1e-12 and one a hair under it
+    ([0.1, -0.2, 0.3, 0.0, _EDGE[1], 0.0, 0.6, -0.8, 0.0, 0.7, 9.0], 1),
+    ([0.1, -0.2, 0.3, 0.0, 0.0, -_EDGE[2], 0.6, -0.8, 0.0, 0.7, 9.0], 1),
+    # outside it: the sum of squares keeps one and redraws the other
+    ([0.1, -0.2, 0.3, _EDGE[3], 0.0, 0.0, 0.7, 9.0], 0),
+    ([0.1, -0.2, 0.3, 0.0, _EDGE[4], 0.0, 0.6, -0.8, 0.0, 0.7, 9.0], 0),
+], ids=[f"script{i}" for i in range(8)])
+def test_pose_draws_redraw_a_degenerate_axis_down_the_stream(monkeypatch, script, vnorm_calls):
+    calls = _counted(monkeypatch, "vnorm")
     new, old = _ScriptedNormals(script), _ScriptedNormals(script)
-    assert _draw_bits(simworld._pose_draws(new)) == _draw_bits(_reference_pose_draws(old))
+    assert _draw_bits(_unit_draws(simworld._pose_draws(new))) == _draw_bits(_reference_pose_draws(old))
     assert new.used == old.used == len(script) - 1
+    assert calls["vnorm"] == vnorm_calls
 
 
 def test_observe_noiseless_exact():
@@ -286,8 +313,17 @@ def test_batched_oracle_matches_the_per_detection_path_bitwise(monkeypatch, nois
     scene = generate_scene(np.random.default_rng(21), SceneGenParams(count=60))
     rng = np.random.default_rng(22)
     cams = [sample_viewpoint(rng, np.zeros(3), SURVEY_RADIUS_RANGE, SURVEY_ELEVATION_RANGE) for _ in range(30)]
+    routes = []  # each project call's input: a point (1) or the scene's stack (2)
+
+    def projected(points, *args, _real=simworld.project):
+        routes.append(np.ndim(points))
+        return _real(points, *args)
+
+    monkeypatch.setattr(simworld, "project", projected)
     monkeypatch.setattr(simworld, "BATCH_MIN", 10**9)
     want = _observed_bits(scene, cams, noise, 23)
+    assert routes == [1] * len(scene) * len(cams)
+    routes.clear()
     batches = []  # the ticks that the arrays gave, by their detection counts
 
     def counted(*args, _real=simworld._batched_detections):
@@ -298,6 +334,7 @@ def test_batched_oracle_matches_the_per_detection_path_bitwise(monkeypatch, nois
     monkeypatch.setattr(simworld, "BATCH_MIN", 1)
     monkeypatch.setattr(simworld, "_batched_detections", counted)
     got = _observed_bits(scene, cams, noise, 23)
+    assert routes == [2] * len(cams)
     assert got == want
     _, caught, _, depths = want
     assert (caught != []) == overflows
@@ -618,8 +655,7 @@ def test_batched_replay_matches_the_scalar_oracle_bitwise():
     depth[::7], depth[1::7] = stock.reliable_range
     z = rng.standard_normal((n, 3))
     z[2::11, 2] = -1e3
-    axis = rng.standard_normal((n, 3))
-    axis /= np.linalg.norm(axis, axis=1, keepdims=True)
+    axis = rng.standard_normal((n, 3))  # the normals as drawn; the kernel normalizes them
     rows = np.column_stack([
         rng.uniform(0.0, K.width, n), rng.uniform(0.0, K.height, n), depth, rng.random(n), z, axis,
         rng.standard_normal(n),
