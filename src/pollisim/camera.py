@@ -7,7 +7,6 @@ uplift normalizes the back-projected ray direction before scaling.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,9 +23,22 @@ class NonPositiveDepth(ValueError):
     """Ray depth must be strictly positive."""
 
 
+# The largest image side, in pixels, and the range of a focal length.
+MAX_IMAGE_SIDE = 100_000
+FOCAL_RANGE = (1e-3, 1e8)
+
+
 @dataclass(frozen=True)
 class Intrinsics:
-    """Pinhole intrinsics in pixels."""
+    """Pinhole intrinsics in pixels.
+
+    `width` and `height` are at most MAX_IMAGE_SIDE (1e5), several times the
+    side of the largest camera sensors. `fx` and `fy` lie in FOCAL_RANGE,
+    [1e-3, 1e8]: at 1e8 the widest image spans 0.06 degrees, and at 1e-3 it
+    spans the pinhole's 180-degree limit to within 3e-6 degrees. With these
+    bounds and those of `NoiseModel`, a pixel offset divided by the focal
+    length stays below 1e10, so the uplift's squares cannot overflow.
+    """
 
     fx: float
     fy: float
@@ -36,7 +48,14 @@ class Intrinsics:
     height: int
 
     def __post_init__(self) -> None:
-        check_fields(self, positive=("fx", "fy"), counts=(("width", 1), ("height", 1)))
+        check_fields(
+            self,
+            counts=(("width", 1), ("height", 1)),
+            ranges=(
+                ("fx", *FOCAL_RANGE), ("fy", *FOCAL_RANGE),
+                ("width", 1, MAX_IMAGE_SIDE), ("height", 1, MAX_IMAGE_SIDE),
+            ),
+        )
         if not (0 <= self.cx < self.width and 0 <= self.cy < self.height):
             raise ValueError("principal point must lie inside the image")
 
@@ -68,10 +87,7 @@ def uplift(obs: PixelObs, k: Intrinsics) -> np.ndarray:
     d, rx, ry = obs.ray_depth, (obs.u - k.cx) / k.fx, (obs.v - k.cy) / k.fy
     ray = np.array([rx, ry, 1.0])
     n = vnorm(ray)
-    x, y, z = d * rx / n, d * ry / n, d * 1.0 / n
-    if math.isfinite(x + y + z):
-        return np.array([x, y, z])
-    return d * ray / n  # numpy's form, for its overflow and invalid warnings
+    return np.array([d * rx / n, d * ry / n, d * 1.0 / n])
 
 
 def to_world(x_cam: np.ndarray, cam: CameraPose) -> np.ndarray:
@@ -88,17 +104,23 @@ def project(x_world: np.ndarray, cam: CameraPose, k: Intrinsics) -> PixelObs | N
 
     Each row of a stack gets the bits of projecting it alone: the camera
     frame by one stacked matmul (the same matrix-vector product per row), u
-    and v elementwise, the ray depth by `dots`. A stack whose arithmetic sets
-    any floating-point flag is projected again point by point, so it warns
-    or raises exactly where the single points do. A stack's fixed cost is
+    and v elementwise, the ray depth by `dots`. A stack's fixed cost is
     about that of five single points, so it pays from about eight points on.
     """
     x_world = np.asarray(x_world, dtype=float)
     if x_world.ndim == 2:
-        try:
-            return _project_rows(x_world, cam, k)
-        except FloatingPointError:
-            return [project(x, cam, k) for x in x_world]
+        x_cam = (cam.rotation.T @ (x_world - cam.position)[:, :, None])[:, :, 0]
+        x, y, z = x_cam.T
+        front = z > 0
+        z = np.where(front, z, 1.0)  # a single point divides only by z > 0
+        u = k.fx * x / z + k.cx
+        v = k.fy * y / z + k.cy
+        seen = np.flatnonzero(front & (0 <= u) & (u < k.width) & (0 <= v) & (v < k.height))
+        out: list[PixelObs | None] = [None] * len(x_cam)
+        ray = x_cam[seen]
+        for i, ui, vi, di in zip(seen.tolist(), u[seen].tolist(), v[seen].tolist(), np.sqrt(dots(ray, ray)).tolist()):
+            out[i] = PixelObs(ui, vi, di)
+        return out
     x_cam = cam.rotation.T @ (x_world - cam.position)
     x, y, z = x_cam.tolist()
     if z <= 0:
@@ -108,24 +130,6 @@ def project(x_world: np.ndarray, cam: CameraPose, k: Intrinsics) -> PixelObs | N
     if not (0 <= u < k.width and 0 <= v < k.height):
         return None
     return PixelObs(u=float(u), v=float(v), ray_depth=vnorm(x_cam))
-
-
-@np.errstate(all="raise")
-def _project_rows(x_world: np.ndarray, cam: CameraPose, k: Intrinsics) -> list[PixelObs | None]:
-    """`project` of each row of an (n, 3) stack; any floating-point flag
-    raises FloatingPointError."""
-    x_cam = (cam.rotation.T @ (x_world - cam.position)[:, :, None])[:, :, 0]
-    x, y, z = x_cam.T
-    front = z > 0
-    z = np.where(front, z, 1.0)  # a single point divides only by z > 0
-    u = k.fx * x / z + k.cx
-    v = k.fy * y / z + k.cy
-    seen = np.flatnonzero(front & (0 <= u) & (u < k.width) & (0 <= v) & (v < k.height))
-    out: list[PixelObs | None] = [None] * len(x_cam)
-    ray = x_cam[seen]
-    for i, ui, vi, di in zip(seen.tolist(), u[seen].tolist(), v[seen].tolist(), np.sqrt(dots(ray, ray)).tolist()):
-        out[i] = PixelObs(ui, vi, di)
-    return out
 
 
 def look_at(position: np.ndarray, target: np.ndarray) -> CameraPose:

@@ -20,7 +20,7 @@ from .camera import CameraPose
 from .configfields import check_fields, fields_to_json
 from .so3 import Pose, aligning_rotation, cross3, from_axis_angle, random_unit_vector, vnorm
 from .tracker import GlobalState, Track, TrackerParams, is_confident, remove_track
-from .simworld import FlowerGT
+from .simworld import MAX_LENGTH, FlowerGT
 
 
 @dataclass(frozen=True)
@@ -98,7 +98,14 @@ class ArmState:
 
 @dataclass(frozen=True)
 class CommanderConfig:
-    """Control gains, tolerances and mode-transition thresholds."""
+    """Control gains, tolerances and mode-transition thresholds.
+
+    `gain` lies in (0, 1]. Every length (steps, standoff, tolerances, the
+    workspace radius and each coordinate of its center) is at most
+    `simworld.MAX_LENGTH` (1 km) in magnitude, the size of a scene. Every
+    angle, the per-step turn and the facing tolerances, lies in (0, 180]
+    degrees, as the angle between two directions does.
+    """
 
     gain: float = 0.5
     max_step: float = 0.02
@@ -117,17 +124,20 @@ class CommanderConfig:
     workspace_radius: float = 0.5
 
     def __post_init__(self) -> None:
+        lengths = ("max_step", "eps_pos", "trigger_pos", "arrival_pos", "workspace_radius")
+        angles = ("max_rot_step_deg", "eps_ang", "trigger_ang", "arrival_ang")
         check_fields(
             self,
-            positive=(
-                "max_step", "max_rot_step_deg", "eps_pos", "eps_ang", "trigger_pos", "trigger_ang",
-                "arrival_pos", "arrival_ang", "workspace_radius",
-            ),
-            nonnegative=("standoff",),
+            positive=("gain", *lengths, *angles),
             counts=(("trigger_fresh", 0), ("servo_patience", 1), ("search_patience", 1)),
+            ranges=(
+                ("gain", 0.0, 1.0),
+                ("standoff", 0.0, MAX_LENGTH),
+                ("workspace_center", -MAX_LENGTH, MAX_LENGTH),
+                *((name, 0.0, MAX_LENGTH) for name in lengths),
+                *((name, 0.0, 180.0) for name in angles),
+            ),
         )
-        if not (0.0 < self.gain <= 1.0):
-            raise ValueError("gain must be in (0, 1]")
         if len(self.workspace_center) != 3:
             raise ValueError("workspace_center must be three numbers")
 

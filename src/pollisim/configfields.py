@@ -82,12 +82,14 @@ def fields_from_json(cls, d: dict):
     return cls(**kwargs)
 
 
-def check_fields(obj, positive=(), nonnegative=(), counts=()) -> None:
+def check_fields(obj, positive=(), counts=(), ranges=()) -> None:
     """Validate dataclass `obj`, raising ValueError that names the field.
 
     `counts` pairs an integer field (bools refused) with its least value;
-    every field must hold finite numbers; `positive` fields must be > 0 and
-    `nonnegative` ones >= 0.
+    every field must hold finite numbers; `positive` fields must be > 0; and
+    `ranges` gives (field, lo, hi): each number the field holds must lie in
+    [lo, hi]. The class that passes a bound says in its docstring why it
+    holds.
     """
     for name, least in counts:
         value = getattr(obj, name)
@@ -103,6 +105,10 @@ def check_fields(obj, positive=(), nonnegative=(), counts=()) -> None:
     for name in positive:
         if not getattr(obj, name) > 0:
             raise ValueError(f"{name} must be > 0")
-    for name in nonnegative:
-        if getattr(obj, name) < 0:
-            raise ValueError(f"{name} must be >= 0")
+    for name, lo, hi in ranges:
+        value = getattr(obj, name)
+        for x in value if isinstance(value, tuple) else (value,):
+            if x < lo:
+                raise ValueError(f"{name} must be >= {lo:g}")
+            if x > hi:
+                raise ValueError(f"{name} must be <= {hi:g}")

@@ -47,6 +47,8 @@ from .metrics import (
     reachable_flowers,
 )
 from .simworld import (
+    MAX_LENGTH,
+    MAX_ROT_SIGMA,
     SURVEY_ELEVATION_RANGE,
     SURVEY_RADIUS_RANGE,
     FlowerGT,
@@ -345,14 +347,15 @@ def _verdict(v: float, target: float, tol: float) -> int:
     return -1 if v < target else 1
 
 
-def _bisect(eval_fn, target: float, lo: float, hi: float, label: str) -> float:
-    """Find x with eval_fn(x) within CAL_INNER_TOL of target, assuming
-    eval_fn is increasing."""
+def _bisect(eval_fn, target: float, lo: float, hi: float, top: float, label: str) -> float:
+    """Find x in [lo, top] with eval_fn(x) within CAL_INNER_TOL of target,
+    assuming eval_fn is increasing. hi doubles until eval_fn reaches the
+    target, but never past top, the searched field's bound."""
     tol = CAL_INNER_TOL * abs(target)
     val_hi = eval_fn(hi)
     iters = 0
-    while val_hi < target and iters < CAL_MAX_ITER:
-        hi *= 2.0
+    while val_hi < target and hi < top and iters < CAL_MAX_ITER:
+        hi = min(2.0 * hi, top)
         val_hi = eval_fn(hi)
         iters += 1
     if val_hi < target:
@@ -398,13 +401,17 @@ def calibrate_noise(
 
     A det_rate of 0 or 1 sets detect_prob to it without a search. A zero
     det_rate with a nonzero trans_cm or rot_deg raises ConfigError: without
-    a detection there is no error to fit.
+    a detection there is no error to fit. So does a rot_deg above 180, the
+    largest facing error. Each search stays inside its field's bound, and a
+    target that the bound does not reach raises NoConvergence.
     """
     for key in ("trans_cm", "rot_deg", "det_rate"):
         if key not in targets:
             raise ConfigError(f"targets.{key}", "missing")
         if not (math.isfinite(targets[key]) and targets[key] >= 0):
             raise ConfigError(f"targets.{key}", "must be a finite number >= 0")
+    if targets["rot_deg"] > 180:
+        raise ConfigError("targets.rot_deg", "must be <= 180: a facing error lies in [0, 180] degrees")
     if targets["det_rate"] > 1:
         raise ConfigError("targets.det_rate", "must be <= 1")
     if targets["det_rate"] == 0 and (targets["trans_cm"] > 0 or targets["rot_deg"] > 0):
@@ -440,7 +447,7 @@ def calibrate_noise(
         hi_rate = det_stat(1.0)
         if hi_rate < det_target:
             raise NoConvergence("det_rate: unreachable even with detect_prob=1 (pixel tail)")
-        noise = replace(noise, detect_prob=_bisect(det_stat, det_target, 0.0, 1.0, "detect_prob"))
+        noise = replace(noise, detect_prob=_bisect(det_stat, det_target, 0.0, 1.0, 1.0, "detect_prob"))
 
     if rot_target == 0.0:
         noise = replace(noise, rot_sigma=0.0)
@@ -448,7 +455,7 @@ def calibrate_noise(
         def rot_stat(x: float) -> float:
             return stat(replace(noise, rot_sigma=x))[1]
 
-        noise = replace(noise, rot_sigma=_bisect(rot_stat, rot_target, 0.0, 60.0, "rot_sigma"))
+        noise = replace(noise, rot_sigma=_bisect(rot_stat, rot_target, 0.0, 60.0, MAX_ROT_SIGMA, "rot_sigma"))
 
     if trans_target == 0.0:
         noise = replace(noise, pixel_sigma=0.0, depth_sigma_near=0.0, depth_sigma_far=0.0)
@@ -457,7 +464,8 @@ def calibrate_noise(
             trial = replace(noise, depth_sigma_near=x, depth_sigma_far=DEPTH_FAR_RATIO * x)
             return stat(trial)[0]
 
-        near = _bisect(trans_stat, trans_target, 0.0, 0.01, "depth_sigma_near")
+        # far = DEPTH_FAR_RATIO * near must stay inside its bound too
+        near = _bisect(trans_stat, trans_target, 0.0, 0.01, MAX_LENGTH / DEPTH_FAR_RATIO, "depth_sigma_near")
         noise = replace(noise, depth_sigma_near=near, depth_sigma_far=DEPTH_FAR_RATIO * near)
 
     trans, rot, det = stat(noise)

@@ -12,10 +12,13 @@ BATCH_MIN flowers on) and takes a tick's draws in stream order, flips
 included, holding each rotation axis as its three normals as drawn; the
 arithmetic pass then normalizes the axes and turns the draws into
 measurements, on arrays (`_detection_errors`) when the tick holds at least
-BATCH_MIN detections. Calibration takes its samples (SampleDraws, once per
-detect_prob by `draw_samples`) with the draw pass's own step, `_draw_row`,
-and tallies them with the same array kernel: the loop and calibration share
-one copy of the draws and of the math.
+BATCH_MIN detections. Both routes of each pass give the same bits on every
+input, so BATCH_MIN chooses by speed alone; the bounds that the config
+classes check keep every reading of a valid config finite. Calibration
+takes its samples (SampleDraws, once per detect_prob by `draw_samples`)
+with the draw pass's own step, `_draw_row`, and tallies them with the same
+array kernel: the loop and calibration share one copy of the draws and of
+the math.
 """
 
 from __future__ import annotations
@@ -63,6 +66,15 @@ class FlowerGT:
     pollinated: bool = False
 
 
+# Bounds of the physical inputs, in meters, pixels, degrees and readings per
+# view; the docstrings of the classes that check them say why each holds.
+MAX_LENGTH = 1e3
+MIN_DEPTH = 1e-6
+MAX_PIXEL_SIGMA = 1e5
+MAX_ROT_SIGMA = 3600.0
+MAX_CLUTTER_RATE = 100.0
+
+
 @dataclass(frozen=True)
 class NoiseModel:
     """Stochastic observation model for single-shot flower measurements.
@@ -74,6 +86,23 @@ class NoiseModel:
     not chosen by hand. Depth noise is range-dependent: `depth_sigma_near`
     applies inside `reliable_range`, `depth_sigma_far` outside it, modelling
     a depth camera that degrades sharply beyond its optimal band.
+
+    Every field is bounded:
+    - `pixel_sigma` by MAX_PIXEL_SIGMA (1e5 px), the largest image side: a
+      wider pixel error leaves no position in a reading;
+    - the depth sigmas by MAX_LENGTH (1 km), and `reliable_range` to
+      [MIN_DEPTH, MAX_LENGTH]: a depth camera reads no nearer than the
+      oracle's 1 um depth clamp and no farther than a kilometre, and a
+      clutter reading's depth, drawn inside the band, stays positive;
+    - `rot_sigma` by MAX_ROT_SIGMA (3600 deg, ten turns): from one turn on,
+      the drawn angle modulo a turn is uniform to within a relative 1e-8 of
+      density, so a wider sigma draws the same rotations;
+    - `clutter_rate` by MAX_CLUTTER_RATE (100 false readings per view): a
+      detector past that reports nothing of the scene;
+    - `detect_prob` and `flip_prob` to [0, 1].
+    With these bounds and those of `Intrinsics`, no reading the oracle draws
+    overflows, and `TrackerParams.for_noise` stays inside the tracker's
+    bounds.
     """
 
     detect_prob: float = 0.9375
@@ -86,15 +115,18 @@ class NoiseModel:
     flip_prob: float = 0.0
 
     def __post_init__(self) -> None:
-        check_fields(
-            self, nonnegative=("pixel_sigma", "depth_sigma_near", "depth_sigma_far", "rot_sigma", "clutter_rate")
-        )
-        if not (0.0 <= self.detect_prob <= 1.0):
-            raise ValueError("detect_prob must be in [0, 1]")
+        check_fields(self, ranges=(
+            ("detect_prob", 0.0, 1.0),
+            ("pixel_sigma", 0.0, MAX_PIXEL_SIGMA),
+            ("depth_sigma_near", 0.0, MAX_LENGTH),
+            ("depth_sigma_far", 0.0, MAX_LENGTH),
+            ("reliable_range", MIN_DEPTH, MAX_LENGTH),
+            ("rot_sigma", 0.0, MAX_ROT_SIGMA),
+            ("clutter_rate", 0.0, MAX_CLUTTER_RATE),
+            ("flip_prob", 0.0, 1.0),
+        ))
         if len(self.reliable_range) != 2 or not self.reliable_range[0] < self.reliable_range[1]:
             raise ValueError("reliable_range must be two numbers [lo, hi] with lo < hi")
-        if not (0.0 <= self.flip_prob <= 1.0):
-            raise ValueError("flip_prob must be in [0, 1]")
 
     @classmethod
     def noiseless(cls) -> "NoiseModel":
@@ -171,10 +203,7 @@ def sample_viewpoint(
     azim = 2.0 * math.pi * ua  # low 0 drops out exactly: u >= 0
     ox, oy, oz = math.cos(elev) * math.cos(azim), math.cos(elev) * math.sin(azim), math.sin(elev)
     cx, cy, cz = center.tolist()
-    x, y, z = cx + r * ox, cy + r * oy, cz + r * oz
-    if math.isfinite(x + y + z):
-        return look_at(np.array([x, y, z]), center)
-    return look_at(center + r * np.array([ox, oy, oz]), center)  # numpy's overflow warning
+    return look_at(np.array([cx + r * ox, cy + r * oy, cz + r * oz]), center)
 
 
 def _in_band(depth: float, band: tuple[float, float]) -> bool:
@@ -224,7 +253,7 @@ def _noisy_position(
     u = obs.u + (0.0 + noise.pixel_sigma * z_u)
     v = obs.v + (0.0 + noise.pixel_sigma * z_v)
     sigma_d = noise.depth_sigma_near if _in_band(obs.ray_depth, noise.reliable_range) else noise.depth_sigma_far
-    depth = max(obs.ray_depth + (0.0 + sigma_d * z_d), 1e-6)  # keeps the uplift precondition under extreme draws
+    depth = max(obs.ray_depth + (0.0 + sigma_d * z_d), MIN_DEPTH)  # keeps the uplift precondition under extreme draws
     pixel = PixelObs(float(u), float(v), float(depth))
     pos_world = to_world(uplift(pixel, k), cam)
     return pixel, pos_world, math.hypot(u - obs.u, v - obs.v), vnorm(pos_world - position)
@@ -237,8 +266,9 @@ def _noisy_rotation(rotation: np.ndarray, axis: np.ndarray, z_a: float, rot_sigm
     return from_axis_angle(axis / vnorm(axis), abs(0.0 + math.radians(rot_sigma) * z_a)) @ rotation
 
 
-# From this many detections on, a tick does its arithmetic on arrays. Below
-# it numpy's per-call cost outweighs the per-detection helpers: on a 2-core
+# From this many detections on, a tick does its arithmetic on arrays. Arrays
+# and the per-detection helpers give the same bits, so this is a choice of
+# speed alone. Below it numpy's per-call cost outweighs the helpers: on a 2-core
 # x86-64 host, a whole oracle call with the batch took 1.72x the time of one
 # with those helpers at 2 detections, 1.12x at 4, 1.00x at 5, 0.93x at 6
 # and 0.69x at 12. From this many flowers on, the draw pass also projects
@@ -299,17 +329,12 @@ def _detection(
     )
 
 
-@np.errstate(all="raise")
 def _batched_detections(
     held: list[_Held], cam: CameraPose, k: Intrinsics, noise: NoiseModel, camera_id: int, tick: int
 ) -> list[tuple[Measurement, ShotRecord]]:
     """What `_detection` gives for each held detection, computed on arrays
     with the same bits. A measurement's position and rotation are rows of
-    the batch's arrays.
-
-    Any floating-point flag raises FloatingPointError: numpy's warning
-    names the function that set the flag (matmul here, dot in the
-    per-detection helpers), so such a tick is left to those helpers."""
+    the batch's arrays."""
     flowers = [f for _, f, _, _ in held]
     pixels, pos_world, rots, errors = _detection_errors(
         np.array([row for _, _, row, _ in held]), cam.position, cam.rotation, k, noise,
@@ -334,14 +359,10 @@ def _held_detections(
     held: list[_Held], cam: CameraPose, k: Intrinsics, noise: NoiseModel, camera_id: int, tick: int
 ) -> list[tuple[Measurement, ShotRecord]]:
     """The arithmetic pass over a tick's held detections: on arrays from
-    BATCH_MIN detections on, else by the per-detection helpers. A batch that
-    sets a floating-point flag is done again by those helpers, which warn
-    (or raise, under the caller's errstate) as numpy does there."""
+    BATCH_MIN detections on, else by the per-detection helpers. Both give
+    the same bits, so the choice is one of speed alone."""
     if len(held) >= BATCH_MIN:
-        try:
-            return _batched_detections(held, cam, k, noise, camera_id, tick)
-        except FloatingPointError:
-            pass
+        return _batched_detections(held, cam, k, noise, camera_id, tick)
     return [_detection(f, row, flip, cam, k, noise, camera_id, tick) for _, f, row, flip in held]
 
 
@@ -431,8 +452,8 @@ def _flower_from_json(entry: dict, index: int, path: str) -> FlowerGT:
         rotation = rotation_from_list(rot_values)
     except ValueError as exc:
         raise InvariantViolation(f"{path}: flower id {fid}: {exc}") from exc
-    if not np.isfinite(position).all():
-        raise InvariantViolation(f"{path}: flower id {fid}: non-finite position")
+    if not (np.abs(position) <= MAX_LENGTH).all():  # NaN fails too
+        raise InvariantViolation(f"{path}: flower id {fid}: position must be finite and within ±{MAX_LENGTH:g} m")
     return FlowerGT(id=fid, pose=Pose(position, rotation), pollinated=pollinated)
 
 
@@ -476,7 +497,12 @@ def save_scene(path: str, flowers: list[FlowerGT]) -> None:
 
 @dataclass(frozen=True)
 class SceneGenParams:
-    """Settings of `generate_scene`; these defaults are the only copy."""
+    """Settings of `generate_scene`; these defaults are the only copy.
+
+    The coordinates of `center`, `spread` and `min_sep` are at most
+    MAX_LENGTH (1 km) in magnitude, the size of a field of plants, and a
+    tilt from world up lies in [0, 180] degrees.
+    """
 
     count: int = 20
     center: tuple[float, float, float] = (0.0, 0.0, 0.0)
@@ -485,7 +511,15 @@ class SceneGenParams:
     max_tilt_deg: float = 45.0
 
     def __post_init__(self) -> None:
-        check_fields(self, positive=("spread",), nonnegative=("min_sep", "max_tilt_deg"), counts=(("count", 1),))
+        check_fields(
+            self,
+            positive=("spread",),
+            counts=(("count", 1),),
+            ranges=(
+                ("center", -MAX_LENGTH, MAX_LENGTH), ("spread", 0.0, MAX_LENGTH), ("min_sep", 0.0, MAX_LENGTH),
+                ("max_tilt_deg", 0.0, 180.0),
+            ),
+        )
         if len(self.center) != 3:
             raise ValueError("center must be three numbers")
 
@@ -606,7 +640,7 @@ def _detection_errors(
     pixels[:, 1] = v = v0 + (0.0 + noise.pixel_sigma * z_v)
     lo, hi = noise.reliable_range
     sigma_d = np.where((lo <= d0) & (d0 <= hi), noise.depth_sigma_near, noise.depth_sigma_far)
-    pixels[:, 2] = depth = np.maximum(d0 + (0.0 + sigma_d * z_d), 1e-6)
+    pixels[:, 2] = depth = np.maximum(d0 + (0.0 + sigma_d * z_d), MIN_DEPTH)
     ray[:, 0] = (u - k.cx) / k.fx
     ray[:, 1] = (v - k.cy) / k.fy
     x_cam = depth[:, None] * ray / np.sqrt(dots(ray, ray))[:, None]

@@ -16,9 +16,7 @@ bit-identical to the numpy forms they replace: elementwise arithmetic (+, -,
 rounds each of those operations correctly wherever it runs; every reduction
 (dot, @, det3, inv3, svd_project) stays one numpy call, because OpenBLAS
 picks its summation order and fuses multiply-adds, and those decide the bits
-of a reduction. Python floats raise no floating-point warnings, so a float
-chain that can overflow or meet an infinity keeps numpy's form for the
-inputs that make it non-finite.
+of a reduction.
 
 Two cases keep the output bits without that rule. A dot with a basis vector
 may be read off the other vector: its other products are exact zeros, so
@@ -253,8 +251,7 @@ def from_axis_angle(axis: np.ndarray, angle: float) -> np.ndarray:
     if n <= ORTHO_TOL:
         raise ValueError("axis is ~0")
     x, y, z = axis.tolist()
-    # numpy's division, when n is not finite, for the warning of an inf entry
-    k = _hat((x / n, y / n, z / n) if n < math.inf else (axis / n).tolist())
+    k = _hat((x / n, y / n, z / n))
     return I3 + np.sin(angle) * k + (1.0 - np.cos(angle)) * (k @ k)
 
 

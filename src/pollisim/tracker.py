@@ -16,13 +16,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .configfields import check_fields, fields_to_json
-from .simworld import Measurement, NoiseModel
+from .simworld import MAX_LENGTH, MIN_DEPTH, Measurement, NoiseModel
 from .so3 import I3, inv3, pairs_within, svd_project
 
 # for_noise expresses the pixel sigma in meters at a reference range (m),
 # through the default camera's focal length (pixels).
 FOR_NOISE_FOCAL = 640.0
 FOR_NOISE_RANGE = 0.30
+
+# Bounds of the variances, in m^2 for position and per rotation-matrix entry
+# for rotation; TrackerParams' docstring says why each holds.
+MIN_POS_VAR = 1e-20
+MAX_POS_VAR = MAX_LENGTH**2
+MAX_ROT_VAR = 1e4
 
 
 @dataclass(frozen=True)
@@ -34,6 +40,22 @@ class TrackerParams:
     `r_pos_far` outside it, mirroring the oracle's range-dependent depth
     noise so degraded readings are down-weighted rather than poisoning the
     fused estimate.
+
+    Every float field is bounded:
+    - the position variances (`init_pos_cov`, `r_pos_near`, `r_pos_far`) lie
+      in [MIN_POS_VAR, MAX_POS_VAR] = [(0.1 nm)^2, (1 km)^2], and `q_pos` and
+      `confident_trace` are at most MAX_POS_VAR: no camera places a flower
+      finer than an atom, no belief is wider than the scene
+      (`simworld.MAX_LENGTH`), and the floor keeps the inverse in a
+      position update finite;
+    - the rotation variances (`init_rot_cov`, `q_rot`, `r_rot`) are at most
+      MAX_ROT_VAR (1e4): a rotation matrix's entries lie in [-1, 1], so
+      such a variance already weighs a reading at 1e-4 of a unit-variance
+      one;
+    - `assoc_threshold` is at most MAX_LENGTH, and `reliable_range` lies in
+      [MIN_DEPTH, MAX_LENGTH], as in `NoiseModel`.
+    `for_noise` of any valid NoiseModel lies inside these bounds: at most
+    3.4e5 m^2 for a position variance and 878 for a rotation variance.
     """
 
     assoc_threshold: float = 0.05
@@ -76,12 +98,20 @@ class TrackerParams:
     def __post_init__(self) -> None:
         check_fields(
             self,
-            positive=(
-                "assoc_threshold", "init_pos_cov", "init_rot_cov", "r_pos_near", "r_pos_far", "r_rot",
-                "confident_trace",
-            ),
-            nonnegative=("q_pos", "q_rot"),
+            positive=("assoc_threshold", "init_rot_cov", "r_rot", "confident_trace"),
             counts=(("stale_ticks", 0), ("stale_min_hits", 1), ("confident_hits", 1)),
+            ranges=(
+                ("assoc_threshold", 0.0, MAX_LENGTH),
+                ("init_pos_cov", MIN_POS_VAR, MAX_POS_VAR),
+                ("init_rot_cov", 0.0, MAX_ROT_VAR),
+                ("q_pos", 0.0, MAX_POS_VAR),
+                ("q_rot", 0.0, MAX_ROT_VAR),
+                ("r_pos_near", MIN_POS_VAR, MAX_POS_VAR),
+                ("r_pos_far", MIN_POS_VAR, MAX_POS_VAR),
+                ("r_rot", 0.0, MAX_ROT_VAR),
+                ("reliable_range", MIN_DEPTH, MAX_LENGTH),
+                ("confident_trace", 0.0, MAX_POS_VAR),
+            ),
         )
         if len(self.reliable_range) != 2 or not self.reliable_range[0] < self.reliable_range[1]:
             raise ValueError("reliable_range must be two numbers [lo, hi] with lo < hi")

@@ -8,11 +8,14 @@ import pytest
 
 import pollisim
 from pollisim.artifacts import SchemaMismatch
-from pollisim.camera import Intrinsics
+from pollisim.camera import FOCAL_RANGE, MAX_IMAGE_SIDE, Intrinsics
 from pollisim.cli import main
 from pollisim.config import ConfigError, ExperimentConfig, config_digest, load_config, parse_config
 from pollisim.runner import evaluate_run_dir
-from pollisim.simworld import NoiseModel, load_scene
+from pollisim.simworld import (
+    MAX_CLUTTER_RATE, MAX_LENGTH, MAX_PIXEL_SIGMA, MAX_ROT_SIGMA, MIN_DEPTH, NoiseModel, load_scene,
+)
+from pollisim.tracker import MAX_POS_VAR, MAX_ROT_VAR, MIN_POS_VAR
 
 
 def _write_config(path, **overrides):
@@ -285,6 +288,67 @@ def test_config_error_names_field(tmp_path, capsys):
     assert main(["simulate", "--config", str(cfg_path), "--out", str(out_dir), "--quiet"]) == 2
     assert "'camera': fx" in capsys.readouterr().err
     assert not out_dir.exists()
+    # sigmas past their bounds: 1e160 once overflowed in the tracker with a
+    # traceback, 1e100 ran, and rot_sigma 1e300 exited 3 naming init_rot_cov
+    for noise, named in [
+        ({"pixel_sigma": 1e160}, "'noise': pixel_sigma"),
+        ({"pixel_sigma": 1e100}, "'noise': pixel_sigma"),
+        ({"rot_sigma": 1e300}, "'noise': rot_sigma"),
+    ]:
+        _write_config(cfg_path, noise={**NoiseModel().to_json(), **noise})
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(out_dir), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err
+        assert not out_dir.exists()
+
+
+def _past(bound, toward=np.inf):
+    return float(np.nextafter(bound, toward))
+
+
+_CAMERA = Intrinsics.default().to_json()
+# One value just past each bound of a physical input.
+_JUST_PAST_A_BOUND = [
+    ({"noise": {"pixel_sigma": _past(MAX_PIXEL_SIGMA)}}, "'noise': pixel_sigma must be <="),
+    ({"noise": {"depth_sigma_near": _past(MAX_LENGTH)}}, "'noise': depth_sigma_near must be <="),
+    ({"noise": {"depth_sigma_far": _past(MAX_LENGTH)}}, "'noise': depth_sigma_far must be <="),
+    ({"noise": {"reliable_range": [0.07, _past(MAX_LENGTH)]}}, "'noise': reliable_range must be <="),
+    ({"noise": {"reliable_range": [_past(MIN_DEPTH, 0.0), 0.5]}}, "'noise': reliable_range must be >="),
+    ({"noise": {"rot_sigma": _past(MAX_ROT_SIGMA)}}, "'noise': rot_sigma must be <="),
+    ({"noise": {"clutter_rate": _past(MAX_CLUTTER_RATE)}}, "'noise': clutter_rate must be <="),
+    ({"tracker": {"assoc_threshold": _past(MAX_LENGTH)}}, "'tracker': assoc_threshold must be <="),
+    ({"tracker": {"init_pos_cov": _past(MAX_POS_VAR)}}, "'tracker': init_pos_cov must be <="),
+    ({"tracker": {"init_pos_cov": _past(MIN_POS_VAR, 0.0)}}, "'tracker': init_pos_cov must be >="),
+    ({"tracker": {"init_rot_cov": _past(MAX_ROT_VAR)}}, "'tracker': init_rot_cov must be <="),
+    ({"tracker": {"q_pos": _past(MAX_POS_VAR)}}, "'tracker': q_pos must be <="),
+    ({"tracker": {"q_rot": _past(MAX_ROT_VAR)}}, "'tracker': q_rot must be <="),
+    ({"tracker": {"r_pos_near": _past(MIN_POS_VAR, 0.0)}}, "'tracker': r_pos_near must be >="),
+    ({"tracker": {"r_pos_far": _past(MAX_POS_VAR)}}, "'tracker': r_pos_far must be <="),
+    ({"tracker": {"r_rot": _past(MAX_ROT_VAR)}}, "'tracker': r_rot must be <="),
+    ({"tracker": {"reliable_range": [0.07, _past(MAX_LENGTH)]}}, "'tracker': reliable_range must be <="),
+    ({"tracker": {"confident_trace": _past(MAX_POS_VAR)}}, "'tracker': confident_trace must be <="),
+    ({"commander": {"gain": _past(1.0)}}, "'commander': gain must be <="),
+    ({"commander": {"max_step": _past(MAX_LENGTH)}}, "'commander': max_step must be <="),
+    ({"commander": {"max_rot_step_deg": _past(180.0)}}, "'commander': max_rot_step_deg must be <="),
+    ({"commander": {"standoff": _past(MAX_LENGTH)}}, "'commander': standoff must be <="),
+    ({"commander": {"eps_pos": _past(MAX_LENGTH)}}, "'commander': eps_pos must be <="),
+    ({"commander": {"eps_ang": _past(180.0)}}, "'commander': eps_ang must be <="),
+    ({"commander": {"trigger_pos": _past(MAX_LENGTH)}}, "'commander': trigger_pos must be <="),
+    ({"commander": {"trigger_ang": _past(180.0)}}, "'commander': trigger_ang must be <="),
+    ({"commander": {"arrival_pos": _past(MAX_LENGTH)}}, "'commander': arrival_pos must be <="),
+    ({"commander": {"arrival_ang": _past(180.0)}}, "'commander': arrival_ang must be <="),
+    ({"commander": {"workspace_center": [0.0, _past(-MAX_LENGTH, -np.inf), 0.0]}},
+     "'commander': workspace_center must be >="),
+    ({"commander": {"workspace_radius": _past(MAX_LENGTH)}}, "'commander': workspace_radius must be <="),
+    ({"camera": {**_CAMERA, "fx": _past(FOCAL_RANGE[1])}}, "'camera': fx must be <="),
+    ({"camera": {**_CAMERA, "fy": _past(FOCAL_RANGE[0], 0.0)}}, "'camera': fy must be >="),
+    ({"camera": {**_CAMERA, "width": MAX_IMAGE_SIDE + 1}}, "'camera': width must be <="),
+    ({"camera": {**_CAMERA, "height": MAX_IMAGE_SIDE + 1}}, "'camera': height must be <="),
+    ({"scene": {"generate": {"center": [_past(MAX_LENGTH), 0.0, 0.0]}}}, "'scene.generate': center must be <="),
+    ({"scene": {"generate": {"spread": _past(MAX_LENGTH)}}}, "'scene.generate': spread must be <="),
+    ({"scene": {"generate": {"min_sep": _past(MAX_LENGTH)}}}, "'scene.generate': min_sep must be <="),
+    ({"scene": {"generate": {"max_tilt_deg": _past(180.0)}}}, "'scene.generate': max_tilt_deg must be <="),
+]
 
 
 def test_config_error_variants(tmp_path):
@@ -301,8 +365,8 @@ def test_config_error_variants(tmp_path):
     with pytest.raises(ConfigError, match="arm_count"):
         parse_config({"schema_version": 1, "seed": 1, "scene": {"generate": {"count": 2}},
                       "arm_count": 0})
-    camera = Intrinsics.default().to_json()
-    for overrides, field_name in [
+    camera = _CAMERA
+    for overrides, field_name in [*_JUST_PAST_A_BOUND,
         ({"noise": {"depth_sigma_near": float("nan")}}, "'noise': depth_sigma_near"),
         ({"noise": {"rot_sigma": float("inf")}}, "'noise': rot_sigma"),
         ({"commander": {"gain": 0.0}}, "'commander': gain"),
@@ -419,6 +483,7 @@ def test_calibrate_all_zero_targets_fit(capsys):
     ("--trans-cm", "nan"),
     ("--rot-deg", "nan"),
     ("--rot-deg", "inf"),
+    ("--rot-deg", "180.00000000000003"),  # a facing error lies in [0, 180]
     ("--det-rate", "nan"),
     ("--det-rate", "1.5"),
     ("--det-rate", "0"),  # no detection leaves no error to fit
@@ -490,6 +555,24 @@ def test_calibrate_unreachable_target_no_convergence():
     with pytest.raises(NoConvergence):
         calibrate_noise({"trans_cm": 0.1, "rot_deg": 29.88, "det_rate": 0.9301},
                         seed=0, n_samples=300)
+
+
+def test_calibrate_stops_doubling_at_the_searched_fields_bound(monkeypatch):
+    from pollisim import runner
+
+    tried = []
+
+    def counted(noise, *args, _real=runner.single_shot_stats):
+        tried.append(noise.rot_sigma)
+        return _real(noise, *args)
+
+    monkeypatch.setattr(runner, "single_shot_stats", counted)
+    # no rot_sigma gives a 179-degree mean facing error: the doubling from 60
+    # ends at the field's bound, not a hundred doublings later
+    with pytest.raises(runner.NoConvergence, match="rot_sigma: upper bound never reaches target 179.0"):
+        runner.calibrate_noise({"trans_cm": 3.03, "rot_deg": 179.0, "det_rate": 0.9301}, n_samples=300)
+    doubled = [x for x in tried if x > NoiseModel().rot_sigma]
+    assert doubled == [60.0, 120.0, 240.0, 480.0, 960.0, 1920.0, MAX_ROT_SIGMA]
 
 
 def test_simulate_multi_arm_override(tmp_path):

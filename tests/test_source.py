@@ -1,6 +1,7 @@
 """Rules about the package source that no behaviour test shows: no module
-keeps state between calls through `global` or `nonlocal`, the tracker's
-clock moves in one place, and only the oracle's draw pass draws."""
+keeps state between calls through `global` or `nonlocal`, none turns a
+floating-point flag into a second route, the tracker's clock moves in one
+place, and only the oracle's draw pass draws."""
 
 import ast
 import os
@@ -28,6 +29,25 @@ def test_no_module_rebinds_a_name_outside_its_scope():
         for node in ast.walk(tree)
         if isinstance(node, (ast.Global, ast.Nonlocal))
     ]
+    assert found == []
+
+
+def test_no_module_reroutes_on_a_floating_point_flag():
+    # Bounded inputs keep every computation on one route: nothing raises a
+    # flag as FloatingPointError to catch it and compute another way.
+    found = []
+    for name, tree in _modules().items():
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.ExceptHandler) and node.type is not None
+                and "FloatingPointError" in ast.unparse(node.type)
+            ):
+                found.append(f"{name}:{node.lineno}: except {ast.unparse(node.type)}")
+            if (
+                isinstance(node, ast.Call) and ast.unparse(node.func).endswith("errstate")
+                and any(isinstance(kw.value, ast.Constant) and kw.value.value == "raise" for kw in node.keywords)
+            ):
+                found.append(f"{name}:{node.lineno}: {ast.unparse(node)}")
     assert found == []
 
 
