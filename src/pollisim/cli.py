@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from .config import ConfigError, load_config
+from .config import MAX_ARMS, ConfigError, load_config
 from .configfields import json_text, write_json
 from .metrics import REPORT_CSV_HEADER, report_csv_row, summary_table
 from .runner import NoConvergence, calibrate_noise, evaluate_run_dir, simulate_run
@@ -37,6 +37,8 @@ def _cmd_simulate(args: argparse.Namespace) -> None:
     if args.arms is not None:
         if args.arms < 1:
             raise ConfigError("arm_count", "must be >= 1")
+        if args.arms > MAX_ARMS:
+            raise ConfigError("arm_count", f"must be <= {MAX_ARMS}")
         cfg.arm_count = args.arms
     report = simulate_run(cfg, out_dir=args.out)
     if not args.quiet:

@@ -22,6 +22,11 @@ from .simworld import NoiseModel, SceneGenParams
 from .tracker import TrackerParams
 
 
+# Upper bounds of the loop's sizes; ExperimentConfig's docstring says why each holds.
+MAX_STEP_BUDGET = 100_000
+MAX_ARMS = 100
+
+
 class ConfigError(ValueError):
     """Configuration is invalid; `field` names the offending entry."""
 
@@ -32,7 +37,16 @@ class ConfigError(ValueError):
 
 @dataclass(eq=False)
 class ExperimentConfig:
-    """Fully resolved experiment description; hashable to a config digest."""
+    """Fully resolved experiment description; hashable to a config digest.
+
+    `parse_config` bounds the loop's two sizes. `step_budget` is at most
+    MAX_STEP_BUDGET (100,000 ticks): the loop keeps about 6.5 KB of records
+    per tick at 20 flowers and one arm (9.7 MB over the stock 1500 ticks),
+    so such a budget holds about 0.65 GB, at 16 times the longest budget an
+    experiment sets (6000). `arm_count` is at most MAX_ARMS (100): each arm
+    adds an oracle call, an ingest and a commander step, and its records, to
+    every tick, and the experiments run one to three arms.
+    """
 
     seed: int
     scene_path: str | None = None
@@ -86,7 +100,8 @@ _SECTIONS = (
     ("commander", CommanderConfig),
     ("camera", Intrinsics),
 )
-_COUNTS = ("arm_count", "step_budget", "viewpoints_per_flower")
+# The top-level counts and their upper bounds (None: unbounded).
+_COUNTS = {"arm_count": MAX_ARMS, "step_budget": MAX_STEP_BUDGET, "viewpoints_per_flower": None}
 _TOP_LEVEL = ("schema_version", "seed", "scene", *(name for name, _ in _SECTIONS), *_COUNTS)
 
 
@@ -96,12 +111,16 @@ def _unknown_keys(prefix: str, d: dict, known) -> None:
             raise ConfigError(prefix + key, "not a config field")
 
 
-def _integer(name: str, value, least: int) -> int:
-    """`value` as an int by the sections' rule (`25.0` reads as 25), at least `least`."""
+def _integer(name: str, value, least: int, most: int | None = None) -> int:
+    """`value` as an int by the sections' rule (`25.0` reads as 25), at least
+    `least` and, when that is given, at most `most`."""
     try:
-        return json_number(name, "int", value, least)
+        number = json_number(name, "int", value, least)
     except (TypeError, ValueError):
         raise ConfigError(name, f"must be an integer >= {least}") from None
+    if most is not None and number > most:
+        raise ConfigError(name, f"must be <= {most}")
+    return number
 
 
 def parse_config(data: dict, config_dir: str = ".") -> ExperimentConfig:
@@ -128,7 +147,7 @@ def parse_config(data: dict, config_dir: str = ".") -> ExperimentConfig:
 
     # absent keys take the ExperimentConfig defaults
     given = {name: _section(name, cls, data[name]) for name, cls in _SECTIONS if name in data}
-    given.update((name, _integer(name, data[name], 1)) for name in _COUNTS if name in data)
+    given.update((name, _integer(name, data[name], 1, most)) for name, most in _COUNTS.items() if name in data)
     return ExperimentConfig(seed=seed, scene_path=scene_path, scene_gen=scene_gen, **given)
 
 

@@ -66,13 +66,15 @@ class FlowerGT:
     pollinated: bool = False
 
 
-# Bounds of the physical inputs, in meters, pixels, degrees and readings per
-# view; the docstrings of the classes that check them say why each holds.
+# Bounds of the physical inputs, in meters, pixels, degrees, readings per
+# view and flowers; the docstrings of the classes that check them say why
+# each holds.
 MAX_LENGTH = 1e3
 MIN_DEPTH = 1e-6
 MAX_PIXEL_SIGMA = 1e5
 MAX_ROT_SIGMA = 3600.0
 MAX_CLUTTER_RATE = 100.0
+MAX_FLOWERS = 10_000
 
 
 @dataclass(frozen=True)
@@ -501,7 +503,10 @@ class SceneGenParams:
 
     The coordinates of `center`, `spread` and `min_sep` are at most
     MAX_LENGTH (1 km) in magnitude, the size of a field of plants, and a
-    tilt from world up lies in [0, 180] degrees.
+    tilt from world up lies in [0, 180] degrees. `count` is at most
+    MAX_FLOWERS (10,000), 50 times the largest scene an experiment draws
+    (200 flowers): the oracle projects every flower on every tick, and
+    drawing a scene of that size takes about 2.5 s on one core.
     """
 
     count: int = 20
@@ -517,7 +522,7 @@ class SceneGenParams:
             counts=(("count", 1),),
             ranges=(
                 ("center", -MAX_LENGTH, MAX_LENGTH), ("spread", 0.0, MAX_LENGTH), ("min_sep", 0.0, MAX_LENGTH),
-                ("max_tilt_deg", 0.0, 180.0),
+                ("max_tilt_deg", 0.0, 180.0), ("count", 1, MAX_FLOWERS),
             ),
         )
         if len(self.center) != 3:

@@ -16,7 +16,12 @@ bit-identical to the numpy forms they replace: elementwise arithmetic (+, -,
 rounds each of those operations correctly wherever it runs; every reduction
 (dot, @, det3, inv3, svd_project) stays one numpy call, because OpenBLAS
 picks its summation order and fuses multiply-adds, and those decide the bits
-of a reduction.
+of a reduction. A reduction on a stack, made as one gufunc or matmul call,
+keeps each matrix's bits: the call runs the same LAPACK or BLAS routine on
+each matrix in turn. On numpy 2.4.6 that held for inv, svd_f, det, @ and
+(k, 3, 3) @ (k, 3, 1) (the matrix-vector product of each 3x3 form), with no
+mismatch over 3,000 random stacks of k = 1-39; np.einsum does not keep the
+bits.
 
 Two cases keep the output bits without that rule. A dot with a basis vector
 may be read off the other vector: its other products are exact zeros, so
@@ -38,6 +43,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy._core._ufunc_config import _extobj_contextvar
+from numpy._core.umath import _make_extobj
 from numpy.linalg import _umath_linalg
 
 # Absolute degeneracy / orthonormality tolerance used throughout.
@@ -99,20 +106,37 @@ def _raise_singular(err, flag):
     raise np.linalg.LinAlgError("Singular matrix")
 
 
-@np.errstate(call=_raise_singular, invalid="call", over="ignore", divide="ignore", under="ignore")
+def _linalg_state(handler):
+    """The error state np.linalg runs a LAPACK gufunc under, built once:
+    `np.errstate` rebuilds it on every call, a fifth of inv3's cost."""
+    return _make_extobj(call=handler, invalid="call", over="ignore", divide="ignore", under="ignore")
+
+
+_SINGULAR_STATE = _linalg_state(_raise_singular)
+_SVD_STATE = _linalg_state(_raise_svd_nonconvergence)
+
+
 def inv3(m: np.ndarray) -> np.ndarray:
-    """np.linalg.inv of a 3x3 float64 array: the LAPACK gufunc that it calls,
-    under the same error state, so the same bits and the same LinAlgError
-    ("Singular matrix") on singular or non-finite input."""
-    return _umath_linalg.inv(m, signature="d->d")
+    """np.linalg.inv of a 3x3 float64 array, or of each matrix of a stack:
+    the LAPACK gufunc that it calls, under the same error state, so the same
+    bits and the same LinAlgError ("Singular matrix") on singular or
+    non-finite input."""
+    token = _extobj_contextvar.set(_SINGULAR_STATE)
+    try:
+        return _umath_linalg.inv(m, signature="d->d")
+    finally:
+        _extobj_contextvar.reset(token)
 
 
-@np.errstate(call=_raise_svd_nonconvergence, invalid="call", over="ignore", divide="ignore", under="ignore")
 def _svd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(u, s, vt) of a 3x3 float64 array: the LAPACK gufunc that np.linalg.svd
-    calls, under the same error state, so the same bits and the same
-    LinAlgError ("SVD did not converge")."""
-    return _umath_linalg.svd_f(m, signature="d->ddd")
+    """(u, s, vt) of a 3x3 float64 array, or of each matrix of a stack: the
+    LAPACK gufunc that np.linalg.svd calls, under the same error state, so
+    the same bits and the same LinAlgError ("SVD did not converge")."""
+    token = _extobj_contextvar.set(_SVD_STATE)
+    try:
+        return _umath_linalg.svd_f(m, signature="d->ddd")
+    finally:
+        _extobj_contextvar.reset(token)
 
 
 def is_rotation(m: np.ndarray, tol: float = ORTHO_TOL) -> bool:
@@ -193,7 +217,8 @@ def flatten(r: np.ndarray) -> np.ndarray:
 
 
 def svd_project(x: np.ndarray) -> np.ndarray:
-    """Nearest rotation (Frobenius) to a 9-vector or 3x3 matrix, via SVD.
+    """Nearest rotation (Frobenius) to a 9-vector or 3x3 matrix, via SVD, or
+    to each matrix of an (n, 3, 3) stack.
 
     Returns R = U diag(1, 1, det(UV^T)) V^T for M = U S V^T, which maximizes
     trace(R^T M) over SO(3). Raises DegenerateInput when rank(M) < 2, where
@@ -201,9 +226,15 @@ def svd_project(x: np.ndarray) -> np.ndarray:
     which LAPACK can return NaN singular values or never return.
 
     The SVD is the gufunc np.linalg.svd runs for a float64 3x3, under the same
-    error state, so the same bits and the same LinAlgError.
+    error state, so the same bits and the same LinAlgError. A stack runs each
+    reduction once over all its matrices, which keeps each matrix's bits;
+    when some matrix fails, the stack raises what its first failing matrix,
+    in stack order, raises alone.
     """
-    m = np.asarray(x, dtype=float).reshape(3, 3)
+    m = np.asarray(x, dtype=float)
+    if m.ndim == 3:
+        return _svd_project_stack(m)
+    m = m.reshape(3, 3)
     if not all(map(math.isfinite, m.ravel().tolist())):
         raise ValueError("cannot project a matrix with a non-finite entry")
     u, s, vt = _svd(m)
@@ -212,6 +243,26 @@ def svd_project(x: np.ndarray) -> np.ndarray:
     flip = I3.copy()
     flip[2, 2] = det3(u @ vt)
     return u @ flip @ vt
+
+
+def _svd_project_stack(m: np.ndarray) -> np.ndarray:
+    """svd_project of each matrix of an (n, 3, 3) stack, as one stack.
+
+    A non-finite entry is found before the SVD, which could hang on it. On
+    any failure the matrices are projected one by one, in order, so the
+    first failing one raises its own exception.
+    """
+    if np.isfinite(m).all():
+        try:
+            u, s, vt = _svd(m)
+        except np.linalg.LinAlgError:
+            pass
+        else:
+            if not (s[:, 1] <= ORTHO_TOL).any():
+                flip = np.broadcast_to(I3, m.shape).copy()
+                flip[:, 2, 2] = det3(u @ vt)
+                return u @ flip @ vt
+    return np.stack([svd_project(a) for a in m])
 
 
 def zaxis_angle(a: np.ndarray, b: np.ndarray) -> float:

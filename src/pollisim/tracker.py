@@ -234,34 +234,84 @@ def predict(gs: GlobalState, tick: int, q_pos: float, q_rot: float) -> None:
     gs.tick = tick
 
 
-def update_position(t: Track, z: np.ndarray, r_meas: float) -> None:
-    """Linear Kalman update with identity observation model on position."""
-    if not r_meas > 0:  # NaN too
-        raise ValueError("r_meas must be > 0")
-    p = t.pos_cov
-    kgain = p @ inv3(p + r_meas * I3)
-    t.pos_mean = t.pos_mean + kgain @ (np.asarray(z, dtype=float) - t.pos_mean)
+def update_position(ts: list[Track], zs: list[np.ndarray], r_meas: list[float]) -> None:
+    """Linear Kalman update with identity observation model on position:
+    track ts[i] fuses reading zs[i], of per-axis variance r_meas[i].
+
+    Every variance must be at least MIN_POS_VAR, the floor `TrackerParams`
+    holds to; below about 1e-308 the gain's inverse is infinite and the
+    update silently NaN. The whole batch is checked, and computed, before any
+    track changes. Two or more tracks run as (k, 3, 3) stacks, which keep
+    each track's bits (see `so3`); one track runs as 3x3 arrays, which cost
+    less at that size.
+    """
+    if len(ts) == 1:
+        t, z, r = ts[0], zs[0], r_meas[0]
+        if not r >= MIN_POS_VAR:  # NaN too
+            raise ValueError(f"r_meas must be >= {MIN_POS_VAR:g}")
+        # p + r I, mean + K (z - mean) and 0.5 (cov + cov^T), each summed
+        # in place on its first new array: IEEE addition and multiplication
+        # commute, so the same bits with fewer temporaries.
+        p = t.pos_cov
+        s = r * I3
+        s += p
+        kgain = p @ inv3(s)
+        mean = kgain @ (z - t.pos_mean)
+        mean += t.pos_mean
+        t.pos_mean = mean
+        cov = (I3 - kgain) @ p
+        sym = cov + cov.T  # symmetrize against round-off
+        sym *= 0.5
+        t.pos_cov = sym
+        return
+    r = np.array(r_meas, dtype=float)
+    if not (r >= MIN_POS_VAR).all():
+        raise ValueError(f"r_meas must be >= {MIN_POS_VAR:g}")
+    p = np.array([t.pos_cov for t in ts])
+    s = r[:, None, None] * I3
+    s += p
+    kgain = p @ inv3(s)
+    mean = np.array([t.pos_mean for t in ts])
+    # (k, 3, 3) @ (k, 3, 1) runs the matrix-vector product of each 3x3 form
+    mean += (kgain @ (np.array(zs, dtype=float) - mean)[:, :, None])[:, :, 0]
     cov = (I3 - kgain) @ p
-    t.pos_cov = 0.5 * (cov + cov.T)  # symmetrize against round-off
+    sym = cov + cov.transpose(0, 2, 1)
+    sym *= 0.5
+    for t, a, c in zip(ts, mean, sym):
+        t.pos_mean = a.copy()  # a view would keep the whole batch alive
+        t.pos_cov = c
 
 
-def update_rotation(t: Track, z: np.ndarray, r_meas: float) -> None:
-    """Scalar-gain Kalman update on the flattened rotation, SVD re-projected.
+def update_rotation(ts: list[Track], zs: list[np.ndarray], r_meas: float) -> None:
+    """Scalar-gain Kalman update on the flattened rotation, SVD re-projected:
+    track ts[i] fuses rotation reading zs[i], of variance r_meas.
 
     The state is the 9-vector flatten(rot_mean); the posterior mean is
     projected back to the nearest rotation so the track always stays on the
-    manifold.
+    manifold. Two or more tracks are blended and projected as one (k, 3, 3)
+    stack, with each track's bits, and no track changes unless all project.
     """
     if not r_meas > 0:  # NaN too
         raise ValueError("r_meas must be > 0")
-    kgain = t.rot_cov / (t.rot_cov + r_meas)
-    # s + kgain * (z - s), blended as 3x3 and in place on the difference:
-    # IEEE addition and multiplication commute, so the same bits.
-    d = np.asarray(z, dtype=float) - t.rot_mean
-    d *= kgain
-    d += t.rot_mean
-    t.rot_mean = svd_project(d)
-    t.rot_cov = (1.0 - kgain) * t.rot_cov
+    if len(ts) == 1:
+        t = ts[0]
+        kgain = t.rot_cov / (t.rot_cov + r_meas)
+        # s + kgain * (z - s), blended as 3x3 and in place on the difference:
+        # IEEE addition and multiplication commute, so the same bits.
+        d = zs[0] - t.rot_mean
+        d *= kgain
+        d += t.rot_mean
+        t.rot_mean = svd_project(d)
+        t.rot_cov = (1.0 - kgain) * t.rot_cov
+        return
+    kgains = [t.rot_cov / (t.rot_cov + r_meas) for t in ts]
+    s = np.array([t.rot_mean for t in ts])
+    d = np.array(zs, dtype=float) - s
+    d *= np.array(kgains)[:, None, None]
+    d += s
+    for t, r, kgain in zip(ts, svd_project(d), kgains):
+        t.rot_mean = r.copy()
+        t.rot_cov = (1.0 - kgain) * t.rot_cov
 
 
 def is_confident(t: Track, params: TrackerParams) -> bool:
@@ -293,10 +343,10 @@ def ingest(gs: GlobalState, ms: list[Measurement], params: TrackerParams) -> Glo
     """Apply one measurement batch from a single camera tick.
 
     Predicts the table to the batch tick with one `predict` call, which also
-    moves gs.tick, associates, runs the position and rotation updates per
-    matched pair, spawns tracks for the rest, and prunes stale low-support
-    tracks. Updates gs and its tracks in place and returns gs. An empty
-    batch changes nothing, the clock included.
+    moves gs.tick, associates, runs one position and one rotation update over
+    all matched pairs, spawns tracks for the rest, and prunes stale
+    low-support tracks. Updates gs and its tracks in place and returns gs.
+    An empty batch changes nothing, the clock included.
 
     An unassigned measurement spawns only if no track (as updated by this
     batch, spawns excluded) lies within the association gate, by the same
@@ -310,15 +360,20 @@ def ingest(gs: GlobalState, ms: list[Measurement], params: TrackerParams) -> Glo
     predict(gs, batch_tick, params.q_pos, params.q_rot)
 
     asg = associate(ms, gs, params.assoc_threshold)
-    lo, hi = params.reliable_range
-    for mi, tid in asg.pairs:
-        m = ms[mi]
-        r_pos = params.r_pos_near if lo <= m.pixel.ray_depth <= hi else params.r_pos_far
-        t = gs.tracks[tid]
-        update_position(t, m.position_world, r_pos)
-        update_rotation(t, m.rotation, params.r_rot)
-        t.hits += 1
-        t.last_meas = m
+    if asg.pairs:
+        lo, hi = params.reliable_range
+        ts, positions, rotations, r_pos = [], [], [], []
+        for mi, tid in asg.pairs:
+            m = ms[mi]
+            t = gs.tracks[tid]
+            t.hits += 1
+            t.last_meas = m
+            ts.append(t)
+            positions.append(m.position_world)
+            rotations.append(m.rotation)
+            r_pos.append(params.r_pos_near if lo <= m.pixel.ray_depth <= hi else params.r_pos_far)
+        update_position(ts, positions, r_pos)
+        update_rotation(ts, rotations, params.r_rot)
     spawn_ms = [ms[mi] for mi in asg.spawns]
     suppressed: set[int] = set()
     if spawn_ms and asg.pairs:

@@ -2,15 +2,20 @@
 oracle and the tracker without a floating-point flag, so no computation needs
 a second route for inputs that overflow."""
 
+import json
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pollisim.camera import FOCAL_RANGE, MAX_IMAGE_SIDE, Intrinsics
-from pollisim.config import parse_config
+from pollisim.cli import main
+from pollisim.config import MAX_ARMS, MAX_STEP_BUDGET, parse_config
 from pollisim.simworld import (
     BATCH_MIN,
     MAX_CLUTTER_RATE,
+    MAX_FLOWERS,
     MAX_LENGTH,
     MAX_PIXEL_SIGMA,
     MAX_ROT_SIGMA,
@@ -152,7 +157,7 @@ def test_position_updates_at_the_variance_floor_stay_finite():
         t = Track(np.zeros(3), p * I3, np.eye(3), 1.0, 1)
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             for _ in range(1000):
-                update_position(t, np.ones(3), MIN_POS_VAR)
+                update_position([t], [np.ones(3)], [MIN_POS_VAR])
         assert np.isfinite(t.pos_mean).all() and np.isfinite(t.pos_cov).all()
 
 
@@ -175,8 +180,10 @@ def test_every_bound_is_inclusive():
     at_bound = parse_config({
         "schema_version": 1,
         "seed": 0,
-        "scene": {"generate": {"center": [-MAX_LENGTH, MAX_LENGTH, 0.0], "spread": MAX_LENGTH,
-                               "min_sep": MAX_LENGTH, "max_tilt_deg": 180.0}},
+        "scene": {"generate": {"count": MAX_FLOWERS, "center": [-MAX_LENGTH, MAX_LENGTH, 0.0],
+                               "spread": MAX_LENGTH, "min_sep": MAX_LENGTH, "max_tilt_deg": 180.0}},
+        "step_budget": MAX_STEP_BUDGET,
+        "arm_count": MAX_ARMS,
         "noise": {"pixel_sigma": MAX_PIXEL_SIGMA, "depth_sigma_near": MAX_LENGTH, "depth_sigma_far": MAX_LENGTH,
                   "reliable_range": [MIN_DEPTH, MAX_LENGTH], "rot_sigma": MAX_ROT_SIGMA,
                   "clutter_rate": MAX_CLUTTER_RATE},
@@ -195,3 +202,29 @@ def test_every_bound_is_inclusive():
     assert at_bound.resolved_tracker().r_rot == MAX_ROT_VAR
     assert at_bound.commander.workspace_center == (MAX_LENGTH, -MAX_LENGTH, 0.0)
     assert at_bound.camera.width == MAX_IMAGE_SIDE
+    assert (at_bound.scene_gen.count, at_bound.step_budget, at_bound.arm_count) == (
+        MAX_FLOWERS, MAX_STEP_BUDGET, MAX_ARMS)
+
+
+@pytest.mark.parametrize(
+    "argv, config, field",
+    [
+        (["gen-scene", "--count", "1000000000000"], None, "count"),
+        (["gen-scene", "--count", str(MAX_FLOWERS + 1)], None, "count"),
+        (["simulate"], {"scene": {"generate": {"count": MAX_FLOWERS + 1}}}, "count"),
+        (["simulate"], {"step_budget": MAX_STEP_BUDGET + 1}, "step_budget"),
+        (["simulate"], {"arm_count": MAX_ARMS + 1}, "arm_count"),
+        (["simulate", "--arms", str(MAX_ARMS + 1)], {}, "arm_count"),
+    ],
+)
+def test_integer_sizes_over_their_bound_exit_2_naming_the_field(tmp_path, capsys, argv, config, field):
+    # A size past its bound is refused before anything is allocated: a
+    # trillion flowers once died in generate_scene with a MemoryError.
+    if config is not None:
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"schema_version": 1, "seed": 0, "scene": {"generate": {}}, **config}))
+        argv = [*argv, "--config", str(cfg_path)]
+    assert main([*argv, "--out", str(tmp_path / "out"), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert field in err and "<=" in err
+    assert not (tmp_path / "out").exists()

@@ -513,6 +513,31 @@ def test_svd_project_matches_reference_bitwise():
     for x in inputs[-4:]:  # non-finite input is refused before the SVD
         with pytest.raises(ValueError, match="non-finite"):
             svd_project(x)
+    # A stack keeps each matrix's bits, and raises what its first failing
+    # matrix, in stack order, raises alone.
+    inputs = [np.asarray(x, dtype=float).reshape(3, 3) for x in inputs]
+    alone = [outcome_with_warnings(svd_project, x)[0] for x in inputs]
+    failing = [x for x, out in zip(inputs, alone) if isinstance(out, str)]
+    passing = [x for x, out in zip(inputs, alone) if not isinstance(out, str)]
+    assert len(failing) == 6  # the two rank-deficient inputs and the four non-finite ones
+    start = 0
+    while start < len(passing):
+        k = int(rng.integers(1, 41))
+        stack = np.stack(passing[start:start + k])
+        start += k
+        got = svd_project(stack)
+        assert got.shape == stack.shape
+        assert [a.tobytes() for a in got] == [svd_project(x).tobytes() for x in stack]
+    for _ in range(300):
+        k = int(rng.integers(2, 41))
+        picks = rng.integers(0, len(passing), size=k)
+        stack = np.stack([passing[i] for i in picks])
+        n_bad = int(rng.integers(1, 4))
+        bad_at = np.sort(rng.choice(k, size=min(n_bad, k), replace=False))
+        for i in bad_at:
+            stack[i] = failing[rng.integers(0, len(failing))]
+        first = stack[bad_at[0]]
+        assert outcome_with_warnings(svd_project, stack) == outcome_with_warnings(svd_project, first)
 
 
 def test_inv3_matches_np_linalg_inv_bitwise():

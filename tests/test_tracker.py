@@ -247,13 +247,13 @@ def test_predict_moves_the_clock_forward_only():
 def test_update_position_uninformative_prior():
     t = _track(pos_cov=1e9)
     z = np.array([0.3, -0.2, 0.5])
-    assert update_position(t, z, 1e-2) is None
+    assert update_position([t], [z], [1e-2]) is None
     assert np.linalg.norm(t.pos_mean - z) < 1e-6
 
 
 def test_update_position_equal_variance_midpoint():
     t = _track(pos=(1.0, 0.0, 0.0), pos_cov=4e-4)
-    update_position(t, np.array([0.0, 1.0, 0.0]), 4e-4)
+    update_position([t], [np.array([0.0, 1.0, 0.0])], [4e-4])
     assert_allclose(t.pos_mean, [0.5, 0.5, 0.0], atol=1e-12)
 
 
@@ -263,7 +263,7 @@ def test_update_position_posterior_dominated():
     for _ in range(50):
         z = rng.normal(0, 0.03, size=3)
         prior = t.pos_cov
-        update_position(t, z, 1e-4)
+        update_position([t], [z], [1e-4])
         diff_eigs = np.linalg.eigvalsh(prior - t.pos_cov)
         assert diff_eigs.min() > -1e-12  # posterior <= prior in Loewner order
 
@@ -276,7 +276,7 @@ def test_update_position_monte_carlo_convergence():
     for _ in range(500):
         t = _track(pos=rng.normal(0, sigma, 3), pos_cov=sigma**2)
         for _ in range(100):
-            update_position(t, rng.normal(0, sigma, 3), sigma**2)
+            update_position([t], [rng.normal(0, sigma, 3)], [sigma**2])
         finals.append(t.pos_mean)
     emp_std = float(np.std(np.asarray(finals)))
     expected = sigma / np.sqrt(101)
@@ -288,18 +288,18 @@ def test_update_position_monte_carlo_convergence():
 def test_update_rotation_gain_extremes():
     z = rot_x(np.pi / 2)
     t = _track(rot_cov=1e9)
-    assert update_rotation(t, z, 1e-6) is None
+    assert update_rotation([t], [z], 1e-6) is None
     assert np.abs(t.rot_mean - z).max() < 1e-6
     # fixed point: measuring the prior leaves the mean, shrinks the variance
     t2 = _track(rot=rot_x(0.3), rot_cov=0.2)
-    update_rotation(t2, rot_x(0.3), 0.1)
+    update_rotation([t2], [rot_x(0.3)], 0.1)
     assert_allclose(t2.rot_mean, rot_x(0.3), atol=1e-12)
     assert t2.rot_cov < 0.2
 
 
 def test_update_rotation_equal_variance_midpoint():
     t = _track(rot=np.eye(3), rot_cov=0.1)
-    update_rotation(t, rot_x(np.pi / 2), 0.1)
+    update_rotation([t], [rot_x(np.pi / 2)], 0.1)
     assert_allclose(t.rot_mean, rot_x(np.pi / 4), atol=1e-9)
     assert_allclose(t.rot_mean, geodesic_midpoint(np.eye(3), rot_x(np.pi / 2)), atol=1e-9)
 
@@ -308,22 +308,37 @@ def test_update_rotation_stays_on_manifold():
     rng = np.random.default_rng(4)
     t = _track(rot=random_rotation(rng), rot_cov=0.3)
     for _ in range(100):
-        update_rotation(t, random_rotation(rng), 0.2)
+        update_rotation([t], [random_rotation(rng)], 0.2)
         assert is_rotation(t.rot_mean, tol=1e-9)
     with pytest.raises(ValueError):
-        update_rotation(t, np.eye(3), 0.0)
+        update_rotation([t], [np.eye(3)], 0.0)
 
 
-@pytest.mark.parametrize("r_meas", [0.0, float("nan")])
-@pytest.mark.parametrize("update", [update_position, update_rotation])
+@pytest.mark.parametrize(
+    "update, r_meas",
+    [
+        (update_position, 0.0),
+        (update_position, float("nan")),
+        (update_position, 1e-320),  # positive, but below MIN_POS_VAR: the gain's inverse is infinite
+        (update_rotation, 0.0),
+        (update_rotation, float("nan")),
+    ],
+)
 def test_updates_refuse_a_measurement_variance_that_is_not_positive(update, r_meas):
     # NaN fails r_meas <= 0 as well as r_meas > 0, so it needs its own case
-    t = _track(pos=(0.1, 0.2, 0.3), rot=rot_x(0.3))
-    before = {k: np.copy(v) for k, v in t.__dict__.items()}
-    z = np.array([0.0, 1.0, 0.0]) if update is update_position else np.eye(3)
-    with pytest.raises(ValueError, match="r_meas"):
-        update(t, z, r_meas)
-    assert all(np.array_equal(before[k], v) for k, v in t.__dict__.items())
+    ts = [_track(pos=(0.1 * i, 0.2, 0.3), rot=rot_x(0.3 * i)) for i in range(1, 4)]
+    before = [{k: np.copy(v) for k, v in t.__dict__.items()} for t in ts]
+    if update is update_position:
+        zs = [np.array([0.0, 1.0, 0.0])] * 3
+        calls = [([ts[0]], zs[:1], [r_meas]), (ts, zs, [1e-4, r_meas, 1e-4])]
+    else:
+        zs = [np.eye(3)] * 3
+        calls = [([ts[0]], zs[:1], r_meas), (ts, zs, r_meas)]
+    for args in calls:  # one track, then a batch with one bad entry: no track changes
+        with pytest.raises(ValueError, match="r_meas"):
+            update(*args)
+        for t, b in zip(ts, before):
+            assert all(np.array_equal(b[k], v) for k, v in t.__dict__.items())
 
 
 # The filter steps as they were when each returned a fresh Track, kept
@@ -373,41 +388,58 @@ def _reference_update_rotation(t: Track, z: np.ndarray, r_meas: float) -> Track:
 
 
 _variance = st.floats(1e-8, 1.0)
-_filter_step = st.one_of(
-    st.tuples(st.just("predict"), st.integers(0, 600), st.floats(0.0, 1e-3), st.floats(0.0, 1e-2)),
-    st.tuples(st.just("position"), st.tuples(*[st.floats(-1.0, 1.0)] * 3), _variance),
-    st.tuples(st.just("rotation"), st.integers(0, 2**32 - 1), _variance),
-)
+_xyz = st.tuples(*[st.floats(-1.0, 1.0)] * 3)
+
+
+def _filter_step(n: int):
+    """A predict of the whole table, or a position or rotation update of a
+    batch of distinct tracks among n, in the order drawn, each with its own
+    reading (and, for position, its own variance)."""
+    def batch(reading):
+        return st.lists(st.tuples(st.integers(0, n - 1), reading), min_size=1, max_size=n, unique_by=lambda e: e[0])
+
+    return st.one_of(
+        st.tuples(st.just("predict"), st.integers(0, 600), st.floats(0.0, 1e-3), st.floats(0.0, 1e-2)),
+        st.tuples(st.just("position"), batch(st.tuples(_xyz, _variance))),
+        st.tuples(st.just("rotation"), batch(st.integers(0, 2**32 - 1)), _variance),
+    )
 
 
 @settings(max_examples=300, deadline=None)
-@given(
-    pos=st.tuples(*[st.floats(-1.0, 1.0)] * 3),
-    pos_var=_variance,
-    rot_seed=st.integers(0, 2**32 - 1),
-    rot_var=_variance,
-    steps=st.lists(_filter_step, max_size=40),
-)
-def test_in_place_filter_steps_match_the_copying_reference_bitwise(pos, pos_var, rot_seed, rot_var, steps):
-    t = _track(pos=pos, pos_cov=pos_var, rot=random_rotation(np.random.default_rng(rot_seed)), rot_cov=rot_var)
-    gs = _state({0: t})
-    ref = _track(pos=pos, pos_cov=pos_var, rot=t.rot_mean.copy(), rot_cov=rot_var)
-    for kind, a, b, *c in steps:
+@given(n=st.integers(1, 40), data=st.data())
+def test_in_place_filter_steps_match_the_copying_reference_bitwise(n, data):
+    # A batch of k tracks leaves each with the bits of k one-track reference steps.
+    starts = data.draw(st.lists(st.tuples(_xyz, _variance, st.integers(0, 2**32 - 1), _variance), min_size=n, max_size=n))
+    steps = data.draw(st.lists(_filter_step(n), max_size=40))
+    ts = [
+        _track(pos=pos, pos_cov=pos_var, rot=random_rotation(np.random.default_rng(seed)), rot_cov=rot_var)
+        for pos, pos_var, seed, rot_var in starts
+    ]
+    gs = _state(dict(enumerate(ts)))
+    refs = [
+        _track(pos=pos, pos_cov=pos_var, rot=t.rot_mean.copy(), rot_cov=rot_var)
+        for t, (pos, pos_var, _, rot_var) in zip(ts, starts)
+    ]
+    for kind, a, *rest in steps:
         if kind == "predict":
-            assert predict(gs, gs.tick + a, b, c[0]) is None
-            ref = _reference_predict(ref, a, b, c[0])
+            assert predict(gs, gs.tick + a, rest[0], rest[1]) is None
+            refs = [_reference_predict(ref, a, rest[0], rest[1]) for ref in refs]
         elif kind == "position":
-            assert update_position(t, np.asarray(a), b) is None
-            ref = _reference_update_position(ref, np.asarray(a), b)
+            zs = [np.asarray(z) for _, (z, _) in a]
+            assert update_position([ts[i] for i, _ in a], zs, [r for _, (_, r) in a]) is None
+            for (i, (_, r)), z in zip(a, zs):
+                refs[i] = _reference_update_position(refs[i], z, r)
         else:
-            z = random_rotation(np.random.default_rng(a))
-            assert update_rotation(t, z, b) is None
-            ref = _reference_update_rotation(ref, z, b)
-        assert t.pos_mean.tobytes() == ref.pos_mean.tobytes()
-        assert t.pos_cov.tobytes() == ref.pos_cov.tobytes()
-        assert t.rot_mean.tobytes() == ref.rot_mean.tobytes()
-        assert repr(t.rot_cov) == repr(ref.rot_cov)
-        assert is_rotation(t.rot_mean, tol=1e-9)
+            zs = [random_rotation(np.random.default_rng(seed)) for _, seed in a]
+            assert update_rotation([ts[i] for i, _ in a], zs, rest[0]) is None
+            for (i, _), z in zip(a, zs):
+                refs[i] = _reference_update_rotation(refs[i], z, rest[0])
+        for t, ref in zip(ts, refs):
+            assert t.pos_mean.tobytes() == ref.pos_mean.tobytes()
+            assert t.pos_cov.tobytes() == ref.pos_cov.tobytes()
+            assert t.rot_mean.tobytes() == ref.rot_mean.tobytes()
+            assert repr(t.rot_cov) == repr(ref.rot_cov)
+            assert is_rotation(t.rot_mean, tol=1e-9)
 
 
 def test_ingest_spawn_from_empty():
