@@ -217,7 +217,7 @@ def _eligible_targets(
     for tid, t in gs.tracks.items():
         if t.pollinated or tid in taken or not is_confident(t, tparams):
             continue
-        if np.linalg.norm(t.pos_mean - center) > cfg.workspace_radius + cfg.standoff:
+        if vnorm(t.pos_mean - center) > cfg.workspace_radius + cfg.standoff:
             continue
         out.append((tid, t))
     return out

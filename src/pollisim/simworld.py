@@ -35,10 +35,10 @@ from .configfields import check_fields, fields_to_json, json_number, json_number
 from .so3 import (
     I3,
     Pose,
+    candidate_pairs,
     cross3,
     dots,
     from_axis_angle,
-    pairs_within,
     random_rotation,
     random_unit_vector,
     rot_z,
@@ -505,8 +505,12 @@ class SceneGenParams:
     MAX_LENGTH (1 km) in magnitude, the size of a field of plants, and a
     tilt from world up lies in [0, 180] degrees. `count` is at most
     MAX_FLOWERS (10,000), 50 times the largest scene an experiment draws
-    (200 flowers): the oracle projects every flower on every tick, and
-    drawing a scene of that size takes about 2.5 s on one core.
+    (200 flowers), because the oracle projects every flower on every tick.
+    On one core of a shared 2-core x86-64 host, 10,000 flowers at `spread`
+    1.0 and the stock `min_sep` take 0.8 s to draw. At the stock `spread`,
+    200 flowers take 0.07 s, but 10,000 cannot fit, so the draw runs to its
+    cap of 10000 * `count` draws: 1,000 flowers give up after their 10^7
+    draws in 66 s.
     """
 
     count: int = 20
@@ -532,30 +536,88 @@ class SceneGenParams:
         return fields_to_json(self)
 
 
+# generate_scene screens a block of candidate positions against the accepted
+# ones in one candidate_pairs call of at most this many pairs, and the block's
+# survivors of that screen against each other in one call of at most as many.
+_SCENE_BLOCK_PAIRS = 1 << 16
+_SCENE_SURVIVORS_MAX = math.isqrt(_SCENE_BLOCK_PAIRS)
+
+
+def _accept_block(
+    block: np.ndarray, accepted: np.ndarray, min_sep: float, missing: int
+) -> tuple[int, list[int]]:
+    """(rows used, rows kept) of a block of candidate positions, as the
+    one-draw loop takes them: row r is kept when vnorm(block[r] - q) >=
+    min_sep for every q in `accepted` and every kept row before it, and the
+    block is used up to the row that keeps the `missing`-th point.
+
+    `candidate_pairs` screens the block against `accepted`, then the
+    survivors of that screen against each other, and vnorm decides each pair
+    it passes. At most _SCENE_SURVIVORS_MAX survivors are taken: the block
+    is used up to the first survivor past them.
+    """
+    rows = len(block)
+    clash = set()
+    for r, i in zip(*candidate_pairs(block, accepted, min_sep)):
+        if r not in clash and vnorm(block[r] - accepted[i]) < min_sep:
+            clash.add(r)
+    survivors = [r for r in range(rows) if r not in clash]
+    if len(survivors) > _SCENE_SURVIVORS_MAX:
+        rows = survivors[_SCENE_SURVIVORS_MAX]
+        del survivors[_SCENE_SURVIVORS_MAX:]
+    sub = block[survivors]
+    earlier: dict[int, list[int]] = {}
+    for x, y in zip(*candidate_pairs(sub, sub, min_sep)):
+        if x < y:
+            earlier.setdefault(y, []).append(x)
+    kept: list[int] = []
+    kept_at: set[int] = set()
+    for y, r in enumerate(survivors):
+        if any(x in kept_at and vnorm(sub[y] - sub[x]) < min_sep for x in earlier.get(y, ())):
+            continue
+        kept_at.add(y)
+        kept.append(r)
+        if len(kept) == missing:
+            return r + 1, kept
+    return rows, kept
+
+
 def generate_scene(rng: np.random.Generator, params: SceneGenParams) -> list[FlowerGT]:
     """Random scene: clustered positions with a minimum separation, facing
     directions within a cone of world-up, random twist about the facing axis.
 
-    A draw is rejected when vnorm(p - q) < min_sep for an accepted q, by
-    the distances of `so3.pairs_within`. That query skips a pair at NaN
-    distance, which cannot arise here: `SceneGenParams` refuses a non-finite
-    center or spread.
+    Positions are drawn one at a time, p = center + rng.normal(0.0, spread,
+    size=3), and a draw is rejected when vnorm(p - q) < min_sep for an
+    accepted q; the 10000 * count + 1-th draw gives up. The draws are taken
+    in blocks of rows and screened by `_accept_block`, which keeps exactly
+    the points that loop keeps; the generator is then moved back and
+    forward by the rows used, so it ends where that loop leaves it. A block
+    holds as many rows as the last block's acceptance rate says the missing
+    points need, twice the last block's rows when it accepted none, and at
+    most _SCENE_BLOCK_PAIRS / (accepted points) rows.
     """
     count, spread, min_sep = params.count, params.spread, params.min_sep
     center = np.asarray(params.center, dtype=float)
-    positions: list[np.ndarray] = []
+    max_attempts = 10000 * count
     accepted = np.empty((count, 3))
-    attempts = 0
-    while len(positions) < count:
-        p = center + rng.normal(0.0, spread, size=3)
-        if not any(d < min_sep for _, _, d in pairs_within(accepted[: len(positions)], [p], min_sep)):
-            accepted[len(positions)] = p
-            positions.append(p)
-        attempts += 1
-        if attempts > 10000 * count:
+    n = attempts = 0
+    rows = count
+    while n < count:
+        rows = min(rows, max_attempts + 1 - attempts, max(1, _SCENE_BLOCK_PAIRS // max(n, 1)))
+        state = rng.bit_generator.state
+        block = center + rng.normal(0.0, spread, size=(rows, 3))
+        used, keep = _accept_block(block, accepted[:n], min_sep, count - n)
+        accepted[n : n + len(keep)] = block[keep]
+        n += len(keep)
+        attempts += used
+        if used < rows:
+            rng.bit_generator.state = state
+            rng.normal(0.0, spread, size=(used, 3))
+        if attempts > max_attempts:
             raise ValueError("cannot satisfy min_sep; reduce it or increase spread")
+        rows = -(-(count - n) * used // len(keep)) if keep else 2 * rows
     flowers = []
-    for i, p in enumerate(positions):
+    for i, p in enumerate(accepted):
         tilt = math.radians(rng.uniform(0.0, params.max_tilt_deg))
         azim = rng.uniform(0.0, 2.0 * math.pi)
         tilt_axis = np.array([-math.sin(azim), math.cos(azim), 0.0])

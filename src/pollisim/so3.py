@@ -1,7 +1,8 @@
 """Rotation-manifold geometry: nearest-rotation projection, shortest-arc and
 axis-angle rotations, facing-axis distance for radially symmetric targets, the
-JSON form of rotations, and the within-radius pair query that association,
-spawn suppression and scene generation share.
+JSON form of rotations, and the within-radius pair query that association
+and spawn suppression share, with its prefilter, which scene generation uses
+too.
 
 The helpers `cross3`, `vnorm`, `det3`, `inv3` and the identity `I3` return
 the same bits as `np.cross`, `np.linalg.norm`, `np.linalg.det`,
@@ -62,7 +63,7 @@ for _shared in (EX, EZ, I3):
 _FILTER_MARGIN = 1e-10
 
 # candidate_pairs returns every pair when there are at most this many: below
-# it, one exact distance per pair costs less than the broadcast prefilter.
+# it, one exact distance per pair costs less than the prefilter.
 ALL_PAIRS_MAX = 8
 
 
@@ -384,25 +385,30 @@ def random_rotations(rng: np.random.Generator, n: int) -> np.ndarray:
 def candidate_pairs(a, b, radius: float) -> tuple[list[int], list[int]]:
     """Prefilter of `pairs_within`: a superset of its pairs, as index lists.
 
-    Returns the index pairs (i, j) of points a[i], b[j] whose squared distance,
-    computed in one broadcast, is within radius * (1 + 1e-9); pairs with a
-    NaN distance stay too. The broadcast sum can differ from a per-pair
-    np.linalg.norm in the last bit; the slack only makes sure that no pair
-    dropped here could pass the exact test.
+    Returns the index pairs (i, j) of points a[i], b[j] whose squared distance
+    is within radius * (1 + 1e-9); pairs with a NaN distance stay too. The
+    squared distance is (dx² + dy²) + dz², summed over three contiguous
+    (na, nb) planes of squared coordinate differences: the sum, in the same
+    order, that a reduction over the length-3 axis of one (na, nb, 3)
+    broadcast makes. It can differ from a per-pair np.linalg.norm in the
+    last bit; the slack only makes sure that no pair dropped here could pass
+    the exact test.
 
     With at most ALL_PAIRS_MAX pairs in all, every pair is returned without
-    the broadcast. Pairs come in row-major order either way.
+    the planes. Pairs come in row-major order either way.
     """
     na, nb = len(a), len(b)
     if na * nb <= ALL_PAIRS_MAX:
         return [i for i in range(na) for _ in range(nb)], list(range(nb)) * na
-    a = np.asarray(a, dtype=float).reshape(-1, 3)
-    b = np.asarray(b, dtype=float).reshape(-1, 3)
-    sq = b[None, :, :] - a[:, None, :]
-    np.multiply(sq, sq, out=sq)  # in place: scoring 60 flowers x 200 tracks needs no second copy
+    at = np.asarray(a, dtype=float).reshape(-1, 3).T.copy()
+    bt = np.asarray(b, dtype=float).reshape(-1, 3).T.copy()
+    d = bt[:, None, :] - at[:, :, None]  # the planes dx, dy and dz, each (na, nb)
+    d *= d
+    sq = np.add(d[0], d[1], out=d[0])
+    sq += d[2]
     limit = radius * (1.0 + 1e-9)
     # limit * |limit| is negative for a negative radius, which no distance is within.
-    ia, ib = np.nonzero(~(sq.sum(axis=2) > limit * abs(limit)))
+    ia, ib = np.nonzero(~(sq > limit * abs(limit)))
     return ia.tolist(), ib.tolist()
 
 

@@ -315,8 +315,8 @@ def update_rotation(ts: list[Track], zs: list[np.ndarray], r_meas: float) -> Non
 
 
 def is_confident(t: Track, params: TrackerParams) -> bool:
-    """Low-variance, well-supported track: trace(pos_cov) and hits gates."""
-    return float(np.trace(t.pos_cov)) < params.confident_trace and t.hits >= params.confident_hits
+    """Well-supported, low-variance track: hits and trace(pos_cov) gates."""
+    return t.hits >= params.confident_hits and bool(t.pos_cov.trace() < params.confident_trace)
 
 
 def remove_track(gs: GlobalState, track_id: int) -> None:

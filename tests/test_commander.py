@@ -14,13 +14,14 @@ from pollisim.commander import (
     Searching,
     TriggerPollinate,
     VisualServo,
+    _eligible_targets,
     check_pollination,
     servo_delta,
     standoff_pose,
     step,
 )
 from pollisim.simworld import FlowerGT, NoiseModel
-from pollisim.so3 import Pose, aligning_rotation, from_axis_angle, is_rotation, random_rotation, rot_x
+from pollisim.so3 import Pose, aligning_rotation, from_axis_angle, is_rotation, random_rotation, rot_x, vnorm
 from pollisim.tracker import GlobalState, Track, TrackerParams
 from pollisim.runner import ExperimentConfig, SceneGenParams, simulate_run
 
@@ -69,6 +70,55 @@ def test_searching_transitions_to_rough_localization():
     facing = zf[:, 2]
     assert_allclose(cmd.pose.position, track.pos_mean + CFG.standoff * facing, atol=1e-12)
     assert_allclose(cmd.pose.rotation[:, 2], -facing, atol=1e-12)
+
+
+def _reference_eligible_targets(gs, cfg, tparams, taken):
+    """_eligible_targets as it was written before it used vnorm and took
+    hits before the covariance trace."""
+    out = []
+    center = np.asarray(cfg.workspace_center, dtype=float)
+    for tid, t in gs.tracks.items():
+        confident = float(np.trace(t.pos_cov)) < tparams.confident_trace and t.hits >= tparams.confident_hits
+        if t.pollinated or tid in taken or not confident:
+            continue
+        if np.linalg.norm(t.pos_mean - center) > cfg.workspace_radius + cfg.standoff:
+            continue
+        out.append((tid, t))
+    return out
+
+
+def test_eligible_targets_match_the_norm_and_trace_predicate():
+    rng = np.random.default_rng(33)
+    cfg = CommanderConfig(workspace_center=(0.1, -0.2, 0.3))
+    reach = cfg.workspace_radius + cfg.standoff
+    at_reach = np.array(cfg.workspace_center) + np.array([reach, 0.0, 0.0])
+    seen = set()
+    for _ in range(40):
+        tracks = {}
+        for tid in rng.permutation(60).tolist():
+            diag = rng.choice([0.5, 1.0, 2.0], size=3) * TP.confident_trace / 3.0
+            if rng.random() < 0.2:
+                diag = np.array([TP.confident_trace, 0.0, 0.0])  # trace exactly at the gate
+            pos = np.array(cfg.workspace_center) + rng.normal(0.0, reach / 1.5, size=3)
+            if rng.random() < 0.1:
+                pos = at_reach.copy()
+            cov = np.diag(diag)
+            cov[0, 1] = cov[1, 0] = rng.normal(0.0, 1e-6)  # off the diagonal: no part of the trace
+            tracks[tid] = Track(
+                pos_mean=pos, pos_cov=cov, rot_mean=np.eye(3), rot_cov=0.01,
+                hits=int(rng.integers(TP.confident_hits - 2, TP.confident_hits + 3)),
+                pollinated=bool(rng.random() < 0.1),
+            )
+        gs = GlobalState(tracks=tracks, next_id=60)
+        taken = set(rng.choice(60, size=int(rng.integers(0, 5)), replace=False).tolist())
+        got = _eligible_targets(gs, cfg, TP, taken)
+        assert got == _reference_eligible_targets(gs, cfg, TP, taken)
+        seen.add(bool(got))
+        for t in tracks.values():
+            seen.add(("hits at the gate", t.hits == TP.confident_hits))
+            seen.add(("trace at the gate", float(np.trace(t.pos_cov)) == TP.confident_trace))
+            seen.add(("at reach", vnorm(t.pos_mean - np.array(cfg.workspace_center)) == reach))
+    assert {("hits at the gate", True), ("trace at the gate", True), ("at reach", True), True} <= seen
 
 
 def test_standoff_pose_hand_case():

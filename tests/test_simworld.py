@@ -36,10 +36,13 @@ from pollisim.simworld import (
 )
 from pollisim.so3 import (
     Pose,
+    from_axis_angle,
     is_rotation,
+    pairs_within,
     random_rotation,
     random_rotations,
     random_unit_vector,
+    rot_z,
     rotation_to_list,
     vnorm,
     zaxis_angle,
@@ -470,6 +473,66 @@ def test_generate_scene_matches_scalar_rejection_loop():
         scene = generate_scene(np.random.default_rng(seed), params)
         ref = _reference_scene_positions(np.random.default_rng(seed), 25, np.array(params.center), 0.04, 0.05)
         assert np.array_equal(np.array([f.pose.position for f in scene]), np.array(ref))
+
+
+def _one_draw_scene(rng, params):
+    """generate_scene as it was written before it drew in blocks: one draw
+    and one pairs_within query per candidate."""
+    count, spread, min_sep = params.count, params.spread, params.min_sep
+    center = np.asarray(params.center, dtype=float)
+    positions: list[np.ndarray] = []
+    accepted = np.empty((count, 3))
+    attempts = 0
+    while len(positions) < count:
+        p = center + rng.normal(0.0, spread, size=3)
+        if not any(d < min_sep for _, _, d in pairs_within(accepted[: len(positions)], [p], min_sep)):
+            accepted[len(positions)] = p
+            positions.append(p)
+        attempts += 1
+        if attempts > 10000 * count:
+            raise ValueError("cannot satisfy min_sep; reduce it or increase spread")
+    flowers = []
+    for i, p in enumerate(positions):
+        tilt = math.radians(rng.uniform(0.0, params.max_tilt_deg))
+        azim = rng.uniform(0.0, 2.0 * math.pi)
+        tilt_axis = np.array([-math.sin(azim), math.cos(azim), 0.0])
+        rot = from_axis_angle(tilt_axis, tilt) @ rot_z(rng.uniform(0.0, 2.0 * math.pi))
+        flowers.append(FlowerGT(id=i, pose=Pose(p, rot)))
+    return flowers
+
+
+def _scene_outcome(draw, seed, params):
+    """Every bit of a drawn scene, or the error it raised, and where the
+    generator stands afterwards."""
+    rng = np.random.default_rng([seed, 0])
+    try:
+        out = [(f.id, f.pose.position.tobytes(), f.pose.rotation.tobytes()) for f in draw(rng, params)]
+    except ValueError as e:
+        out = repr(e)
+    return out, rng.bit_generator.state
+
+
+@pytest.mark.parametrize(
+    "params, seeds",
+    [
+        (SceneGenParams(count=20), 20),
+        (SceneGenParams(count=60), 20),
+        (SceneGenParams(count=25, center=(0.1, -0.2, 0.3), spread=0.04, min_sep=0.05), 20),  # dense
+        (SceneGenParams(count=60, spread=0.06, min_sep=0.02), 20),  # clusters
+        (SceneGenParams(count=1), 5),
+        (SceneGenParams(count=40, min_sep=0.0), 5),
+        (SceneGenParams(count=300, spread=1.0, min_sep=0.05), 2),  # more survivors than a block screens
+        (SceneGenParams(count=200), 2),  # near the most the stock spread holds
+        (SceneGenParams(count=2, spread=0.01, min_sep=0.5), 2),  # unsatisfiable
+    ],
+    ids=["stock-20", "stock-60", "dense", "clusters", "one", "no-min-sep", "many-survivors", "stock-200", "unsatisfiable"],
+)
+def test_generate_scene_matches_the_one_draw_loop(params, seeds):
+    for seed in range(seeds):
+        got = _scene_outcome(generate_scene, seed, params)
+        assert got == _scene_outcome(_one_draw_scene, seed, params)
+    if params.min_sep == 0.5:
+        assert got[0] == repr(ValueError("cannot satisfy min_sep; reduce it or increase spread"))
 
 
 def test_noise_model_validation_and_json():

@@ -5,9 +5,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 from helpers import outcome_with_warnings
-from pollisim import runner, so3, tracker
+from pollisim import runner, simworld, so3, tracker
 from pollisim.camera import Intrinsics, look_at
-from pollisim.simworld import NoiseModel, SceneGenParams, generate_scene
+from pollisim.simworld import MAX_LENGTH, NoiseModel, SceneGenParams, generate_scene
 from pollisim.so3 import (
     ALL_PAIRS_MAX,
     ORTHO_TOL,
@@ -576,9 +576,31 @@ def _reference_candidate_pairs(a, b, radius):
     return ia.tolist(), ib.tolist()
 
 
+def _check_candidate_pairs(a, b, radius):
+    na, nb = len(a), len(b)
+    ia, ib = candidate_pairs(a, b, radius)
+    got = list(zip(ia, ib))
+    assert got == sorted(set(got))  # row-major, no repeats
+    within = {
+        (i, j) for i in range(na) for j in range(nb)
+        if not vnorm(b[j] - a[i]) > radius  # NaN distances stay
+    }
+    assert within <= set(got)
+    if na * nb <= ALL_PAIRS_MAX:
+        assert len(got) == na * nb
+    else:
+        assert (ia, ib) == _reference_candidate_pairs(a, b, radius)
+    # the exact query: the brute-force pairs and distances, bit for bit
+    assert pairs_within(a, b, radius) == [
+        (i, j, d) for i in range(na) for j in range(nb) if (d := vnorm(b[j] - a[i])) <= radius
+    ]
+    return len(within)
+
+
 def test_candidate_pairs_keeps_every_pair_within_the_radius():
     rng = np.random.default_rng(79)
-    sizes = [(na, nb) for na in range(7) for nb in range(7)] + [(3, 4), (9, 1), (1, 9), (20, 6), (113, 20)]
+    # (174, 60): the most tracks and readings one loop_60 ingest scores
+    sizes = [(na, nb) for na in range(7) for nb in range(7)] + [(3, 4), (9, 1), (1, 9), (20, 6), (113, 20), (174, 60)]
     assert any(na * nb <= ALL_PAIRS_MAX for na, nb in sizes)
     assert any(na * nb > ALL_PAIRS_MAX for na, nb in sizes)
     for na, nb in sizes:
@@ -589,38 +611,37 @@ def test_candidate_pairs_keeps_every_pair_within_the_radius():
                 radius = vnorm(b[-1] - a[-1])
                 if rng.random() < 0.5:
                     a[int(rng.integers(na))] = np.array([np.nan, 0.0, 0.0])
-            ia, ib = candidate_pairs(a, b, radius)
-            got = list(zip(ia, ib))
-            assert got == sorted(set(got))  # row-major, no repeats
-            within = {
-                (i, j) for i in range(na) for j in range(nb)
-                if not vnorm(b[j] - a[i]) > radius  # NaN distances stay
-            }
-            assert within <= set(got)
-            if na * nb <= ALL_PAIRS_MAX:
-                assert len(got) == na * nb
-            else:
-                assert (ia, ib) == _reference_candidate_pairs(a, b, radius)
-            # the exact query: the brute-force pairs and distances, bit for bit
-            assert pairs_within(a, b, radius) == [
-                (i, j, d) for i in range(na) for j in range(nb) if (d := vnorm(b[j] - a[i])) <= radius
-            ]
+            _check_candidate_pairs(a, b, radius)
+    # at the edge of the field, where a coordinate's last bit is 1e-13 m
+    # and a distance loses the low bits of its coordinates
+    found = 0
+    for na, nb in [(2, 5), (20, 6), (174, 60)]:
+        for corner in ((1, 1, 1), (-1, 1, -1), (-1, -1, -1)):
+            edge = MAX_LENGTH * np.array(corner, dtype=float)
+            for radius in (1e-9, 1e-6, 1e-3):
+                a = list(edge - np.abs(rng.uniform(0.0, 3 * radius, (na, 3))) * corner)
+                b = list(edge - np.abs(rng.uniform(0.0, 3 * radius, (nb, 3))) * corner)
+                b[-1] = a[-1].copy()
+                found += _check_candidate_pairs(a, b, radius)
+                found += _check_candidate_pairs(a, b, vnorm(b[0] - a[0]))
+    assert found > 100
 
 
 def test_small_inputs_leave_association_and_scenes_unchanged(monkeypatch):
     """The survey (1-14 tracks per ingest, so both sides of ALL_PAIRS_MAX) and
     generated scenes come out the same as with the broadcast at every size."""
-    def outputs():
-        trials = [
+    def trials():
+        return repr([
             runner.survey_run(NoiseModel(clutter_rate=0.5), tracker.TrackerParams(), Intrinsics.default(), 20, seed)
             for seed in range(8)
-        ]
-        scenes = [
+        ])
+
+    def scenes():
+        return [
             [(f.id, _bits(f.pose.position), _bits(f.pose.rotation)) for f in generate_scene(
                 np.random.default_rng(seed), SceneGenParams(count=12, spread=0.08, min_sep=0.06))]
             for seed in range(8)
         ]
-        return repr(trials), scenes
 
     small_pairs = []
     real = candidate_pairs
@@ -629,8 +650,13 @@ def test_small_inputs_leave_association_and_scenes_unchanged(monkeypatch):
         small_pairs.append(len(a) * len(b) <= ALL_PAIRS_MAX)
         return real(a, b, radius)
 
-    monkeypatch.setattr(so3, "candidate_pairs", counted)
-    got = outputs()
+    for module in (so3, simworld):  # association calls it through so3, scene drawing directly
+        monkeypatch.setattr(module, "candidate_pairs", counted)
+    got = [trials()]
     assert 0 < sum(small_pairs) < len(small_pairs)
-    monkeypatch.setattr(so3, "candidate_pairs", _reference_candidate_pairs)
-    assert got == outputs()
+    small_pairs.clear()
+    got.append(scenes())
+    assert 0 < sum(small_pairs) < len(small_pairs)
+    for module in (so3, simworld):
+        monkeypatch.setattr(module, "candidate_pairs", _reference_candidate_pairs)
+    assert got == [trials(), scenes()]
