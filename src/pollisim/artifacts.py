@@ -3,7 +3,12 @@
 schema change together.
 
 Floats are written with repr, so they read back to the same bits and a
-recomputed report is byte-identical to the one the run emitted.
+recomputed report is byte-identical to the one the run emitted. The writer
+builds each CSV table as one string, with one %-format per row: a float
+column's values are gathered into an array and become Python floats by
+`.tolist()` (or `float()`), whose %r is that repr. Every file reaches the
+disk in one `configfields.write_text` call, with "\n" line ends on every
+platform.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from .commander import (
     CommanderConfig, Done, Explore, MoveDelta, MoveTo, RoughLocalization, Searching, TriggerPollinate, VisualServo,
 )
 from .config import ExperimentConfig
-from .configfields import fields_from_json, json_number, write_json
+from .configfields import fields_from_json, json_number, write_json, write_text
 from .metrics import (
     REPORT_CSV_HEADER,
     AttemptRecord,
@@ -60,15 +65,33 @@ class SchemaMismatch(ValueError):
     """A run artifact does not match its expected schema."""
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+# One row of each CSV table: %s for an integer, %d for a 0/1 flag and %r for
+# a float, which must be a Python float: %r of an np.float64 prints
+# "np.float64(...)".
+_TRACK_ROW = "%s,%s," + ",".join(["%r"] * len(_TRACK_FLOATS)) + ",%s,%d\n"
+_COMMAND_ROW = "%s,%s,%s,%s,%s,%r,%r,%r\n"
+_ATTEMPT_ROW = "%s,%s,%s,%s,%d\n"
+_SHOT_ROW = "%s,%s,%s,%d,%r,%r,%r\n"
 
 
-def _write_csv(path: str, header: str, rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(row + "\n")
+def _table(header: str, row: str, rows) -> str:
+    """The text of a CSV file: its header line, then `row` % each of `rows`."""
+    return "".join([header + "\n", *[row % r for r in rows]])
+
+
+def _tracks_table(last_tick: int, tracks: dict[int, Track]) -> str:
+    """tracks.csv: the final track table, each track's floats gathered in
+    one (n, 14) array."""
+    ts = list(tracks.values())
+    floats = np.concatenate([
+        np.array([t.pos_mean for t in ts], dtype=float).reshape(-1, 3),
+        np.array([t.rot_mean for t in ts], dtype=float).reshape(-1, 9),
+        np.trace(np.array([t.pos_cov for t in ts], dtype=float).reshape(-1, 3, 3), axis1=1, axis2=2)[:, None],
+        np.array([t.rot_cov for t in ts], dtype=float).reshape(-1, 1),
+    ], axis=1).tolist()
+    return _table(TRACKS_HEADER, _TRACK_ROW, (
+        (last_tick, tid, *vals, t.hits, t.pollinated) for (tid, t), vals in zip(tracks.items(), floats)
+    ))
 
 
 def write_artifacts(
@@ -84,27 +107,20 @@ def write_artifacts(
     `commands` holds (tick, arm_id, mode type, command type, target id, tip
     position).
     """
-    last_tick = logs.n_ticks - 1
     os.makedirs(out_dir, exist_ok=True)
-    _write_csv(os.path.join(out_dir, "tracks.csv"), TRACKS_HEADER, (
-        f"{last_tick},{tid},{_fmt(t.pos_mean[0])},{_fmt(t.pos_mean[1])},{_fmt(t.pos_mean[2])},"
-        + ",".join(_fmt(v) for v in t.rot_mean.reshape(9))
-        + f",{_fmt(np.trace(t.pos_cov))},{_fmt(t.rot_cov)},{t.hits},{int(t.pollinated)}"
-        for tid, t in logs.final_tracks.items()
-    ))
-    _write_csv(os.path.join(out_dir, "commands.csv"), COMMANDS_HEADER, (
-        f"{tick},{arm_id},{_MODE_NAMES[mode]},{_COMMAND_NAMES[kind]},"
-        f"{target_id},{_fmt(tip[0])},{_fmt(tip[1])},{_fmt(tip[2])}"
-        for tick, arm_id, mode, kind, target_id, tip in commands
-    ))
-    _write_csv(os.path.join(out_dir, "attempts.csv"), ATTEMPTS_HEADER, (
-        f"{a.tick},{a.arm_id},{a.track_id},{a.flower_id},{int(a.success)}" for a in logs.attempts
-    ))
-    _write_csv(os.path.join(out_dir, "shots.csv"), SHOTS_HEADER, (
-        f"{s.tick},{s.camera_id},{s.flower_id},{int(s.detected)},"
-        f"{_fmt(s.px_err)},{_fmt(s.trans_err)},{_fmt(s.rot_err_deg)}"
+    write_text(os.path.join(out_dir, "tracks.csv"), _tracks_table(logs.n_ticks - 1, logs.final_tracks))
+    tips = np.array([c[5] for c in commands], dtype=float).reshape(-1, 3).tolist()
+    write_text(os.path.join(out_dir, "commands.csv"), _table(COMMANDS_HEADER, _COMMAND_ROW, (
+        (tick, arm_id, _MODE_NAMES[mode], _COMMAND_NAMES[kind], target_id, *tip)
+        for (tick, arm_id, mode, kind, target_id, _), tip in zip(commands, tips)
+    )))
+    write_text(os.path.join(out_dir, "attempts.csv"), _table(ATTEMPTS_HEADER, _ATTEMPT_ROW, (
+        (a.tick, a.arm_id, a.track_id, a.flower_id, a.success) for a in logs.attempts
+    )))
+    write_text(os.path.join(out_dir, "shots.csv"), _table(SHOTS_HEADER, _SHOT_ROW, (
+        (s.tick, s.camera_id, s.flower_id, s.detected, float(s.px_err), float(s.trans_err), float(s.rot_err_deg))
         for s in shots
-    ))
+    )))
     save_scene(os.path.join(out_dir, "scene.json"), logs.scene)
     write_json(os.path.join(out_dir, "meta.json"), {
         "schema_version": ARTIFACT_SCHEMA_VERSION,
@@ -116,9 +132,8 @@ def write_artifacts(
     })
     write_json(os.path.join(out_dir, "config_resolved.json"), cfg.to_json())
     write_json(os.path.join(out_dir, "report.json"), report.to_json())
-    _write_csv(os.path.join(out_dir, "report.csv"), REPORT_CSV_HEADER, [report_csv_row(report)])
-    with open(os.path.join(out_dir, "summary.txt"), "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(summary_table(report))
+    write_text(os.path.join(out_dir, "report.csv"), f"{REPORT_CSV_HEADER}\n{report_csv_row(report)}\n")
+    write_text(os.path.join(out_dir, "summary.txt"), summary_table(report))
 
 
 # How _read_csv reads a cell of each column kind, and what it calls a bad one.

@@ -157,7 +157,9 @@ def standoff_pose(flower_pose: Pose, standoff: float) -> Pose:
 
 
 def _angle_between(a: np.ndarray, b: np.ndarray) -> float:
-    c = float(np.clip(a @ b / (np.linalg.norm(a) * np.linalg.norm(b)), -1.0, 1.0))
+    # a @ b stays a numpy scalar, so a zero norm warns as numpy's division
+    # does; max before min passes NaN through as np.clip does.
+    c = float(min(max(a @ b / (vnorm(a) * vnorm(b)), -1.0), 1.0))
     return math.degrees(math.acos(c))
 
 
@@ -170,7 +172,7 @@ def check_pollination(tip: Pose, flower: FlowerGT, eps_pos: float, eps_ang: floa
     """
     if eps_pos <= 0 or eps_ang <= 0:
         raise ValueError("thresholds must be positive")
-    if np.linalg.norm(tip.position - flower.pose.position) > eps_pos:
+    if vnorm(tip.position - flower.pose.position) > eps_pos:
         return False
     return _angle_between(-tip.rotation[:, 2], flower.pose.rotation[:, 2]) <= eps_ang
 
@@ -191,7 +193,7 @@ def servo_delta(tip: Pose, target: Pose, gain: float, max_step: float) -> MoveDe
         dpos = dpos * (max_step / n)
     cur = -tip.rotation[:, 2]
     want = target.rotation[:, 2]
-    c = float(np.clip(cur @ want, -1.0, 1.0))
+    c = float(min(max(cur @ want, -1.0), 1.0))
     axis = cross3(cur, want)
     s = vnorm(axis)
     if s <= 1e-9:
@@ -252,7 +254,7 @@ def step(
         if targets:
             nearest_id, nearest = min(
                 targets,
-                key=lambda target: (float(np.linalg.norm(target[1].pos_mean - tip.position)), target[0]),
+                key=lambda target: (vnorm(target[1].pos_mean - tip.position), target[0]),
             )
             goal = standoff_pose(Pose(nearest.pos_mean, nearest.rot_mean), cfg.standoff)
             return MoveTo(goal), RoughLocalization(nearest_id, mode.steps)
@@ -267,7 +269,7 @@ def step(
             return _lost(rng, mode.search_steps)
         goal = standoff_pose(Pose(t.pos_mean, t.rot_mean), cfg.standoff)
         arrived = (
-            float(np.linalg.norm(tip.position - goal.position)) <= cfg.arrival_pos
+            vnorm(tip.position - goal.position) <= cfg.arrival_pos
             and _angle_between(tip.rotation[:, 2], goal.rotation[:, 2]) <= cfg.arrival_ang
         )
         if arrived:
@@ -292,7 +294,7 @@ def step(
     # measurement must never fire the pollinator.
     aligned = (
         gs.tick - t.last_meas.tick <= cfg.trigger_fresh
-        and float(np.linalg.norm(tip.position - t.pos_mean)) <= cfg.trigger_pos
+        and vnorm(tip.position - t.pos_mean) <= cfg.trigger_pos
         and _angle_between(-tip.rotation[:, 2], t.rot_mean[:, 2]) <= cfg.trigger_ang
     )
     if aligned:

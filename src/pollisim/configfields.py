@@ -1,6 +1,7 @@
 """The one rule by which every config dataclass maps to and from its JSON
 form, and by which its values are checked; and the one form in which every
-JSON file the package writes is laid out.
+JSON file the package writes is laid out, and the one way every text file
+it writes reaches the disk.
 
 Each config dataclass (`NoiseModel`, `TrackerParams`, `CommanderConfig`,
 `Intrinsics`, `SceneGenParams`) maps 1:1 to its JSON object: one key per
@@ -21,9 +22,15 @@ def json_text(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
+def write_text(path: str, text: str) -> None:
+    """Write `text` to `path` as UTF-8 with "\n" line ends on every
+    platform, so a file's bytes, and their digest, do not depend on it."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
+
+
 def write_json(path: str, obj) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json_text(obj))
+    write_text(path, json_text(obj))
 
 
 def fields_to_json(obj) -> dict:

@@ -131,7 +131,7 @@ class RunLogs:
 
 def reachable_flowers(scene: list[FlowerGT], center: np.ndarray, radius: float) -> list[int]:
     center = np.asarray(center, dtype=float)
-    return [f.id for f in scene if float(np.linalg.norm(f.pose.position - center)) <= radius]
+    return [f.id for f in scene if vnorm(f.pose.position - center) <= radius]
 
 
 @dataclass(eq=False)

@@ -70,8 +70,8 @@ from .so3 import (
     from_axis_angle,
     is_rotation,
     random_rotation,
-    rotation_angle,
     svd_project,
+    vnorm,
 )
 from .tracker import GlobalState, Track, TrackerParams, ingest
 
@@ -89,7 +89,7 @@ class NoConvergence(RuntimeError):
 
 def _reflect_into_sphere(pos: np.ndarray, center: np.ndarray, radius: float) -> np.ndarray:
     v = pos - center
-    r = float(np.linalg.norm(v))
+    r = vnorm(v)
     if r <= radius or r <= 1e-12:
         return pos
     reflected = max(min(2.0 * radius - r, radius), 0.0)
@@ -97,13 +97,9 @@ def _reflect_into_sphere(pos: np.ndarray, center: np.ndarray, radius: float) -> 
 
 
 def _rotate_toward(current: np.ndarray, target: np.ndarray, max_angle: float) -> np.ndarray:
-    rel = target @ current.T
-    angle = rotation_angle(rel)
-    if angle <= 1e-12:
+    axis, angle = axis_angle_of(target @ current.T)  # angle 0.0 below 1e-12
+    if angle <= 1e-12 or angle <= max_angle:
         return target
-    if angle <= max_angle:
-        return target
-    axis, _ = axis_angle_of(rel)
     return from_axis_angle(axis, max_angle) @ current
 
 
@@ -115,27 +111,27 @@ def _apply_command(
     tick: int,
     attempts: list[AttemptRecord],
 ) -> None:
-    center = np.asarray(cfg.workspace_center, dtype=float)
     tip = arm.tip_pose
     if isinstance(cmd, Explore):
+        center = np.asarray(cfg.workspace_center, dtype=float)
         direction = np.asarray(cmd.direction, dtype=float)
         new_pos = _reflect_into_sphere(tip.position + cfg.max_step * direction, center, cfg.workspace_radius)
         # Keep the eye-in-hand camera on the cluster while wandering.
-        arm.tip_pose = aim_pose(new_pos, center) if np.linalg.norm(new_pos - center) > 1e-9 else Pose(new_pos, tip.rotation)
+        arm.tip_pose = aim_pose(new_pos, center) if vnorm(new_pos - center) > 1e-9 else Pose(new_pos, tip.rotation)
     elif isinstance(cmd, MoveTo):
         d = cmd.pose.position - tip.position
-        n = float(np.linalg.norm(d))
+        n = vnorm(d)
         new_pos = cmd.pose.position if n <= cfg.max_step else tip.position + d / n * cfg.max_step
         new_rot = _rotate_toward(tip.rotation, cmd.pose.rotation, math.radians(cfg.max_rot_step_deg))
         arm.tip_pose = Pose(new_pos, new_rot)
     elif isinstance(cmd, MoveDelta):
-        if float(np.linalg.norm(cmd.dpos)) > cfg.max_step + 1e-9:
+        if vnorm(cmd.dpos) > cfg.max_step + 1e-9:
             raise AssertionError("commander issued MoveDelta exceeding max_step")
         # Re-orthonormalize: thousands of incremental updates otherwise drift
         # the tip frame off the manifold.
         arm.tip_pose = Pose(tip.position + cmd.dpos, svd_project(cmd.drot @ tip.rotation))
     elif isinstance(cmd, TriggerPollinate):
-        flower = min(scene, key=lambda f: float(np.linalg.norm(f.pose.position - tip.position)))
+        flower = min(scene, key=lambda f: vnorm(f.pose.position - tip.position))
         success = (not flower.pollinated) and check_pollination(tip, flower, cfg.eps_pos, cfg.eps_ang)
         if success:
             flower.pollinated = True

@@ -31,19 +31,18 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .camera import CameraPose, Intrinsics, PixelObs, look_at, project, to_world, uplift
-from .configfields import check_fields, fields_to_json, json_number, json_numbers, write_json
+from .configfields import check_fields, fields_to_json, json_number, json_numbers, write_json, write_text
 from .so3 import (
-    I3,
+    EZ,
     Pose,
     candidate_pairs,
     cross3,
     dots,
     from_axis_angle,
+    from_axis_angles,
     random_rotation,
     random_unit_vector,
-    rot_z,
     rotation_from_list,
-    rotation_to_list,
     vnorm,
     zaxis_angle,
 )
@@ -482,19 +481,35 @@ def load_scene(path: str) -> list[FlowerGT]:
     return sorted(flowers, key=lambda f: f.id)
 
 
+# One flower of scene.json as json_text lays it out: keys sorted, two-space
+# indent. %r of a finite Python float is the float repr that json writes.
+_FLOWER_JSON = (
+    '    {\n      "id": %s,\n      "pollinated": %s,\n      "position": [\n        '
+    + ",\n        ".join(["%r"] * 3) + '\n      ],\n      "rotation": [\n        '
+    + ",\n        ".join(["%r"] * 9) + "\n      ]\n    }"
+)
+
+
 def save_scene(path: str, flowers: list[FlowerGT]) -> None:
-    """Write a scene JSON file (deterministic key order)."""
-    write_json(path, {
-        "flowers": [
-            {
-                "id": f.id,
-                "position": [float(x) for x in f.pose.position],
-                "rotation": rotation_to_list(f.pose.rotation),
-                "pollinated": f.pollinated,
-            }
-            for f in sorted(flowers, key=lambda f: f.id)
-        ]
-    })
+    """Write a scene JSON file (deterministic key order): json_text of its
+    dict form. A scene of finite values is laid out here with one format
+    string per flower, because json's indenting encoder runs in pure Python;
+    an empty one, or one with a NaN or infinity, which json writes as NaN or
+    Infinity where %r writes nan or inf, takes json_text itself."""
+    flowers = sorted(flowers, key=lambda f: f.id)
+    values = np.array(
+        [np.concatenate([f.pose.position, f.pose.rotation.ravel()]) for f in flowers], dtype=float
+    ).reshape(-1, 12)
+    rows = values.tolist()
+    if flowers and np.isfinite(values).all():
+        write_text(path, '{\n  "flowers": [\n' + ",\n".join([
+            _FLOWER_JSON % (f.id, "true" if f.pollinated else "false", *v) for f, v in zip(flowers, rows)
+        ]) + "\n  ]\n}\n")
+    else:
+        write_json(path, {"flowers": [
+            {"id": f.id, "position": v[:3], "rotation": v[3:], "pollinated": f.pollinated}
+            for f, v in zip(flowers, rows)
+        ]})
 
 
 @dataclass(frozen=True)
@@ -507,10 +522,10 @@ class SceneGenParams:
     MAX_FLOWERS (10,000), 50 times the largest scene an experiment draws
     (200 flowers), because the oracle projects every flower on every tick.
     On one core of a shared 2-core x86-64 host, 10,000 flowers at `spread`
-    1.0 and the stock `min_sep` take 0.8 s to draw. At the stock `spread`,
-    200 flowers take 0.07 s, but 10,000 cannot fit, so the draw runs to its
+    1.0 and the stock `min_sep` take 0.6 s to draw. At the stock `spread`,
+    200 flowers take 0.03 s, but 10,000 cannot fit, so the draw runs to its
     cap of 10000 * `count` draws: 1,000 flowers give up after their 10^7
-    draws in 66 s.
+    draws in 70 s.
     """
 
     count: int = 20
@@ -616,14 +631,11 @@ def generate_scene(rng: np.random.Generator, params: SceneGenParams) -> list[Flo
         if attempts > max_attempts:
             raise ValueError("cannot satisfy min_sep; reduce it or increase spread")
         rows = -(-(count - n) * used // len(keep)) if keep else 2 * rows
-    flowers = []
-    for i, p in enumerate(accepted):
-        tilt = math.radians(rng.uniform(0.0, params.max_tilt_deg))
-        azim = rng.uniform(0.0, 2.0 * math.pi)
-        tilt_axis = np.array([-math.sin(azim), math.cos(azim), 0.0])
-        rot = from_axis_angle(tilt_axis, tilt) @ rot_z(rng.uniform(0.0, 2.0 * math.pi))
-        flowers.append(FlowerGT(id=i, pose=Pose(p, rot)))
-    return flowers
+    tilt, azim, twist = rng.uniform(0.0, (params.max_tilt_deg, 2.0 * math.pi, 2.0 * math.pi), size=(count, 3)).T
+    # math's sin and cos, which numpy's need not match bit for bit
+    tilt_axes = np.array([(-math.sin(a), math.cos(a), 0.0) for a in azim.tolist()])
+    rots = from_axis_angles(tilt_axes, np.radians(tilt)) @ from_axis_angles(np.broadcast_to(EZ, (count, 3)), twist)
+    return [FlowerGT(id=i, pose=Pose(p, rot)) for i, (p, rot) in enumerate(zip(accepted, rots))]
 
 
 # Viewpoint distribution used for single-shot calibration and the filter
@@ -718,13 +730,7 @@ def _detection_errors(
     axis = rows[:, 7:10]
     axis = axis / np.sqrt(dots(axis, axis))[:, None]  # the drawn normals to a unit axis, as `_noisy_rotation`
     angle = np.abs(0.0 + math.radians(noise.rot_sigma) * rows[:, 10])
-    x, y, z = (axis / np.sqrt(dots(axis, axis))[:, None]).T  # from_axis_angle's own division
-    hat = np.zeros((n, 3, 3))
-    hat[:, 0, 1], hat[:, 0, 2] = -z, y
-    hat[:, 1, 0], hat[:, 1, 2] = z, -x
-    hat[:, 2, 0], hat[:, 2, 1] = -y, x
-    turn = I3 + np.sin(angle)[:, None, None] * hat + (1.0 - np.cos(angle))[:, None, None] * (hat @ hat)
-    rots = turn @ flower_rot
+    rots = from_axis_angles(axis, angle) @ flower_rot
     c = np.minimum(np.maximum(dots(rots[:, :, 2], flower_rot[:, :, 2]), -1.0), 1.0)
     errors[:, 2] = np.degrees(np.arccos(c))
     return pixels, pos_world, rots, errors

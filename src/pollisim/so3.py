@@ -283,7 +283,7 @@ def aligning_rotation(b: np.ndarray) -> np.ndarray:
     For b = -z the arc is ambiguous: the half turn about the x-axis.
     """
     b = np.asarray(b, dtype=float)
-    c = float(np.clip(EZ @ b, -1.0, 1.0))
+    c = float(min(max(EZ @ b, -1.0), 1.0))
     if c < -1.0 + ORTHO_TOL:
         return from_axis_angle(EX, np.pi)
     k = _hat(cross3(EZ, b))
@@ -307,6 +307,19 @@ def from_axis_angle(axis: np.ndarray, angle: float) -> np.ndarray:
     return I3 + np.sin(angle) * k + (1.0 - np.cos(angle)) * (k @ k)
 
 
+def from_axis_angles(axes: np.ndarray, angles: np.ndarray) -> np.ndarray:
+    """from_axis_angle of each row of an (n, 3) array of axes with its
+    angle, as an (n, 3, 3) stack: the same operations in the same order on
+    stacked arrays, so each matrix has the bits of its from_axis_angle. The
+    axes are not checked for a ~0 norm."""
+    x, y, z = (axes / np.sqrt(dots(axes, axes))[:, None]).T
+    hat = np.zeros((len(axes), 3, 3))
+    hat[:, 0, 1], hat[:, 0, 2] = -z, y
+    hat[:, 1, 0], hat[:, 1, 2] = z, -x
+    hat[:, 2, 0], hat[:, 2, 1] = -y, x
+    return I3 + np.sin(angles)[:, None, None] * hat + (1.0 - np.cos(angles))[:, None, None] * (hat @ hat)
+
+
 def rot_x(angle: float) -> np.ndarray:
     return from_axis_angle(EX, angle)
 
@@ -317,8 +330,8 @@ def rot_z(angle: float) -> np.ndarray:
 
 def rotation_angle(r: np.ndarray) -> float:
     """Total rotation angle of r in radians, in [0, pi]."""
-    c = (float(np.trace(np.asarray(r, dtype=float))) - 1.0) / 2.0
-    return float(np.arccos(np.clip(c, -1.0, 1.0)))
+    c = (float(np.asarray(r, dtype=float).trace()) - 1.0) / 2.0
+    return float(np.arccos(min(max(c, -1.0), 1.0)))
 
 
 def axis_angle_of(r: np.ndarray) -> tuple[np.ndarray, float]:
@@ -334,10 +347,10 @@ def axis_angle_of(r: np.ndarray) -> tuple[np.ndarray, float]:
     if angle < np.pi - 1e-6:
         v = np.array([r[2, 1] - r[1, 2], r[0, 2] - r[2, 0], r[1, 0] - r[0, 1]])
         return v / (2.0 * np.sin(angle)), angle
-    b = 0.5 * (r + np.eye(3))
+    b = 0.5 * (r + I3)
     col = int(np.argmax(np.diag(b)))
-    axis = b[:, col]
-    return axis / np.linalg.norm(axis), angle
+    axis = b[:, col].copy()  # contiguous, as np.linalg.norm's ravel makes it
+    return axis / vnorm(axis), angle
 
 
 def random_rotation(rng: np.random.Generator) -> np.ndarray:

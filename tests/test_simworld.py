@@ -477,7 +477,8 @@ def test_generate_scene_matches_scalar_rejection_loop():
 
 def _one_draw_scene(rng, params):
     """generate_scene as it was written before it drew in blocks: one draw
-    and one pairs_within query per candidate."""
+    and one pairs_within query per candidate, then three uniform draws and
+    one rotation per flower."""
     count, spread, min_sep = params.count, params.spread, params.min_sep
     center = np.asarray(params.center, dtype=float)
     positions: list[np.ndarray] = []
@@ -524,8 +525,13 @@ def _scene_outcome(draw, seed, params):
         (SceneGenParams(count=300, spread=1.0, min_sep=0.05), 2),  # more survivors than a block screens
         (SceneGenParams(count=200), 2),  # near the most the stock spread holds
         (SceneGenParams(count=2, spread=0.01, min_sep=0.5), 2),  # unsatisfiable
+        (SceneGenParams(count=30, max_tilt_deg=0.0), 3),  # every flower faces up
+        (SceneGenParams(count=30, max_tilt_deg=180.0), 3),
     ],
-    ids=["stock-20", "stock-60", "dense", "clusters", "one", "no-min-sep", "many-survivors", "stock-200", "unsatisfiable"],
+    ids=[
+        "stock-20", "stock-60", "dense", "clusters", "one", "no-min-sep", "many-survivors", "stock-200",
+        "unsatisfiable", "no-tilt", "any-tilt",
+    ],
 )
 def test_generate_scene_matches_the_one_draw_loop(params, seeds):
     for seed in range(seeds):

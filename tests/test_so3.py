@@ -20,6 +20,7 @@ from pollisim.so3 import (
     det3,
     flatten,
     from_axis_angle,
+    from_axis_angles,
     inv3,
     is_rotation,
     pairs_within,
@@ -267,6 +268,22 @@ def test_from_axis_angle_matches_reference_bitwise():
     for axis in ([np.inf, 1.0, 0.0], [1e200, 1e200, 0.0], [np.nan, 1.0, 0.0]):
         got = outcome_with_warnings(from_axis_angle, np.array(axis), 0.5)
         assert got[0] == outcome_with_warnings(_reference_from_axis_angle, np.array(axis), 0.5)[0]
+
+
+def test_from_axis_angles_gives_each_from_axis_angle_bitwise():
+    # scene drawing and the oracle's batched detections build their
+    # rotations as one stack
+    rng = np.random.default_rng(73)
+    axes = np.concatenate([
+        rng.normal(size=(3_000, 3)), rng.normal(size=(3_000, 3)) * 10.0 ** rng.uniform(-5, 5, (3_000, 1)),
+        np.eye(3), -np.eye(3),
+    ])
+    angles = np.concatenate([rng.uniform(-7.0, 7.0, size=3_000), np.abs(rng.normal(size=3_000)),
+                             [0.0, -0.0, np.pi, 2.0 * np.pi, 1e-300, 100.0]])
+    got = from_axis_angles(axes, angles)
+    assert got.shape == (len(axes), 3, 3)
+    assert _bits(got) == _bits(np.array([from_axis_angle(a, t) for a, t in zip(axes, angles)]))
+    assert from_axis_angles(np.empty((0, 3)), np.empty(0)).shape == (0, 3, 3)
 
 
 def _reference_is_rotation(m, tol=ORTHO_TOL):

@@ -1,7 +1,8 @@
 """Rules about the package source that no behaviour test shows: no module
 keeps state between calls through `global` or `nonlocal`, none turns a
 floating-point flag into a second route, the tracker's clock moves in one
-place, and only the oracle's draw pass draws."""
+place, only the oracle's draw pass draws, and the control path calls no
+numpy wrapper that so3 replaces."""
 
 import ast
 import os
@@ -76,3 +77,17 @@ def test_the_oracle_arithmetic_pass_takes_no_generator():
     assert set(found) == arithmetic
     drawing = [f"{name}({a})" for name, args in sorted(found.items()) for a in args if "rng" in a or "Generator" in a]
     assert drawing == []
+
+
+def test_the_control_path_calls_no_norm_or_clip_wrapper():
+    # so3.vnorm and min(max(x, -1.0), 1.0) give the same bits as
+    # np.linalg.norm of a 3-vector and a scalar np.clip, without the
+    # wrappers' per-call cost (tests/test_control_path.py holds them to it).
+    found = [
+        f"{name}:{node.lineno}: {ast.unparse(node.func)}"
+        for name, tree in _modules().items()
+        if name in ("commander.py", "runner.py", "metrics.py")
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and ast.unparse(node.func) in ("np.linalg.norm", "np.clip")
+    ]
+    assert found == []
